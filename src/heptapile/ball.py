@@ -67,36 +67,30 @@ class Ball:
         ``VertexType`` value per vertex.
     deficit : (n,) int8 array
         Number of tiling neighbors outside the ball (7 minus stored degree).
-    adj : tuple of tuples
-        Per-vertex neighbors inside the ball, ascending.
     level_start : (m+2,) int64 array
         ``level_start[l]`` is the first id of level ``l``; last entry is ``n``.
     indptr, indices : int64 arrays
-        CSR copy of ``adj`` for vectorized checks.
+        The adjacency in CSR form, the only one stored: the neighbors of
+        ``v`` inside the ball are ``indices[indptr[v]:indptr[v + 1]]``,
+        ascending.
     """
 
-    __slots__ = ("radius", "level", "vtype", "deficit", "adj", "level_start",
+    __slots__ = ("radius", "level", "vtype", "deficit", "level_start",
                  "indptr", "indices")
 
-    def __init__(self, radius, level, vtype, deficit, adj, level_start):
+    def __init__(self, radius, level, vtype, deficit, level_start, indptr,
+                 indices):
         self.radius = int(radius)
         self.level = level
         self.vtype = vtype
         self.deficit = deficit
-        self.adj = adj
         self.level_start = level_start
-        degrees = np.fromiter((len(a) for a in adj), dtype=np.int64, count=len(adj))
-        self.indptr = np.concatenate(([0], np.cumsum(degrees)))
-        if self.indptr[-1]:
-            self.indices = np.fromiter(
-                (u for nbrs in adj for u in nbrs), dtype=np.int64,
-                count=int(self.indptr[-1]))
-        else:
-            self.indices = np.zeros(0, dtype=np.int64)
+        self.indptr = indptr
+        self.indices = indices
 
     @property
     def n(self) -> int:
-        return len(self.adj)
+        return len(self.level)
 
     def ring(self, lvl: int) -> range:
         """Ids of level ``lvl`` in cyclic ring order (== id order)."""
@@ -104,15 +98,14 @@ class Ball:
             raise ValueError(f"level {lvl} outside ball of radius {self.radius}")
         return range(int(self.level_start[lvl]), int(self.level_start[lvl + 1]))
 
-    def neighbors(self, v: int) -> tuple:
-        return self.adj[v]
+    def neighbors(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def edges(self) -> Iterator[tuple]:
         """Each undirected edge once, as (u, v) with u < v."""
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                if u < v:
-                    yield u, v
+        u = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        keep = u < self.indices
+        return zip(u[keep].tolist(), self.indices[keep].tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ball):
@@ -121,7 +114,8 @@ class Ball:
                 and np.array_equal(self.level, other.level)
                 and np.array_equal(self.vtype, other.vtype)
                 and np.array_equal(self.deficit, other.deficit)
-                and self.adj == other.adj)
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     def __repr__(self) -> str:
         return f"Ball(radius={self.radius}, n={self.n})"
@@ -147,53 +141,43 @@ def build_ball(m: int) -> Ball:
         raise CapacityError(
             f"ball of radius {m} has {n} vertices, beyond 64-bit indexing")
 
-    level = np.zeros(n, dtype=np.int32)
-    vtype = np.zeros(n, dtype=np.int8)
-    adj = [[] for _ in range(n)]
-    level_start = [0, 1]
+    # each ring grows from its parent ring's type vector; edges are gathered
+    # as (u, v) id arrays, one direction each, then sorted into CSR
+    vtypes = [np.zeros(1, dtype=np.int8)]
+    us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    stop = 1
+    for lvl in range(m):
+        parents = np.arange(stop - vtypes[-1].size, stop)
+        # the root has seven type-1 children; on a ring, a type-1 parent has
+        # two own children, a type-2 parent one, and each parent ends on the
+        # type-2 child it shares with its ring successor
+        kids = np.where(vtypes[-1] == VertexType.FIRST, 3, 2) if lvl else [DEGREE]
+        children = np.arange(stop, stop + np.sum(kids))
+        child_type = np.full(children.size, VertexType.FIRST, dtype=np.int8)
+        us += [np.repeat(parents, kids), children]
+        vs += [children, np.roll(children, -1)]
+        if lvl:
+            shared = np.cumsum(kids) - 1
+            child_type[shared] = VertexType.SECOND
+            us.append(np.roll(parents, -1))
+            vs.append(children[shared])
+        vtypes.append(child_type)
+        stop += children.size
 
-    def link(u, v):
-        adj[u].append(v)
-        adj[v].append(u)
-
-    if m >= 1:
-        for i in range(1, 8):
-            level[i] = 1
-            vtype[i] = VertexType.FIRST
-            link(0, i)
-            link(i, 1 + i % 7)
-        level_start.append(8)
-
-    first = int(VertexType.FIRST)
-    second = int(VertexType.SECOND)
-    for lvl in range(1, m):
-        start, stop = level_start[lvl], level_start[lvl + 1]
-        cur = stop
-        for p in range(start, stop):
-            own = 2 if vtype[p] == first else 1
-            for _ in range(own):
-                level[cur] = lvl + 1
-                vtype[cur] = first
-                link(p, cur)
-                cur += 1
-            # shared child, adjacent to p and to p's ring successor
-            q = start + (p + 1 - start) % (stop - start)
-            level[cur] = lvl + 1
-            vtype[cur] = second
-            link(p, cur)
-            link(q, cur)
-            cur += 1
-        for c in range(stop, cur):
-            link(c, stop + (c + 1 - stop) % (cur - stop))
-        level_start.append(cur)
-
-    if level_start[-1] != n:
+    if stop != n:
         raise InvariantError("generated vertex count disagrees with ring recurrence")
 
-    deficit = np.array([DEGREE - len(a) for a in adj], dtype=np.int8)
-    ball = Ball(m, level, vtype, deficit,
-                tuple(tuple(sorted(a)) for a in adj),
-                np.array(level_start, dtype=np.int64))
+    ring_size = np.array([t.size for t in vtypes], dtype=np.int64)
+    u = np.concatenate(us + vs)
+    v = np.concatenate(vs + us)
+    del us, vs
+    order = np.lexsort((v, u))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=n))))
+    ball = Ball(m, np.repeat(np.arange(m + 1, dtype=np.int32), ring_size),
+                np.concatenate(vtypes),
+                (DEGREE - np.diff(indptr)).astype(np.int8),
+                np.concatenate(([0], np.cumsum(ring_size))),
+                indptr, v[order])
     validate_ball(ball)
     return ball
 
@@ -262,15 +246,13 @@ def validate_ball(ball: Ball) -> None:
         if np.any((gap != 1) & (gap != ring_len - 1)):
             raise InvariantError("ring edge between non-consecutive ids")
 
-    a, b = DEGREE, 0
-    for l in range(1, m + 1):
+    for l, (a, b) in enumerate(_ring_sizes(m), start=1):
         block = slice(int(starts[l]), int(starts[l + 1]))
         nf = int(np.count_nonzero(ball.vtype[block] == VertexType.FIRST))
         ns = int(np.count_nonzero(ball.vtype[block] == VertexType.SECOND))
         if (nf, ns) != (a, b):
             raise InvariantError(
                 f"ring {l} has {nf}/{ns} vertices of type 1/2, expected {a}/{b}")
-        a, b = 2 * a + b, a + b
 
 
 def distance_profile(ball: Ball) -> np.ndarray:
@@ -278,11 +260,11 @@ def distance_profile(ball: Ball) -> np.ndarray:
     dist = np.full(ball.n, -1, dtype=np.int32)
     dist[0] = 0
     queue = deque((0,))
-    adj = ball.adj
+    ptr, idx = ball.indptr.tolist(), memoryview(ball.indices)
     while queue:
         v = queue.popleft()
         d = dist[v] + 1
-        for w in adj[v]:
+        for w in idx[ptr[v]:ptr[v + 1]]:
             if dist[w] < 0:
                 dist[w] = d
                 queue.append(w)
@@ -316,15 +298,16 @@ def link_cycle(ball: Ball, v: int) -> list:
     if not 0 <= v < ball.n:
         raise ValueError(f"vertex {v} out of range")
     if v == 0:
-        nbrs = list(ball.adj[0])
+        nbrs = ball.neighbors(0).tolist()
         return nbrs + [-1] * (DEGREE - len(nbrs))
     lvl = int(ball.level[v])
     start = int(ball.level_start[lvl])
     size = int(ball.level_start[lvl + 1]) - start
     prev = start + (v - 1 - start) % size
     nxt = start + (v + 1 - start) % size
-    downs = [u for u in ball.adj[v] if ball.level[u] == lvl - 1]
-    ups = [u for u in ball.adj[v] if ball.level[u] == lvl + 1]
+    nbrs = ball.neighbors(v).tolist()
+    downs = [u for u in nbrs if ball.level[u] == lvl - 1]
+    ups = [u for u in nbrs if ball.level[u] == lvl + 1]
     ups = _ring_arc(ball, ups, lvl + 1) if ups else []
     if ball.vtype[v] == VertexType.FIRST:
         slots = ups + [-1] * (4 - len(ups))
@@ -349,7 +332,7 @@ def _split_checked(data: bytes) -> list:
     if not data.endswith(b"\n"):
         raise FormatError("stream must end with a newline")
     body, _, _ = data.rpartition(b"\n")
-    head, _, last = body.rpartition(b"\n")
+    last = body.rpartition(b"\n")[2]
     prior = data[:len(data) - len(last) - 1]
     fields = last.split()
     if len(fields) != 2 or fields[0] != b"CHECK":
@@ -368,10 +351,10 @@ def _split_checked(data: bytes) -> list:
 def serialize_ball(ball: Ball) -> bytes:
     """Render the ball as its text format (one vertex per line plus checksum)."""
     lines = [f"HEPTABALL v1 m={ball.radius} n={ball.n}"]
-    lvl, typ, dfc = ball.level, ball.vtype, ball.deficit
-    for v, nbrs in enumerate(ball.adj):
-        head = f"{v} {lvl[v]} {typ[v]} {dfc[v]}"
-        lines.append(head + "".join(f" {u}" for u in nbrs))
+    ptr, idx = ball.indptr.tolist(), memoryview(ball.indices)
+    fields = zip(ball.level.tolist(), ball.vtype.tolist(), ball.deficit.tolist())
+    for v, (lvl, typ, dfc) in enumerate(fields):
+        lines.append(" ".join(map(str, (v, lvl, typ, dfc, *idx[ptr[v]:ptr[v + 1]]))))
     body = ("\n".join(lines) + "\n").encode("ascii")
     return body + f"CHECK {fnv1a64(body):016x}\n".encode("ascii")
 
@@ -391,7 +374,7 @@ def deserialize_ball(data: bytes) -> Ball:
     level = np.zeros(n, dtype=np.int32)
     vtype = np.zeros(n, dtype=np.int8)
     deficit = np.zeros(n, dtype=np.int8)
-    adj = []
+    indices = []
     for i, line in enumerate(lines[1:]):
         try:
             fields = [int(f) for f in line.split()]
@@ -412,7 +395,7 @@ def deserialize_ball(data: bytes) -> Ball:
                 f"vertex {i}: degree {len(nbrs)} and deficit {df} break the "
                 f"budget of {DEGREE}")
         level[i], vtype[i], deficit[i] = lv, ty, df
-        adj.append(tuple(nbrs))
+        indices += nbrs
 
     if m and int(level.max(initial=0)) != m:
         raise FormatError("stated radius disagrees with vertex levels")
@@ -420,7 +403,9 @@ def deserialize_ball(data: bytes) -> Ball:
     if not np.array_equal(order, np.arange(n)):
         raise FormatError("vertex lines are not level-major")
     starts = np.searchsorted(level, np.arange(m + 2))
-    ball = Ball(m, level, vtype, deficit, tuple(adj), starts.astype(np.int64))
+    indptr = np.concatenate(([0], np.cumsum(DEGREE - deficit, dtype=np.int64)))
+    ball = Ball(m, level, vtype, deficit, starts.astype(np.int64), indptr,
+                np.array(indices, dtype=np.int64))
     try:
         validate_ball(ball)
     except InvariantError as exc:

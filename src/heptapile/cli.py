@@ -118,6 +118,8 @@ def cmd_verify(args) -> int:
               f"radius {ball.radius}")
         return 0
     radii = _parse_range(args.m)
+    if radii.start < 1:  # the radius-0 ball has no boundary and no ring
+        raise ValueError(f"verify takes radii from 1 up (e.g. 1..6), got {args.m!r}")
     jobs = resolve_jobs(args.jobs)
     print(f"# verify  radii={args.m}  trials={args.trials}  "
           f"seed={args.seed}  jobs={jobs}")

@@ -158,7 +158,7 @@ def build_embedding(ball: Ball, *, tol: float = 1e-6) -> Embedding:
     placed = np.zeros(n, dtype=bool)
     placed[0] = True
     if ball.radius >= 1:
-        for k, v in enumerate(ball.adj[0]):
+        for k, v in enumerate(ball.neighbors(0).tolist()):
             ang = 2 * pi * k / DEGREE
             pos[v] = (sh * np.cos(ang), sh * np.sin(ang), ch)
             placed[v] = True
@@ -268,6 +268,6 @@ def nearest_neighbor_mismatches(emb: Embedding) -> list:
         row = gram[v].copy()
         row[v] = np.inf
         nearest = set(np.argpartition(row, DEGREE)[:DEGREE].tolist())
-        if nearest != set(ball.adj[v]):
+        if nearest != set(ball.neighbors(v).tolist()):
             bad.append(v)
     return bad

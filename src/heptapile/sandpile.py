@@ -100,7 +100,7 @@ def laplacian_delta(ball: Ball, v: int) -> dict:
     if not 0 <= v < ball.n:
         raise ValueError(f"vertex {v} out of range")
     delta = {v: -DEGREE}
-    for u in ball.adj[v]:
+    for u in ball.neighbors(v).tolist():
         delta[u] = delta.get(u, 0) + 1
     return delta
 
@@ -165,7 +165,7 @@ def relax(state: State, *, multi_topple: bool = False,
         raise ValueError("relaxation requires nonnegative grain counts")
     ball = state.ball
     n = ball.n
-    adj = ball.adj
+    ptr, idx = ball.indptr.tolist(), memoryview(ball.indices)
     odo = [0] * n
     in_queue = [False] * n
     queue = deque()
@@ -188,7 +188,7 @@ def relax(state: State, *, multi_topple: bool = False,
         dequeues += 1
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
-        for u in adj[v]:
+        for u in idx[ptr[v]:ptr[v + 1]]:
             gu = g[u] + k
             g[u] = gu
             if gu >= DEGREE and not in_queue[u]:
@@ -213,7 +213,7 @@ def relax_random(state: State, rng: np.random.Generator) -> RelaxResult:
     if min(g) < 0:
         raise ValueError("relaxation requires nonnegative grain counts")
     ball = state.ball
-    adj = ball.adj
+    ptr, idx = ball.indptr.tolist(), memoryview(ball.indices)
     odo = [0] * ball.n
     unstable = sorted(v for v in range(ball.n) if g[v] >= DEGREE)
     budget = _budget(g, ball.n, None)
@@ -229,7 +229,7 @@ def relax_random(state: State, rng: np.random.Generator) -> RelaxResult:
         topples += 1
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
-        for u in adj[v]:
+        for u in idx[ptr[v]:ptr[v + 1]]:
             g[u] += 1
             if g[u] == DEGREE:
                 unstable.append(u)

@@ -187,7 +187,10 @@ def _expected_first_wave(ball: Ball) -> np.ndarray:
 
 def check_wave_profiles(radii: Iterable[int] = range(1, 9),
                         balls: dict | None = None) -> CheckReport:
-    """First-wave profile, second-wave restriction, counts, nested fronts."""
+    """First-wave profile, second-wave restriction, counts, nested fronts.
+
+    Front k = 1..m+1 of the root's waves must have ball_size(m + 1 - k) vertices.
+    """
     rep = CheckReport("wave fronts and profiles")
     prev_first_wave = {}
     for m in radii:
@@ -209,6 +212,11 @@ def check_wave_profiles(radii: Iterable[int] = range(1, 9),
             if not set(b.tolist()) <= set(a.tolist()):
                 rep.fail(f"m={m}: wave fronts are not nested")
                 break
+        sizes = [len(front) for front in wres.fronts]
+        want = [cf.ball_size(m + 1 - k) for k in range(1, m + 2)]
+        rep.note(f"m={m}: front sizes {sizes}")
+        if sizes != want:
+            rep.fail(f"m={m}: front sizes {sizes}, expected ball sizes {want}")
     rep.note(f"radii {list(radii)}")
     return rep
 

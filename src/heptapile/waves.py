@@ -2,8 +2,10 @@
 
 Adding one grain to the maximal stable state triggers an avalanche that splits
 into waves: if site p holds 6 grains and some neighbor v also holds 6, force a
-topple at p, then at v, and relax.  Within one wave every vertex topples at
-most once, so a wave is a front sweeping the ball; successive fronts shrink.
+topple at p and at v, and let the avalanche run.  Within one wave every vertex
+topples at most once, so a wave is a front sweeping the ball; successive fronts
+shrink.  Fronts are swept directly, not by calling ``sandpile.relax``: each
+round fires every unstable vertex at once, which the abelian property allows.
 Iterating waves at p until p is no longer at 6 next to a 6 (plus one last
 forced topple when p alone is left at 6) reproduces the direct relaxation of
 ``max_stable + one grain at p`` exactly, state and odometer both.
@@ -17,7 +19,7 @@ import numpy as np
 
 from .ball import DEGREE, Ball
 from .errors import InvariantError
-from .sandpile import Odometer, State, is_stable, max_stable, relax
+from .sandpile import Odometer, State, is_stable, max_stable
 
 
 class WaveResult(NamedTuple):
@@ -33,26 +35,29 @@ _FULL = DEGREE - 1  # a site must sit at 6 for a wave to start
 def _wave_candidates(state: State, site: int) -> list:
     if state.grains[site] != _FULL:
         return []
-    return [v for v in state.ball.adj[site] if state.grains[v] == _FULL]
+    return [v for v in state.ball.neighbors(site).tolist()
+            if state.grains[v] == _FULL]
 
 
 def _forced_wave(state: State, site: int, via: int) -> tuple:
-    """Force topples at site then via, relax, and return (state, front ids)."""
+    """Force topples at site and via, sweep the front, return (state, front ids)."""
     g = state.grains.copy()
     ball = state.ball
-    g[site] -= DEGREE
-    for u in ball.adj[site]:
-        g[u] += 1
-    g[via] -= DEGREE
-    for u in ball.adj[via]:
-        g[u] += 1
-    res = relax(State(ball, g))
-    counts = res.odometer.counts
-    if counts.max(initial=0) > 1 or counts[site] or counts[via]:
-        raise InvariantError("a vertex toppled twice within one wave")
-    front = np.flatnonzero(counts)
-    front = np.unique(np.concatenate((front, [site, via])))
-    return res.state, front
+    ptr = ball.indptr
+    toppled = np.zeros(ball.n, dtype=bool)
+    fire = np.array([site, via], dtype=np.int64)
+    while fire.size:
+        if toppled[fire].any():
+            raise InvariantError("a vertex toppled twice within one wave")
+        toppled[fire] = True
+        g[fire] -= DEGREE
+        start, deg = ptr[fire], ptr[fire + 1] - ptr[fire]
+        # positions of the fired vertices' CSR rows in indices, concatenated
+        rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+        hit, grains = np.unique(ball.indices[rows], return_counts=True)
+        g[hit] += grains
+        fire = hit[g[hit] >= DEGREE]
+    return State(ball, g), np.flatnonzero(toppled)
 
 
 def wave(state: State, site: int, *, check_choice: bool = False) -> State:
@@ -105,8 +110,7 @@ def wave_relax(ball: Ball, site: int) -> WaveResult:
     g[site] += 1
     if g[site] >= DEGREE:
         g[site] -= DEGREE
-        for u in ball.adj[site]:
-            g[u] += 1
+        g[ball.neighbors(site)] += 1
         counts[site] += 1
         fronts.append(np.array([site], dtype=np.int64))
     final = State(ball, g)

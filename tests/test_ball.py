@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,17 @@ SIZES = [1, 8, 29, 85, 232, 617, 1625, 4264, 11173, 29261, 76616, 200593,
          525169]
 
 
+# sha256 of serialize_ball(build_ball(m)), frozen: pins the vertex numbering
+# and the order of every adjacency row, not just the graph up to isomorphism
+BALL_DIGESTS = {
+    0: "4ca5df7eb6e6392ba1987c6a03214a540401c0694a5203635b6007ab9869f3cb",
+    1: "8a098b84ffa3a60c7c2cfacb03ebe54d8175f1f0457c808aec13d54c5c7fd638",
+    2: "f9264587d832fe89e59d6b44d7dda31e5dc6d48703299f00f7b08a1781e0fb91",
+    5: "49aa1546659ae937c370d57a97cb1b36ca35811c98ed7c3653af393f4527384a",
+    8: "f94e08ca448343232f99bbc6ba40d6f3dd0beead68e4df0df38d197ce65d94cc",
+}
+
+
 def resign(lines):
     """Re-stamp the trailing CHECK line after tampering with the payload."""
     body = b"\n".join(lines) + b"\n"
@@ -20,7 +33,7 @@ def resign(lines):
 def test_ball_zero_is_a_lone_vertex():
     b = build_ball(0)
     assert b.n == 1
-    assert b.adj[0] == ()
+    assert tuple(b.neighbors(0)) == ()
     assert b.deficit[0] == 7
     assert list(b.level) == [0]
     assert b.vtype[0] == VertexType.ZEROTH
@@ -29,13 +42,13 @@ def test_ball_zero_is_a_lone_vertex():
 def test_ball_one_is_a_wheel():
     b = build_ball(1)
     assert b.n == 8
-    assert sorted(b.adj[0]) == list(range(1, 8))
+    assert sorted(b.neighbors(0)) == list(range(1, 8))
     ring = b.ring(1)
     assert ring == range(1, 8)
     for v in ring:
         assert b.vtype[v] == VertexType.FIRST
         assert b.deficit[v] == 4
-        nbrs = set(b.adj[v])
+        nbrs = set(b.neighbors(v))
         assert 0 in nbrs
         side = {1 + (v - 1 + 1) % 7, 1 + (v - 1 - 1) % 7}
         assert side <= nbrs
@@ -112,7 +125,7 @@ def test_each_ring_is_one_cycle(ball_cache):
         members = set(ring)
         succ = {}
         for v in ring:
-            side = [u for u in b.adj[v] if u in members]
+            side = [u for u in b.neighbors(v) if u in members]
             assert len(side) == 2
             succ[v] = side
         seen = {ring.start}
@@ -128,7 +141,7 @@ def test_down_degrees_by_type(ball_cache):
     b = ball_cache(3)
     for lvl in range(1, 4):
         for v in b.ring(lvl):
-            down = sum(1 for u in b.adj[v] if b.level[u] == lvl - 1)
+            down = sum(1 for u in b.neighbors(v) if b.level[u] == lvl - 1)
             expected = 1 if b.vtype[v] == VertexType.FIRST else 2
             assert down == expected
 
@@ -138,7 +151,7 @@ def test_interior_deficit_zero_boundary_positive(ball_cache):
     interior = b.level < 3
     assert not b.deficit[interior].any()
     assert (b.deficit[~interior] > 0).all()
-    assert all(len(b.adj[v]) + b.deficit[v] == 7 for v in range(b.n))
+    assert all(len(b.neighbors(v)) + b.deficit[v] == 7 for v in range(b.n))
 
 
 def test_link_cycle_interior(ball_cache):
@@ -148,11 +161,11 @@ def test_link_cycle_interior(ball_cache):
             cyc = link_cycle(b, v)
             assert len(cyc) == 7
             assert all(u >= 0 for u in cyc)
-            assert set(cyc) == set(b.adj[v])
-            edges = {tuple(sorted((v, u))) for u in b.adj[v]}
+            assert set(cyc) == set(b.neighbors(v))
+            edges = {tuple(sorted((v, u))) for u in b.neighbors(v)}
             for i in range(7):
                 pair = tuple(sorted((cyc[i], cyc[(i + 1) % 7])))
-                assert pair[1] in b.adj[pair[0]]
+                assert pair[1] in b.neighbors(pair[0])
             assert edges  # every link edge checked above is a real edge
 
 
@@ -162,8 +175,14 @@ def test_link_cycle_boundary_padding(ball_cache):
         cyc = link_cycle(b, v)
         assert len(cyc) == 7
         stored = [u for u in cyc if u >= 0]
-        assert sorted(stored) == sorted(b.adj[v])
+        assert sorted(stored) == sorted(b.neighbors(v))
         assert cyc.count(-1) == b.deficit[v]
+
+
+@pytest.mark.parametrize("m", sorted(BALL_DIGESTS))
+def test_generated_ball_bytes_pinned(m, ball_cache):
+    digest = hashlib.sha256(serialize_ball(ball_cache(m))).hexdigest()
+    assert digest == BALL_DIGESTS[m]
 
 
 def test_roundtrip_small(ball_cache):

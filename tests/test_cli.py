@@ -79,6 +79,14 @@ def test_verify_small_battery(capsys):
     assert "seed=7" in text
 
 
+@pytest.mark.parametrize("radii", ["0", "0..2"])
+def test_verify_rejects_radius_zero(capsys, radii):
+    code, text, err = run(capsys, "verify", "--m", radii)
+    assert code == 2
+    assert "from 1 up" in err and repr(radii) in err
+    assert text == ""  # refused before any check runs
+
+
 def test_verify_good_ball_file(tmp_path, capsys):
     path = tmp_path / "ok.heptaball"
     save_ball(build_ball(2), path)

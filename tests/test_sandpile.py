@@ -13,7 +13,7 @@ def test_laplacian_at_the_root(ball_cache):
     b = ball_cache(1)
     delta = laplacian_delta(b, 0)
     assert delta[0] == -7
-    assert all(delta[v] == 1 for v in b.adj[0])
+    assert all(delta[v] == 1 for v in b.neighbors(0))
     assert sum(delta.values()) == 0
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from heptapile import (State, VertexType, alpha, max_stable, perturb,
-                       predicted_odometer, relax, wave, wave_relax,
-                       wave_relax_multi)
+from heptapile import (State, VertexType, alpha, ball_size, max_stable,
+                       perturb, predicted_odometer, relax, verify, wave,
+                       wave_relax, wave_relax_multi)
 
 
 def first_wave_expectation(ball):
@@ -32,7 +32,7 @@ def test_wave_without_full_site_is_identity(ball_cache):
 def test_wave_without_full_neighbor_is_identity(ball_cache):
     b = ball_cache(2)
     st = max_stable(b).grains.copy()
-    st[list(b.adj[0])] = 5
+    st[list(b.neighbors(0))] = 5
     s = State(b, st)
     assert wave(s, 0) == s
 
@@ -58,7 +58,7 @@ def test_wave_output_stable_on_random_states(ball_cache):
         grains = rng.integers(0, 7, size=b.n).astype(np.int64)
         site = int(rng.integers(0, b.n))
         grains[site] = 6
-        nbr = int(min(b.adj[site]))
+        nbr = int(min(b.neighbors(site)))
         grains[nbr] = 6
         out = wave(State(b, grains), site, check_choice=True)
         assert out.grains.max() <= 6
@@ -101,8 +101,33 @@ def test_wave_fronts_are_nested(ball_cache):
         assert smaller <= bigger
     # waves at the root shrink by exactly one ring each time
     sizes = [len(f) for f in res.fronts]
-    from heptapile import ball_size
     assert sizes == [ball_size(k) for k in range(4, 0, -1)] + [1]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_front_k_covers_the_smaller_ball(m, ball_cache):
+    sizes = [len(f) for f in wave_relax(ball_cache(m), 0).fronts]
+    assert sizes == [ball_size(m + 1 - k) for k in range(1, m + 2)]
+
+
+def test_wave_profile_check_counts_front_sizes(ball_cache, monkeypatch):
+    balls = {m: ball_cache(m) for m in (1, 2, 3)}
+    rep = verify.check_wave_profiles((1, 2, 3), balls=balls)
+    assert rep.passed
+    assert "m=3: front sizes [85, 29, 8, 1]" in rep.lines
+
+    # dropping the last vertex of the second front keeps the fronts nested,
+    # so only the size check can notice
+    def short_second_front(ball, site):
+        res = wave_relax(ball, site)
+        fronts = list(res.fronts)
+        fronts[1] = fronts[1][:-1]
+        return res._replace(fronts=fronts)
+
+    monkeypatch.setattr(verify, "wave_relax", short_second_front)
+    rep = verify.check_wave_profiles((3,), balls=balls)
+    assert not rep.passed
+    assert any("front sizes [85, 28, 8, 1]" in line for line in rep.lines)
 
 
 def test_intermediate_wave_equals_alpha(ball_cache):
