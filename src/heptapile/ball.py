@@ -18,13 +18,18 @@ Consecutive children are joined by intra-ring edges.  Vertex ids are assigned
 level-major in emission order, so within a level the ring order coincides with
 id order; that identification is checked by ``validate_ball`` rather than
 trusted.
+
+Every file format ends in a ``CHECK`` line holding the BLAKE2b-64 digest of
+the bytes before it; ``_sign`` writes that line and ``_split_checked`` checks it.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from collections import deque
 from enum import IntEnum
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -35,17 +40,14 @@ DEGREE = 7
 
 _INT64_MAX = 2**63 - 1
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+# peak memory of build_ball, validation included: 380-410 bytes per vertex
+# measured at radii 10..13
+_BYTES_PER_VERTEX = 400
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash, used as the stream checksum in the file formats."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
+def _physical_memory() -> int:
+    """Bytes of physical memory, the ceiling for one ball."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 class VertexType(IntEnum):
@@ -137,9 +139,11 @@ def build_ball(m: int) -> Ball:
         raise ValueError("radius must be nonnegative")
     sizes = _ring_sizes(m)
     n = 1 + sum(a + b for a, b in sizes)
-    if n > _INT64_MAX:
+    need, have = n * _BYTES_PER_VERTEX, _physical_memory()
+    if need > have:
         raise CapacityError(
-            f"ball of radius {m} has {n} vertices, beyond 64-bit indexing")
+            f"ball of radius {m} has {n} vertices and needs about {need:.3g} "
+            f"bytes, beyond the {have:.3g} bytes of physical memory")
 
     # each ring grows from its parent ring's type vector; edges are gathered
     # as (u, v) id arrays, one direction each, then sorted into CSR
@@ -324,88 +328,98 @@ def link_cycle(ball: Ball, v: int) -> list:
     return [d2, d1, prev] + slots + [nxt]
 
 
-_BALL_HEADER = re.compile(r"^HEPTABALL v1 m=(\d+) n=(\d+)$")
+_BALL_HEADER = re.compile(rb"HEPTABALL v2 m=(\d{1,19}) n=(\d{1,19})")
 
 
-def _split_checked(data: bytes) -> list:
-    """Verify the trailing CHECK line and return the preceding text lines."""
+def _digest(body: bytes) -> bytes:
+    import hashlib  # here, not at the top: it maps 3.5 MiB of OpenSSL
+    return hashlib.blake2b(body, digest_size=8).hexdigest().encode("ascii")
+
+
+def _sign(body: bytes) -> bytes:
+    """Append the CHECK line: the BLAKE2b-64 digest of ``body``, in hex."""
+    return body + b"CHECK %s\n" % _digest(body)
+
+
+def _split_checked(data: bytes) -> bytes:
+    """Verify the trailing CHECK line and return the bytes before it."""
     if not data.endswith(b"\n"):
         raise FormatError("stream must end with a newline")
-    body, _, _ = data.rpartition(b"\n")
-    last = body.rpartition(b"\n")[2]
-    prior = data[:len(data) - len(last) - 1]
-    fields = last.split()
-    if len(fields) != 2 or fields[0] != b"CHECK":
+    cut = data.rfind(b"\n", 0, -1) + 1
+    body, check, stated = data[:cut], data[cut:cut + 6], data[cut + 6:-1]
+    if check != b"CHECK ":
         raise FormatError("missing CHECK line")
-    try:
-        stated = int(fields[1], 16)
-    except ValueError as exc:
-        raise FormatError("unreadable CHECK value") from exc
-    actual = fnv1a64(prior)
-    if stated != actual:
+    if stated != _digest(body):
         raise FormatError(
-            f"checksum mismatch: stated {stated:016x}, computed {actual:016x}")
-    return prior.decode("ascii").splitlines()
+            f"checksum mismatch: stated {stated!r}, computed {_digest(body)!r}")
+    return body
+
+
+def _parse_ints(text: bytes):
+    """Values of newline-ended lines of integers, and whether each ends a line."""
+    buf = np.frombuffer(text, dtype=np.uint8)
+    after = np.flatnonzero(buf <= ord(" "))  # the separator ending each token
+    signs = np.flatnonzero(buf == ord("-"))
+    # each token is [-]digits; a sign at 0 looks back at the final newline
+    if (text[-1:] not in (b"", b"\n") or text.translate(None, b"-0123456789 \n")
+            or np.any(buf[after - 1] < ord("0")) or np.any(buf[signs + 1] < ord("0"))
+            or np.any(buf[signs - 1] > ord(" "))):
+        raise FormatError("lines must hold integers separated by single spaces")
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    for k in np.flatnonzero(values == _INT64_MAX).tolist():  # numpy saturates
+        token = text[after[k - 1] + 1 if k else 0:after[k]]
+        if int(token) != _INT64_MAX:
+            raise FormatError(f"value {token.decode()} outside signed 64-bit range")
+    return values, buf[after] == ord("\n")
 
 
 def serialize_ball(ball: Ball) -> bytes:
     """Render the ball as its text format (one vertex per line plus checksum)."""
-    lines = [f"HEPTABALL v1 m={ball.radius} n={ball.n}"]
+    lines = [f"HEPTABALL v2 m={ball.radius} n={ball.n}"]
     ptr, idx = ball.indptr.tolist(), memoryview(ball.indices)
     fields = zip(ball.level.tolist(), ball.vtype.tolist(), ball.deficit.tolist())
     for v, (lvl, typ, dfc) in enumerate(fields):
         lines.append(" ".join(map(str, (v, lvl, typ, dfc, *idx[ptr[v]:ptr[v + 1]]))))
-    body = ("\n".join(lines) + "\n").encode("ascii")
-    return body + f"CHECK {fnv1a64(body):016x}\n".encode("ascii")
+    return _sign(("\n".join(lines) + "\n").encode("ascii"))
+
+
+def _parse_ball(body: bytes) -> Ball:
+    """Read the header and vertex lines into an unvalidated ball."""
+    head, _, text = body.partition(b"\n")
+    header = _BALL_HEADER.fullmatch(head)
+    if header is None:
+        raise FormatError(f"malformed header: {head!r}")
+    m, n = int(header.group(1)), int(header.group(2))
+    values, ends = _parse_ints(text)
+    last = np.flatnonzero(ends)
+    if last.size != n:
+        raise FormatError(f"expected {n} vertex lines, found {last.size}")
+    width = np.diff(last, prepend=-1)
+    lead = (last + 1 - width)[:, None] + np.arange(4)
+    # clipped: a truncated last line is reported below, not read past the end
+    vid, level, vtype, deficit = values.take(lead, mode="clip").T
+    for bad, what in ((width < 4, "truncated"),
+                      (vid != np.arange(n), "vertex ids must be 0..n-1 in order"),
+                      ((vtype < 0) | (vtype > 2), "unknown vertex type"),
+                      ((deficit < 0) | (deficit > DEGREE), "deficit out of range"),
+                      (width - 4 + deficit != DEGREE, "degree plus deficit is not 7")):
+        if bad.any():
+            raise FormatError(f"vertex line {int(np.argmax(bad)) + 2}: {what}")
+    if np.any(np.diff(level) < 0):
+        raise FormatError("vertex lines are not level-major")
+    # m + 1 nonempty levels: every level is below n, so int32 holds it
+    if not (m < n and level[0] >= 0 and level[-1] == m):
+        raise FormatError("stated radius disagrees with vertex levels")
+    keep = np.ones(values.size, dtype=bool)
+    keep[lead] = False
+    return Ball(m, level.astype(np.int32), vtype.astype(np.int8),
+                deficit.astype(np.int8), np.searchsorted(level, np.arange(m + 2)),
+                np.concatenate(([0], np.cumsum(width - 4))), values[keep])
 
 
 def deserialize_ball(data: bytes) -> Ball:
     """Parse and fully validate a serialized ball."""
-    lines = _split_checked(data)
-    if not lines:
-        raise FormatError("empty stream")
-    header = _BALL_HEADER.match(lines[0])
-    if header is None:
-        raise FormatError(f"malformed header: {lines[0]!r}")
-    m, n = int(header.group(1)), int(header.group(2))
-    if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} vertex lines, found {len(lines) - 1}")
-
-    level = np.zeros(n, dtype=np.int32)
-    vtype = np.zeros(n, dtype=np.int8)
-    deficit = np.zeros(n, dtype=np.int8)
-    indices = []
-    for i, line in enumerate(lines[1:]):
-        try:
-            fields = [int(f) for f in line.split()]
-        except ValueError as exc:
-            raise FormatError(f"non-integer field on line {i + 2}") from exc
-        if len(fields) < 4:
-            raise FormatError(f"truncated vertex line {i + 2}")
-        vid, lv, ty, df = fields[:4]
-        nbrs = fields[4:]
-        if vid != i:
-            raise FormatError(f"vertex ids must be 0..n-1 in order, got {vid}")
-        if ty not in (0, 1, 2):
-            raise FormatError(f"vertex {i}: unknown type {ty}")
-        if not 0 <= df <= DEGREE:
-            raise FormatError(f"vertex {i}: deficit {df} out of range")
-        if len(nbrs) + df != DEGREE:
-            raise FormatError(
-                f"vertex {i}: degree {len(nbrs)} and deficit {df} break the "
-                f"budget of {DEGREE}")
-        level[i], vtype[i], deficit[i] = lv, ty, df
-        indices += nbrs
-
-    if m and int(level.max(initial=0)) != m:
-        raise FormatError("stated radius disagrees with vertex levels")
-    order = np.argsort(level, kind="stable")
-    if not np.array_equal(order, np.arange(n)):
-        raise FormatError("vertex lines are not level-major")
-    starts = np.searchsorted(level, np.arange(m + 2))
-    indptr = np.concatenate(([0], np.cumsum(DEGREE - deficit, dtype=np.int64)))
-    ball = Ball(m, level, vtype, deficit, starts.astype(np.int64), indptr,
-                np.array(indices, dtype=np.int64))
+    ball = _parse_ball(_split_checked(data))
     try:
         validate_ball(ball)
     except InvariantError as exc:
@@ -414,10 +428,8 @@ def deserialize_ball(data: bytes) -> Ball:
 
 
 def save_ball(ball: Ball, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_ball(ball))
+    Path(path).write_bytes(serialize_ball(ball))
 
 
 def load_ball(path) -> Ball:
-    with open(path, "rb") as fh:
-        return deserialize_ball(fh.read())
+    return deserialize_ball(Path(path).read_bytes())

@@ -5,18 +5,19 @@ least 7 grains may topple: it loses 7 and each stored neighbor gains 1, so
 boundary vertices leak grains out of the ball.  Relaxation topples until every
 vertex is below 7; the toppling odometer counts topples per vertex, and the
 identity ``relaxed = start + laplacian(odometer)`` is re-checked after every
-run instead of trusted.
+run instead of trusted.  States and odometers are saved as sparse text files.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
+from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .ball import DEGREE, Ball, _split_checked, fnv1a64
+from .ball import DEGREE, Ball, _parse_ints, _sign, _split_checked
 from .errors import FormatError, InvariantError
 
 _INT64_MIN = -(2**63)
@@ -241,48 +242,40 @@ def relax_random(state: State, rng: np.random.Generator) -> RelaxResult:
     return RelaxResult(State(ball, final), Odometer(ball, counts), topples, topples)
 
 
-_FIELD_HEADER = re.compile(r"^(HEPTASTATE|HEPTAODOM) v1 m=(\d+) n=(\d+) default=(-?\d+)$")
+_FIELD_HEADER = re.compile(
+    rb"(HEPTASTATE|HEPTAODOM) v2 m=(\d{1,19}) n=(\d{1,19}) default=(-?\d{1,19})")
 
 
 def _serialize_field(tag: str, ball: Ball, values: np.ndarray) -> bytes:
     uniq, counts = np.unique(values, return_counts=True)
     default = int(uniq[np.argmax(counts)])  # ties break toward the smaller value
-    lines = [f"{tag} v1 m={ball.radius} n={ball.n} default={default}"]
+    lines = [f"{tag} v2 m={ball.radius} n={ball.n} default={default}"]
     for v in np.nonzero(values != default)[0]:
         lines.append(f"{v} {values[v]}")
-    body = ("\n".join(lines) + "\n").encode("ascii")
-    return body + f"CHECK {fnv1a64(body):016x}\n".encode("ascii")
+    return _sign(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _deserialize_field(expected_tag: str, data: bytes, ball: Ball) -> np.ndarray:
-    lines = _split_checked(data)
-    if not lines:
-        raise FormatError("empty stream")
-    header = _FIELD_HEADER.match(lines[0])
-    if header is None or header.group(1) != expected_tag:
-        raise FormatError(f"malformed {expected_tag} header: {lines[0]!r}")
+    head, _, text = _split_checked(data).partition(b"\n")
+    header = _FIELD_HEADER.fullmatch(head)
+    if header is None or header.group(1) != expected_tag.encode("ascii"):
+        raise FormatError(f"malformed {expected_tag} header: {head!r}")
     m, n, default = (int(header.group(i)) for i in (2, 3, 4))
     if m != ball.radius or n != ball.n:
         raise FormatError(
             f"stream is for m={m}, n={n}; ball has m={ball.radius}, n={ball.n}")
+    if not _INT64_MIN <= default <= _INT64_MAX:
+        raise FormatError(f"default {default} outside signed 64-bit range")
+    tokens, ends = _parse_ints(text)
+    if ends[0::2].any() or not ends[1::2].all():
+        raise FormatError("each entry line must hold a vertex id and a value")
+    ids = tokens[0::2]
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise FormatError("entry for a vertex out of range")
+    if np.any(np.diff(ids) <= 0):
+        raise FormatError("entries must have strictly ascending vertex ids")
     values = np.full(n, default, dtype=np.int64)
-    last = -1
-    for line in lines[1:]:
-        fields = line.split()
-        if len(fields) != 2:
-            raise FormatError(f"malformed entry line: {line!r}")
-        try:
-            v, g = int(fields[0]), int(fields[1])
-        except ValueError as exc:
-            raise FormatError(f"non-integer entry: {line!r}") from exc
-        if not 0 <= v < n:
-            raise FormatError(f"entry for vertex {v} out of range")
-        if v <= last:
-            raise FormatError("entries must have strictly ascending vertex ids")
-        if not _INT64_MIN <= g <= _INT64_MAX:
-            raise FormatError(f"value {g} outside signed 64-bit range")
-        values[v] = g
-        last = v
+    values[ids] = tokens[1::2]
     return values
 
 
@@ -306,20 +299,16 @@ def deserialize_odometer(data: bytes, ball: Ball) -> Odometer:
 
 
 def save_state(state: State, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_state(state))
+    Path(path).write_bytes(serialize_state(state))
 
 
 def load_state(path, ball: Ball) -> State:
-    with open(path, "rb") as fh:
-        return deserialize_state(fh.read(), ball)
+    return deserialize_state(Path(path).read_bytes(), ball)
 
 
 def save_odometer(odometer: Odometer, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_odometer(odometer))
+    Path(path).write_bytes(serialize_odometer(odometer))
 
 
 def load_odometer(path, ball: Ball) -> Odometer:
-    with open(path, "rb") as fh:
-        return deserialize_odometer(fh.read(), ball)
+    return deserialize_odometer(Path(path).read_bytes(), ball)

@@ -84,24 +84,21 @@ def site_families(ball: Ball, trials: int, rng: np.random.Generator) -> list:
 
 
 def check_combinatorics(max_radius: int = 12) -> CheckReport:
-    """Generated ring populations and ball sizes match the Fibonacci forms."""
+    """Generated ring populations and ball sizes match the Fibonacci forms.
+
+    Ring l is the same in every ball of radius at least l, so ball m is the
+    prefix of the largest ball that ends with ring m.
+    """
     rep = CheckReport(f"ring combinatorics, radii 1..{max_radius}")
+    ball = build_ball(max_radius)
     for m in range(1, max_radius + 1):
-        ball = build_ball(m)
-        if ball.n != cf.ball_size(m):
-            rep.fail(f"m={m}: generated {ball.n} vertices, closed form "
-                     f"{cf.ball_size(m)}")
-        for lvl in range(1, m + 1):
-            ring = ball.ring(lvl)
-            nf = int(np.count_nonzero(ball.vtype[ring.start:ring.stop]
-                                      == VertexType.FIRST))
-            ns = len(ring) - nf
-            want = cf.level_counts(lvl)
-            if (nf, ns) != (want.first, want.second):
-                rep.fail(f"m={m} ring {lvl}: counts ({nf}, {ns}), "
-                         f"closed form {tuple(want)}")
-        del ball
-    rep.note(f"largest ball checked: {cf.ball_size(max_radius)} vertices")
+        ring = ball.ring(m)
+        nf = int(np.count_nonzero(ball.vtype[ring.start:ring.stop] == VertexType.FIRST))
+        got = (ring.stop, nf, len(ring) - nf)
+        want = (cf.ball_size(m), *cf.level_counts(m))
+        if got != want:
+            rep.fail(f"m={m}: size and ring-{m} type counts {got}, closed form {want}")
+    rep.note(f"largest ball checked: {ball.n} vertices")
     return rep
 
 

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,28 +8,29 @@ import pytest
 from heptapile import (CapacityError, FormatError, VertexType, build_ball,
                        distance_profile, level_counts, link_cycle, load_ball,
                        save_ball, validate_ball)
-from heptapile.ball import deserialize_ball, fnv1a64, serialize_ball
+from heptapile import ball as ball_module
+from heptapile.ball import _parse_ints, _sign, deserialize_ball, serialize_ball
 
 # |ball(m)| for m = 0..12, from the Fibonacci closed form, frozen
 SIZES = [1, 8, 29, 85, 232, 617, 1625, 4264, 11173, 29261, 76616, 200593,
          525169]
 
 
-# sha256 of serialize_ball(build_ball(m)), frozen: pins the vertex numbering
+# sha256 of the vertex lines of serialize_ball(build_ball(m)), the bytes
+# between the header and the CHECK line, frozen: pins the vertex numbering
 # and the order of every adjacency row, not just the graph up to isomorphism
 BALL_DIGESTS = {
-    0: "4ca5df7eb6e6392ba1987c6a03214a540401c0694a5203635b6007ab9869f3cb",
-    1: "8a098b84ffa3a60c7c2cfacb03ebe54d8175f1f0457c808aec13d54c5c7fd638",
-    2: "f9264587d832fe89e59d6b44d7dda31e5dc6d48703299f00f7b08a1781e0fb91",
-    5: "49aa1546659ae937c370d57a97cb1b36ca35811c98ed7c3653af393f4527384a",
-    8: "f94e08ca448343232f99bbc6ba40d6f3dd0beead68e4df0df38d197ce65d94cc",
+    0: "5b81459ff8734fd14eb16cef78c1372cb85e14d6fafe95d6814126bb2d59b2ad",
+    1: "7eca4dcc5677e0419cd99ff48cfdf5a239908ce841cdb44e343c4ec097ad39fa",
+    2: "615588f9b436686fe018689ba6e5eb07da58453518ce885a31a9568b89dc40d5",
+    5: "8aaea78fb5621e826a4a9f0b661b961aa23e0c99fab0861ca9e6f54c799da0ed",
+    8: "62f0df841440696f7e3fcf4262782ae4ac3b26e274d6e01507b825b0da02d9d6",
 }
 
 
 def resign(lines):
     """Re-stamp the trailing CHECK line after tampering with the payload."""
-    body = b"\n".join(lines) + b"\n"
-    return body + b"CHECK %016x\n" % fnv1a64(body)
+    return _sign(b"\n".join(lines) + b"\n")
 
 
 def test_ball_zero_is_a_lone_vertex():
@@ -101,6 +104,27 @@ def test_negative_radius_rejected():
 def test_capacity_error_before_allocation(m):
     with pytest.raises(CapacityError):
         build_ball(m)
+
+
+def test_memory_guard_refuses_before_allocating(monkeypatch):
+    monkeypatch.setattr(ball_module, "_physical_memory", lambda: 2**20)
+    with pytest.raises(CapacityError, match="needs about"):
+        build_ball(8)
+    assert build_ball(1).n == 8  # a ball that fits is still built
+
+
+def test_smaller_balls_are_prefixes_of_a_larger_one(ball_cache):
+    # ring l is the same in every ball of radius >= l, which lets
+    # check_combinatorics build only the largest ball
+    big = ball_cache(9)
+    for m in range(9):
+        small = build_ball(m)
+        n, inner = small.n, int(small.level_start[m])
+        assert np.array_equal(small.level, big.level[:n])
+        assert np.array_equal(small.vtype, big.vtype[:n])
+        assert np.array_equal(small.indptr[:inner + 1], big.indptr[:inner + 1])
+        rows = int(small.indptr[inner])
+        assert np.array_equal(small.indices[:rows], big.indices[:rows])
 
 
 def test_radius_43_size_fits_the_index_width():
@@ -181,8 +205,11 @@ def test_link_cycle_boundary_padding(ball_cache):
 
 @pytest.mark.parametrize("m", sorted(BALL_DIGESTS))
 def test_generated_ball_bytes_pinned(m, ball_cache):
-    digest = hashlib.sha256(serialize_ball(ball_cache(m))).hexdigest()
-    assert digest == BALL_DIGESTS[m]
+    b = ball_cache(m)
+    blob = serialize_ball(b)
+    assert blob.startswith(b"HEPTABALL v2 m=%d n=%d\n" % (m, b.n))
+    vertex_lines = blob[blob.index(b"\n") + 1:blob.rindex(b"CHECK ")]
+    assert hashlib.sha256(vertex_lines).hexdigest() == BALL_DIGESTS[m]
 
 
 def test_roundtrip_small(ball_cache):
@@ -213,6 +240,15 @@ def test_checksum_tamper_detected(ball_cache):
         deserialize_ball(b"\n".join(lines) + b"\n")
 
 
+def test_every_single_byte_flip_rejected(ball_cache):
+    blob = serialize_ball(ball_cache(2))
+    for i in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[i] ^= 0x01
+        with pytest.raises(FormatError):
+            deserialize_ball(bytes(flipped))
+
+
 def test_degree_eight_rejected(ball_cache):
     blob = serialize_ball(ball_cache(1))
     lines = blob.splitlines()[:-1]
@@ -241,9 +277,54 @@ def test_asymmetric_adjacency_rejected(ball_cache):
         deserialize_ball(resign(lines))
 
 
+# (line index, replacement, message): each malformed vertex line of the
+# radius-1 ball, re-signed, is rejected by the check it breaks
+@pytest.mark.parametrize("line, text, message", [
+    (2, b"1 1 1", "truncated"),
+    (8, b"7 1 1", "truncated"),
+    (3, b"3 1 1 4 0 1 3", "ids must be 0..n-1"),
+    (2, b"1 1 3 4 0 2 7", "unknown vertex type"),
+    (2, b"1 1 1 8 0 2 7", "deficit out of range"),
+    (2, b"1 1 1 3 0 2 7", "not 7"),
+    (2, b"1 2 1 4 0 2 7", "level-major"),
+    (0, b"HEPTABALL v2 m=2 n=8", "radius disagrees"),
+    (0, b"HEPTABALL v2 m=8 n=8", "radius disagrees"),
+    (0, b"HEPTABALL v2 m=1 n=" + b"9" * 5000, "malformed header"),
+    (2, b"1 1 1 4 0 2 7 ", "single spaces"),
+    (2, b"1 1  1 4 0 2 7", "single spaces"),
+    (2, b"1 1 1 4 0 2 +7", "single spaces"),
+    (2, b"1 1 1 4 0 2 -", "single spaces"),
+    (2, b"1 1 1 4 0 2\t7", "single spaces"),
+    (2, b"1 1 1 4 0 2 7\xff", "single spaces"),
+    (8, b"7 %d 1 4 0 1 6" % 2**32, "radius disagrees"),
+    (2, b"1 1 1 4 0 2 %d" % 2**64, "64-bit"),
+])
+def test_malformed_vertex_line_rejected(ball_cache, line, text, message):
+    lines = serialize_ball(ball_cache(1)).splitlines()[:-1]
+    lines[line] = text
+    with pytest.raises(FormatError, match=message):
+        deserialize_ball(resign(lines))
+
+
+def test_integer_lines_follow_their_grammar():
+    # every short string over a small alphabet: parsed exactly when it is
+    # lines of [-]digits separated by single spaces, rejected otherwise
+    grammar = re.compile(rb"(?:(?:-?[0-9]+ )*-?[0-9]+\n)*")
+    for size in range(5):
+        for chars in itertools.product(b"-07 \n\t+", repeat=size):
+            text = bytes(chars)
+            if grammar.fullmatch(text):
+                values, ends = _parse_ints(text)
+                assert values.tolist() == [int(t) for t in text.split()]
+                assert int(ends.sum()) == text.count(b"\n")
+            else:
+                with pytest.raises(FormatError):
+                    _parse_ints(text)
+
+
 def test_bad_header_rejected():
     with pytest.raises(FormatError):
-        deserialize_ball(resign([b"HEPTABALL v2 m=1 n=8"]))
+        deserialize_ball(resign([b"HEPTABALL v1 m=1 n=8"]))
 
 
 def test_missing_final_newline_rejected(ball_cache):

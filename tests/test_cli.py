@@ -108,6 +108,21 @@ def test_verify_corrupted_ball_file(tmp_path, capsys):
     assert "[FAIL]" in text
 
 
+def test_verify_ball_file_with_out_of_range_level(tmp_path, capsys):
+    # a valid checksum over a level beyond 32 bits: rejected as a bad file,
+    # not reported as an internal error
+    from heptapile.ball import _sign, serialize_ball
+    lines = serialize_ball(build_ball(1)).splitlines()[:-1]
+    tokens = lines[8].split()
+    tokens[1] = b"%d" % 2**32
+    lines[8] = b" ".join(tokens)
+    path = tmp_path / "wide.heptaball"
+    path.write_bytes(_sign(b"\n".join(lines) + b"\n"))
+    code, text, _ = run(capsys, "verify", "--ball", str(path))
+    assert code == 1
+    assert "[FAIL]" in text
+
+
 def test_bench_methods_agree(capsys):
     code, text, _ = run(capsys, "bench", "--m", "1..2")
     assert code == 0

@@ -5,6 +5,7 @@ from heptapile import (FormatError, InvariantError, State, VertexType,
                        is_legal, is_stable, laplacian_delta, mass, max_stable,
                        perturb, relax, relax_random, save_odometer, save_state,
                        load_odometer, load_state, topple)
+from heptapile.ball import _sign
 from heptapile.sandpile import (deserialize_odometer, deserialize_state,
                                 serialize_odometer, serialize_state)
 
@@ -237,8 +238,45 @@ def test_negative_odometer_rejected(ball_cache):
     lines = blob.splitlines()[:-1]
     assert lines[1].split()[0] == "0"
     lines[1] = "0 -2"
-    from heptapile.ball import fnv1a64
-    body = "\n".join(lines) + "\n"
-    signed = body.encode() + b"CHECK %016x\n" % fnv1a64(body.encode())
+    signed = _sign(("\n".join(lines) + "\n").encode())
     with pytest.raises(FormatError, match="negative"):
         deserialize_odometer(signed, b)
+
+
+def test_state_entry_at_the_64_bit_maximum_accepted(ball_cache):
+    b = ball_cache(1)
+    header = serialize_state(max_stable(b)).splitlines()[0]
+    signed = _sign(header + b"\n3 %d\n" % (2**63 - 1))
+    assert deserialize_state(signed, b).grains[3] == 2**63 - 1
+
+
+@pytest.mark.parametrize("head, entries, message", [
+    (b"HEPTASTATE v1 m=1 n=8 default=6", b"", "header"),
+    (b"HEPTAODOM v2 m=1 n=8 default=6", b"", "header"),
+    (b"HEPTASTATE v2 m=1 n=8 default=%d" % 2**63, b"", "64-bit"),
+    (b"HEPTASTATE v2 m=1 n=8 default=" + b"9" * 5000, b"", "header"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 5\n2 5\n", "ascending"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 5\n3 4\n", "ascending"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"8 5\n", "out of range"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"-1 5\n", "out of range"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 5 6\n", "a vertex id and a value"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3\n5\n", "a vertex id and a value"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 x\n", "single spaces"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 %d\n" % 2**63, "64-bit"),
+])
+def test_malformed_state_rejected(ball_cache, head, entries, message):
+    with pytest.raises(FormatError, match=message):
+        deserialize_state(_sign(head + b"\n" + entries), ball_cache(1))
+
+
+def test_every_single_byte_flip_rejected(ball_cache):
+    b = ball_cache(2)
+    res = relax(perturb(max_stable(b), [0]))
+    assert len(set(res.state.grains.tolist())) > 1
+    for blob, load in ((serialize_state(res.state), deserialize_state),
+                       (serialize_odometer(res.odometer), deserialize_odometer)):
+        for i in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[i] ^= 0x01
+            with pytest.raises(FormatError):
+                load(bytes(flipped), b)
