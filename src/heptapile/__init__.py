@@ -18,8 +18,8 @@ from .render import (DEFAULT_PALETTE, cell_fills, color_histogram,
                      render_state, render_tiling)
 from .sandpile import (Odometer, RelaxResult, State, is_legal, is_stable,
                        laplacian_delta, load_odometer, load_state, mass,
-                       max_stable, perturb, relax, relax_random, save_odometer,
-                       save_state, topple)
+                       max_stable, perturb, relax, relax_batch, relax_random,
+                       save_odometer, save_state, topple)
 from .waves import WaveResult, wave, wave_relax, wave_relax_multi
 
 __version__ = "0.1.0"
@@ -37,7 +37,8 @@ __all__ = [
     "render_tiling",
     "Odometer", "RelaxResult", "State", "is_legal", "is_stable",
     "laplacian_delta", "load_odometer", "load_state", "mass", "max_stable",
-    "perturb", "relax", "relax_random", "save_odometer", "save_state",
+    "perturb", "relax", "relax_batch", "relax_random", "save_odometer",
+    "save_state",
     "topple",
     "WaveResult", "wave", "wave_relax", "wave_relax_multi",
     "__version__",

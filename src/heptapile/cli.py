@@ -13,9 +13,9 @@ from .ball import build_ball, load_ball, save_ball
 from .errors import CapacityError, FormatError, InvariantError
 from .geometry import build_embedding
 from .render import load_palette, render_state, render_tiling
-from .sandpile import (mass, max_stable, perturb, relax, save_odometer,
-                       save_state, load_state)
-from .verify import DEFAULT_SEED, resolve_jobs, run_default_suite
+from .sandpile import (mass, max_stable, perturb, relax, relax_batch,
+                       save_odometer, save_state, load_state)
+from .verify import DEFAULT_SEED, run_default_suite
 from .waves import wave_relax
 
 
@@ -88,7 +88,7 @@ def cmd_relax(args) -> int:
     print(f"# sites ({len(sites)}): {','.join(map(str, sites))}")
     start = perturb(max_stable(ball), sites)
     t0 = time.perf_counter()
-    res = relax(start, multi_topple=args.multi_topple)
+    res = relax(start)
     dt = time.perf_counter() - t0
     before, after = mass(start), mass(res.state)
     loss = before - after
@@ -120,10 +120,8 @@ def cmd_verify(args) -> int:
     radii = _parse_range(args.m)
     if radii.start < 1:  # the radius-0 ball has no boundary and no ring
         raise ValueError(f"verify takes radii from 1 up (e.g. 1..6), got {args.m!r}")
-    jobs = resolve_jobs(args.jobs)
-    print(f"# verify  radii={args.m}  trials={args.trials}  "
-          f"seed={args.seed}  jobs={jobs}")
-    reports = run_default_suite(radii, args.trials, args.seed, jobs)
+    print(f"# verify  radii={args.m}  trials={args.trials}  seed={args.seed}")
+    reports = run_default_suite(radii, args.trials, args.seed)
     failed = 0
     for rep in reports:
         print(rep.summary())
@@ -148,7 +146,7 @@ def _bench_once(ball, method: str):
         dequeues = topples
     else:
         start = perturb(max_stable(ball), [0])
-        res = relax(start, multi_topple=(method == "multitopple"))
+        res = (relax_batch if method == "batch" else relax)(start)
         state, odom = res.state, res.odometer
         topples, dequeues = res.topples, res.dequeues
     return state, odom, topples, dequeues, time.perf_counter() - t0
@@ -156,10 +154,12 @@ def _bench_once(ball, method: str):
 
 def cmd_bench(args) -> int:
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    known = {"naive", "multitopple", "wave", "closed"}
+    known = {"naive", "batch", "wave", "closed"}
     bad = set(methods) - known
     if bad or not methods:
         raise ValueError(f"methods must be drawn from {sorted(known)}")
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     radii = _parse_range(args.m)
     print(f"# bench  radii={args.m}  methods={','.join(methods)}  "
           f"repeat={args.repeat}")
@@ -167,14 +167,9 @@ def cmd_bench(args) -> int:
           f"{'topples':>10} {'dequeues':>10}")
     for m in radii:
         ball = build_ball(m)
-        results = {}
-        for method in methods:
-            best = None
-            for _ in range(args.repeat):
-                out = _bench_once(ball, method)
-                if best is None or out[-1] < best[-1]:
-                    best = out
-            results[method] = best
+        results = {method: min((_bench_once(ball, method) for _ in range(args.repeat)),
+                               key=lambda out: out[-1])
+                   for method in methods}
         first = results[methods[0]]
         for method in methods[1:]:
             other = results[method]
@@ -245,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="K random vertices (use --seed)")
     p.add_argument("--p-origin", action="store_true", help="single grain at the root")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--multi-topple", action="store_true",
-                   help="fire unstable vertices in batches")
     p.add_argument("--verify", action="store_true",
                    help="compare against the closed-form predictions")
     p.add_argument("--state-out", default="relaxed.heptastate")
@@ -257,14 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default="1..6", help="radius range, e.g. 1..6")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--ball", default=None,
                    help="validate a ball file instead of running the battery")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="time the relaxation engines")
     p.add_argument("--m", default="1..6", help="radius range, e.g. 1..10")
-    p.add_argument("--methods", default="naive,multitopple,wave,closed")
+    p.add_argument("--methods", default="naive,batch,wave,closed")
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 

@@ -5,7 +5,10 @@ least 7 grains may topple: it loses 7 and each stored neighbor gains 1, so
 boundary vertices leak grains out of the ball.  Relaxation topples until every
 vertex is below 7; the toppling odometer counts topples per vertex, and the
 identity ``relaxed = start + laplacian(odometer)`` is re-checked after every
-run instead of trusted.  States and odometers are saved as sparse text files.
+run instead of trusted.  By the abelian property three schedules must agree
+exactly: a FIFO queue (``relax``), rounds on whole arrays (``relax_batch``) and
+random legal order (``relax_random``).  States and odometers are saved as
+sparse text files.
 """
 
 from __future__ import annotations
@@ -145,21 +148,16 @@ def _check_identity(before: np.ndarray, after: np.ndarray,
         raise InvariantError("relaxed state differs from start + laplacian(odometer)")
 
 
-def _budget(grains: list, n: int, cap) -> int:
-    if cap is not None:
-        return int(cap)
-    total = sum(g for g in grains if g > 0)
-    return 1024 + 128 * (total + n)
+def _budget(grains: np.ndarray) -> int:
+    total = sum(grains[grains > 0].tolist())
+    return 1024 + 128 * (total + grains.size)
 
 
-def relax(state: State, *, multi_topple: bool = False,
-          max_topplings=None) -> RelaxResult:
+def relax(state: State) -> RelaxResult:
     """Topple until stable; returns the stable state and the odometer.
 
-    The engine keeps a FIFO queue of unstable vertices with an in-queue flag.
-    Each dequeue topples the vertex once, or ``grains // 7`` times at once when
-    ``multi_topple`` is set; both schedules must produce identical results.
-    ``max_topplings`` is a diagnostic guard only, never a tuning knob.
+    The engine keeps a FIFO queue of unstable vertices with an in-queue flag
+    and topples the dequeued vertex once.
     """
     g = state.grains.tolist()
     if min(g) < 0:
@@ -174,23 +172,21 @@ def relax(state: State, *, multi_topple: bool = False,
         if g[v] >= DEGREE:
             queue.append(v)
             in_queue[v] = True
-    budget = _budget(g, n, max_topplings)
-    topples = dequeues = 0
+    budget = _budget(state.grains)
+    topples = 0
     while queue:
         v = queue.popleft()
         in_queue[v] = False
         gv = g[v]
         if gv < DEGREE:
             continue
-        k = gv // DEGREE if multi_topple else 1
-        g[v] = gv - DEGREE * k
-        odo[v] += k
-        topples += k
-        dequeues += 1
+        g[v] = gv - DEGREE
+        odo[v] += 1
+        topples += 1
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
         for u in idx[ptr[v]:ptr[v + 1]]:
-            gu = g[u] + k
+            gu = g[u] + 1
             g[u] = gu
             if gu >= DEGREE and not in_queue[u]:
                 in_queue[u] = True
@@ -201,7 +197,40 @@ def relax(state: State, *, multi_topple: bool = False,
     final = np.array(g, dtype=np.int64)
     counts = np.array(odo, dtype=np.int64)
     _check_identity(state.grains, final, ball, counts)
-    return RelaxResult(State(ball, final), Odometer(ball, counts), topples, dequeues)
+    return RelaxResult(State(ball, final), Odometer(ball, counts), topples, topples)
+
+
+def relax_batch(state: State) -> RelaxResult:
+    """Topple in rounds, each firing every vertex with g >= 7 grains g // 7 times.
+
+    ``dequeues`` counts (vertex, round) picks.  The budget bounds every grain
+    and odometer entry, so below 2**62 the int64 counts cannot wrap.
+    """
+    g = state.grains.copy()
+    if g.min() < 0:
+        raise ValueError("relaxation requires nonnegative grain counts")
+    budget = _budget(state.grains)
+    if budget >= 2**62:
+        raise OverflowError("too many grains to relax in 64-bit counts")
+    ball, ptr = state.ball, state.ball.indptr
+    odo = np.zeros(ball.n, dtype=np.int64)
+    topples = dequeues = 0
+    fire = np.flatnonzero(g >= DEGREE)
+    while fire.size:
+        k = g[fire] // DEGREE
+        g[fire] -= DEGREE * k
+        odo[fire] += k
+        topples += int(k.sum())
+        dequeues += fire.size
+        if topples > budget:
+            raise InvariantError("toppling budget exhausted; relaxation diverged")
+        start, deg = ptr[fire], ptr[fire + 1] - ptr[fire]
+        # positions of the fired vertices' CSR rows in indices, concatenated
+        rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+        np.add.at(g, ball.indices[rows], np.repeat(k, deg))
+        fire = np.flatnonzero(g >= DEGREE)
+    _check_identity(state.grains, g, ball, odo)
+    return RelaxResult(State(ball, g), Odometer(ball, odo), topples, dequeues)
 
 
 def relax_random(state: State, rng: np.random.Generator) -> RelaxResult:
@@ -217,7 +246,7 @@ def relax_random(state: State, rng: np.random.Generator) -> RelaxResult:
     ptr, idx = ball.indptr.tolist(), memoryview(ball.indices)
     odo = [0] * ball.n
     unstable = sorted(v for v in range(ball.n) if g[v] >= DEGREE)
-    budget = _budget(g, ball.n, None)
+    budget = _budget(state.grains)
     topples = 0
     while unstable:
         i = int(rng.integers(len(unstable)))
@@ -249,9 +278,9 @@ _FIELD_HEADER = re.compile(
 def _serialize_field(tag: str, ball: Ball, values: np.ndarray) -> bytes:
     uniq, counts = np.unique(values, return_counts=True)
     default = int(uniq[np.argmax(counts)])  # ties break toward the smaller value
-    lines = [f"{tag} v2 m={ball.radius} n={ball.n} default={default}"]
-    for v in np.nonzero(values != default)[0]:
-        lines.append(f"{v} {values[v]}")
+    ids = np.flatnonzero(values != default)
+    lines = [f"{tag} v2 m={ball.radius} n={ball.n} default={default}",
+             *map("{} {}".format, ids.tolist(), values[ids].tolist())]
     return _sign(("\n".join(lines) + "\n").encode("ascii"))
 
 

@@ -8,8 +8,6 @@ All randomness flows from one seed so reports are reproducible.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -19,7 +17,8 @@ from . import closed_form as cf
 from .ball import Ball, VertexType, build_ball, distance_profile
 from .geometry import (EDGE_LENGTH, build_embedding, edge_lengths,
                        interior_angles, klein, nearest_neighbor_mismatches)
-from .sandpile import State, mass, max_stable, perturb, relax, relax_random
+from .sandpile import (State, mass, max_stable, perturb, relax, relax_batch,
+                       relax_random)
 from .waves import wave, wave_relax, wave_relax_multi
 
 DEFAULT_SEED = 7
@@ -40,18 +39,6 @@ class CheckReport:
 
     def summary(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"
-
-
-def resolve_jobs(requested=None) -> int:
-    """Worker count for independent trials, capped by HEPTAPILE_THREADS."""
-    jobs = int(requested) if requested else 1
-    cap = os.environ.get("HEPTAPILE_THREADS", "").strip()
-    if cap:
-        try:
-            jobs = min(jobs, int(cap))
-        except ValueError as exc:
-            raise ValueError(f"HEPTAPILE_THREADS={cap!r} is not an integer") from exc
-    return max(1, jobs)
 
 
 def site_families(ball: Ball, trials: int, rng: np.random.Generator) -> list:
@@ -122,7 +109,7 @@ def _sweep_trial(ball: Ball, sites: list) -> list:
 
 
 def relaxation_sweep(radii: Iterable[int] = range(1, 9), trials: int = 10,
-                     seed: int = DEFAULT_SEED, jobs=None,
+                     seed: int = DEFAULT_SEED,
                      balls: dict | None = None) -> list:
     """Oracle-equivalence sweep; one report per compared quantity.
 
@@ -136,24 +123,15 @@ def relaxation_sweep(radii: Iterable[int] = range(1, 9), trials: int = 10,
         "mass": CheckReport("mass loss equals boundary closed form over sweep"),
         "waves": CheckReport("wave route equals direct relaxation over sweep"),
     }
-    work = []
+    runs = 0
     for m in radii:
         ball = balls[m] if balls else build_ball(m)
-        rng = np.random.default_rng([seed, m])
-        for sites in site_families(ball, trials, rng):
-            work.append((ball, sites))
-    jobs = resolve_jobs(jobs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            failures = list(pool.map(lambda t: _sweep_trial(*t), work))
-    else:
-        failures = [_sweep_trial(ball, sites) for ball, sites in work]
-    for msgs in failures:
-        for msg in msgs:
-            kind = msg.split(":", 1)[0]
-            reports[kind].fail(msg)
+        for sites in site_families(ball, trials, np.random.default_rng([seed, m])):
+            runs += 1
+            for msg in _sweep_trial(ball, sites):
+                reports[msg.split(":", 1)[0]].fail(msg)
     for rep in reports.values():
-        rep.note(f"{len(work)} perturbation trials")
+        rep.note(f"{runs} perturbation trials")
     return list(reports.values())
 
 
@@ -229,9 +207,9 @@ def check_abelian(radius: int = 4, n_states: int = 10, n_orders: int = 20,
         grains = rng.integers(0, 14, size=ball.n, dtype=np.int64)
         state = State(ball, grains)
         base = relax(state)
-        alt = relax(state, multi_topple=True)
+        alt = relax_batch(state)
         if alt.state != base.state or alt.odometer != base.odometer:
-            rep.fail(f"state {i}: multi-topple schedule diverged")
+            rep.fail(f"state {i}: batch schedule diverged")
         for j in range(n_orders):
             order_rng = np.random.default_rng([seed, i, j])
             res = relax_random(state, order_rng)
@@ -275,13 +253,13 @@ def check_geometry(radius: int = 5, length_tol: float = 1e-9,
 
 
 def run_default_suite(radii=range(1, 7), trials: int = 10,
-                      seed: int = DEFAULT_SEED, jobs=None,
+                      seed: int = DEFAULT_SEED,
                       max_combinatorics: int = 12,
                       geometry_radius: int = 5) -> list:
     """The standard verification battery; returns every CheckReport."""
     balls = {m: build_ball(m) for m in radii}
     reports = [check_combinatorics(max_combinatorics)]
-    reports += relaxation_sweep(radii, trials, seed, jobs, balls=balls)
+    reports += relaxation_sweep(radii, trials, seed, balls=balls)
     reports.append(check_mass_ratio())
     reports.append(check_wave_profiles(radii, balls=balls))
     reports.append(check_abelian(seed=seed))

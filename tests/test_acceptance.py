@@ -22,8 +22,8 @@ import time
 import pytest
 
 from heptapile import (build_ball, build_embedding, max_stable, mass,
-                       perturb, predicted_beta, relax, render_state, wave,
-                       wave_relax_multi)
+                       perturb, predicted_beta, relax, relax_batch,
+                       render_state, wave, wave_relax_multi)
 from heptapile import closed_form as cf
 from heptapile.render import color_histogram
 from heptapile.sandpile import serialize_odometer, serialize_state
@@ -53,7 +53,7 @@ def sweep():
     """One pass over radii 1..8: odometer, state, mass, wave reports."""
     balls = {m: build_ball(m) for m in SWEEP_RADII}
     reports = relaxation_sweep(SWEEP_RADII, SWEEP_TRIALS, SWEEP_SEED,
-                               jobs=4, balls=balls)
+                               balls=balls)
     return {rep.name.split(" ", 1)[0]: rep for rep in reports}, balls
 
 
@@ -162,7 +162,7 @@ def test_criterion_9_performance():
         failures.append(f"closed-form prediction took {closed_s * 1e3:.3f} ms,"
                         f" budget 1 ms")
 
-    alt = relax(start, multi_topple=True)
+    alt = relax_batch(start)
     wav = wave_relax_multi(ball, [0])
     pred_state = predicted_beta(ball, [0])
     pred_odo = cf.predicted_odometer(ball, [0])

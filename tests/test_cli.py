@@ -127,7 +127,7 @@ def test_bench_methods_agree(capsys):
     code, text, _ = run(capsys, "bench", "--m", "1..2")
     assert code == 0
     assert "MISMATCH" not in text
-    for method in ("naive", "multitopple", "wave", "closed"):
+    for method in ("naive", "batch", "wave", "closed"):
         assert method in text
 
 
@@ -165,17 +165,7 @@ def test_render_bad_zoom(tmp_path, capsys):
     assert "zoom" in err
 
 
-def test_threads_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("HEPTAPILE_THREADS", "1")
-    code, text, _ = run(capsys, "verify", "--m", "1..1", "--trials", "4",
-                        "--jobs", "8")
-    assert code == 0
-    assert "jobs=1" in text
-
-
-def test_threads_env_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("HEPTAPILE_THREADS", "lots")
-    code, _, err = run(capsys, "verify", "--m", "1..1", "--trials", "4",
-                       "--jobs", "2")
+def test_bench_rejects_zero_repeat(capsys):
+    code, _, err = run(capsys, "bench", "--m", "1..2", "--repeat", "0")
     assert code == 2
-    assert "HEPTAPILE_THREADS" in err
+    assert "error:" in err and "--repeat" in err

@@ -3,8 +3,10 @@ import pytest
 
 from heptapile import (FormatError, InvariantError, State, VertexType,
                        is_legal, is_stable, laplacian_delta, mass, max_stable,
-                       perturb, relax, relax_random, save_odometer, save_state,
-                       load_odometer, load_state, topple)
+                       perturb, predicted_beta, predicted_odometer, relax,
+                       relax_batch, relax_random, save_odometer, save_state,
+                       load_odometer, load_state, topple, total_topplings)
+from heptapile import sandpile
 from heptapile.ball import _sign
 from heptapile.sandpile import (deserialize_odometer, deserialize_state,
                                 serialize_odometer, serialize_state)
@@ -134,17 +136,28 @@ def test_mass_bookkeeping_via_deficits(ball_cache):
     assert mass(start) - mass(res.state) == leaked
 
 
-def test_budget_guard_trips_on_tiny_budget(ball_cache):
+def test_budget_guard_trips_on_tiny_budget(ball_cache, monkeypatch):
     b = ball_cache(1)
-    with pytest.raises(InvariantError):
-        relax(perturb(max_stable(b), [0]), max_topplings=3)
+    monkeypatch.setattr(sandpile, "_budget", lambda grains: 3)
+    for engine in (relax, relax_batch):
+        with pytest.raises(InvariantError):
+            engine(perturb(max_stable(b), [0]))
+
+
+def test_batch_refuses_counts_that_could_wrap(ball_cache):
+    b = ball_cache(1)
+    grains = np.zeros(b.n, dtype=np.int64)
+    grains[0] = 2**60
+    with pytest.raises(OverflowError):
+        relax_batch(State(b, grains))
 
 
 def test_negative_grains_rejected_by_relax(ball_cache):
     b = ball_cache(1)
     s = State(b, np.full(b.n, -1, dtype=np.int64))
-    with pytest.raises(ValueError):
-        relax(s)
+    for engine in (relax, relax_batch):
+        with pytest.raises(ValueError):
+            engine(s)
 
 
 def test_mass_values(ball_cache):
@@ -173,15 +186,47 @@ def test_max_stable_and_perturb(ball_cache):
         perturb(phi, [b.n])
 
 
-def test_multi_topple_agrees(ball_cache):
+def test_batch_agrees(ball_cache):
     b = ball_cache(3)
     rng = np.random.default_rng(2)
     start = State(b, rng.integers(0, 30, size=b.n).astype(np.int64))
     plain = relax(start)
-    batched = relax(start, multi_topple=True)
+    batched = relax_batch(start)
     assert plain.state == batched.state
     assert plain.odometer == batched.odometer
     assert batched.dequeues <= plain.dequeues
+    assert batched.dequeues < batched.topples  # some round fired a vertex twice
+
+
+@pytest.mark.parametrize("site", ["root", "outer"])
+def test_batch_brute_force_at_radius_12(ball_cache, site):
+    b = ball_cache(12)
+    p = [0] if site == "root" else [b.n - 1]
+    res = relax_batch(perturb(max_stable(b), p))
+    assert res.state == predicted_beta(b, p)
+    assert res.odometer == predicted_odometer(b, p)
+    assert res.topples == total_topplings(12, int(b.level[p[0]]))
+
+
+def test_schedules_agree_on_random_states(ball_cache):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=50, deadline=None, database=None)
+    @hypothesis.given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.integers(0, 20), min_size=ball_cache(m).n,
+                             max_size=ball_cache(m).n))),
+        st.integers(0, 2**32 - 1))
+    def check(case, seed):
+        m, grains = case
+        start = State(ball_cache(m), np.array(grains, dtype=np.int64))
+        base = relax(start)
+        for res in (relax_batch(start),
+                    relax_random(start, np.random.default_rng(seed))):
+            assert res.state == base.state
+            assert res.odometer == base.odometer
+
+    check()
 
 
 def test_random_orders_agree(ball_cache):

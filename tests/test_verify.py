@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
 from heptapile.verify import (CheckReport, check_abelian, check_geometry,
-                              check_mass_ratio, resolve_jobs, site_families)
+                              check_mass_ratio, site_families)
 
 
 def test_report_summary_lines():
@@ -12,17 +11,6 @@ def test_report_summary_lines():
     rep.fail("broke")
     assert rep.summary() == "[FAIL] demo"
     assert rep.lines == ["context", "FAIL broke"]
-
-
-def test_resolve_jobs_env(monkeypatch):
-    monkeypatch.delenv("HEPTAPILE_THREADS", raising=False)
-    assert resolve_jobs(None) == 1
-    assert resolve_jobs(4) == 4
-    monkeypatch.setenv("HEPTAPILE_THREADS", "2")
-    assert resolve_jobs(8) == 2
-    monkeypatch.setenv("HEPTAPILE_THREADS", "junk")
-    with pytest.raises(ValueError):
-        resolve_jobs(2)
 
 
 def test_site_families_shape_and_determinism(ball_cache):
