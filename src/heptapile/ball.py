@@ -20,7 +20,8 @@ id order; that identification is checked by ``validate_ball`` rather than
 trusted.
 
 Every file format ends in a ``CHECK`` line holding the BLAKE2b-64 digest of
-the bytes before it; ``_sign`` writes that line and ``_split_checked`` checks it.
+the bytes before it; ``_sign`` and ``_write_signed`` write that line and
+``_split_checked`` checks it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import re
 from collections import deque
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -103,11 +103,11 @@ class Ball:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def edges(self) -> Iterator[tuple]:
-        """Each undirected edge once, as (u, v) with u < v."""
+    def edges(self) -> tuple:
+        """Each undirected edge once, as id arrays (u, v) with u < v, in CSR order."""
         u = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
         keep = u < self.indices
-        return zip(u[keep].tolist(), self.indices[keep].tolist())
+        return u[keep], self.indices[keep]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ball):
@@ -221,15 +221,19 @@ def validate_ball(ball: Ball) -> None:
             raise InvariantError("neighbor id out of range")
         if np.any(u == idx):
             raise InvariantError("self-loop")
-        row_sorted = np.ones(idx.size, dtype=bool)
-        inner = np.diff(idx) > 0
+        inner = idx[1:] > idx[:-1]
         inner[ball.indptr[1:-1] - 1] = True
-        row_sorted[1:] = inner
-        if not row_sorted.all():
+        if not inner.all():
             raise InvariantError("adjacency rows must be strictly ascending")
-        if not np.array_equal(np.sort(u * n + idx), np.sort(idx * n + u)):
+        del inner
+        # with ascending rows the (u, idx) pairs are sorted and distinct; the
+        # adjacency is symmetric iff the (idx, u) pairs, stably sorted by idx
+        # (u is already sorted), are the same list
+        order = np.argsort(idx, kind="stable")
+        if not (np.array_equal(idx[order], u) and np.array_equal(u[order], idx)):
             raise InvariantError("adjacency is not symmetric")
-        dl = lvl[idx].astype(np.int64) - lvl[u]
+        del order
+        dl = lvl[idx] - lvl[u]
         if np.any(np.abs(dl) > 1):
             raise InvariantError("edge spans more than one level")
 
@@ -245,7 +249,8 @@ def validate_ball(ball: Ball) -> None:
         # Side edges must be exactly the consecutive-id pairs of each ring;
         # with side degree 2 everywhere this forces one cycle per level.
         su, sv = u[dl == 0], idx[dl == 0]
-        ring_len = (starts[lvl[su] + 1] - starts[lvl[su]]).astype(np.int64)
+        del u, dl
+        ring_len = np.diff(starts).astype(np.int64)[lvl[su]]
         gap = np.abs(su - sv)
         if np.any((gap != 1) & (gap != ring_len - 1)):
             raise InvariantError("ring edge between non-consecutive ids")
@@ -328,76 +333,181 @@ def link_cycle(ball: Ball, v: int) -> list:
     return [d2, d1, prev] + slots + [nxt]
 
 
+def link_cycles(ball: Ball) -> np.ndarray:
+    """``link_cycle`` of every vertex at once, as an (n, 7) int64 table.
+
+    A CSR row lists the down-neighbors, then the two ring neighbors, then
+    the up-neighbors, since ids are level-major; the up-neighbors form one
+    arc of the next ring and wrap the ring origin only at the ring's first
+    vertex, where the arc is rotated to start after its gap.
+    """
+    ptr, idx = ball.indptr, ball.indices
+    cyc = np.full((ball.n, DEGREE), -1, dtype=np.int64)
+    cyc[0, :ptr[1]] = idx[:ptr[1]]
+    for typ, downs in ((VertexType.FIRST, 1), (VertexType.SECOND, 2)):
+        v = np.flatnonzero(ball.vtype == typ)
+        lvl = ball.level[v]
+        start = ball.level_start[lvl]
+        size = ball.level_start[lvl + 1] - start
+        rows = cyc[v]
+        rows[:, downs] = start + (v - 1 - start) % size
+        rows[:, DEGREE - 1] = start + (v + 1 - start) % size
+        da = idx[ptr[v]]
+        if downs == 1:
+            rows[:, 0] = da
+        else:
+            # list the parent that follows the other on their ring first
+            db = idx[ptr[v] + 1]
+            follows = db == da + 1
+            rows[:, 0] = np.where(follows, db, da)
+            rows[:, 1] = np.where(follows, da, db)
+        k = DEGREE - 2 - downs
+        up = lvl < ball.radius
+        ups = idx[ptr[v[up] + 1, None] - k + np.arange(k)]
+        gap = np.diff(ups, axis=1) > 1
+        cut = np.where(gap.any(axis=1), gap.argmax(axis=1) + 1, 0)
+        rows[up, downs + 1:DEGREE - 1] = np.take_along_axis(
+            ups, (cut[:, None] + np.arange(k)) % k, axis=1)
+        cyc[v] = rows
+    return cyc
+
+
 _BALL_HEADER = re.compile(rb"HEPTABALL v2 m=(\d{1,19}) n=(\d{1,19})")
+_SEPARATOR = re.compile(rb"[\x00- ]")
+_SPACING = "lines must hold integers separated by single spaces"
+
+# bytes of text tokenized at once, and vertex lines formatted at once: both
+# bound the codec's temporaries, so that a ball is saved or loaded in little
+# more memory than the ball and its parsed tokens
+_PARSE_CHUNK = 1 << 20
+_WRITE_ROWS = 4096
 
 
-def _digest(body: bytes) -> bytes:
+def _hasher():
     import hashlib  # here, not at the top: it maps 3.5 MiB of OpenSSL
-    return hashlib.blake2b(body, digest_size=8).hexdigest().encode("ascii")
+    return hashlib.blake2b(digest_size=8)
+
+
+def _check_line(hasher) -> bytes:
+    return b"CHECK %s\n" % hasher.hexdigest().encode("ascii")
 
 
 def _sign(body: bytes) -> bytes:
     """Append the CHECK line: the BLAKE2b-64 digest of ``body``, in hex."""
-    return body + b"CHECK %s\n" % _digest(body)
+    hasher = _hasher()
+    hasher.update(body)
+    return body + _check_line(hasher)
 
 
-def _split_checked(data: bytes) -> bytes:
-    """Verify the trailing CHECK line and return the bytes before it."""
+def _write_signed(path, chunks) -> None:
+    """Write the byte chunks to ``path``, then the CHECK line of all of them."""
+    hasher = _hasher()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            hasher.update(chunk)
+            fh.write(chunk)
+        fh.write(_check_line(hasher))
+
+
+def _split_checked(data: bytes) -> tuple:
+    """Verify the trailing CHECK line; return the first line and the lines after it.
+
+    The lines after the first, up to the CHECK line, come as a memoryview of
+    ``data``, not a copy.
+    """
     if not data.endswith(b"\n"):
         raise FormatError("stream must end with a newline")
     cut = data.rfind(b"\n", 0, -1) + 1
-    body, check, stated = data[:cut], data[cut:cut + 6], data[cut + 6:-1]
+    check, stated = data[cut:cut + 6], data[cut + 6:-1]
     if check != b"CHECK ":
         raise FormatError("missing CHECK line")
-    if stated != _digest(body):
-        raise FormatError(
-            f"checksum mismatch: stated {stated!r}, computed {_digest(body)!r}")
-    return body
+    body = memoryview(data)[:cut]
+    hasher = _hasher()
+    hasher.update(body)
+    computed = hasher.hexdigest().encode("ascii")
+    if stated != computed:
+        raise FormatError(f"checksum mismatch: stated {stated!r}, computed {computed!r}")
+    if not cut:
+        return b"", body
+    head = data.find(b"\n", 0, cut)
+    return data[:head], body[head + 1:]
 
 
-def _parse_ints(text: bytes):
-    """Values of newline-ended lines of integers, and whether each ends a line."""
+def _parse_ints(text):
+    """Values of newline-ended lines of integers, and whether each ends a line.
+
+    ``text`` is any bytes-like object.  It is read in pieces of about
+    ``_PARSE_CHUNK`` bytes, each ending after a separator: one pass checks
+    the characters and counts the tokens, the next parses each piece
+    straight into the two output arrays.
+    """
     buf = np.frombuffer(text, dtype=np.uint8)
-    after = np.flatnonzero(buf <= ord(" "))  # the separator ending each token
-    signs = np.flatnonzero(buf == ord("-"))
-    # each token is [-]digits; a sign at 0 looks back at the final newline
-    if (text[-1:] not in (b"", b"\n") or text.translate(None, b"-0123456789 \n")
-            or np.any(buf[after - 1] < ord("0")) or np.any(buf[signs + 1] < ord("0"))
-            or np.any(buf[signs - 1] > ord(" "))):
-        raise FormatError("lines must hold integers separated by single spaces")
-    values = np.fromstring(text, dtype=np.int64, sep=" ")
-    for k in np.flatnonzero(values == _INT64_MAX).tolist():  # numpy saturates
-        token = text[after[k - 1] + 1 if k else 0:after[k]]
-        if int(token) != _INT64_MAX:
-            raise FormatError(f"value {token.decode()} outside signed 64-bit range")
-    return values, buf[after] == ord("\n")
+    if buf.size and buf[-1] != ord("\n"):
+        raise FormatError(_SPACING)
+    cuts = [0]
+    while cuts[-1] < buf.size:
+        sep = _SEPARATOR.search(text, cuts[-1] + _PARSE_CHUNK - 1)
+        cuts.append(sep.end() if sep else buf.size)
+    pieces = list(zip(cuts, cuts[1:]))
+    count = 0
+    for lo, hi in pieces:
+        if bytes(text[lo:hi]).translate(None, b"-0123456789 \n"):
+            raise FormatError(_SPACING)
+        count += np.count_nonzero(buf[lo:hi] <= ord(" "))
+    values = np.empty(count, dtype=np.int64)
+    ends = np.empty(count, dtype=bool)
+    done = 0
+    for lo, hi in pieces:
+        # the separator ending each token; each token is [-]digits, and a
+        # sign at 0 looks back at the final newline
+        after = lo + np.flatnonzero(buf[lo:hi] <= ord(" "))
+        signs = lo + np.flatnonzero(buf[lo:hi] == ord("-"))
+        if (np.any(buf[after - 1] < ord("0")) or np.any(buf[signs + 1] < ord("0"))
+                or np.any(buf[signs - 1] > ord(" "))):
+            raise FormatError(_SPACING)
+        piece = values[done:done + after.size]
+        piece[:] = np.fromstring(bytes(text[lo:hi]), dtype=np.int64, sep=" ")
+        for k in np.flatnonzero(piece == _INT64_MAX).tolist():  # numpy saturates
+            token = bytes(text[after[k - 1] + 1 if k else lo:after[k]])
+            if int(token) != _INT64_MAX:
+                raise FormatError(f"value {token.decode()} outside signed 64-bit range")
+        ends[done:done + after.size] = buf[after] == ord("\n")
+        done += after.size
+    return values, ends
+
+
+def _ball_lines(ball: Ball):
+    """The serialized ball up to its CHECK line, as chunks of bytes."""
+    yield f"HEPTABALL v2 m={ball.radius} n={ball.n}\n".encode("ascii")
+    idx = memoryview(ball.indices)
+    for lo in range(0, ball.n, _WRITE_ROWS):
+        hi = min(lo + _WRITE_ROWS, ball.n)
+        ptr = ball.indptr[lo:hi + 1].tolist()
+        fields = zip(range(lo, hi), ball.level[lo:hi].tolist(),
+                     ball.vtype[lo:hi].tolist(), ball.deficit[lo:hi].tolist())
+        yield "".join(
+            " ".join(map(str, (v, lvl, typ, dfc, *idx[ptr[i]:ptr[i + 1]]))) + "\n"
+            for i, (v, lvl, typ, dfc) in enumerate(fields)).encode("ascii")
 
 
 def serialize_ball(ball: Ball) -> bytes:
     """Render the ball as its text format (one vertex per line plus checksum)."""
-    lines = [f"HEPTABALL v2 m={ball.radius} n={ball.n}"]
-    ptr, idx = ball.indptr.tolist(), memoryview(ball.indices)
-    fields = zip(ball.level.tolist(), ball.vtype.tolist(), ball.deficit.tolist())
-    for v, (lvl, typ, dfc) in enumerate(fields):
-        lines.append(" ".join(map(str, (v, lvl, typ, dfc, *idx[ptr[v]:ptr[v + 1]]))))
-    return _sign(("\n".join(lines) + "\n").encode("ascii"))
+    return _sign(b"".join(_ball_lines(ball)))
 
 
-def _parse_ball(body: bytes) -> Ball:
-    """Read the header and vertex lines into an unvalidated ball."""
-    head, _, text = body.partition(b"\n")
+def _parse_ball(head: bytes, values: np.ndarray, ends: np.ndarray) -> Ball:
+    """Read the header and the tokens of the vertex lines into an unvalidated ball."""
     header = _BALL_HEADER.fullmatch(head)
     if header is None:
         raise FormatError(f"malformed header: {head!r}")
     m, n = int(header.group(1)), int(header.group(2))
-    values, ends = _parse_ints(text)
     last = np.flatnonzero(ends)
     if last.size != n:
         raise FormatError(f"expected {n} vertex lines, found {last.size}")
     width = np.diff(last, prepend=-1)
-    lead = (last + 1 - width)[:, None] + np.arange(4)
+    first = last + 1 - width
     # clipped: a truncated last line is reported below, not read past the end
-    vid, level, vtype, deficit = values.take(lead, mode="clip").T
+    vid, level, vtype, deficit = (values.take(first + k, mode="clip") for k in range(4))
     for bad, what in ((width < 4, "truncated"),
                       (vid != np.arange(n), "vertex ids must be 0..n-1 in order"),
                       ((vtype < 0) | (vtype > 2), "unknown vertex type"),
@@ -411,7 +521,8 @@ def _parse_ball(body: bytes) -> Ball:
     if not (m < n and level[0] >= 0 and level[-1] == m):
         raise FormatError("stated radius disagrees with vertex levels")
     keep = np.ones(values.size, dtype=bool)
-    keep[lead] = False
+    for k in range(4):
+        keep[first + k] = False
     return Ball(m, level.astype(np.int32), vtype.astype(np.int8),
                 deficit.astype(np.int8), np.searchsorted(level, np.arange(m + 2)),
                 np.concatenate(([0], np.cumsum(width - 4))), values[keep])
@@ -419,7 +530,11 @@ def _parse_ball(body: bytes) -> Ball:
 
 def deserialize_ball(data: bytes) -> Ball:
     """Parse and fully validate a serialized ball."""
-    ball = _parse_ball(_split_checked(data))
+    head, text = _split_checked(data)
+    tokens = _parse_ints(text)
+    del data, text  # from here on the tokens stand in for the text
+    ball = _parse_ball(head, *tokens)
+    del tokens
     try:
         validate_ball(ball)
     except InvariantError as exc:
@@ -428,7 +543,7 @@ def deserialize_ball(data: bytes) -> Ball:
 
 
 def save_ball(ball: Ball, path) -> None:
-    Path(path).write_bytes(serialize_ball(ball))
+    _write_signed(path, _ball_lines(ball))
 
 
 def load_ball(path) -> Ball:

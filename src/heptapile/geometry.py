@@ -7,11 +7,16 @@ form diag(1, 1, -1)).  All triangles of the tiling are equilateral with angle
     cosh(d) = cos(2*pi/7) / (1 - cos(2*pi/7)).
 
 The root goes to the apex and its neighbor fan to a regular heptagon around
-it; every later vertex is placed by rotating its parent's position around an
-already-placed vertex by multiples of 2*pi/7, following the rotational
-neighbor order from ``ball.link_cycle``.  The walk runs in 80-bit extended
-precision and renormalizes every placed point back onto the sheet; the stored
-coordinates are float64.
+it; every later vertex is placed by rotating a down-neighbor's position
+around an already-placed vertex by multiples of 2*pi/7, following the
+rotational neighbor order of the ``ball.link_cycles`` table.  The walk takes
+one ring at a time (in batches of ring vertices) and computes all of its
+(vertex, slot) rotations at once: the first (vertex, slot) in ring order that
+reaches an unplaced vertex places it, and every other reach is compared with
+the placed position.  It runs in 80-bit extended precision, summing each 3x3
+product as numpy's longdouble matmul does, and renormalizes every placed
+point back onto the sheet; the stored coordinates are float64.  The dual
+cells are built in one pass over the same table.
 
 The Klein projection (x/z, y/z) maps the sheet onto the open unit disk and
 sends geodesics to straight chords, which is what the renderer draws.
@@ -23,7 +28,7 @@ import math
 
 import numpy as np
 
-from .ball import DEGREE, Ball, link_cycle
+from .ball import DEGREE, Ball, link_cycles
 from .errors import InvariantError
 
 _COS = math.cos(2.0 * math.pi / DEGREE)
@@ -58,17 +63,16 @@ def hyperbolic_distance(u, v):
 def translation_to(p) -> np.ndarray:
     """The symmetric Minkowski boost taking the apex (0,0,1) to p.
 
+    Takes a (..., 3) stack of points to a (..., 3, 3) stack of matrices.
     Works in the dtype of ``p``, so extended-precision inputs stay extended.
     """
     p = np.asarray(p)
-    dt = np.result_type(p.dtype, np.float64)
-    x, y, z = p.astype(dt)
+    p = p.astype(np.result_type(p.dtype, np.float64))
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
     w = 1.0 + z
-    return np.array([
-        [1.0 + x * x / w, x * y / w, x],
-        [x * y / w, 1.0 + y * y / w, y],
-        [x, y, z],
-    ], dtype=dt)
+    xy = x * y / w
+    return np.stack((np.stack((1.0 + x * x / w, xy, x), axis=-1),
+                     np.stack((xy, 1.0 + y * y / w, y), axis=-1), p), axis=-2)
 
 
 def rotation_about(p, angle) -> np.ndarray:
@@ -89,52 +93,64 @@ def isometry_residual(mat: np.ndarray) -> float:
 class Embedding:
     """Vertex coordinates plus the dual cell around each vertex.
 
-    ``vertex_pos[v]`` is the sheet point of vertex v.  ``cells[v]`` holds the
-    corners of the colored polygon drawn for v: the centers of the triangles
-    around v, in rotational order.  Interior vertices get the full heptagon of
-    seven centers; a boundary vertex, whose outer triangles are missing, gets
-    a fan clipped through its own position (listed first).
+    ``vertex_pos[v]`` is the sheet point of vertex v.  The cells are stored
+    once, CSR-style like the ball's adjacency: ``cell(v)``, which is
+    ``corners[cell_ptr[v]:cell_ptr[v + 1]]``, holds the corners of the
+    colored polygon drawn for v, the centers of the triangles around v in
+    rotational order.  Interior vertices get the full heptagon of seven
+    centers; a boundary vertex, whose outer triangles are missing, gets a fan
+    clipped through its own position (listed first).
     """
 
-    __slots__ = ("ball", "vertex_pos", "cells")
+    __slots__ = ("ball", "vertex_pos", "corners", "cell_ptr")
 
-    def __init__(self, ball: Ball, vertex_pos: np.ndarray, cells: list):
+    def __init__(self, ball: Ball, vertex_pos: np.ndarray, corners: np.ndarray,
+                 cell_ptr: np.ndarray):
         self.ball = ball
         self.vertex_pos = vertex_pos
-        self.cells = cells
+        self.corners = corners
+        self.cell_ptr = cell_ptr
+
+    def cell(self, v: int) -> np.ndarray:
+        return self.corners[self.cell_ptr[v]:self.cell_ptr[v + 1]]
 
 
-def _triangle_center(a, b, c):
-    return sheet_normalize(a + b + c)
+# vertices per batch of the walk and of the cell build, which bounds their
+# temporaries
+_BATCH = 1024
 
 
-def _build_cells(ball: Ball, pos: np.ndarray) -> list:
-    cells = []
-    for v in range(ball.n):
-        cyc = link_cycle(ball, v)
-        corners = []
-        clipped = False
-        for i in range(DEGREE):
-            a, b = cyc[i], cyc[(i + 1) % DEGREE]
-            if a < 0 or b < 0:
-                clipped = True
-                continue
-            corners.append(_triangle_center(pos[v], pos[a], pos[b]))
-        if clipped and corners:
-            # reorder so the fan is contiguous: valid corner slots form one
-            # cyclic arc; start after the gap
-            valid = [i for i in range(DEGREE)
-                     if cyc[i] >= 0 and cyc[(i + 1) % DEGREE] >= 0]
-            arc = valid
-            for k in range(1, len(valid)):
-                if (valid[k] - valid[k - 1]) % DEGREE > 1:
-                    arc = valid[k:] + valid[:k]
-                    break
-            index_of = {slot: j for j, slot in enumerate(valid)}
-            corners = [corners[index_of[slot]] for slot in arc]
-            corners = [pos[v]] + corners
-        cells.append(np.array(corners) if corners else pos[v][None, :])
-    return cells
+def _build_cells(pos: np.ndarray, cyc: np.ndarray):
+    """Corners and cell_ptr of every dual cell, from the link-cycle table."""
+    valid = (cyc >= 0) & (np.roll(cyc, -1, axis=1) >= 0)  # slot i: triangle (i, i+1)
+    count = valid.sum(axis=1)
+    clipped = count < DEGREE
+    # the valid slots of a clipped fan form one cyclic arc; it starts at the
+    # valid slot after the gap (slot 0 for a full heptagon)
+    first = np.argmax(valid & ~np.roll(valid, 1, axis=1), axis=1)
+    cell_ptr = np.concatenate(([0], np.cumsum(np.where(clipped, 1 + count, DEGREE))))
+    corners = np.empty((cell_ptr[-1], 3))
+    corners[cell_ptr[:-1][clipped]] = pos[clipped]
+    for lo in range(0, len(pos), _BATCH):
+        k = count[lo:lo + _BATCH]
+        v = np.repeat(np.arange(lo, lo + k.size), k)
+        j = np.arange(v.size) - np.repeat(np.cumsum(k) - k, k)  # index within the fan
+        slot = (first[v] + j) % DEGREE
+        a, b = cyc[v, slot], cyc[v, (slot + 1) % DEGREE]
+        corners[cell_ptr[v] + clipped[v] + j] = sheet_normalize(pos[v] + pos[a] + pos[b])
+    return corners, cell_ptr
+
+
+def _matvec(mat, vec):
+    """``mat @ vec`` over stacks, summed as numpy's longdouble matmul does.
+
+    That loop starts from zero and adds the three products left to right;
+    repeating it exactly keeps the batched walk bit-identical to one matmul
+    per vertex.
+    """
+    out = 0.0 + mat[..., 0] * vec[..., None, 0]
+    out = out + mat[..., 1] * vec[..., None, 1]
+    return out + mat[..., 2] * vec[..., None, 2]
 
 
 def build_embedding(ball: Ball, *, tol: float = 1e-6) -> Embedding:
@@ -146,6 +162,7 @@ def build_embedding(ball: Ball, *, tol: float = 1e-6) -> Embedding:
     internal error.
     """
     n = ball.n
+    cyc = link_cycles(ball)
     # chained rotations at coordinate scale cosh(m*d) overrun float64 well
     # before the radius-5 tolerance, so the walk runs in extended precision
     ld = np.longdouble
@@ -158,40 +175,49 @@ def build_embedding(ball: Ball, *, tol: float = 1e-6) -> Embedding:
     placed = np.zeros(n, dtype=bool)
     placed[0] = True
     if ball.radius >= 1:
-        for k, v in enumerate(ball.neighbors(0).tolist()):
-            ang = 2 * pi * k / DEGREE
-            pos[v] = (sh * np.cos(ang), sh * np.sin(ang), ch)
-            placed[v] = True
-    step = 2 * pi / DEGREE
-    jj = _J.astype(ld)
+        ang = 2 * pi * np.arange(DEGREE) / DEGREE
+        pos[ball.neighbors(0)] = np.stack(
+            (sh * np.cos(ang), sh * np.sin(ang), np.full(DEGREE, ch)), axis=-1)
+        placed[ball.neighbors(0)] = True
+    turn = np.arange(1, DEGREE) * (2 * pi / DEGREE)
+    cos, sin = np.cos(turn), np.sin(turn)
+    # J B J for the symmetric boost B: entries negated in the last row and
+    # column; adding 0.0 turns -0.0 into the +0.0 a matmul by J yields
+    flip = np.array([[1, 1, -1], [1, 1, -1], [-1, -1, 1]], dtype=ld)
     worst = 0.0
     for lvl in range(1, ball.radius):
-        for v in ball.ring(lvl):
-            cyc = link_cycle(ball, v)
-            # pull the down-anchor into v's apex frame once, then spin it by
-            # k * 2pi/7 there; one boost in and one out per neighbor keeps the
-            # error growth per level linear instead of compounding through
-            # repeated matrix application
+        ring = ball.ring(lvl)
+        for lo in range(ring.start, ring.stop, _BATCH):
+            v = np.arange(lo, min(lo + _BATCH, ring.stop))
+            # pull each down-anchor into its vertex's apex frame once, then
+            # spin it by k * 2pi/7 there; one boost in and one out per
+            # neighbor keeps the error growth per level linear instead of
+            # compounding through repeated matrix application
             boost = translation_to(pos[v])
-            local = (jj @ boost @ jj) @ pos[cyc[0]]
-            for k, u in enumerate(cyc[1:], start=1):
-                c, s = np.cos(k * step), np.sin(k * step)
-                q = boost @ np.array(
-                    (c * local[0] - s * local[1],
-                     s * local[0] + c * local[1], local[2]), dtype=ld)
-                if placed[u]:
-                    scale = float(pos[u][2])
-                    worst = max(worst, float(np.abs(pos[u] - q).max()) / scale)
-                else:
-                    pos[u] = sheet_normalize(q)
-                    placed[u] = True
+            local = _matvec(flip * boost + 0.0, pos[cyc[v, 0]])
+            lx, ly, lz = local[:, :1], local[:, 1:2], local[:, 2:]
+            spun = np.stack((cos * lx - sin * ly, sin * lx + cos * ly,
+                             np.broadcast_to(lz, (len(v), DEGREE - 1))), axis=-1)
+            q = _matvec(boost[:, None], spun).reshape(-1, 3)
+            # the first (vertex, slot) in ring order that reaches an unplaced
+            # vertex places it; every other reach is compared
+            target = cyc[v, 1:].ravel()
+            place = np.zeros(target.size, dtype=bool)
+            place[np.unique(target, return_index=True)[1]] = True
+            place &= ~placed[target]
+            pos[target[place]] = sheet_normalize(q[place])
+            placed[target[place]] = True
+            seen = pos[target[~place]]
+            err = np.abs(seen - q[~place]).max(axis=1, initial=0.0)
+            worst = max(worst, float(np.max(
+                err.astype(np.float64) / seen[:, 2].astype(np.float64), initial=0.0)))
     if not placed.all():
         raise InvariantError("embedding walk missed a vertex")
     if worst > tol:
         raise InvariantError(
             f"inconsistent placement: positions disagree by {worst:.3e}")
     pos = pos.astype(np.float64)
-    return Embedding(ball, pos, _build_cells(ball, pos))
+    return Embedding(ball, pos, *_build_cells(pos, cyc))
 
 
 def klein(points) -> np.ndarray:
@@ -220,13 +246,8 @@ def radial_scale(points, ratio: float) -> np.ndarray:
 
 def edge_lengths(emb: Embedding) -> np.ndarray:
     """Geodesic length of every stored edge, one entry per (u < v) pair."""
-    ball = emb.ball
-    pairs = [(u, v) for u, v in ball.edges()]
-    if not pairs:
-        return np.zeros(0)
-    uu = emb.vertex_pos[[p[0] for p in pairs]]
-    vv = emb.vertex_pos[[p[1] for p in pairs]]
-    return hyperbolic_distance(uu, vv)
+    u, v = emb.ball.edges()
+    return hyperbolic_distance(emb.vertex_pos[u], emb.vertex_pos[v])
 
 
 def interior_angles(emb: Embedding) -> np.ndarray:
@@ -236,22 +257,18 @@ def interior_angles(emb: Embedding) -> np.ndarray:
     2*pi/7 up to numerical error.
     """
     ball = emb.ball
-    pos = emb.vertex_pos
-    rows = []
-    for lvl in range(ball.radius):
-        for v in ball.ring(lvl):
-            p = pos[v]
-            cyc = link_cycle(ball, v)
-            tangents = []
-            for u in cyc:
-                t = pos[u] + minkowski_dot(pos[u], p) * p
-                tangents.append(t / math.sqrt(minkowski_dot(t, t)))
-            row = []
-            for i in range(DEGREE):
-                cosang = minkowski_dot(tangents[i], tangents[(i + 1) % DEGREE])
-                row.append(math.acos(min(1.0, max(-1.0, float(cosang)))))
-            rows.append(row)
-    return np.array(rows) if rows else np.zeros((0, DEGREE))
+    stop = int(ball.level_start[ball.radius])
+    p = emb.vertex_pos[:stop, None, :]
+    nbr = emb.vertex_pos[link_cycles(ball)[:stop]]
+    # unit tangents at each interior vertex toward its seven neighbors
+    t = nbr + minkowski_dot(nbr, p)[..., None] * p
+    t /= np.sqrt(minkowski_dot(t, t))[..., None]
+    cosang = minkowski_dot(t, np.roll(t, -1, axis=1))
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
+
+
+# Gram entries per block of nearest_neighbor_mismatches (8 MiB of float64)
+_GRAM_BLOCK = 1 << 20
 
 
 def nearest_neighbor_mismatches(emb: Embedding) -> list:
@@ -260,14 +277,13 @@ def nearest_neighbor_mismatches(emb: Embedding) -> list:
     pos = emb.vertex_pos
     interior_stop = int(ball.level_start[ball.radius]) if ball.radius else ball.n
     bad = []
-    # cosh(distance) = -minkowski dot, monotone, so compare dots directly
-    gram = -(pos[:interior_stop, 0][:, None] * pos[:, 0][None, :]
-             + pos[:interior_stop, 1][:, None] * pos[:, 1][None, :]
-             - pos[:interior_stop, 2][:, None] * pos[:, 2][None, :])
-    for v in range(interior_stop):
-        row = gram[v].copy()
-        row[v] = np.inf
-        nearest = set(np.argpartition(row, DEGREE)[:DEGREE].tolist())
-        if nearest != set(ball.neighbors(v).tolist()):
-            bad.append(v)
+    rows = max(1, _GRAM_BLOCK // ball.n)
+    for lo in range(0, interior_stop, rows):
+        v = np.arange(lo, min(lo + rows, interior_stop))
+        # cosh(distance) = -minkowski dot, monotone, so compare dots directly
+        gram = -minkowski_dot(pos[v, None, :], pos)
+        gram[np.arange(v.size), v] = np.inf
+        nearest = np.sort(np.argpartition(gram, DEGREE, axis=1)[:, :DEGREE], axis=1)
+        nbrs = ball.indices[ball.indptr[v, None] + np.arange(DEGREE)]
+        bad += v[np.any(nearest != nbrs, axis=1)].tolist()
     return bad

@@ -37,6 +37,9 @@ SENTINEL_COLOR = "#ff00ff"
 
 _SUBPIXEL_RADIUS = 1.0 - 1e-4
 
+# cells whose coordinates are formatted together
+_CELL_BATCH = 1024
+
 
 def parse_palette(text: str) -> dict:
     """Parse ``value=#rrggbb`` lines into a palette overlay."""
@@ -109,13 +112,13 @@ def render_state(state, embedding: Embedding, *, palette=None,
     ball = embedding.ball
 
     vk = radial_scale(embedding.vertex_pos, homothety)
-    cell_k = [radial_scale(c, homothety) for c in embedding.cells]
+    ck = radial_scale(embedding.corners, homothety)
     if homothety != 1.0:
-        top = max(float(np.abs(k).max(initial=0.0)) for k in ([vk] + cell_k))
+        top = max(float(np.abs(vk).max(initial=0.0)), float(np.abs(ck).max(initial=0.0)))
         if top > 0:
             fit = 0.98 / max(top, 1e-12)
-            vk = vk * fit
-            cell_k = [k * fit for k in cell_k]
+            vk *= fit
+            ck *= fit
     # a cell is "subpixel" by its size on screen: the rim cutoff loosens in
     # proportion to any zoom magnification
     cell_radius = np.hypot(vk[:, 0], vk[:, 1])
@@ -125,18 +128,12 @@ def render_state(state, embedding: Embedding, *, palette=None,
         if mag <= 0:
             raise ValueError("zoom magnification must be positive")
         center = np.array([cx, cy])
-        vk = (vk - center) * mag
-        cell_k = [(k - center) * mag for k in cell_k]
+        for k in (vk, ck):
+            k -= center
+            k *= mag
         skip_beyond = 1.0 - (1.0 - _SUBPIXEL_RADIUS) / mag
 
     half = size / 2.0
-
-    def to_px(points):
-        pts = np.atleast_2d(points)
-        xs = (pts[:, 0] + 1.0) * half
-        ys = (1.0 - pts[:, 1]) * half
-        return xs, ys
-
     grains = state.grains if state is not None else None
     fill_cells = grains is not None
     draw_dual = edges in ("dual", "both")
@@ -155,43 +152,62 @@ def render_state(state, embedding: Embedding, *, palette=None,
     if fill_cells or draw_dual:
         attrs = f' stroke="{stroke}" stroke-width="0.5"' if draw_dual else ""
         parts.append(f"<g{attrs}>")
-        for v in range(ball.n):
-            if skip_subpixel and cell_radius[v] > skip_beyond:
-                continue
-            pts = cell_k[v]
-            if zoom is not None and _outside_window(pts):
-                continue
-            fill = _fill_for(grains[v], palette) if fill_cells else "none"
-            xs, ys = to_px(pts)
-            if len(xs) < 3:
-                parts.append(
-                    f'<circle id="v{v}" cx="{_fmt(xs[0])}" cy="{_fmt(ys[0])}" '
-                    f'r="3" fill="{fill}"/>')
-                continue
-            coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
-            parts.append(f'<polygon id="v{v}" points="{coords}" fill="{fill}"/>')
+        ptr = embedding.cell_ptr
+        keep = ~(cell_radius > skip_beyond) if skip_subpixel else np.ones(ball.n, bool)
+        if zoom is not None:
+            keep &= ~_outside_window(np.minimum.reduceat(ck, ptr[:-1], axis=0),
+                                     np.maximum.reduceat(ck, ptr[:-1], axis=0))
+        ids = np.flatnonzero(keep)
+        # corners to pixels in place: x -> (x + 1) * half, y -> (1 - y) * half
+        ck[:, 0] += 1.0
+        np.subtract(1.0, ck[:, 1], out=ck[:, 1])
+        ck *= half
+        px = ck if ids.size == ball.n else ck[np.repeat(keep, np.diff(ptr))]
+        ends = np.cumsum(np.diff(ptr)[ids])
+        if fill_cells:
+            values = grains[ids].tolist()
+            # one lookup per distinct value, in order of first appearance
+            colors = {g: _fill_for(g, palette) for g in dict.fromkeys(values)}
+            fills = [colors[g] for g in values]
+        else:
+            fills = ["none"] * ids.size
+        # coordinates are formatted a batch of cells at a time, which keeps
+        # the short-lived strings few
+        for lo in range(0, ids.size, _CELL_BATCH):
+            hi = min(lo + _CELL_BATCH, ids.size)
+            base = int(ends[lo - 1]) if lo else 0
+            coords = list(map("{:.6f},{:.6f}".format, *px[base:ends[hi - 1]].T.tolist()))
+            a = 0
+            for v, b, fill in zip(ids[lo:hi].tolist(), (ends[lo:hi] - base).tolist(),
+                                  fills[lo:hi]):
+                if b - a < 3:
+                    x, y = coords[a].split(",")
+                    parts.append(f'<circle id="v{v}" cx="{x}" cy="{y}" r="3" fill="{fill}"/>')
+                else:
+                    parts.append(f'<polygon id="v{v}" points="{" ".join(coords[a:b])}" '
+                                 f'fill="{fill}"/>')
+                a = b
         parts.append("</g>")
 
     if draw_primal:
         parts.append('<g stroke="#000000" stroke-width="0.6">')
-        for u, w in ball.edges():
-            seg = vk[[u, w]]
-            if zoom is not None and _outside_window(seg):
-                continue
-            xs, ys = to_px(seg)
-            parts.append(
-                f'<line x1="{_fmt(xs[0])}" y1="{_fmt(ys[0])}" '
-                f'x2="{_fmt(xs[1])}" y2="{_fmt(ys[1])}"/>')
+        u, w = ball.edges()
+        if zoom is not None:
+            shown = ~_outside_window(np.minimum(vk[u], vk[w]), np.maximum(vk[u], vk[w]))
+            u, w = u[shown], w[shown]
+        xs, ys = (vk[:, 0] + 1.0) * half, (1.0 - vk[:, 1]) * half
+        parts += map('<line x1="{:.6f}" y1="{:.6f}" x2="{:.6f}" y2="{:.6f}"/>'.format,
+                     xs[u].tolist(), ys[u].tolist(), xs[w].tolist(), ys[w].tolist())
         parts.append("</g>")
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
-def _outside_window(points: np.ndarray, limit: float = 1.05) -> bool:
-    pts = np.atleast_2d(points)
-    return bool(pts[:, 0].max() < -limit or pts[:, 0].min() > limit
-                or pts[:, 1].max() < -limit or pts[:, 1].min() > limit)
+def _outside_window(lo: np.ndarray, hi: np.ndarray, limit: float = 1.05) -> np.ndarray:
+    """Rows whose bounding box, given by per-row (x, y) minima and maxima, misses the window."""
+    return ((hi[:, 0] < -limit) | (lo[:, 0] > limit)
+            | (hi[:, 1] < -limit) | (lo[:, 1] > limit))
 
 
 def render_tiling(embedding: Embedding, *, edges: str = "both", **kwargs) -> str:

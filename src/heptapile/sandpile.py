@@ -285,7 +285,7 @@ def _serialize_field(tag: str, ball: Ball, values: np.ndarray) -> bytes:
 
 
 def _deserialize_field(expected_tag: str, data: bytes, ball: Ball) -> np.ndarray:
-    head, _, text = _split_checked(data).partition(b"\n")
+    head, text = _split_checked(data)
     header = _FIELD_HEADER.fullmatch(head)
     if header is None or header.group(1) != expected_tag.encode("ascii"):
         raise FormatError(f"malformed {expected_tag} header: {head!r}")

@@ -1,15 +1,17 @@
 import hashlib
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from heptapile import (CapacityError, FormatError, VertexType, build_ball,
-                       distance_profile, level_counts, link_cycle, load_ball,
-                       save_ball, validate_ball)
+from heptapile import (Ball, CapacityError, FormatError, InvariantError, VertexType,
+                       build_ball, distance_profile, level_counts, link_cycle,
+                       load_ball, save_ball, validate_ball)
 from heptapile import ball as ball_module
-from heptapile.ball import _parse_ints, _sign, deserialize_ball, serialize_ball
+from heptapile.ball import (_parse_ints, _sign, deserialize_ball, link_cycles,
+                            serialize_ball)
 
 # |ball(m)| for m = 0..12, from the Fibonacci closed form, frozen
 SIZES = [1, 8, 29, 85, 232, 617, 1625, 4264, 11173, 29261, 76616, 200593,
@@ -193,6 +195,15 @@ def test_link_cycle_interior(ball_cache):
             assert edges  # every link edge checked above is a real edge
 
 
+@pytest.mark.parametrize("m", range(9))
+def test_link_cycles_table_matches_link_cycle(m, ball_cache):
+    b = ball_cache(m)
+    table = link_cycles(b)
+    assert table.shape == (b.n, 7) and table.dtype == np.int64
+    for v in range(b.n):
+        assert table[v].tolist() == link_cycle(b, v)
+
+
 def test_link_cycle_boundary_padding(ball_cache):
     b = ball_cache(2)
     for v in b.ring(2):
@@ -320,6 +331,83 @@ def test_integer_lines_follow_their_grammar():
             else:
                 with pytest.raises(FormatError):
                     _parse_ints(text)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_integer_lines_parse_alike_in_small_pieces(monkeypatch, chunk):
+    # the text is tokenized a piece at a time, each piece ending after a
+    # separator: tiny pieces must parse and reject exactly as one piece does
+    monkeypatch.setattr(ball_module, "_PARSE_CHUNK", chunk)
+    grammar = re.compile(rb"(?:(?:-?[0-9]+ )*-?[0-9]+\n)*")
+    for size in range(5):
+        for chars in itertools.product(b"-07 \n", repeat=size):
+            text = bytes(chars)
+            if grammar.fullmatch(text):
+                values, ends = _parse_ints(text)
+                assert values.tolist() == [int(t) for t in text.split()]
+                assert ends.tolist() == [t.endswith(b"\n") for t in
+                                         re.findall(rb"[^ \n]+[ \n]", text)]
+            else:
+                with pytest.raises(FormatError):
+                    _parse_ints(text)
+    top = 2**63 - 1
+    values, _ = _parse_ints(b"12 %d\n-%d 345\n" % (top, top))
+    assert values.tolist() == [12, top, -top, 345]
+    with pytest.raises(FormatError, match="64-bit"):
+        _parse_ints(b"12 345\n6 %d\n" % 2**63)
+
+
+def test_ball_file_is_the_same_in_small_pieces(monkeypatch, tmp_path, ball_cache):
+    b = ball_cache(4)
+    blob = serialize_ball(b)
+    monkeypatch.setattr(ball_module, "_WRITE_ROWS", 5)
+    monkeypatch.setattr(ball_module, "_PARSE_CHUNK", 64)
+    path = tmp_path / "b.heptaball"
+    save_ball(b, path)
+    assert path.read_bytes() == blob
+    assert load_ball(path) == b
+
+
+def test_ball_file_io_memory_is_bounded(tmp_path, ball_cache):
+    # saving streams a few thousand vertex lines at a time; loading holds
+    # the file, then its tokens, and the parsed ball (4.9x the file size at
+    # m=10, where the whole-text codec took 8x)
+    b = ball_cache(10)
+    path = tmp_path / "b.heptaball"
+    tracemalloc.start()
+    try:
+        save_ball(b, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        load_ball(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert save_peak < size / 2
+    assert load_peak < 6 * size
+
+
+def test_validate_rejects_crossed_edges(ball_cache):
+    # x-y and z-w become x-w and z-y in the rows of x and z only: every
+    # vertex keeps its degree, so only the pairing of the rows can tell
+    b = ball_cache(2)
+    idx = b.indices.copy()
+    rows = [b.neighbors(v).tolist() for v in range(b.n)]
+    for x, z in itertools.combinations(range(b.n), 2):
+        for y, w in itertools.product(rows[x], rows[z]):
+            rx = sorted(set(rows[x]) - {y} | {w})
+            rz = sorted(set(rows[z]) - {w} | {y})
+            if y != w and len(rx) == len(rows[x]) and len(rz) == len(rows[z]) \
+                    and x not in rx and z not in rz:
+                idx[b.indptr[x]:b.indptr[x + 1]] = rx
+                idx[b.indptr[z]:b.indptr[z + 1]] = rz
+                crossed = Ball(b.radius, b.level, b.vtype, b.deficit,
+                               b.level_start, b.indptr, idx)
+                with pytest.raises(InvariantError, match="not symmetric"):
+                    validate_ball(crossed)
+                return
+    raise AssertionError("no pair of edges to cross")
 
 
 def test_bad_header_rejected():

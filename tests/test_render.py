@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -91,7 +92,7 @@ def test_edge_modes(emb2):
     both = render_state(phi, emb2, edges="both")
     assert "stroke" not in plain.split("<g>", 1)[1]
     assert 'stroke="' in dual.split("<g", 1)[1]
-    assert primal.count("<line") == sum(1 for _ in emb2.ball.edges())
+    assert primal.count("<line") == emb2.ball.edges()[0].size
     assert both.count("<line") == primal.count("<line")
     with pytest.raises(ValueError):
         render_state(phi, emb2, edges="wireframe")
@@ -130,3 +131,53 @@ def test_render_tiling(emb2):
     assert "<line" in svg
     assert svg.startswith("<svg ")
     assert svg.endswith("</svg>\n")
+
+
+# sha256 of the m=5 SVG of the origin beta under each option set, measured
+# before the render was vectorized; the one-pass render must keep every byte
+SVG_DIGESTS = {
+    "default": ({}, "afe647e97bee165566c6d3ae130a9929aa439b5d6fc17d4d59b63f7e68c7b631"),
+    "homothety": ({"homothety": 0.005},
+                  "a8ed9ec0001e4f3cfe5d56323ba4a8a37907074514f76bc68d730a58d4b1333a"),
+    "primal": ({"edges": "primal"},
+               "3e0f0e5c84b6bf7e19c67f39599e83563e5e587f509be6eed4dd7990ca024991"),
+    "dual": ({"edges": "dual"},
+             "2e6733137998751d428f98409abf9fd288c0ea8bcf34a60e2c9960996a646ee0"),
+    "both": ({"edges": "both"},
+             "501162a3539dedd95dd5c322d4bb4a4aacfb50a049d5e0a0da6a2c54e7a1769e"),
+    "zoom": ({"zoom": (0.9, 0.0, 12.0)},
+             "f69e4e59001791418b1adc8897fd61d920a7403c396b1cdb3e46d912a8666f37"),
+    "keep_subpixel": ({"skip_subpixel": False},
+                      "1b43f0902951aae31dfe6cb6608bbd339a03730511d3ca935e7c2d43c24b18e2"),
+}
+
+
+@pytest.fixture(scope="module")
+def emb5():
+    return build_embedding(build_ball(5))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(SVG_DIGESTS))
+def test_svg_bytes_pinned(case, emb5):
+    options, digest = SVG_DIGESTS[case]
+    assert _sha(render_state(predicted_beta(emb5.ball, [0]), emb5, **options)) == digest
+
+
+def test_tiling_svg_bytes_pinned(emb5):
+    assert _sha(render_state(None, emb5, edges="both")) == (
+        "b13ea33b95ef564d856fe8054aeedbc462148efedf03640152e52a494e2ece3a")
+
+
+def test_palette_override_svg_bytes_pinned(emb5):
+    grains = predicted_beta(emb5.ball, [0]).grains.copy()
+    grains[40] = 9
+    with pytest.warns(UserWarning, match="grain value 9"):
+        svg = render_state(State(emb5.ball, grains), emb5,
+                           palette=parse_palette("3=#123456\n"))
+    assert cell_fills(svg)[40] == SENTINEL_COLOR
+    assert _sha(svg) == (
+        "3ed6bb8a79caf442e0bf80e93accc333a939649cd24fc2def5582995f74bb0ea")
