@@ -7,7 +7,7 @@ states on an isometric embedding in the hyperbolic plane.
 """
 
 from .ball import (Ball, DEGREE, VertexType, build_ball, distance_profile,
-                   link_cycle, load_ball, save_ball, validate_ball)
+                   load_ball, save_ball, validate_ball)
 from .closed_form import (alpha, ball_size, fib, level_counts, mass_loss,
                           mass_loss_ratio, predicted_beta, predicted_odometer,
                           total_topplings)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ball", "DEGREE", "VertexType", "build_ball", "distance_profile",
-    "link_cycle", "load_ball", "save_ball", "validate_ball",
+    "load_ball", "save_ball", "validate_ball",
     "alpha", "ball_size", "fib", "level_counts", "mass_loss",
     "mass_loss_ratio", "predicted_beta", "predicted_odometer",
     "total_topplings",

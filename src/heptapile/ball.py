@@ -21,7 +21,10 @@ trusted.
 
 Every file format ends in a ``CHECK`` line holding the BLAKE2b-64 digest of
 the bytes before it; ``_sign`` and ``_write_signed`` write that line and
-``_split_checked`` checks it.
+``_split_checked`` checks it.  Between the header and that line, every format
+is lines of integers separated by single spaces: ``_format_ints`` writes them
+and ``_parse_ints``, its inverse, reads them, both in whole-array numpy, and
+no other code formats or parses that grammar.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ DEGREE = 7
 
 _INT64_MAX = 2**63 - 1
 
-# peak memory of build_ball, validation included: 380-410 bytes per vertex
-# measured at radii 10..13
+# peak memory of build_ball, validation included: an RSS rise of 205-213
+# bytes per vertex (195 traced by tracemalloc) measured at radii 10..13
 _BYTES_PER_VERTEX = 400
 
 
@@ -177,11 +180,13 @@ def build_ball(m: int) -> Ball:
     del us, vs
     order = np.lexsort((v, u))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=n))))
+    indices = v[order]
+    del u, v, order  # dead once the CSR exists: free them before validating
     ball = Ball(m, np.repeat(np.arange(m + 1, dtype=np.int32), ring_size),
                 np.concatenate(vtypes),
                 (DEGREE - np.diff(indptr)).astype(np.int8),
                 np.concatenate(([0], np.cumsum(ring_size))),
-                indptr, v[order])
+                indptr, indices)
     validate_ball(ball)
     return ball
 
@@ -282,59 +287,13 @@ def distance_profile(ball: Ball) -> np.ndarray:
     return dist
 
 
-def _ring_arc(ball: Ball, ids, lvl: int) -> list:
-    """Order ids (a contiguous cyclic arc of ring ``lvl``) along the ring."""
-    start = int(ball.level_start[lvl])
-    size = int(ball.level_start[lvl + 1]) - start
-    pos = sorted((i - start) % size for i in ids)
-    k = len(pos)
-    if k >= 2 and pos[-1] - pos[0] > k - 1:  # arc wraps the ring origin
-        for cut in range(1, k):
-            if pos[cut] - pos[cut - 1] > 1:
-                pos = pos[cut:] + pos[:cut]
-                break
-    return [start + p for p in pos]
-
-
-def link_cycle(ball: Ball, v: int) -> list:
-    """The seven tiling neighbors of ``v`` in rotational order around it.
-
-    Neighbors outside the ball are reported as -1.  The cycle starts at the
-    down-neighbor (for the root: at its lowest-id neighbor), and successive
-    entries are adjacent in the tiling, matching the triangle fan around ``v``.
-    All rotational orders share one global orientation.
-    """
-    if not 0 <= v < ball.n:
-        raise ValueError(f"vertex {v} out of range")
-    if v == 0:
-        nbrs = ball.neighbors(0).tolist()
-        return nbrs + [-1] * (DEGREE - len(nbrs))
-    lvl = int(ball.level[v])
-    start = int(ball.level_start[lvl])
-    size = int(ball.level_start[lvl + 1]) - start
-    prev = start + (v - 1 - start) % size
-    nxt = start + (v + 1 - start) % size
-    nbrs = ball.neighbors(v).tolist()
-    downs = [u for u in nbrs if ball.level[u] == lvl - 1]
-    ups = [u for u in nbrs if ball.level[u] == lvl + 1]
-    ups = _ring_arc(ball, ups, lvl + 1) if ups else []
-    if ball.vtype[v] == VertexType.FIRST:
-        slots = ups + [-1] * (4 - len(ups))
-        return [downs[0], prev] + slots + [nxt]
-    # type 2: order the two parents so the second follows the first on their ring
-    d_start = int(ball.level_start[lvl - 1])
-    d_size = start - d_start
-    da, db = downs
-    if (da + 1 - d_start) % d_size == db - d_start:
-        d1, d2 = da, db
-    else:
-        d1, d2 = db, da
-    slots = ups + [-1] * (3 - len(ups))
-    return [d2, d1, prev] + slots + [nxt]
-
-
 def link_cycles(ball: Ball) -> np.ndarray:
-    """``link_cycle`` of every vertex at once, as an (n, 7) int64 table.
+    """The seven tiling neighbors of every vertex in rotational order, (n, 7) int64.
+
+    Neighbors outside the ball are -1.  Each row starts at a down-neighbor
+    (for the root: at its lowest-id neighbor), and successive entries are
+    adjacent in the tiling, matching the triangle fan around the vertex; all
+    rows share one global orientation.
 
     A CSR row lists the down-neighbors, then the two ring neighbors, then
     the up-neighbors, since ids are level-major; the up-neighbors form one
@@ -378,9 +337,10 @@ _SPACING = "lines must hold integers separated by single spaces"
 
 # bytes of text tokenized at once, and vertex lines formatted at once: both
 # bound the codec's temporaries, so that a ball is saved or loaded in little
-# more memory than the ball and its parsed tokens
+# more memory than the ball and its parsed tokens (saving the m=10 ball, a
+# 3 MB file, peaks at 0.8 MB with 1024 lines at once and 2.7 MB with 4096)
 _PARSE_CHUNK = 1 << 20
-_WRITE_ROWS = 4096
+_WRITE_ROWS = 1024
 
 
 def _hasher():
@@ -476,18 +436,54 @@ def _parse_ints(text):
     return values, ends
 
 
+# 10**1 .. 10**19: a magnitude has one digit more than the powers at most it
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _format_ints(values, ends) -> bytes:
+    """The inverse of ``_parse_ints``: lines of integers, as bytes.
+
+    Each value is written in decimal, then a newline where ``ends`` is set
+    and a space elsewhere.  Every value gets one row of a byte matrix, right
+    aligned against its separator, and one boolean mask keeps each row's
+    bytes.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if not values.size:
+        return b""
+    neg = values < 0
+    # abs(-2**63) wraps to -2**63, which reads as 2**63 unsigned
+    mag = np.abs(values).view(np.uint64)
+    digits = np.searchsorted(_POWERS_OF_TEN, mag, side="right") + 1
+    width = digits + neg + 1
+    cols = int(width.max())
+    text = np.empty((values.size, cols), dtype=np.uint8)
+    text[:, -1] = np.where(ends, ord("\n"), ord(" "))
+    if mag.max() <= np.iinfo(np.uint32).max:
+        mag = mag.astype(np.uint32)  # narrower division is faster
+    for col in range(cols - 2, cols - 2 - int(digits.max()), -1):
+        quot = mag // 10
+        text[:, col] = mag - 10 * quot + ord("0")
+        mag = quot
+    signed = np.flatnonzero(neg)
+    text[signed, cols - 2 - digits[signed]] = ord("-")
+    return text[np.arange(cols) >= cols - width[:, None]].tobytes()
+
+
 def _ball_lines(ball: Ball):
     """The serialized ball up to its CHECK line, as chunks of bytes."""
     yield f"HEPTABALL v2 m={ball.radius} n={ball.n}\n".encode("ascii")
-    idx = memoryview(ball.indices)
     for lo in range(0, ball.n, _WRITE_ROWS):
         hi = min(lo + _WRITE_ROWS, ball.n)
-        ptr = ball.indptr[lo:hi + 1].tolist()
-        fields = zip(range(lo, hi), ball.level[lo:hi].tolist(),
-                     ball.vtype[lo:hi].tolist(), ball.deficit[lo:hi].tolist())
-        yield "".join(
-            " ".join(map(str, (v, lvl, typ, dfc, *idx[ptr[i]:ptr[i + 1]]))) + "\n"
-            for i, (v, lvl, typ, dfc) in enumerate(fields)).encode("ascii")
+        ptr = ball.indptr[lo:hi + 1]
+        lead = np.column_stack((np.arange(lo, hi), ball.level[lo:hi],
+                                ball.vtype[lo:hi], ball.deficit[lo:hi]))
+        # each row's neighbors, with id, level, type and deficit put before them
+        tokens = np.insert(ball.indices[ptr[0]:ptr[-1]],
+                           np.repeat(ptr[:-1] - ptr[0], 4), lead.ravel())
+        ends = np.zeros(tokens.size, dtype=bool)
+        ends[ptr[1:] - ptr[0] + 4 * np.arange(1, hi - lo + 1) - 1] = True
+        yield _format_ints(tokens, ends)
 
 
 def serialize_ball(ball: Ball) -> bytes:

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .ball import DEGREE, Ball, _parse_ints, _sign, _split_checked
+from .ball import DEGREE, Ball, _format_ints, _parse_ints, _sign, _split_checked
 from .errors import FormatError, InvariantError
 
 _INT64_MIN = -(2**63)
@@ -279,9 +279,10 @@ def _serialize_field(tag: str, ball: Ball, values: np.ndarray) -> bytes:
     uniq, counts = np.unique(values, return_counts=True)
     default = int(uniq[np.argmax(counts)])  # ties break toward the smaller value
     ids = np.flatnonzero(values != default)
-    lines = [f"{tag} v2 m={ball.radius} n={ball.n} default={default}",
-             *map("{} {}".format, ids.tolist(), values[ids].tolist())]
-    return _sign(("\n".join(lines) + "\n").encode("ascii"))
+    head = f"{tag} v2 m={ball.radius} n={ball.n} default={default}\n"
+    entries = np.column_stack((ids, values[ids])).ravel()
+    return _sign(head.encode("ascii")
+                 + _format_ints(entries, np.tile([False, True], ids.size)))
 
 
 def _deserialize_field(expected_tag: str, data: bytes, ball: Ball) -> np.ndarray:

@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heptapile import (Ball, CapacityError, FormatError, InvariantError, VertexType,
-                       build_ball, distance_profile, level_counts, link_cycle,
+from heptapile import (DEGREE, Ball, CapacityError, FormatError, InvariantError,
+                       VertexType, build_ball, distance_profile, level_counts,
                        load_ball, save_ball, validate_ball)
 from heptapile import ball as ball_module
-from heptapile.ball import (_parse_ints, _sign, deserialize_ball, link_cycles,
-                            serialize_ball)
+from heptapile.ball import (_format_ints, _parse_ints, _sign, deserialize_ball,
+                            link_cycles, serialize_ball)
 
 # |ball(m)| for m = 0..12, from the Fibonacci closed form, frozen
 SIZES = [1, 8, 29, 85, 232, 617, 1625, 4264, 11173, 29261, 76616, 200593,
@@ -115,6 +115,19 @@ def test_memory_guard_refuses_before_allocating(monkeypatch):
     assert build_ball(1).n == 8  # a ball that fits is still built
 
 
+def test_build_ball_frees_its_edge_lists_before_validating():
+    # the directed edge lists and their sort order are dead once the CSR
+    # exists; kept alive through validate_ball they raised the traced peak
+    # from 195 to 309 bytes per vertex
+    tracemalloc.start()
+    try:
+        b = build_ball(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 240 * b.n
+
+
 def test_smaller_balls_are_prefixes_of_a_larger_one(ball_cache):
     # ring l is the same in every ball of radius >= l, which lets
     # check_combinatorics build only the largest ball
@@ -178,6 +191,59 @@ def test_interior_deficit_zero_boundary_positive(ball_cache):
     assert not b.deficit[interior].any()
     assert (b.deficit[~interior] > 0).all()
     assert all(len(b.neighbors(v)) + b.deficit[v] == 7 for v in range(b.n))
+
+
+def _ring_arc(ball: Ball, ids, lvl: int) -> list:
+    """Order ids (a contiguous cyclic arc of ring ``lvl``) along the ring."""
+    start = int(ball.level_start[lvl])
+    size = int(ball.level_start[lvl + 1]) - start
+    pos = sorted((i - start) % size for i in ids)
+    k = len(pos)
+    if k >= 2 and pos[-1] - pos[0] > k - 1:  # arc wraps the ring origin
+        for cut in range(1, k):
+            if pos[cut] - pos[cut - 1] > 1:
+                pos = pos[cut:] + pos[:cut]
+                break
+    return [start + p for p in pos]
+
+
+def link_cycle(ball: Ball, v: int) -> list:
+    """The seven tiling neighbors of ``v`` in rotational order around it.
+
+    The reference for ``link_cycles``, one vertex at a time from its CSR row.
+
+    Neighbors outside the ball are reported as -1.  The cycle starts at the
+    down-neighbor (for the root: at its lowest-id neighbor), and successive
+    entries are adjacent in the tiling, matching the triangle fan around ``v``.
+    All rotational orders share one global orientation.
+    """
+    if not 0 <= v < ball.n:
+        raise ValueError(f"vertex {v} out of range")
+    if v == 0:
+        nbrs = ball.neighbors(0).tolist()
+        return nbrs + [-1] * (DEGREE - len(nbrs))
+    lvl = int(ball.level[v])
+    start = int(ball.level_start[lvl])
+    size = int(ball.level_start[lvl + 1]) - start
+    prev = start + (v - 1 - start) % size
+    nxt = start + (v + 1 - start) % size
+    nbrs = ball.neighbors(v).tolist()
+    downs = [u for u in nbrs if ball.level[u] == lvl - 1]
+    ups = [u for u in nbrs if ball.level[u] == lvl + 1]
+    ups = _ring_arc(ball, ups, lvl + 1) if ups else []
+    if ball.vtype[v] == VertexType.FIRST:
+        slots = ups + [-1] * (4 - len(ups))
+        return [downs[0], prev] + slots + [nxt]
+    # type 2: order the two parents so the second follows the first on their ring
+    d_start = int(ball.level_start[lvl - 1])
+    d_size = start - d_start
+    da, db = downs
+    if (da + 1 - d_start) % d_size == db - d_start:
+        d1, d2 = da, db
+    else:
+        d1, d2 = db, da
+    slots = ups + [-1] * (3 - len(ups))
+    return [d2, d1, prev] + slots + [nxt]
 
 
 def test_link_cycle_interior(ball_cache):
@@ -331,6 +397,30 @@ def test_integer_lines_follow_their_grammar():
             else:
                 with pytest.raises(FormatError):
                     _parse_ints(text)
+
+
+def test_integer_writer_inverts_the_parser():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    edges = [0, 1, -1, 9, -9, 10, -10, -2**63, 2**63 - 1]
+    int64 = st.one_of(st.sampled_from(edges), st.integers(-2**63, 2**63 - 1))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.lists(int64, min_size=1, max_size=8), max_size=20))
+    @hypothesis.example([])
+    @hypothesis.example([[x] for x in edges])
+    @hypothesis.example([edges])
+    def check(lines):
+        values = [x for line in lines for x in line]
+        ends = [k == len(line) - 1 for line in lines for k in range(len(line))]
+        text = _format_ints(np.array(values, dtype=np.int64), np.array(ends, dtype=bool))
+        assert text == "".join(str(x) + ("\n" if end else " ")
+                               for x, end in zip(values, ends)).encode("ascii")
+        parsed, parsed_ends = _parse_ints(text)
+        assert parsed.tolist() == values
+        assert parsed_ends.tolist() == ends
+
+    check()
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
