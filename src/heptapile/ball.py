@@ -19,6 +19,11 @@ level-major in emission order, so within a level the ring order coincides with
 id order; that identification is checked by ``validate_ball`` rather than
 trusted.
 
+``build_ball`` writes each adjacency row straight into the CSR by index
+arithmetic over the rings' type vectors, with no edge list and no sort, and
+``validate_ball`` checks it a block of rows at a time, so neither holds more
+than a few MiB beside the ball.
+
 Every file format ends in a ``CHECK`` line holding the BLAKE2b-64 digest of
 the bytes before it; ``_sign`` and ``_write_signed`` write that line and
 ``_split_checked`` checks it.  Between the header and that line, every format
@@ -42,10 +47,17 @@ from .errors import CapacityError, FormatError, InvariantError
 DEGREE = 7
 
 _INT64_MAX = 2**63 - 1
+_INT32_MAX = 2**31 - 1
 
-# peak memory of build_ball, validation included: an RSS rise of 205-213
-# bytes per vertex (195 traced by tracemalloc) measured at radii 10..13
-_BYTES_PER_VERTEX = 400
+# peak memory of build_ball, validation included: an RSS rise of 34 bytes
+# per vertex measured at radii 13..16, the ball itself; the margin of almost
+# 3x leaves room for allocator slack and for a caller's state and odometer
+# arrays (8 bytes per vertex each) beside the ball
+_BYTES_PER_VERTEX = 96
+
+# vertices per block of build_ball and validate_ball, which bounds their
+# temporaries to a few MiB at any radius
+_BLOCK = 1 << 12
 
 
 def _physical_memory() -> int:
@@ -74,7 +86,8 @@ class Ball:
         Number of tiling neighbors outside the ball (7 minus stored degree).
     level_start : (m+2,) int64 array
         ``level_start[l]`` is the first id of level ``l``; last entry is ``n``.
-    indptr, indices : int64 arrays
+    indptr : (n+1,) int64 array
+    indices : int32 array
         The adjacency in CSR form, the only one stored: the neighbors of
         ``v`` inside the ball are ``indices[indptr[v]:indptr[v + 1]]``,
         ascending.
@@ -136,57 +149,118 @@ def _ring_sizes(m: int) -> list:
     return out
 
 
+def _csr_size(m: int) -> tuple:
+    """Vertices and adjacency entries of the radius-``m`` ball, exact integers."""
+    if not m:
+        return 1, 0
+    sizes = _ring_sizes(m)
+    n = 1 + sum(a + b for a, b in sizes)
+    # seven neighbors inside, three (type 1) or four (type 2) on the outer ring
+    a, b = sizes[-1]
+    return n, DEGREE * (n - a - b) + 3 * a + 4 * b
+
+
 def build_ball(m: int) -> Ball:
-    """Construct and validate the radius-``m`` ball."""
+    """Construct and validate the radius-``m`` ball.
+
+    Each CSR row is written straight into ``indices``, ring by ring in blocks
+    of ``_BLOCK`` vertices, from the ring's own type vector.  A parent's run
+    of children ends on the type-2 child it shares with its ring successor,
+    so at ring position ``j``:
+
+    * the owning parent sits at the parent ring's position equal to the
+      number of type-2 vertices before ``j``; a type-2 vertex also has that
+      parent's successor;
+    * the first own child sits at position ``2j`` plus the number of type-1
+      vertices before ``j`` on the next ring (three children per type-1
+      vertex, two per type-2), and the ups are that run plus the child shared
+      with the ring predecessor just before it, which for ``j = 0`` is the
+      last vertex of the next ring.
+
+    The last child of each run is type 2, which gives the next ring's types.
+    """
     if m < 0:
         raise ValueError("radius must be nonnegative")
     sizes = _ring_sizes(m)
-    n = 1 + sum(a + b for a, b in sizes)
+    n, entries = _csr_size(m)
     need, have = n * _BYTES_PER_VERTEX, _physical_memory()
     if need > have:
         raise CapacityError(
             f"ball of radius {m} has {n} vertices and needs about {need:.3g} "
             f"bytes, beyond the {have:.3g} bytes of physical memory")
+    if entries > _INT32_MAX:
+        raise CapacityError(
+            f"ball of radius {m} has {entries} adjacency entries, beyond the "
+            f"{_INT32_MAX} that int32 neighbor ids can address")
 
-    # each ring grows from its parent ring's type vector; edges are gathered
-    # as (u, v) id arrays, one direction each, then sorted into CSR
-    vtypes = [np.zeros(1, dtype=np.int8)]
-    us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    stop = 1
-    for lvl in range(m):
-        parents = np.arange(stop - vtypes[-1].size, stop)
-        # the root has seven type-1 children; on a ring, a type-1 parent has
-        # two own children, a type-2 parent one, and each parent ends on the
-        # type-2 child it shares with its ring successor
-        kids = np.where(vtypes[-1] == VertexType.FIRST, 3, 2) if lvl else [DEGREE]
-        children = np.arange(stop, stop + np.sum(kids))
-        child_type = np.full(children.size, VertexType.FIRST, dtype=np.int8)
-        us += [np.repeat(parents, kids), children]
-        vs += [children, np.roll(children, -1)]
-        if lvl:
-            shared = np.cumsum(kids) - 1
-            child_type[shared] = VertexType.SECOND
-            us.append(np.roll(parents, -1))
-            vs.append(children[shared])
-        vtypes.append(child_type)
-        stop += children.size
+    ring_size = np.array([1] + [a + b for a, b in sizes], dtype=np.int64)
+    level_start = np.concatenate(([0], np.cumsum(ring_size)))
+    vtype = np.full(n, VertexType.FIRST, dtype=np.int8)
+    vtype[0] = VertexType.ZEROTH
+    indices = np.empty(entries, dtype=np.int32)
+    at = 0
+    if m:  # the root's row
+        indices[:DEGREE] = np.arange(1, DEGREE + 1)
+        at = DEGREE
+    for lvl in range(1, m + 1):
+        # first ids of the parent ring, of this ring and of the next ring,
+        # and the end of the next ring
+        ps, s, e = (int(x) for x in level_start[lvl - 1:lvl + 2])
+        inner = lvl < m
+        ce = int(level_start[lvl + 2]) if inner else e
+        seconds = 0  # type-2 vertices of the ring before the block
+        for lo in range(s, e, _BLOCK):
+            hi = min(lo + _BLOCK, e)
+            v = np.arange(lo, hi, dtype=np.int32)
+            second = vtype[lo:hi] == VertexType.SECOND
+            before = np.cumsum(second, dtype=np.int32)
+            before += seconds - second
+            seconds = int(before[-1] + second[-1])
+            da = ps + before
+            db = ps + (before + 1) % (s - ps)
+            # columns: two parents, two ring neighbors, four children; a
+            # type-1 row drops the second parent, a type-2 row the last child
+            row = np.empty((hi - lo, 8 if inner else 4), dtype=np.int32)
+            row[:, 0] = np.where(second, np.minimum(da, db), da)
+            row[:, 1] = np.maximum(da, db)
+            row[:, 2] = v - 1
+            row[:, 3] = v + 1
+            keep = np.ones(row.shape, dtype=bool)
+            keep[:, 1] = second
+            if inner:
+                first = ~second
+                f = e + 3 * (v - s) - before
+                row[:, 4:] = f[:, None] + np.arange(-1, 3, dtype=np.int32)
+                keep[:, 7] = first
+                vtype[f + 1 + first] = VertexType.SECOND
+            if lo == s:
+                # a ring's first vertex is type 1, and its predecessor's
+                # shared child is the last vertex of the next ring
+                row[0, 2:4] = s + 1, e - 1
+                if inner:
+                    row[0, 4:] = e, e + 1, e + 2, ce - 1
+            if hi == e:
+                row[-1, 2:4] = s, e - 2
+                if inner and f[-1] + 2 + first[-1] != ce:
+                    raise InvariantError(
+                        "generated vertex count disagrees with ring recurrence")
+            rows = row[keep]
+            indices[at:at + rows.size] = rows
+            at += rows.size
 
-    if stop != n:
-        raise InvariantError("generated vertex count disagrees with ring recurrence")
-
-    ring_size = np.array([t.size for t in vtypes], dtype=np.int64)
-    u = np.concatenate(us + vs)
-    v = np.concatenate(vs + us)
-    del us, vs
-    order = np.lexsort((v, u))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=n))))
-    indices = v[order]
-    del u, v, order  # dead once the CSR exists: free them before validating
-    ball = Ball(m, np.repeat(np.arange(m + 1, dtype=np.int32), ring_size),
-                np.concatenate(vtypes),
-                (DEGREE - np.diff(indptr)).astype(np.int8),
-                np.concatenate(([0], np.cumsum(ring_size))),
-                indptr, indices)
+    deficit = np.zeros(n, dtype=np.int8)
+    if m:
+        outer = int(level_start[m])
+        np.subtract(DEGREE - 2, vtype[outer:], out=deficit[outer:])
+    else:
+        deficit[0] = DEGREE
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.subtract(DEGREE, deficit, out=indptr[1:])
+    np.cumsum(indptr[1:], out=indptr[1:])
+    if at != entries:
+        raise InvariantError("written adjacency disagrees with the row lengths")
+    ball = Ball(m, np.repeat(np.arange(m + 1, dtype=np.int32), ring_size), vtype,
+                deficit, level_start, indptr, indices)
     validate_ball(ball)
     return ball
 
@@ -198,67 +272,31 @@ def validate_ball(ball: Ball) -> None:
     level differences of at most one along edges, down/side degree per type,
     each ring a single cycle of consecutive ids, and ring population counts
     matching the growth recurrence.
+
+    A generic CSR check that shares no row arithmetic with ``build_ball``.  It
+    runs over blocks of ``_BLOCK`` rows, which bounds its temporaries, and
+    finds each entry's source in its target's row to check symmetry.
     """
     n, m = ball.n, ball.radius
-    lvl = ball.level
     starts = ball.level_start
     if len(starts) != m + 2 or starts[0] != 0 or starts[-1] != n:
         raise InvariantError("level_start does not partition the id range")
-    if np.any(np.diff(starts) <= 0):
+    ring_len = np.diff(starts)
+    if np.any(ring_len <= 0):
         raise InvariantError("empty level block")
-    expected_lvl = np.repeat(np.arange(m + 1, dtype=np.int32), np.diff(starts))
-    if not np.array_equal(lvl, expected_lvl):
-        raise InvariantError("vertex levels are not id-contiguous blocks")
+    ptr, idx = ball.indptr, ball.indices
+    if len(ptr) != n + 1 or ptr[0] != 0 or ptr[-1] != idx.size:
+        raise InvariantError("indptr does not delimit the adjacency rows")
 
-    if ball.vtype[0] != VertexType.ZEROTH or np.any(ball.vtype[1:] == VertexType.ZEROTH):
-        raise InvariantError("type 0 must appear exactly at the root")
-
-    degrees = np.diff(ball.indptr)
-    if not np.array_equal(degrees + ball.deficit, np.full(n, DEGREE)):
-        raise InvariantError("stored degree plus deficit must equal 7")
-    if np.any((ball.deficit != 0) & (lvl < m)):
-        raise InvariantError("interior vertex with nonzero deficit")
-
-    idx = ball.indices
-    if idx.size:
-        u = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        if idx.min() < 0 or idx.max() >= n:
-            raise InvariantError("neighbor id out of range")
-        if np.any(u == idx):
-            raise InvariantError("self-loop")
-        inner = idx[1:] > idx[:-1]
-        inner[ball.indptr[1:-1] - 1] = True
-        if not inner.all():
-            raise InvariantError("adjacency rows must be strictly ascending")
-        del inner
-        # with ascending rows the (u, idx) pairs are sorted and distinct; the
-        # adjacency is symmetric iff the (idx, u) pairs, stably sorted by idx
-        # (u is already sorted), are the same list
-        order = np.argsort(idx, kind="stable")
-        if not (np.array_equal(idx[order], u) and np.array_equal(u[order], idx)):
-            raise InvariantError("adjacency is not symmetric")
-        del order
-        dl = lvl[idx] - lvl[u]
-        if np.any(np.abs(dl) > 1):
-            raise InvariantError("edge spans more than one level")
-
-        down = np.bincount(u[dl == -1], minlength=n)
-        side = np.bincount(u[dl == 0], minlength=n)
-        ftype = ball.vtype == VertexType.FIRST
-        stype = ball.vtype == VertexType.SECOND
-        if np.any(down[ftype] != 1) or np.any(down[stype] != 2) or down[0] != 0:
-            raise InvariantError("down-degree disagrees with vertex type")
-        if m >= 1 and (side[0] != 0 or np.any(side[1:] != 2)):
-            raise InvariantError("every ring vertex needs exactly two side edges")
-
-        # Side edges must be exactly the consecutive-id pairs of each ring;
-        # with side degree 2 everywhere this forces one cycle per level.
-        su, sv = u[dl == 0], idx[dl == 0]
-        del u, dl
-        ring_len = np.diff(starts).astype(np.int64)[lvl[su]]
-        gap = np.abs(su - sv)
-        if np.any((gap != 1) & (gap != ring_len - 1)):
-            raise InvariantError("ring edge between non-consecutive ids")
+    fault = _first_fault(n, _vertex_faults, ball)
+    if fault is None and idx.size:
+        # with distinct entries in each row, the adjacency is symmetric iff
+        # each forward entry has its reverse and forward entries are half
+        # of all, so only forward entries need a lookup
+        balanced = 2 * _forward_entries(ball) == idx.size
+        fault = _first_fault(n, _row_faults, ball, ring_len, balanced)
+    if fault is not None:
+        raise InvariantError(fault)
 
     for l, (a, b) in enumerate(_ring_sizes(m), start=1):
         block = slice(int(starts[l]), int(starts[l + 1]))
@@ -267,6 +305,103 @@ def validate_ball(ball: Ball) -> None:
         if (nf, ns) != (a, b):
             raise InvariantError(
                 f"ring {l} has {nf}/{ns} vertices of type 1/2, expected {a}/{b}")
+
+
+def _first_fault(n: int, faults, *args):
+    """The message of the first check, in order, that fails on any block of rows.
+
+    ``faults(*args, lo, hi)`` yields (message, failed) for each check in
+    turn on rows ``lo..hi-1``.  A block stops at its first failure, and
+    later blocks run only the checks before it, so the message is the one
+    that running each check over all rows, in order, would give.
+    """
+    found, limit = None, None
+    for lo in range(0, n, _BLOCK):
+        for k, (message, failed) in enumerate(faults(*args, lo, min(lo + _BLOCK, n))):
+            if k == limit:
+                break
+            if failed:
+                found, limit = message, k
+                break
+    return found
+
+
+def _forward_entries(ball: Ball) -> int:
+    """The number of entries (u, w) with u < w, counted a block of rows at a time."""
+    total = 0
+    for lo in range(0, ball.n, _BLOCK):
+        ptr = ball.indptr[lo:min(lo + _BLOCK, ball.n) + 1]
+        u = np.repeat(np.arange(lo, lo + ptr.size - 1), np.diff(ptr))
+        total += int(np.count_nonzero(ball.indices[ptr[0]:ptr[-1]] > u))
+    return total
+
+
+def _vertex_faults(ball: Ball, lo: int, hi: int):
+    """The per-vertex checks of ``validate_ball`` on vertices lo..hi-1."""
+    ids = np.arange(lo, hi)
+    lvl = ball.level[lo:hi]
+    expected = np.searchsorted(ball.level_start, ids, side="right") - 1
+    yield "vertex levels are not id-contiguous blocks", not np.array_equal(lvl, expected)
+    vtype = ball.vtype[lo:hi]
+    yield ("type 0 must appear exactly at the root",
+           np.any((vtype == VertexType.ZEROTH) != (ids == 0)))
+    yield "unknown vertex type", np.any((vtype < 0) | (vtype > VertexType.SECOND))
+    deficit = ball.deficit[lo:hi]
+    yield ("stored degree plus deficit must equal 7",
+           np.any(np.diff(ball.indptr[lo:hi + 1]) + deficit != DEGREE))
+    yield "deficit out of range", np.any((deficit < 0) | (deficit > DEGREE))
+    yield ("interior vertex with nonzero deficit",
+           np.any((deficit != 0) & (lvl < ball.radius)))
+
+
+def _row_faults(ball: Ball, ring_len: np.ndarray, balanced: bool, lo: int, hi: int):
+    """The per-entry checks of ``validate_ball`` on the rows of lo..hi-1.
+
+    Runs once the per-vertex checks hold everywhere, so every row has at
+    most 7 entries.  ``balanced`` tells whether forward entries (u < w) are
+    half of all entries.
+    """
+    ptr, indices = ball.indptr[lo:hi + 1], ball.indices
+    idx = indices[ptr[0]:ptr[-1]]
+    deg = np.diff(ptr)
+    row = np.repeat(np.arange(hi - lo, dtype=idx.dtype), deg)  # each entry's, from lo
+    u = row + lo
+    yield "neighbor id out of range", idx.size and (idx.min() < 0 or idx.max() >= ball.n)
+    yield "self-loop", np.any(u == idx)
+    yield ("adjacency rows must be strictly ascending",
+           np.any((idx[1:] <= idx[:-1]) & (row[1:] == row[:-1])))
+    # the source of each forward entry (u < w) must be stored in the row of
+    # w, among its 7 - deficit entries from indptr[w]; sources sit low in
+    # ascending rows, so the probes stop once every source is found
+    forward = idx > u
+    source, target = u[forward], idx[forward]
+    start, stored = ball.indptr[target], DEGREE - ball.deficit[target]
+    found = np.zeros(source.size, dtype=bool)
+    for k in range(DEGREE):
+        hit = indices.take(start, mode="clip") == source
+        if k >= stored.min(initial=DEGREE):
+            hit &= stored > k
+        found |= hit
+        if found.all():
+            break
+        start += 1
+    yield "adjacency is not symmetric", not (balanced and found.all())
+    lvl = ball.level
+    dl = lvl[idx] - np.repeat(lvl[lo:hi], deg)
+    yield "edge spans more than one level", np.any(np.abs(dl) > 1)
+    # per row: entries one level down, on the same level, one level up
+    per_level = np.bincount(3 * row + (dl + 1), minlength=3 * (hi - lo)).reshape(-1, 3)
+    vtype = ball.vtype[lo:hi]
+    # a vertex's type is its number of parents
+    yield "down-degree disagrees with vertex type", np.any(per_level[:, 0] != vtype)
+    yield ("every ring vertex needs exactly two side edges",
+           np.any(per_level[:, 1] != 2 * (vtype != 0)))
+    # side edges must be exactly the consecutive-id pairs of each ring; with
+    # side degree 2 everywhere this forces one cycle per level
+    gap = np.abs(u - idx)
+    wrap = (dl == 0) & (gap != 1)
+    yield ("ring edge between non-consecutive ids",
+           np.any(gap[wrap] != ring_len[lvl[idx[wrap]]] - 1))
 
 
 def distance_profile(ball: Ball) -> np.ndarray:
@@ -516,12 +651,26 @@ def _parse_ball(head: bytes, values: np.ndarray, ends: np.ndarray) -> Ball:
     # m + 1 nonempty levels: every level is below n, so int32 holds it
     if not (m < n and level[0] >= 0 and level[-1] == m):
         raise FormatError("stated radius disagrees with vertex levels")
-    keep = np.ones(values.size, dtype=bool)
-    for k in range(4):
-        keep[first + k] = False
+    indptr = np.concatenate(([0], np.cumsum(width - 4)))
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    # narrowed to int32 a block of lines at a time, each id checked first to
+    # lie in 0..n-1 (and below 2**31), so that none can wrap onto a valid one
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        tokens = values[first[lo]:last[hi - 1] + 1]
+        keep = np.ones(tokens.size, dtype=bool)
+        for k in range(4):
+            keep[first[lo:hi] - first[lo] + k] = False
+        ids = tokens[keep]
+        bad = (ids < 0) | (ids >= min(n, _INT32_MAX + 1))
+        if bad.any():
+            line = lo + np.searchsorted(indptr[lo:hi + 1] - indptr[lo], np.argmax(bad),
+                                        side="right") + 1
+            raise FormatError(f"vertex line {line}: neighbor id out of range")
+        indices[indptr[lo]:indptr[hi]] = ids
     return Ball(m, level.astype(np.int32), vtype.astype(np.int8),
                 deficit.astype(np.int8), np.searchsorted(level, np.arange(m + 2)),
-                np.concatenate(([0], np.cumsum(width - 4))), values[keep])
+                indptr, indices)
 
 
 def deserialize_ball(data: bytes) -> Ball:

@@ -134,18 +134,22 @@ def mass(state: State) -> int:
     return total
 
 
-def _apply_laplacian(ball: Ball, counts: np.ndarray) -> np.ndarray:
-    """Net grain change produced by ``counts`` topples per vertex."""
-    if ball.indices.size == 0:
-        return -DEGREE * counts
-    gain = np.add.reduceat(counts[ball.indices], ball.indptr[:-1])
-    return gain - DEGREE * counts
+# rows per block of _check_identity, which bounds its entry-sized gather
+_IDENTITY_ROWS = 1 << 14
 
 
 def _check_identity(before: np.ndarray, after: np.ndarray,
                     ball: Ball, counts: np.ndarray) -> None:
-    if not np.array_equal(after, before + _apply_laplacian(ball, counts)):
-        raise InvariantError("relaxed state differs from start + laplacian(odometer)")
+    """Require ``after == before + laplacian(counts)``, a block of rows at a time."""
+    ptr, idx = ball.indptr, ball.indices
+    for lo in range(0, ball.n, _IDENTITY_ROWS):
+        hi = min(lo + _IDENTITY_ROWS, ball.n)
+        a, b = ptr[lo], ptr[hi]
+        # grains each vertex received: one per topple of each stored neighbor
+        gain = np.add.reduceat(counts[idx[a:b]], ptr[lo:hi] - a) if b > a else 0
+        if not np.array_equal(after[lo:hi],
+                              before[lo:hi] + gain - DEGREE * counts[lo:hi]):
+            raise InvariantError("relaxed state differs from start + laplacian(odometer)")
 
 
 def _budget(grains: np.ndarray) -> int:

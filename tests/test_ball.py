@@ -115,6 +115,49 @@ def test_memory_guard_refuses_before_allocating(monkeypatch):
     assert build_ball(1).n == 8  # a ball that fits is still built
 
 
+def test_index_width_refused_before_allocation(monkeypatch):
+    # with memory to spare, m=20 still has more adjacency entries than int32
+    # neighbor ids can address
+    monkeypatch.setattr(ball_module, "_physical_memory", lambda: 2**62)
+    with pytest.raises(CapacityError, match="int32"):
+        build_ball(20)
+
+
+def test_csr_size_counts_vertices_and_entries(ball_cache):
+    for m in range(9):
+        b = ball_cache(m)
+        assert ball_module._csr_size(m) == (b.n, b.indices.size)
+    # m=19 is the last radius whose entries int32 ids can address
+    assert ball_module._csr_size(19)[1] == 2_109_097_004 <= 2**31 - 1
+    assert ball_module._csr_size(20)[1] == 5_521_687_710
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_ball_is_the_same_in_small_blocks(monkeypatch, ball_cache, block):
+    # rows are written, and validated, a block of vertices at a time: blocks
+    # cut across every ring boundary and carry, and must not change a value
+    monkeypatch.setattr(ball_module, "_BLOCK", block)
+    for m in range(9):
+        small, default = build_ball(m), ball_cache(m)
+        for field in ("level", "vtype", "deficit", "level_start", "indptr", "indices"):
+            got, want = getattr(small, field), getattr(default, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+    assert default.indices.dtype == np.int32 and default.indptr.dtype == np.int64
+
+
+def test_build_ball_traced_peak_is_bounded():
+    # rows go straight into the int32 CSR and are validated in blocks, so
+    # the peak is little more than the ball (195 bytes per vertex with edge
+    # lists, a global sort and a global argsort)
+    tracemalloc.start()
+    try:
+        b = build_ball(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * b.n
+
+
 def test_build_ball_frees_its_edge_lists_before_validating():
     # the directed edge lists and their sort order are dead once the CSR
     # exists; kept alive through validate_ball they raised the traced peak
@@ -375,6 +418,7 @@ def test_asymmetric_adjacency_rejected(ball_cache):
     (2, b"1 1 1 4 0 2 7\xff", "single spaces"),
     (8, b"7 %d 1 4 0 1 6" % 2**32, "radius disagrees"),
     (2, b"1 1 1 4 0 2 %d" % 2**64, "64-bit"),
+    (2, b"1 1 1 4 0 2 %d" % (2**32 + 7), "neighbor id out of range"),
 ])
 def test_malformed_vertex_line_rejected(ball_cache, line, text, message):
     lines = serialize_ball(ball_cache(1)).splitlines()[:-1]
@@ -478,6 +522,45 @@ def test_ball_file_io_memory_is_bounded(tmp_path, ball_cache):
     assert load_peak < 6 * size
 
 
+def _one_sided(b: Ball, u: int) -> Ball:
+    """``b`` with u's highest neighbor swapped for a lower non-neighbor of u.
+
+    Every remaining forward entry (v, w), v < w, keeps its reverse; only the
+    count of backward entries against forward ones tells the rows apart.
+    """
+    row = b.neighbors(u).tolist()
+    lower = next(w for w in range(u - 1, -1, -1) if w not in row)
+    idx = b.indices.copy()
+    idx[b.indptr[u]:b.indptr[u + 1]] = sorted(row[:-1] + [lower])
+    return Ball(b.radius, b.level, b.vtype, b.deficit, b.level_start, b.indptr, idx)
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_validate_rejects_a_one_sided_backward_entry(monkeypatch, ball_cache, block):
+    # with blocks of 3 rows, the second fault sits in a late block
+    if block:
+        monkeypatch.setattr(ball_module, "_BLOCK", block)
+    b = ball_cache(3)
+    for u in (20, b.n - 3):
+        with pytest.raises(InvariantError, match="not symmetric"):
+            validate_ball(_one_sided(b, u))
+
+
+def test_validate_finds_faults_in_a_late_block(monkeypatch, ball_cache):
+    monkeypatch.setattr(ball_module, "_BLOCK", 3)
+    b = ball_cache(3)
+    deficit = b.deficit.copy()
+    deficit[b.n - 2] += 1
+    with pytest.raises(InvariantError, match="degree plus deficit"):
+        validate_ball(Ball(b.radius, b.level, b.vtype, deficit, b.level_start,
+                           b.indptr, b.indices))
+    idx = b.indices.copy()
+    idx[-1] = b.n
+    with pytest.raises(InvariantError, match="out of range"):
+        validate_ball(Ball(b.radius, b.level, b.vtype, b.deficit, b.level_start,
+                           b.indptr, idx))
+
+
 def test_validate_rejects_crossed_edges(ball_cache):
     # x-y and z-w become x-w and z-y in the rows of x and z only: every
     # vertex keeps its degree, so only the pairing of the rows can tell
@@ -516,3 +599,43 @@ def test_validate_rejects_mutated_level(ball_cache):
     b.level[5] = 2
     with pytest.raises(Exception):
         validate_ball(b)
+
+
+def test_validate_rejects_every_single_entry_change():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.integers(1, 4), st.data())
+    def check(m, data):
+        b = build_ball(m)
+        pos = data.draw(st.integers(0, b.indices.size - 1))
+        old = int(b.indices[pos])
+        new = data.draw(st.integers(-2, b.n + 1).filter(lambda x: x != old))
+        idx = b.indices.copy()
+        idx[pos] = new  # the row of some vertex gains or loses a neighbor
+        with pytest.raises(InvariantError):
+            validate_ball(Ball(b.radius, b.level, b.vtype, b.deficit,
+                               b.level_start, b.indptr, idx))
+
+    check()
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_rotation_by_a_seventh_is_an_automorphism(m, ball_cache):
+    # v -> start + (v - start + |ring| / 7) mod |ring| on every ring, the root
+    # fixed: defined from level_start alone, so it checks the builder without
+    # its arithmetic
+    b = ball_cache(m)
+    start = b.level_start[b.level]
+    size = np.diff(b.level_start)[b.level]
+    assert not np.any(size[1:] % 7)
+    rot = start + (np.arange(b.n) - start + size // 7) % size
+    assert rot[0] == 0
+    assert np.array_equal(b.vtype[rot], b.vtype)
+    assert np.array_equal(np.diff(b.indptr)[rot], np.diff(b.indptr))
+    # the rotated edge list, sorted, is the edge list itself
+    u = np.repeat(np.arange(b.n), np.diff(b.indptr))
+    ru, rw = rot[u], rot[b.indices]
+    order = np.lexsort((rw, ru))
+    assert np.array_equal(ru[order], u) and np.array_equal(rw[order], b.indices)

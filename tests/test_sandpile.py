@@ -120,6 +120,20 @@ def test_relax_identity_recomputed_by_hand(ball_cache):
     assert np.array_equal(acc.astype(np.int64), res.state.grains)
 
 
+def test_identity_check_catches_an_odometer_off_by_one(ball_cache, monkeypatch):
+    # the audit compares a block of rows at a time: with blocks of 64 rows,
+    # the bad entry sits in a late block, so every block must be compared
+    monkeypatch.setattr(sandpile, "_IDENTITY_ROWS", 64)
+    b = ball_cache(6)
+    start = perturb(max_stable(b), [0])
+    res = relax_batch(start)
+    sandpile._check_identity(start.grains, res.state.grains, b, res.odometer.counts)
+    counts = res.odometer.counts.copy()
+    counts[b.n - 100] += 1
+    with pytest.raises(InvariantError, match="start \\+ laplacian"):
+        sandpile._check_identity(start.grains, res.state.grains, b, counts)
+
+
 def test_relax_idempotent(ball_cache):
     b = ball_cache(2)
     rng = np.random.default_rng(11)
