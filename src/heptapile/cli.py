@@ -61,6 +61,8 @@ def _pick_sites(args, ball) -> tuple:
 
 
 def cmd_gen(args) -> int:
+    if args.out is None:
+        args.out = f"ball-m{args.m}.heptaball"
     ball = build_ball(args.m)
     save_ball(ball, args.out)
     print(f"# gen  m={args.m}  vertices={ball.n}  out={args.out}")
@@ -83,6 +85,9 @@ def cmd_gen(args) -> int:
 
 def cmd_relax(args) -> int:
     ball = _load_or_build(args)
+    if args.verify and ball.radius < 1:  # the closed forms start at radius 1
+        raise ValueError("relax --verify needs a ball of radius 1 or more, "
+                         "got radius 0")
     sites, seed = _pick_sites(args, ball)
     print(f"# relax  m={ball.radius}  vertices={ball.n}  seed={seed}")
     print(f"# sites ({len(sites)}): {','.join(map(str, sites))}")
@@ -283,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "command", None) == "gen" and args.out is None:
-        args.out = f"ball-m{args.m}.heptaball"
     try:
         return args.func(args)
     except (CapacityError, FormatError, InvariantError, ValueError,

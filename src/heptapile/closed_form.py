@@ -137,12 +137,11 @@ def mass_loss_ratio(m: int) -> Fraction:
 
 
 def total_topplings(m: int, s: int = 0) -> int:
-    """Sum of the predicted odometer over the radius-m ball, for min level s."""
+    """Sum of the predicted odometer over the radius-m ball, for min level s.
+
+    The k-th wave front is the ball of radius m + 1 - k, for k = 1..m+1-s, so
+    the total is the sum of ball_size(j) over j = s..m.
+    """
     if not 0 <= s <= m:
         raise ValueError("need 0 <= s <= m")
-    total = min(m + 1, m + 1 - s)
-    a, b = DEGREE, 0
-    for lvl in range(1, m + 1):
-        total += min(m + 1 - lvl, m + 1 - s) * (a + b)
-        a, b = 2 * a + b, a + b
-    return total
+    return sum(ball_size(j) for j in range(s, m + 1))

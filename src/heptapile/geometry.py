@@ -35,8 +35,6 @@ _COS = math.cos(2.0 * math.pi / DEGREE)
 EDGE_COSH = _COS / (1.0 - _COS)
 EDGE_LENGTH = math.acosh(EDGE_COSH)
 
-_J = np.diag([1.0, 1.0, -1.0])
-
 
 def minkowski_dot(u, v):
     """Bilinear form of signature (2,1); -1 on sheet points, broadcasting."""
@@ -75,21 +73,6 @@ def translation_to(p) -> np.ndarray:
                      np.stack((xy, 1.0 + y * y / w, y), axis=-1), p), axis=-2)
 
 
-def rotation_about(p, angle) -> np.ndarray:
-    """Isometry fixing sheet point p, rotating its tangent plane by ``angle``."""
-    c, s = np.cos(angle), np.sin(angle)
-    dt = np.result_type(np.asarray(p).dtype, np.asarray(angle).dtype, np.float64)
-    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], dtype=dt)
-    b = translation_to(np.asarray(p).astype(dt))
-    binv = _J.astype(dt) @ b @ _J.astype(dt)  # symmetric Minkowski-orthogonal
-    return b @ rz @ binv
-
-
-def isometry_residual(mat: np.ndarray) -> float:
-    """How far a matrix is from preserving the Minkowski form (max abs entry)."""
-    return float(np.abs(mat.T @ _J @ mat - _J).max())
-
-
 class Embedding:
     """Vertex coordinates plus the dual cell around each vertex.
 
@@ -118,6 +101,10 @@ class Embedding:
 # vertices per batch of the walk and of the cell build, which bounds their
 # temporaries
 _BATCH = 1024
+
+# largest disagreement, relative to the z coordinate, between two placements
+# of one vertex that the walk accepts
+_PLACEMENT_TOL = 1e-6
 
 
 def _build_cells(pos: np.ndarray, cyc: np.ndarray):
@@ -153,13 +140,13 @@ def _matvec(mat, vec):
     return out + mat[..., 2] * vec[..., None, 2]
 
 
-def build_embedding(ball: Ball, *, tol: float = 1e-6) -> Embedding:
+def build_embedding(ball: Ball) -> Embedding:
     """Place every vertex on the sheet and build the dual cells.
 
     Each vertex beyond the first ring is written once; when the walk reaches
-    an already-placed vertex the two positions are compared, and disagreement
-    beyond ``tol`` means the rotational orders are inconsistent, which is an
-    internal error.
+    an already-placed vertex the two positions are compared, and a relative
+    disagreement beyond ``_PLACEMENT_TOL`` means the rotational orders are
+    inconsistent, which is an internal error (``InvariantError``).
     """
     n = ball.n
     cyc = link_cycles(ball)
@@ -213,7 +200,7 @@ def build_embedding(ball: Ball, *, tol: float = 1e-6) -> Embedding:
                 err.astype(np.float64) / seen[:, 2].astype(np.float64), initial=0.0)))
     if not placed.all():
         raise InvariantError("embedding walk missed a vertex")
-    if worst > tol:
+    if worst > _PLACEMENT_TOL:
         raise InvariantError(
             f"inconsistent placement: positions disagree by {worst:.3e}")
     pos = pos.astype(np.float64)

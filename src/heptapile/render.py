@@ -90,7 +90,7 @@ def _fmt(x: float) -> str:
 def render_state(state, embedding: Embedding, *, palette=None,
                  homothety: float = 1.0, edges: str = "none",
                  size: int = 800, skip_subpixel: bool = True,
-                 zoom=None, stroke: str = "#404040") -> str:
+                 zoom=None) -> str:
     """Render a state (or, with ``state=None``, just the tiling) to SVG text.
 
     ``homothety`` rescales hyperbolic distance from the root before
@@ -150,7 +150,7 @@ def render_state(state, embedding: Embedding, *, palette=None,
             f'fill="none" stroke="#888888" stroke-width="1"/>')
 
     if fill_cells or draw_dual:
-        attrs = f' stroke="{stroke}" stroke-width="0.5"' if draw_dual else ""
+        attrs = ' stroke="#404040" stroke-width="0.5"' if draw_dual else ""
         parts.append(f"<g{attrs}>")
         ptr = embedding.cell_ptr
         keep = ~(cell_radius > skip_beyond) if skip_subpixel else np.ones(ball.n, bool)

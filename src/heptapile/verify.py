@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -89,33 +88,31 @@ def check_combinatorics(max_radius: int = 12) -> CheckReport:
     return rep
 
 
-def _sweep_trial(ball: Ball, sites: list) -> list:
-    """Run one perturbation through every route; returns failure messages."""
-    bad = []
+def _sweep_trial(ball: Ball, sites: list, reports: dict) -> None:
+    """Run one perturbation through every route, failing the reports it breaks."""
     start = perturb(max_stable(ball), sites)
     res = relax(start)
     m = ball.radius
     tag = f"m={m} sites={sites}"
     if res.odometer != cf.predicted_odometer(ball, sites):
-        bad.append(f"odometer: {tag}")
+        reports["odometer"].fail(f"odometer: {tag}")
     if res.state != cf.predicted_beta(ball, sites):
-        bad.append(f"state: {tag}")
+        reports["state"].fail(f"state: {tag}")
     if mass(start) - mass(res.state) != cf.mass_loss(m):
-        bad.append(f"mass: {tag}")
+        reports["mass"].fail(f"mass: {tag}")
     wres = wave_relax_multi(ball, sites)
     if wres.state != res.state or wres.odometer != res.odometer:
-        bad.append(f"waves: {tag}")
-    return bad
+        reports["waves"].fail(f"waves: {tag}")
 
 
-def relaxation_sweep(radii: Iterable[int] = range(1, 9), trials: int = 10,
-                     seed: int = DEFAULT_SEED,
-                     balls: dict | None = None) -> list:
+def relaxation_sweep(balls: dict, trials: int = 10,
+                     seed: int = DEFAULT_SEED) -> list:
     """Oracle-equivalence sweep; one report per compared quantity.
 
-    For every radius and every sampled perturbation set, the queue engine's
-    odometer, final state, and mass loss must match the closed forms, and the
-    wave route must match the queue engine exactly.
+    ``balls`` maps each radius to its ball.  For every ball and every sampled
+    perturbation set, the queue engine's odometer, final state, and mass loss
+    must match the closed forms, and the wave route must match the queue
+    engine exactly.
     """
     reports = {
         "odometer": CheckReport("odometer equals min-formula over sweep"),
@@ -124,12 +121,10 @@ def relaxation_sweep(radii: Iterable[int] = range(1, 9), trials: int = 10,
         "waves": CheckReport("wave route equals direct relaxation over sweep"),
     }
     runs = 0
-    for m in radii:
-        ball = balls[m] if balls else build_ball(m)
+    for m, ball in balls.items():
         for sites in site_families(ball, trials, np.random.default_rng([seed, m])):
             runs += 1
-            for msg in _sweep_trial(ball, sites):
-                reports[msg.split(":", 1)[0]].fail(msg)
+            _sweep_trial(ball, sites, reports)
     for rep in reports.values():
         rep.note(f"{runs} perturbation trials")
     return list(reports.values())
@@ -160,16 +155,16 @@ def _expected_first_wave(ball: Ball) -> np.ndarray:
     return vals
 
 
-def check_wave_profiles(radii: Iterable[int] = range(1, 9),
-                        balls: dict | None = None) -> CheckReport:
+def check_wave_profiles(balls: dict) -> CheckReport:
     """First-wave profile, second-wave restriction, counts, nested fronts.
 
-    Front k = 1..m+1 of the root's waves must have ball_size(m + 1 - k) vertices.
+    Runs on every ball of ``balls`` (radius -> Ball); the second-wave check
+    needs the ball one radius smaller in the mapping too.  Front k = 1..m+1
+    of the root's waves must have ball_size(m + 1 - k) vertices.
     """
     rep = CheckReport("wave fronts and profiles")
     prev_first_wave = {}
-    for m in radii:
-        ball = balls[m] if balls else build_ball(m)
+    for m, ball in balls.items():
         w1 = wave(max_stable(ball), 0)
         if not np.array_equal(w1.grains, _expected_first_wave(ball)):
             rep.fail(f"m={m}: first wave profile at the root is wrong")
@@ -192,7 +187,7 @@ def check_wave_profiles(radii: Iterable[int] = range(1, 9),
         rep.note(f"m={m}: front sizes {sizes}")
         if sizes != want:
             rep.fail(f"m={m}: front sizes {sizes}, expected ball sizes {want}")
-    rep.note(f"radii {list(radii)}")
+    rep.note(f"radii {list(balls)}")
     return rep
 
 
@@ -253,15 +248,13 @@ def check_geometry(radius: int = 5, length_tol: float = 1e-9,
 
 
 def run_default_suite(radii=range(1, 7), trials: int = 10,
-                      seed: int = DEFAULT_SEED,
-                      max_combinatorics: int = 12,
-                      geometry_radius: int = 5) -> list:
+                      seed: int = DEFAULT_SEED) -> list:
     """The standard verification battery; returns every CheckReport."""
     balls = {m: build_ball(m) for m in radii}
-    reports = [check_combinatorics(max_combinatorics)]
-    reports += relaxation_sweep(radii, trials, seed, balls=balls)
+    reports = [check_combinatorics(12)]
+    reports += relaxation_sweep(balls, trials, seed)
     reports.append(check_mass_ratio())
-    reports.append(check_wave_profiles(radii, balls=balls))
+    reports.append(check_wave_profiles(balls))
     reports.append(check_abelian(seed=seed))
-    reports.append(check_geometry(geometry_radius))
+    reports.append(check_geometry(5))
     return reports

@@ -60,13 +60,13 @@ def _forced_wave(state: State, site: int, via: int) -> tuple:
     return State(ball, g), np.flatnonzero(toppled)
 
 
-def wave(state: State, site: int, *, check_choice: bool = False) -> State:
+def wave(state: State, site: int) -> State:
     """Apply one wave at ``site``; a state with no wave to run returns unchanged.
 
     The wave needs 6 grains at the site and at some stored neighbor; the
-    lowest-id such neighbor seeds the sweep.  ``check_choice`` re-runs the
-    wave through the highest-id candidate and verifies the result does not
-    depend on that choice.
+    lowest-id such neighbor seeds the sweep.  When several neighbors qualify,
+    the wave is run again through the highest-id one, and a result that
+    depends on that choice raises ``InvariantError``.
     """
     if not 0 <= site < state.ball.n:
         raise ValueError(f"site {site} out of range")
@@ -76,7 +76,7 @@ def wave(state: State, site: int, *, check_choice: bool = False) -> State:
     if not candidates:
         return state.copy()
     out, front = _forced_wave(state, site, candidates[0])
-    if check_choice and len(candidates) > 1:
+    if len(candidates) > 1:
         alt, alt_front = _forced_wave(state, site, candidates[-1])
         if not (np.array_equal(out.grains, alt.grains)
                 and np.array_equal(front, alt_front)):

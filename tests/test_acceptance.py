@@ -52,8 +52,7 @@ def verdict_flag(label: str, passed: bool, detail: str = "") -> None:
 def sweep():
     """One pass over radii 1..8: odometer, state, mass, wave reports."""
     balls = {m: build_ball(m) for m in SWEEP_RADII}
-    reports = relaxation_sweep(SWEEP_RADII, SWEEP_TRIALS, SWEEP_SEED,
-                               balls=balls)
+    reports = relaxation_sweep(balls, SWEEP_TRIALS, SWEEP_SEED)
     return {rep.name.split(" ", 1)[0]: rep for rep in reports}, balls
 
 
@@ -84,7 +83,7 @@ def test_criterion_4_mass_loss(sweep):
 def test_criterion_5_waves(sweep):
     reports, balls = sweep
     wave_rep = reports["wave"]
-    profile_rep = check_wave_profiles(SWEEP_RADII, balls=balls)
+    profile_rep = check_wave_profiles(balls)
     ok = wave_rep.passed and profile_rep.passed
     verdict_flag("criterion 5: wave profiles 1..8, second-wave restriction "
                  "2..8, wave route == direct relaxation", ok,

@@ -145,30 +145,18 @@ def test_ball_is_the_same_in_small_blocks(monkeypatch, ball_cache, block):
     assert default.indices.dtype == np.int32 and default.indptr.dtype == np.int64
 
 
-def test_build_ball_traced_peak_is_bounded():
+@pytest.mark.parametrize("m", [10, 12])
+def test_build_ball_traced_peak_is_bounded(m):
     # rows go straight into the int32 CSR and are validated in blocks, so
     # the peak is little more than the ball (195 bytes per vertex with edge
     # lists, a global sort and a global argsort)
     tracemalloc.start()
     try:
-        b = build_ball(12)
+        b = build_ball(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * b.n
-
-
-def test_build_ball_frees_its_edge_lists_before_validating():
-    # the directed edge lists and their sort order are dead once the CSR
-    # exists; kept alive through validate_ball they raised the traced peak
-    # from 195 to 309 bytes per vertex
-    tracemalloc.start()
-    try:
-        b = build_ball(10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 240 * b.n
 
 
 def test_smaller_balls_are_prefixes_of_a_larger_one(ball_cache):

@@ -28,6 +28,14 @@ def test_gen_zero(tmp_path, capsys):
     assert load_ball(out).n == 1
 
 
+def test_gen_default_out_names_the_radius(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, text, _ = run(capsys, "gen", "-m", "1")
+    assert code == 0
+    assert "out=ball-m1.heptaball" in text
+    assert load_ball(tmp_path / "ball-m1.heptaball").n == 8
+
+
 def test_gen_capacity_error(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "-m", "64",
                        "--out", str(tmp_path / "x"))
@@ -44,6 +52,22 @@ def test_relax_origin_verifies(tmp_path, capsys):
     assert "loss=28" in text
     st = load_state(tmp_path / "s.heptastate", build_ball(1))
     assert st.grains.tolist() == [0] + [3] * 7
+
+
+@pytest.mark.parametrize("source", ["m", "ball"])
+def test_relax_verify_refuses_radius_zero(tmp_path, capsys, source):
+    if source == "m":
+        ball_args = ("-m", "0")
+    else:
+        save_ball(build_ball(0), tmp_path / "zero.heptaball")
+        ball_args = ("--ball", str(tmp_path / "zero.heptaball"))
+    state, odom = tmp_path / "s.heptastate", tmp_path / "o.heptaodom"
+    code, text, err = run(capsys, "relax", *ball_args, "--p-origin", "--verify",
+                          "--state-out", str(state), "--odometer-out", str(odom))
+    assert code == 2
+    assert "radius 1 or more" in err
+    assert text == ""  # refused before relaxing
+    assert not state.exists() and not odom.exists()
 
 
 def test_relax_empty_sites_rejected(tmp_path, capsys):

@@ -192,9 +192,22 @@ def test_mass_loss_ratio():
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
+def _total_topplings_by_rings(m: int, s: int) -> int:
+    """Odometer formula weighted by ring sizes from the ring recurrence."""
+    total = min(m + 1, m + 1 - s)
+    a, b = 7, 0
+    for lvl in range(1, m + 1):
+        total += min(m + 1 - lvl, m + 1 - s) * (a + b)
+        a, b = 2 * a + b, a + b
+    return total
+
+
 def test_total_topplings_closed_form(ball_cache):
     # weighted sum of the odometer formula over levels, radius-10 value frozen
     assert total_topplings(10) == 123911
     b = ball_cache(3)
     res = relax(perturb(max_stable(b), [0]))
     assert int(res.odometer.counts.sum()) == total_topplings(3)
+    for m in range(40):
+        for s in range(m + 1):
+            assert total_topplings(m, s) == _total_topplings_by_rings(m, s), (m, s)

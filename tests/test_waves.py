@@ -60,7 +60,7 @@ def test_wave_output_stable_on_random_states(ball_cache):
         grains[site] = 6
         nbr = int(min(b.neighbors(site)))
         grains[nbr] = 6
-        out = wave(State(b, grains), site, check_choice=True)
+        out = wave(State(b, grains), site)
         assert out.grains.max() <= 6
         assert out.grains.min() >= 0
 
@@ -112,7 +112,7 @@ def test_front_k_covers_the_smaller_ball(m, ball_cache):
 
 def test_wave_profile_check_counts_front_sizes(ball_cache, monkeypatch):
     balls = {m: ball_cache(m) for m in (1, 2, 3)}
-    rep = verify.check_wave_profiles((1, 2, 3), balls=balls)
+    rep = verify.check_wave_profiles(balls)
     assert rep.passed
     assert "m=3: front sizes [85, 29, 8, 1]" in rep.lines
 
@@ -125,7 +125,7 @@ def test_wave_profile_check_counts_front_sizes(ball_cache, monkeypatch):
         return res._replace(fronts=fronts)
 
     monkeypatch.setattr(verify, "wave_relax", short_second_front)
-    rep = verify.check_wave_profiles((3,), balls=balls)
+    rep = verify.check_wave_profiles({3: balls[3]})
     assert not rep.passed
     assert any("front sizes [85, 28, 8, 1]" in line for line in rep.lines)
 
