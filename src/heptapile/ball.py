@@ -49,10 +49,10 @@ DEGREE = 7
 _INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
 
-# peak memory of build_ball, validation included: an RSS rise of 34 bytes
-# per vertex measured at radii 13..16, the ball itself; the margin of almost
-# 3x leaves room for allocator slack and for a caller's state and odometer
-# arrays (8 bytes per vertex each) beside the ball
+# peak memory of build_ball, validation included: an RSS rise of 33 bytes
+# per vertex measured at radii 13 and 14, the ball itself (32); the margin
+# of almost 3x leaves room for allocator slack and for a caller's state and
+# odometer arrays (8 bytes per vertex each) beside the ball
 _BYTES_PER_VERTEX = 96
 
 # vertices per block of build_ball and validate_ball, which bounds their
@@ -74,6 +74,11 @@ class VertexType(IntEnum):
 class Ball:
     """Immutable ball of radius ``m``; treat every field as read-only.
 
+    ``deficit`` and ``level_start`` are derived from the five stored fields
+    on each access.  ``level`` and ``vtype`` stay stored, though the CSR
+    determines them: deriving either takes a pass over the ball, and the
+    closed forms read both on every call.
+
     Attributes
     ----------
     radius : int
@@ -82,29 +87,35 @@ class Ball:
         Graph distance from the root; id blocks are level-contiguous.
     vtype : (n,) int8 array
         ``VertexType`` value per vertex.
-    deficit : (n,) int8 array
-        Number of tiling neighbors outside the ball (7 minus stored degree).
-    level_start : (m+2,) int64 array
-        ``level_start[l]`` is the first id of level ``l``; last entry is ``n``.
     indptr : (n+1,) int64 array
     indices : int32 array
         The adjacency in CSR form, the only one stored: the neighbors of
         ``v`` inside the ball are ``indices[indptr[v]:indptr[v + 1]]``,
         ascending.
+    deficit : (n,) int8 array, derived
+        Number of tiling neighbors outside the ball (7 minus row length).
+    level_start : (m+2,) int64 array, derived
+        ``level_start[l]`` is the first id of level ``l``; last entry is ``n``.
     """
 
-    __slots__ = ("radius", "level", "vtype", "deficit", "level_start",
-                 "indptr", "indices")
+    __slots__ = ("radius", "level", "vtype", "indptr", "indices")
 
-    def __init__(self, radius, level, vtype, deficit, level_start, indptr,
-                 indices):
+    def __init__(self, radius, level, vtype, indptr, indices):
         self.radius = int(radius)
         self.level = level
         self.vtype = vtype
-        self.deficit = deficit
-        self.level_start = level_start
         self.indptr = indptr
         self.indices = indices
+
+    @property
+    def deficit(self) -> np.ndarray:
+        return (DEGREE - np.diff(self.indptr)).astype(np.int8)
+
+    @property
+    def level_start(self) -> np.ndarray:
+        # level's own dtype: a wider arange makes searchsorted copy level
+        steps = np.arange(self.radius + 2, dtype=self.level.dtype)
+        return np.searchsorted(self.level, steps)
 
     @property
     def n(self) -> int:
@@ -128,12 +139,11 @@ class Ball:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ball):
             return NotImplemented
-        return (self.radius == other.radius
-                and np.array_equal(self.level, other.level)
-                and np.array_equal(self.vtype, other.vtype)
-                and np.array_equal(self.deficit, other.deficit)
-                and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices))
+        return self is other or (self.radius == other.radius
+                                 and np.array_equal(self.level, other.level)
+                                 and np.array_equal(self.vtype, other.vtype)
+                                 and np.array_equal(self.indptr, other.indptr)
+                                 and np.array_equal(self.indices, other.indices))
 
     def __repr__(self) -> str:
         return f"Ball(radius={self.radius}, n={self.n})"
@@ -248,19 +258,17 @@ def build_ball(m: int) -> Ball:
             indices[at:at + rows.size] = rows
             at += rows.size
 
-    deficit = np.zeros(n, dtype=np.int8)
+    # row lengths: 7 inside; on the outer ring, 2 ring edges plus vtype down
+    indptr = np.zeros(n + 1, dtype=np.int64)
     if m:
         outer = int(level_start[m])
-        np.subtract(DEGREE - 2, vtype[outer:], out=deficit[outer:])
-    else:
-        deficit[0] = DEGREE
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.subtract(DEGREE, deficit, out=indptr[1:])
+        indptr[1:outer + 1] = DEGREE
+        np.add(vtype[outer:], 2, out=indptr[outer + 1:])
     np.cumsum(indptr[1:], out=indptr[1:])
     if at != entries:
         raise InvariantError("written adjacency disagrees with the row lengths")
     ball = Ball(m, np.repeat(np.arange(m + 1, dtype=np.int32), ring_size), vtype,
-                deficit, level_start, indptr, indices)
+                indptr, indices)
     validate_ball(ball)
     return ball
 
@@ -268,33 +276,30 @@ def build_ball(m: int) -> Ball:
 def validate_ball(ball: Ball) -> None:
     """Check every structural invariant; raise InvariantError naming the first failure.
 
-    Covers: level-contiguous ids, degree/deficit budget, adjacency symmetry,
-    level differences of at most one along edges, down/side degree per type,
-    each ring a single cycle of consecutive ids, and ring population counts
-    matching the growth recurrence.
+    Covers: levels rising by 0 or 1 per id, 7 entries in interior rows,
+    adjacency symmetry, level differences of at most one along edges,
+    down/side degree per type, each ring a single cycle of consecutive ids,
+    and ring population counts matching the growth recurrence.
 
     A generic CSR check that shares no row arithmetic with ``build_ball``.  It
     runs over blocks of ``_BLOCK`` rows, which bounds its temporaries, and
     finds each entry's source in its target's row to check symmetry.
     """
     n, m = ball.n, ball.radius
-    starts = ball.level_start
-    if len(starts) != m + 2 or starts[0] != 0 or starts[-1] != n:
-        raise InvariantError("level_start does not partition the id range")
-    ring_len = np.diff(starts)
-    if np.any(ring_len <= 0):
-        raise InvariantError("empty level block")
+    if not (n and ball.level[0] == 0 and ball.level[-1] == m):
+        raise InvariantError("levels must run from 0 at the root to the radius")
     ptr, idx = ball.indptr, ball.indices
     if len(ptr) != n + 1 or ptr[0] != 0 or ptr[-1] != idx.size:
         raise InvariantError("indptr does not delimit the adjacency rows")
 
     fault = _first_fault(n, _vertex_faults, ball)
+    starts = ball.level_start
     if fault is None and idx.size:
         # with distinct entries in each row, the adjacency is symmetric iff
         # each forward entry has its reverse and forward entries are half
         # of all, so only forward entries need a lookup
         balanced = 2 * _forward_entries(ball) == idx.size
-        fault = _first_fault(n, _row_faults, ball, ring_len, balanced)
+        fault = _first_fault(n, _row_faults, ball, np.diff(starts), balanced)
     if fault is not None:
         raise InvariantError(fault)
 
@@ -340,18 +345,16 @@ def _vertex_faults(ball: Ball, lo: int, hi: int):
     """The per-vertex checks of ``validate_ball`` on vertices lo..hi-1."""
     ids = np.arange(lo, hi)
     lvl = ball.level[lo:hi]
-    expected = np.searchsorted(ball.level_start, ids, side="right") - 1
-    yield "vertex levels are not id-contiguous blocks", not np.array_equal(lvl, expected)
+    rise = np.diff(ball.level[max(lo - 1, 0):hi])
+    yield "levels must rise by 0 or 1 per id", np.any((rise < 0) | (rise > 1))
     vtype = ball.vtype[lo:hi]
     yield ("type 0 must appear exactly at the root",
            np.any((vtype == VertexType.ZEROTH) != (ids == 0)))
     yield "unknown vertex type", np.any((vtype < 0) | (vtype > VertexType.SECOND))
-    deficit = ball.deficit[lo:hi]
-    yield ("stored degree plus deficit must equal 7",
-           np.any(np.diff(ball.indptr[lo:hi + 1]) + deficit != DEGREE))
-    yield "deficit out of range", np.any((deficit < 0) | (deficit > DEGREE))
-    yield ("interior vertex with nonzero deficit",
-           np.any((deficit != 0) & (lvl < ball.radius)))
+    length = np.diff(ball.indptr[lo:hi + 1])
+    yield "row length out of 0..7", np.any((length < 0) | (length > DEGREE))
+    yield ("interior rows must have 7 entries",
+           np.any((length != DEGREE) & (lvl < ball.radius)))
 
 
 def _row_faults(ball: Ball, ring_len: np.ndarray, balanced: bool, lo: int, hi: int):
@@ -371,11 +374,12 @@ def _row_faults(ball: Ball, ring_len: np.ndarray, balanced: bool, lo: int, hi: i
     yield ("adjacency rows must be strictly ascending",
            np.any((idx[1:] <= idx[:-1]) & (row[1:] == row[:-1])))
     # the source of each forward entry (u < w) must be stored in the row of
-    # w, among its 7 - deficit entries from indptr[w]; sources sit low in
-    # ascending rows, so the probes stop once every source is found
+    # w, among its entries from indptr[w]; sources sit low in ascending
+    # rows, so the probes stop once every source is found
     forward = idx > u
     source, target = u[forward], idx[forward]
-    start, stored = ball.indptr[target], DEGREE - ball.deficit[target]
+    start, stored = ball.indptr[target], ball.indptr[1:][target]
+    stored -= start
     found = np.zeros(source.size, dtype=bool)
     for k in range(DEGREE):
         hit = indices.take(start, mode="clip") == source
@@ -612,7 +616,7 @@ def _ball_lines(ball: Ball):
         hi = min(lo + _WRITE_ROWS, ball.n)
         ptr = ball.indptr[lo:hi + 1]
         lead = np.column_stack((np.arange(lo, hi), ball.level[lo:hi],
-                                ball.vtype[lo:hi], ball.deficit[lo:hi]))
+                                ball.vtype[lo:hi], DEGREE - np.diff(ptr)))
         # each row's neighbors, with id, level, type and deficit put before them
         tokens = np.insert(ball.indices[ptr[0]:ptr[-1]],
                            np.repeat(ptr[:-1] - ptr[0], 4), lead.ravel())
@@ -668,9 +672,7 @@ def _parse_ball(head: bytes, values: np.ndarray, ends: np.ndarray) -> Ball:
                                         side="right") + 1
             raise FormatError(f"vertex line {line}: neighbor id out of range")
         indices[indptr[lo]:indptr[hi]] = ids
-    return Ball(m, level.astype(np.int32), vtype.astype(np.int8),
-                deficit.astype(np.int8), np.searchsorted(level, np.arange(m + 2)),
-                indptr, indices)
+    return Ball(m, level.astype(np.int32), vtype.astype(np.int8), indptr, indices)
 
 
 def deserialize_ball(data: bytes) -> Ball:

@@ -12,7 +12,7 @@ from . import closed_form as cf
 from .ball import build_ball, load_ball, save_ball
 from .errors import CapacityError, FormatError, InvariantError
 from .geometry import build_embedding
-from .render import load_palette, render_state, render_tiling
+from .render import load_palette, render_state
 from .sandpile import (mass, max_stable, perturb, relax, relax_batch,
                        save_odometer, save_state, load_state)
 from .verify import DEFAULT_SEED, run_default_suite
@@ -213,13 +213,11 @@ def cmd_render(args) -> int:
         state = max_stable(ball)
     else:
         state = None
-    if state is None:
-        svg = render_tiling(emb, edges=args.edges if args.edges != "none" else "both",
-                            size=args.size, homothety=args.homothety, zoom=zoom)
-    else:
-        svg = render_state(state, emb, palette=palette, homothety=args.homothety,
-                           edges=args.edges, size=args.size, zoom=zoom,
-                           skip_subpixel=not args.keep_subpixel)
+    # the bare tiling has no fills, so it always draws edges
+    edges = "both" if state is None and args.edges == "none" else args.edges
+    svg = render_state(state, emb, palette=palette, homothety=args.homothety,
+                       edges=edges, size=args.size, zoom=zoom,
+                       skip_subpixel=not args.keep_subpixel)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"# render  m={ball.radius}  cells={ball.n}  out={args.out}")

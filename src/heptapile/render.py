@@ -101,8 +101,7 @@ def render_state(state, embedding: Embedding, *, palette=None,
     Klein-plane point; cells falling outside the window are culled.  With
     ``skip_subpixel`` cells whose final radius exceeds 1 - 1e-4 are dropped.
     """
-    if state is not None and state.ball is not embedding.ball \
-            and state.ball != embedding.ball:
+    if state is not None and state.ball != embedding.ball:
         raise ValueError("state and embedding use different balls")
     if edges not in ("none", "primal", "dual", "both"):
         raise ValueError(f"unknown edges mode {edges!r}")

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from heptapile import (DEGREE, Ball, CapacityError, FormatError, InvariantError,
-                       VertexType, build_ball, distance_profile, level_counts,
-                       load_ball, save_ball, validate_ball)
+                       VertexType, ball_size, build_ball, distance_profile,
+                       level_counts, load_ball, save_ball, validate_ball)
 from heptapile import ball as ball_module
 from heptapile.ball import (_format_ints, _parse_ints, _sign, deserialize_ball,
                             link_cycles, serialize_ball)
@@ -214,6 +214,24 @@ def test_down_degrees_by_type(ball_cache):
             down = sum(1 for u in b.neighbors(v) if b.level[u] == lvl - 1)
             expected = 1 if b.vtype[v] == VertexType.FIRST else 2
             assert down == expected
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_derived_views_follow_the_closed_forms(m, ball_cache):
+    # deficit and level_start are computed from indptr and level, on a
+    # built ball and on the same ball read back from its file
+    built = ball_cache(m)
+    for b in (built, deserialize_ball(serialize_ball(built))):
+        starts, deficit = b.level_start, b.deficit
+        assert starts.dtype == np.int64 and deficit.dtype == np.int8
+        assert starts.tolist() == [0] + [ball_size(l) for l in range(m + 1)]
+        if not m:
+            assert deficit.tolist() == [DEGREE]
+            continue
+        outer = int(starts[m])
+        assert not deficit[:outer].any()
+        first = b.vtype[outer:] == VertexType.FIRST
+        assert np.array_equal(deficit[outer:], np.where(first, 4, 3))
 
 
 def test_interior_deficit_zero_boundary_positive(ball_cache):
@@ -520,7 +538,7 @@ def _one_sided(b: Ball, u: int) -> Ball:
     lower = next(w for w in range(u - 1, -1, -1) if w not in row)
     idx = b.indices.copy()
     idx[b.indptr[u]:b.indptr[u + 1]] = sorted(row[:-1] + [lower])
-    return Ball(b.radius, b.level, b.vtype, b.deficit, b.level_start, b.indptr, idx)
+    return Ball(b.radius, b.level, b.vtype, b.indptr, idx)
 
 
 @pytest.mark.parametrize("block", [None, 3])
@@ -537,16 +555,26 @@ def test_validate_rejects_a_one_sided_backward_entry(monkeypatch, ball_cache, bl
 def test_validate_finds_faults_in_a_late_block(monkeypatch, ball_cache):
     monkeypatch.setattr(ball_module, "_BLOCK", 3)
     b = ball_cache(3)
-    deficit = b.deficit.copy()
-    deficit[b.n - 2] += 1
-    with pytest.raises(InvariantError, match="degree plus deficit"):
-        validate_ball(Ball(b.radius, b.level, b.vtype, deficit, b.level_start,
-                           b.indptr, b.indices))
+    vtype = b.vtype.copy()
+    vtype[b.n - 2] = VertexType.ZEROTH
+    with pytest.raises(InvariantError, match="type 0"):
+        validate_ball(Ball(b.radius, b.level, vtype, b.indptr, b.indices))
     idx = b.indices.copy()
     idx[-1] = b.n
     with pytest.raises(InvariantError, match="out of range"):
-        validate_ball(Ball(b.radius, b.level, b.vtype, b.deficit, b.level_start,
-                           b.indptr, idx))
+        validate_ball(Ball(b.radius, b.level, b.vtype, b.indptr, idx))
+
+
+def test_validate_rejects_levels_out_of_order(monkeypatch, ball_cache):
+    b = ball_cache(3)
+    with pytest.raises(InvariantError, match="from 0 at the root to the radius"):
+        validate_ball(Ball(b.radius + 1, b.level, b.vtype, b.indptr, b.indices))
+    # with blocks of 3 rows, the fall from id 2 to id 3 crosses a block boundary
+    monkeypatch.setattr(ball_module, "_BLOCK", 3)
+    level = b.level.copy()
+    level[3] = 0
+    with pytest.raises(InvariantError, match="rise by 0 or 1"):
+        validate_ball(Ball(b.radius, level, b.vtype, b.indptr, b.indices))
 
 
 def test_validate_rejects_crossed_edges(ball_cache):
@@ -563,8 +591,7 @@ def test_validate_rejects_crossed_edges(ball_cache):
                     and x not in rx and z not in rz:
                 idx[b.indptr[x]:b.indptr[x + 1]] = rx
                 idx[b.indptr[z]:b.indptr[z + 1]] = rz
-                crossed = Ball(b.radius, b.level, b.vtype, b.deficit,
-                               b.level_start, b.indptr, idx)
+                crossed = Ball(b.radius, b.level, b.vtype, b.indptr, idx)
                 with pytest.raises(InvariantError, match="not symmetric"):
                     validate_ball(crossed)
                 return
@@ -603,8 +630,7 @@ def test_validate_rejects_every_single_entry_change():
         idx = b.indices.copy()
         idx[pos] = new  # the row of some vertex gains or loses a neighbor
         with pytest.raises(InvariantError):
-            validate_ball(Ball(b.radius, b.level, b.vtype, b.deficit,
-                               b.level_start, b.indptr, idx))
+            validate_ball(Ball(b.radius, b.level, b.vtype, b.indptr, idx))
 
     check()
 

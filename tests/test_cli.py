@@ -182,6 +182,20 @@ def test_render_with_palette_and_zoom(tmp_path, capsys):
     assert 0 < len(fills) < 29  # the window keeps the middle, culls the rim
 
 
+@pytest.mark.parametrize("source", [(), ("--max-stable",)])
+def test_render_keep_subpixel_draws_every_cell(tmp_path, capsys, source):
+    # the bare tiling culls the rim like a colored state does, and with
+    # --keep-subpixel both draw every cell of the radius-7 ball
+    out = tmp_path / "t.svg"
+    drawn = []
+    for keep in ((), ("--keep-subpixel",)):
+        code, _, _ = run(capsys, "render", "-m", "7", "--edges", "dual", *source,
+                         *keep, "--out", str(out))
+        assert code == 0
+        drawn.append(out.read_text().count(' id="v'))
+    assert drawn == [421, 4264]
+
+
 def test_render_bad_zoom(tmp_path, capsys):
     code, _, err = run(capsys, "render", "-m", "1", "--max-stable", "--zoom",
                        "1,2", "--out", str(tmp_path / "n.svg"))

@@ -150,3 +150,26 @@ def test_wave_relax_multi_matches_direct(ball_cache):
             via = wave_relax_multi(b, sites)
             assert via.state == direct.state
             assert via.odometer == direct.odometer
+
+
+def _seventh_rotation(ball):
+    """v -> start + (v - start + |ring| / 7) mod |ring| on every ring, the root
+    fixed: the automorphism of ``test_rotation_by_a_seventh_is_an_automorphism``."""
+    start = ball.level_start[ball.level]
+    size = np.diff(ball.level_start)[ball.level]
+    return start + (np.arange(ball.n) - start + size // 7) % size
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_root_relaxation_is_invariant_under_a_seventh_rotation(m, ball_cache):
+    # the rotation fixes the root, so it maps the relaxation of one grain
+    # at the root, and each of its waves, onto itself
+    b = ball_cache(m)
+    rot = _seventh_rotation(b)
+    res = relax(perturb(max_stable(b), [0]))
+    assert np.array_equal(res.state.grains[rot], res.state.grains)
+    assert np.array_equal(res.odometer.counts[rot], res.odometer.counts)
+    fronts = wave_relax(b, 0).fronts
+    assert len(fronts) == m + 1
+    for front in fronts:
+        assert np.array_equal(np.sort(rot[front]), front)
