@@ -14,8 +14,7 @@ from .closed_form import (alpha, ball_size, fib, level_counts, mass_loss,
 from .errors import CapacityError, FormatError, InvariantError
 from .geometry import (EDGE_LENGTH, Embedding, build_embedding, edge_lengths,
                        hyperbolic_distance, interior_angles, klein)
-from .render import (DEFAULT_PALETTE, cell_fills, color_histogram,
-                     render_state, render_tiling)
+from .render import DEFAULT_PALETTE, cell_fills, color_histogram, render_state
 from .sandpile import (Odometer, RelaxResult, State, is_legal, is_stable,
                        laplacian_delta, load_odometer, load_state, mass,
                        max_stable, perturb, relax, relax_batch, relax_random,
@@ -34,7 +33,6 @@ __all__ = [
     "EDGE_LENGTH", "Embedding", "build_embedding", "edge_lengths",
     "hyperbolic_distance", "interior_angles", "klein",
     "DEFAULT_PALETTE", "cell_fills", "color_histogram", "render_state",
-    "render_tiling",
     "Odometer", "RelaxResult", "State", "is_legal", "is_stable",
     "laplacian_delta", "load_odometer", "load_state", "mass", "max_stable",
     "perturb", "relax", "relax_batch", "relax_random", "save_odometer",

@@ -29,11 +29,14 @@ the bytes before it; ``_sign`` and ``_write_signed`` write that line and
 ``_split_checked`` checks it.  Between the header and that line, every format
 is lines of integers separated by single spaces: ``_format_ints`` writes them
 and ``_parse_ints``, its inverse, reads them, both in whole-array numpy, and
-no other code formats or parses that grammar.
+no other code formats or parses that grammar.  A ball file is never parsed:
+a ball is fixed by its radius, so ``deserialize_ball`` compares the file with
+the serialized ball of the radius its header states.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from collections import deque
@@ -170,6 +173,10 @@ def _csr_size(m: int) -> tuple:
     return n, DEGREE * (n - a - b) + 3 * a + 4 * b
 
 
+# the largest radius whose adjacency entries int32 neighbor ids can address
+_MAX_RADIUS = next(m for m in itertools.count() if _csr_size(m + 1)[1] > _INT32_MAX)
+
+
 def build_ball(m: int) -> Ball:
     """Construct and validate the radius-``m`` ball.
 
@@ -191,6 +198,11 @@ def build_ball(m: int) -> Ball:
     """
     if m < 0:
         raise ValueError("radius must be nonnegative")
+    # refused before any arithmetic that grows with m
+    if m > _MAX_RADIUS:
+        raise CapacityError(
+            f"ball of radius {m} is beyond radius {_MAX_RADIUS}, the last whose "
+            f"adjacency entries int32 neighbor ids can address")
     sizes = _ring_sizes(m)
     n, entries = _csr_size(m)
     need, have = n * _BYTES_PER_VERTEX, _physical_memory()
@@ -198,10 +210,6 @@ def build_ball(m: int) -> Ball:
         raise CapacityError(
             f"ball of radius {m} has {n} vertices and needs about {need:.3g} "
             f"bytes, beyond the {have:.3g} bytes of physical memory")
-    if entries > _INT32_MAX:
-        raise CapacityError(
-            f"ball of radius {m} has {entries} adjacency entries, beyond the "
-            f"{_INT32_MAX} that int32 neighbor ids can address")
 
     ring_size = np.array([1] + [a + b for a, b in sizes], dtype=np.int64)
     level_start = np.concatenate(([0], np.cumsum(ring_size)))
@@ -284,6 +292,11 @@ def validate_ball(ball: Ball) -> None:
     A generic CSR check that shares no row arithmetic with ``build_ball``.  It
     runs over blocks of ``_BLOCK`` rows, which bounds its temporaries, and
     finds each entry's source in its target's row to check symmetry.
+
+    The checks are necessary, not sufficient: crossing two up-edges x-y and
+    z-w into x-w and z-y, in all four rows, keeps every one of them on a
+    graph that is not the tiling's ball.  That is why ``deserialize_ball``
+    compares a file with the built ball instead of validating what it reads.
     """
     n, m = ball.n, ball.radius
     if not (n and ball.level[0] == 0 and ball.level[-1] == m):
@@ -470,14 +483,15 @@ def link_cycles(ball: Ball) -> np.ndarray:
     return cyc
 
 
-_BALL_HEADER = re.compile(rb"HEPTABALL v2 m=(\d{1,19}) n=(\d{1,19})")
+_BALL_HEADER = re.compile(rb"HEPTABALL v2 m=(0|[1-9]\d{0,18}) n=([1-9]\d{0,18})")
 _SEPARATOR = re.compile(rb"[\x00- ]")
 _SPACING = "lines must hold integers separated by single spaces"
 
-# bytes of text tokenized at once, and vertex lines formatted at once: both
-# bound the codec's temporaries, so that a ball is saved or loaded in little
-# more memory than the ball and its parsed tokens (saving the m=10 ball, a
-# 3 MB file, peaks at 0.8 MB with 1024 lines at once and 2.7 MB with 4096)
+# bytes of state or odometer text tokenized at once, and vertex lines
+# formatted at once: both bound the codec's temporaries, the second when a
+# ball is saved and when it is loaded, which compares a chunk of lines at a
+# time (saving the m=10 ball, a 3 MB file, peaks at 0.8 MB with 1024 lines
+# at once and 2.7 MB with 4096)
 _PARSE_CHUNK = 1 << 20
 _WRITE_ROWS = 1024
 
@@ -630,62 +644,37 @@ def serialize_ball(ball: Ball) -> bytes:
     return _sign(b"".join(_ball_lines(ball)))
 
 
-def _parse_ball(head: bytes, values: np.ndarray, ends: np.ndarray) -> Ball:
-    """Read the header and the tokens of the vertex lines into an unvalidated ball."""
+def deserialize_ball(data: bytes) -> Ball:
+    """The ball that ``data`` serializes; any other bytes raise FormatError.
+
+    A ball is fixed by its radius, so the vertex lines are not parsed: they
+    are compared, a chunk of ``_ball_lines`` at a time, with those of the
+    radius-m ball, and the first difference names its file line.  The
+    header and the number of vertex lines are checked before the ball is
+    built, so that a short file cannot ask for a large ball.
+    """
+    head, _ = _split_checked(data)
     header = _BALL_HEADER.fullmatch(head)
     if header is None:
         raise FormatError(f"malformed header: {head!r}")
     m, n = int(header.group(1)), int(header.group(2))
-    last = np.flatnonzero(ends)
-    if last.size != n:
-        raise FormatError(f"expected {n} vertex lines, found {last.size}")
-    width = np.diff(last, prepend=-1)
-    first = last + 1 - width
-    # clipped: a truncated last line is reported below, not read past the end
-    vid, level, vtype, deficit = (values.take(first + k, mode="clip") for k in range(4))
-    for bad, what in ((width < 4, "truncated"),
-                      (vid != np.arange(n), "vertex ids must be 0..n-1 in order"),
-                      ((vtype < 0) | (vtype > 2), "unknown vertex type"),
-                      ((deficit < 0) | (deficit > DEGREE), "deficit out of range"),
-                      (width - 4 + deficit != DEGREE, "degree plus deficit is not 7")):
-        if bad.any():
-            raise FormatError(f"vertex line {int(np.argmax(bad)) + 2}: {what}")
-    if np.any(np.diff(level) < 0):
-        raise FormatError("vertex lines are not level-major")
-    # m + 1 nonempty levels: every level is below n, so int32 holds it
-    if not (m < n and level[0] >= 0 and level[-1] == m):
-        raise FormatError("stated radius disagrees with vertex levels")
-    indptr = np.concatenate(([0], np.cumsum(width - 4)))
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    # narrowed to int32 a block of lines at a time, each id checked first to
-    # lie in 0..n-1 (and below 2**31), so that none can wrap onto a valid one
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        tokens = values[first[lo]:last[hi - 1] + 1]
-        keep = np.ones(tokens.size, dtype=bool)
-        for k in range(4):
-            keep[first[lo:hi] - first[lo] + k] = False
-        ids = tokens[keep]
-        bad = (ids < 0) | (ids >= min(n, _INT32_MAX + 1))
-        if bad.any():
-            line = lo + np.searchsorted(indptr[lo:hi + 1] - indptr[lo], np.argmax(bad),
-                                        side="right") + 1
-            raise FormatError(f"vertex line {line}: neighbor id out of range")
-        indices[indptr[lo]:indptr[hi]] = ids
-    return Ball(m, level.astype(np.int32), vtype.astype(np.int8), indptr, indices)
-
-
-def deserialize_ball(data: bytes) -> Ball:
-    """Parse and fully validate a serialized ball."""
-    head, text = _split_checked(data)
-    tokens = _parse_ints(text)
-    del data, text  # from here on the tokens stand in for the text
-    ball = _parse_ball(head, *tokens)
-    del tokens
-    try:
-        validate_ball(ball)
-    except InvariantError as exc:
-        raise FormatError(str(exc)) from exc
+    if not (m <= _MAX_RADIUS and _csr_size(m)[0] == n):
+        raise FormatError(f"stated radius disagrees with the vertex count: m={m}, n={n}")
+    lines = data.count(b"\n") - 2  # less the header and CHECK lines
+    if lines != n:
+        raise FormatError(f"expected {n} vertex lines, found {lines}")
+    ball = build_ball(m)
+    chunks = _ball_lines(ball)
+    next(chunks)  # the header, checked above
+    # with n lines in both, vertex lines that start with every chunk end there
+    at, line = len(head) + 1, 2
+    for chunk in chunks:
+        if not data.startswith(chunk, at):
+            same = os.path.commonprefix([data[at:at + len(chunk)], chunk])
+            line += chunk.count(b"\n", 0, len(same))
+            raise FormatError(f"line {line} differs from the radius-{m} ball")
+        at += len(chunk)
+        line += chunk.count(b"\n")
     return ball
 
 

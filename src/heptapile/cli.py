@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--ball", default=None,
-                   help="validate a ball file instead of running the battery")
+                   help="check that a ball file is the ball of its stated "
+                        "radius, byte for byte, instead of running the battery")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="time the relaxation engines")

@@ -209,11 +209,6 @@ def _outside_window(lo: np.ndarray, hi: np.ndarray, limit: float = 1.05) -> np.n
             | (hi[:, 1] < -limit) | (lo[:, 1] > limit))
 
 
-def render_tiling(embedding: Embedding, *, edges: str = "both", **kwargs) -> str:
-    """Edge diagram of the ball without any state coloring."""
-    return render_state(None, embedding, edges=edges, **kwargs)
-
-
 def cell_fills(svg_text: str) -> dict:
     """Map vertex id to fill color for every cell in rendered SVG text."""
     out = {}

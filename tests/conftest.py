@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from heptapile import build_ball
+from heptapile import Ball, build_ball
 
 _BALLS = {}
 
@@ -13,3 +14,31 @@ def ball_cache():
             _BALLS[m] = build_ball(m)
         return _BALLS[m]
     return get
+
+
+def _crossed(b, x, y, z, w):
+    """``b`` with edges x-y and z-w crossed into x-w and z-y, in all four rows."""
+    rows = [b.neighbors(v).tolist() for v in range(b.n)]
+    for u, old, new in ((x, y, w), (y, x, z), (z, w, y), (w, z, x)):
+        assert old in rows[u] and new not in rows[u]
+        rows[u] = sorted(set(rows[u]) - {old} | {new})
+    return Ball(b.radius, b.level, b.vtype, b.indptr,
+                np.concatenate(rows).astype(np.int32))
+
+
+def _reflected(b):
+    """``b`` with ring position j renumbered -j mod |ring| on every ring."""
+    start = b.level_start[b.level]
+    size = np.diff(b.level_start)[b.level]
+    image = start + (start - np.arange(b.n)) % size  # an involution
+    rows = [np.sort(image[b.neighbors(v)]) for v in image]
+    indptr = np.concatenate(([0], np.cumsum(np.diff(b.indptr)[image])))
+    return Ball(b.radius, b.level, b.vtype[image], indptr,
+                np.concatenate(rows).astype(np.int32))
+
+
+@pytest.fixture(scope="session")
+def forged_balls():
+    """Radius-4 graphs that keep every degree, level and type, but are not the ball."""
+    b = build_ball(4)
+    return {"crossed": _crossed(b, 8, 29, 11, 37), "reflected": _reflected(b)}

@@ -123,6 +123,19 @@ def test_index_width_refused_before_allocation(monkeypatch):
         build_ball(20)
 
 
+@pytest.mark.parametrize("m", [1000, 20000, 10**18])
+def test_huge_radius_refused_before_any_arithmetic(m):
+    # each used to run the ring recurrence first: m=1000 overflowed a float,
+    # m=20000 the int-to-string limit, and m=10**18 never returned
+    with pytest.raises(CapacityError, match="beyond radius 19"):
+        build_ball(m)
+
+
+def test_max_radius_follows_the_ring_recurrence():
+    top = ball_module._MAX_RADIUS
+    assert ball_module._csr_size(top)[1] <= 2**31 - 1 < ball_module._csr_size(top + 1)[1]
+
+
 def test_csr_size_counts_vertices_and_entries(ball_cache):
     for m in range(9):
         b = ball_cache(m)
@@ -403,8 +416,9 @@ def test_asymmetric_adjacency_rejected(ball_cache):
         deserialize_ball(resign(lines))
 
 
-# (line index, replacement, message): each malformed vertex line of the
-# radius-1 ball, re-signed, is rejected by the check it breaks
+# (line index, replacement, what it breaks): each malformed line of the
+# radius-1 ball, re-signed, is rejected; a header with that message, a vertex
+# line as the first file line that differs from the built ball
 @pytest.mark.parametrize("line, text, message", [
     (2, b"1 1 1", "truncated"),
     (8, b"7 1 1", "truncated"),
@@ -429,7 +443,8 @@ def test_asymmetric_adjacency_rejected(ball_cache):
 def test_malformed_vertex_line_rejected(ball_cache, line, text, message):
     lines = serialize_ball(ball_cache(1)).splitlines()[:-1]
     lines[line] = text
-    with pytest.raises(FormatError, match=message):
+    expected = message if line == 0 else f"line {line + 1} differs"
+    with pytest.raises(FormatError, match=expected):
         deserialize_ball(resign(lines))
 
 
@@ -510,8 +525,8 @@ def test_ball_file_is_the_same_in_small_pieces(monkeypatch, tmp_path, ball_cache
 
 def test_ball_file_io_memory_is_bounded(tmp_path, ball_cache):
     # saving streams a few thousand vertex lines at a time; loading holds
-    # the file, then its tokens, and the parsed ball (4.9x the file size at
-    # m=10, where the whole-text codec took 8x)
+    # the file and builds the ball beside it, then compares a chunk of lines
+    # at a time (2.3x the file size at m=10)
     b = ball_cache(10)
     path = tmp_path / "b.heptaball"
     tracemalloc.start()
@@ -525,7 +540,7 @@ def test_ball_file_io_memory_is_bounded(tmp_path, ball_cache):
         tracemalloc.stop()
     size = path.stat().st_size
     assert save_peak < size / 2
-    assert load_peak < 6 * size
+    assert load_peak < 3 * size
 
 
 def _one_sided(b: Ball, u: int) -> Ball:
@@ -596,6 +611,30 @@ def test_validate_rejects_crossed_edges(ball_cache):
                     validate_ball(crossed)
                 return
     raise AssertionError("no pair of edges to cross")
+
+
+@pytest.mark.parametrize("kind, message", [("crossed", "line 10 differs"),
+                                           ("reflected", "line 3 differs")])
+def test_forged_ball_file_rejected(forged_balls, kind, message):
+    forged = forged_balls[kind]
+    validate_ball(forged)  # necessary conditions only: the forgery keeps them
+    with pytest.raises(FormatError, match=message):
+        deserialize_ball(serialize_ball(forged))
+
+
+def test_ball_header_checked_before_building(monkeypatch, ball_cache):
+    # a short file stating a large radius must not get the large ball built
+    def refuse(m):
+        raise AssertionError(f"built the radius-{m} ball")
+
+    monkeypatch.setattr(ball_module, "build_ball", refuse)
+    body = serialize_ball(ball_cache(1)).splitlines()[1:-1]
+    n19 = ball_module._csr_size(19)[0]
+    for head, message in ((b"HEPTABALL v2 m=19 n=%d" % n19, "expected %d vertex lines" % n19),
+                          (b"HEPTABALL v2 m=%d n=8" % 10**18, "radius disagrees"),
+                          (b"HEPTABALL v2 m=01 n=8", "malformed header")):
+        with pytest.raises(FormatError, match=message):
+            deserialize_ball(resign([head] + body))
 
 
 def test_bad_header_rejected():

@@ -147,6 +147,39 @@ def test_verify_ball_file_with_out_of_range_level(tmp_path, capsys):
     assert "[FAIL]" in text
 
 
+@pytest.mark.parametrize("kind, line", [("crossed", 10), ("reflected", 3)])
+def test_forged_ball_file_refused_by_every_command(tmp_path, capsys, forged_balls,
+                                                    kind, line):
+    # the forgery keeps every degree, level and type, so only a comparison
+    # with the built ball refuses it
+    from heptapile.ball import serialize_ball
+    path = tmp_path / "forged.heptaball"
+    path.write_bytes(serialize_ball(forged_balls[kind]))
+    message = f"line {line} differs from the radius-4 ball"
+    code, text, _ = run(capsys, "verify", "--ball", str(path))
+    assert code == 1
+    assert f"[FAIL] ball file {path}: {message}" in text
+    state, odom = tmp_path / "s.heptastate", tmp_path / "o.heptaodom"
+    code, text, err = run(capsys, "relax", "--ball", str(path), "--p-origin", "--verify",
+                          "--state-out", str(state), "--odometer-out", str(odom))
+    assert (code, text) == (2, "")
+    assert message in err
+    assert not state.exists() and not odom.exists()
+    out = tmp_path / "forged.svg"
+    code, text, err = run(capsys, "render", "--ball", str(path), "--out", str(out))
+    assert (code, text) == (2, "")
+    assert message in err
+    assert not out.exists()
+
+
+def test_gen_refuses_a_huge_radius_at_once(tmp_path, capsys):
+    out = tmp_path / "huge.heptaball"
+    code, text, err = run(capsys, "gen", "-m", "100000000", "--out", str(out))
+    assert (code, text) == (2, "")
+    assert "beyond radius 19" in err
+    assert not out.exists()
+
+
 def test_bench_methods_agree(capsys):
     code, text, _ = run(capsys, "bench", "--m", "1..2")
     assert code == 0

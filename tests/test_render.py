@@ -6,7 +6,7 @@ import pytest
 
 from heptapile import (State, build_ball, build_embedding, cell_fills,
                        color_histogram, max_stable, predicted_beta,
-                       render_state, render_tiling)
+                       render_state)
 from heptapile.render import (DEFAULT_PALETTE, SENTINEL_COLOR, load_palette,
                               parse_palette)
 
@@ -127,7 +127,7 @@ def test_subpixel_skip():
 
 
 def test_render_tiling(emb2):
-    svg = render_tiling(emb2)
+    svg = render_state(None, emb2, edges="both")
     assert "<line" in svg
     assert svg.startswith("<svg ")
     assert svg.endswith("</svg>\n")

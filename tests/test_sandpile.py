@@ -9,7 +9,7 @@ from heptapile import (FormatError, InvariantError, Odometer, State, VertexType,
                        relax_batch, relax_random, save_odometer, save_state,
                        load_odometer, load_state, topple, total_topplings)
 from heptapile import sandpile
-from heptapile.ball import _sign
+from heptapile.ball import _sign, deserialize_ball, serialize_ball
 from heptapile.sandpile import (deserialize_odometer, deserialize_state,
                                 serialize_odometer, serialize_state)
 
@@ -319,9 +319,8 @@ def test_field_bytes_pinned(m, ball_cache):
             for name, blob in blobs.items()} == FIELD_DIGESTS[m]
 
 
-def test_field_files_round_trip(ball_cache):
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+def _field_cases(st, ball_cache):
+    """A strategy of (m, grains, odometer counts) on balls of radius 0..3."""
     # small values repeat, so the default is not always the smallest value
     signed = st.one_of(st.integers(-3, 3), st.sampled_from([-2**63, 2**63 - 1]),
                        st.integers(-2**63, 2**63 - 1))
@@ -332,8 +331,15 @@ def test_field_files_round_trip(ball_cache):
         return st.tuples(st.just(m), st.lists(signed, min_size=n, max_size=n),
                          st.lists(counts, min_size=n, max_size=n))
 
+    return st.integers(0, 3).flatmap(fields)
+
+
+def test_field_files_round_trip(ball_cache):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
     @hypothesis.settings(max_examples=50, deadline=None, database=None)
-    @hypothesis.given(st.integers(0, 3).flatmap(fields))
+    @hypothesis.given(_field_cases(st, ball_cache))
     def check(case):
         m, grains, odo = case
         b = ball_cache(m)
@@ -341,6 +347,43 @@ def test_field_files_round_trip(ball_cache):
         odometer = Odometer(b, np.array(odo, dtype=np.int64))
         assert deserialize_state(serialize_state(state), b) == state
         assert deserialize_odometer(serialize_odometer(odometer), b) == odometer
+
+    check()
+
+
+def test_every_single_byte_mutation_rejected(ball_cache):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def ball_file(m):
+        return st.just((serialize_ball(ball_cache(m)), deserialize_ball))
+
+    def field_files(case):
+        m, grains, odo = case
+        b = ball_cache(m)
+        state = serialize_state(State(b, np.array(grains, dtype=np.int64)))
+        odometer = serialize_odometer(Odometer(b, np.array(odo, dtype=np.int64)))
+        return st.sampled_from([(state, lambda blob: deserialize_state(blob, b)),
+                                (odometer, lambda blob: deserialize_odometer(blob, b))])
+
+    files = st.one_of(st.integers(0, 4).flatmap(ball_file),
+                      _field_cases(st, ball_cache).flatmap(field_files))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(files, st.data())
+    def check(file, data):
+        blob, load = file
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        byte = data.draw(st.integers(0, 255).filter(lambda x: x != blob[pos]))
+        mutated = blob[:pos] + bytes([byte]) + blob[pos + 1:]
+        with pytest.raises(FormatError):
+            load(mutated)
+        # a ball file must be the built ball's bytes, so it stays refused
+        # when re-signed; a state or odometer file may then be another valid one
+        signed = blob.rindex(b"CHECK ")
+        if load is deserialize_ball and pos < signed:
+            with pytest.raises(FormatError):
+                load(_sign(mutated[:signed]))
 
     check()
 
