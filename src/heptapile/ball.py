@@ -64,8 +64,29 @@ _BLOCK = 1 << 12
 
 
 def _physical_memory() -> int:
-    """Bytes of physical memory, the ceiling for one ball."""
+    """Bytes of physical memory, the ceiling for one ball and its relaxation."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _require_memory(what: str, m: int, bytes_per_vertex: int) -> tuple:
+    """Refuse a job on the radius-``m`` ball that cannot fit; else its CSR size.
+
+    Raises ``CapacityError`` for a radius beyond ``_MAX_RADIUS``, before any
+    arithmetic that grows with ``m``, and for a job whose peak, modeled as
+    ``bytes_per_vertex`` per vertex, exceeds physical memory.  Callers check
+    before they allocate anything.  Returns the vertex and entry counts.
+    """
+    if m > _MAX_RADIUS:
+        raise CapacityError(
+            f"ball of radius {m} is beyond radius {_MAX_RADIUS}, the last whose "
+            f"adjacency entries int32 neighbor ids can address")
+    n, entries = _csr_size(m)
+    need, have = n * bytes_per_vertex, _physical_memory()
+    if need > have:
+        raise CapacityError(
+            f"{what} of radius {m} has {n} vertices and needs about {need:.3g} "
+            f"bytes, beyond the {have:.3g} bytes of physical memory")
+    return n, entries
 
 
 class VertexType(IntEnum):
@@ -198,18 +219,8 @@ def build_ball(m: int) -> Ball:
     """
     if m < 0:
         raise ValueError("radius must be nonnegative")
-    # refused before any arithmetic that grows with m
-    if m > _MAX_RADIUS:
-        raise CapacityError(
-            f"ball of radius {m} is beyond radius {_MAX_RADIUS}, the last whose "
-            f"adjacency entries int32 neighbor ids can address")
+    n, entries = _require_memory("ball", m, _BYTES_PER_VERTEX)
     sizes = _ring_sizes(m)
-    n, entries = _csr_size(m)
-    need, have = n * _BYTES_PER_VERTEX, _physical_memory()
-    if need > have:
-        raise CapacityError(
-            f"ball of radius {m} has {n} vertices and needs about {need:.3g} "
-            f"bytes, beyond the {have:.3g} bytes of physical memory")
 
     ring_size = np.array([1] + [a + b for a, b in sizes], dtype=np.int64)
     level_start = np.concatenate(([0], np.cumsum(ring_size)))

@@ -3,20 +3,21 @@
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 
 import numpy as np
 
 from . import closed_form as cf
-from .ball import build_ball, load_ball, save_ball
+from .ball import _BYTES_PER_VERTEX, _require_memory, build_ball, load_ball, save_ball
 from .errors import CapacityError, FormatError, InvariantError
 from .geometry import build_embedding
 from .render import load_palette, render_state
-from .sandpile import (mass, max_stable, perturb, relax, relax_batch,
-                       save_odometer, save_state, load_state)
+from .sandpile import (_BATCH_BYTES_PER_VERTEX, mass, max_stable, perturb, relax,
+                       relax_batch, save_odometer, save_state, load_state)
 from .verify import DEFAULT_SEED, run_default_suite
-from .waves import wave_relax
+from .waves import _WAVE_BYTES_PER_VERTEX, wave_relax
 
 
 def _parse_range(text: str) -> range:
@@ -157,6 +158,48 @@ def _bench_once(ball, method: str):
     return state, odom, topples, dequeues, time.perf_counter() - t0
 
 
+def _bench_radius(ball, methods, repeat) -> bool:
+    """Run every method ``repeat`` times on the ball; print its rows if all agree.
+
+    At most two results are alive at once: the first run's state and
+    odometer, which every later run must equal, and the run just finished,
+    which is compared and dropped at once.
+    """
+    m, first, rows = ball.radius, None, []
+    for method in methods:
+        best = None
+        for _ in range(repeat):
+            state, odom, topples, dequeues, dt = _bench_once(ball, method)
+            if first is None:
+                first = state, odom
+                expected = cf.total_topplings(m)
+                if int(odom.counts.sum()) != expected:
+                    print(f"MISMATCH at m={m}: total topplings != {expected}")
+                    return False
+            elif state != first[0] or odom != first[1]:
+                print(f"MISMATCH at m={m}: {method} disagrees with {methods[0]}")
+                return False
+            del state, odom
+            if best is None or dt < best[-1]:
+                best = topples, dequeues, dt
+        rows.append((method, *best))
+    for method, topples, dequeues, dt in rows:
+        print(f"{m:>3} {ball.n:>9} {method:>12} {dt:>10.4f} "
+              f"{topples:>10} {dequeues:>10}")
+    return True
+
+
+def _bench_bytes_per_vertex(methods) -> int:
+    """Peak memory per vertex of a bench radius, the ball included.
+
+    The largest method's own model (the queue engine and the closed forms
+    stay below the ball's), plus the first result's state and odometer,
+    held while later runs are compared.
+    """
+    own = {"batch": _BATCH_BYTES_PER_VERTEX, "wave": _WAVE_BYTES_PER_VERTEX}
+    return max(own.get(method, _BYTES_PER_VERTEX) for method in methods) + 16
+
+
 def cmd_bench(args) -> int:
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
     known = {"naive", "batch", "wave", "closed"}
@@ -166,29 +209,18 @@ def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     radii = _parse_range(args.m)
+    # the largest radius needs the most, so a range that cannot finish
+    # is refused before its first ball is built
+    _require_memory("bench", radii[-1], _bench_bytes_per_vertex(methods))
     print(f"# bench  radii={args.m}  methods={','.join(methods)}  "
           f"repeat={args.repeat}")
     print(f"{'m':>3} {'vertices':>9} {'method':>12} {'seconds':>10} "
           f"{'topples':>10} {'dequeues':>10}")
     for m in radii:
-        ball = build_ball(m)
-        results = {method: min((_bench_once(ball, method) for _ in range(args.repeat)),
-                               key=lambda out: out[-1])
-                   for method in methods}
-        first = results[methods[0]]
-        for method in methods[1:]:
-            other = results[method]
-            if other[0] != first[0] or other[1] != first[1]:
-                print(f"MISMATCH at m={m}: {method} disagrees with {methods[0]}")
-                return 1
-        expected = cf.total_topplings(m)
-        if int(first[1].counts.sum()) != expected:
-            print(f"MISMATCH at m={m}: total topplings != {expected}")
+        if not _bench_radius(build_ball(m), methods, args.repeat):
             return 1
-        for method in methods:
-            _, _, topples, dequeues, dt = results[method]
-            print(f"{m:>3} {ball.n:>9} {method:>12} {dt:>10.4f} "
-                  f"{topples:>10} {dequeues:>10}")
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        print(f"# m={m} process peak RSS {peak:.1f} MiB")
     return 0
 
 

@@ -6,8 +6,13 @@ boundary vertices leak grains out of the ball.  Relaxation topples until every
 vertex is below 7; the toppling odometer counts topples per vertex, and the
 identity ``relaxed = start + laplacian(odometer)`` is re-checked after every
 run instead of trusted.  By the abelian property three schedules must agree
-exactly: a FIFO queue (``relax``), rounds on whole arrays (``relax_batch``) and
-random legal order (``relax_random``).  States and odometers are saved as
+exactly: a FIFO queue (``relax``), rounds over the whole fire set
+(``relax_batch``) and random legal order (``relax_random``).  The same
+property lets ``relax_batch`` scatter each round's grains in slices of fired
+vertices, so its temporaries beyond the grains and the odometer stay a few
+MiB at any radius, and it refuses, before allocating, a ball whose
+relaxation would not fit in physical memory.  Sums of grains are taken a
+block at a time in exact integers.  States and odometers are saved as
 sparse text files.
 """
 
@@ -20,7 +25,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .ball import DEGREE, Ball, _format_ints, _parse_ints, _sign, _split_checked
+from .ball import (DEGREE, Ball, _format_ints, _parse_ints, _require_memory, _sign,
+                   _split_checked)
 from .errors import FormatError, InvariantError
 
 _INT64_MIN = -(2**63)
@@ -126,13 +132,42 @@ def topple(state: State, v: int) -> State:
     return State(state.ball, out)
 
 
+# values per block of _exact_sum, which bounds its temporaries
+_SUM_BLOCK = 1 << 16
+
+
+def _exact_sum(values: np.ndarray, positive_only: bool = False) -> int:
+    """The exact sum of int64 values (of the positive ones only, if asked), by blocks.
+
+    Each value is split into its high and low 32 bits, whose sums over a
+    block cannot leave int64; their exact recombination is a Python int.
+    """
+    total = 0
+    for lo in range(0, values.size, _SUM_BLOCK):
+        block = values[lo:lo + _SUM_BLOCK]
+        if positive_only:
+            block = np.maximum(block, 0)
+        total += (int((block >> 32).sum()) << 32) + int((block & 0xFFFFFFFF).sum())
+    return total
+
+
 def mass(state: State) -> int:
     """Total grains, exact; rejects totals outside the signed 64-bit range."""
-    total = sum(state.grains.tolist())
+    total = _exact_sum(state.grains)
     if not _INT64_MIN <= total <= _INT64_MAX:
         raise OverflowError("total mass exceeds the signed 64-bit range")
     return total
 
+
+# fired vertices per slice of a relax_batch round, which bounds the round's
+# entry-sized temporaries
+_BATCH_SLICE = 1 << 16
+
+# peak memory of relax_batch, the ball and the input state included: a
+# process peak of 73-77 bytes per vertex measured at radii 15 to 17 (ball
+# 32, input, grains and odometer 8 each, the largest round's fire set and
+# topple counts about 10); the margin covers allocator slack
+_BATCH_BYTES_PER_VERTEX = 96
 
 # rows per block of _check_identity, which bounds its entry-sized gather
 _IDENTITY_ROWS = 1 << 14
@@ -153,38 +188,31 @@ def _check_identity(before: np.ndarray, after: np.ndarray,
 
 
 def _budget(grains: np.ndarray) -> int:
-    total = sum(grains[grains > 0].tolist())
-    return 1024 + 128 * (total + grains.size)
+    return 1024 + 128 * (_exact_sum(grains, positive_only=True) + grains.size)
 
 
 def relax(state: State) -> RelaxResult:
     """Topple until stable; returns the stable state and the odometer.
 
-    The engine keeps a FIFO queue of unstable vertices with an in-queue flag
-    and topples the dequeued vertex once.
+    The engine keeps a FIFO queue of unstable vertices and topples the
+    dequeued vertex once.  It needs no in-queue flag: outside the vertex
+    being toppled, a vertex is queued exactly when it holds 7 or more
+    grains, so a neighbor joins the queue when a grain brings it to exactly
+    7 (rows hold distinct neighbors), and every dequeued vertex can topple.
     """
     g = state.grains.tolist()
     if min(g) < 0:
         raise ValueError("relaxation requires nonnegative grain counts")
     ball = state.ball
-    n = ball.n
-    ptr, idx = ball.indptr.tolist(), memoryview(ball.indices)
-    odo = [0] * n
-    in_queue = [False] * n
-    queue = deque()
-    for v in range(n):
-        if g[v] >= DEGREE:
-            queue.append(v)
-            in_queue[v] = True
+    ptr, idx = memoryview(ball.indptr), memoryview(ball.indices)
+    odo = [0] * ball.n
+    queue = deque(np.flatnonzero(state.grains >= DEGREE).tolist())
     budget = _budget(state.grains)
     topples = 0
     while queue:
         v = queue.popleft()
-        in_queue[v] = False
-        gv = g[v]
-        if gv < DEGREE:
-            continue
-        g[v] = gv - DEGREE
+        gv = g[v] - DEGREE
+        g[v] = gv
         odo[v] += 1
         topples += 1
         if topples > budget:
@@ -192,11 +220,9 @@ def relax(state: State) -> RelaxResult:
         for u in idx[ptr[v]:ptr[v + 1]]:
             gu = g[u] + 1
             g[u] = gu
-            if gu >= DEGREE and not in_queue[u]:
-                in_queue[u] = True
+            if gu == DEGREE:
                 queue.append(u)
-        if g[v] >= DEGREE:
-            in_queue[v] = True
+        if gv >= DEGREE:
             queue.append(v)
     final = np.array(g, dtype=np.int64)
     counts = np.array(odo, dtype=np.int64)
@@ -207,31 +233,42 @@ def relax(state: State) -> RelaxResult:
 def relax_batch(state: State) -> RelaxResult:
     """Topple in rounds, each firing every vertex with g >= 7 grains g // 7 times.
 
-    ``dequeues`` counts (vertex, round) picks.  The budget bounds every grain
-    and odometer entry, so below 2**62 the int64 counts cannot wrap.
+    Each round takes ``k = g // 7`` for its whole fire set first, then
+    topples and scatters the grains ``_BATCH_SLICE`` fired vertices at a
+    time; additions commute, so the slices change no result, and the
+    round's temporaries stay a few MiB at any radius.  ``dequeues`` counts
+    (vertex, round) picks.  The budget bounds every grain and odometer
+    entry, so below 2**62 the int64 counts cannot wrap.  A ball whose
+    relaxation would not fit in memory is refused before anything is
+    allocated.
     """
-    g = state.grains.copy()
-    if g.min() < 0:
+    ball = state.ball
+    _require_memory("batch relaxation", ball.radius, _BATCH_BYTES_PER_VERTEX)
+    if state.grains.min() < 0:
         raise ValueError("relaxation requires nonnegative grain counts")
     budget = _budget(state.grains)
     if budget >= 2**62:
         raise OverflowError("too many grains to relax in 64-bit counts")
-    ball, ptr = state.ball, state.ball.indptr
+    ptr, idx = ball.indptr, ball.indices
+    g = state.grains.copy()
     odo = np.zeros(ball.n, dtype=np.int64)
     topples = dequeues = 0
     fire = np.flatnonzero(g >= DEGREE)
     while fire.size:
-        k = g[fire] // DEGREE
-        g[fire] -= DEGREE * k
-        odo[fire] += k
+        k = g[fire]
+        k //= DEGREE
         topples += int(k.sum())
         dequeues += fire.size
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
-        start, deg = ptr[fire], ptr[fire + 1] - ptr[fire]
-        # positions of the fired vertices' CSR rows in indices, concatenated
-        rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-        np.add.at(g, ball.indices[rows], np.repeat(k, deg))
+        for lo in range(0, fire.size, _BATCH_SLICE):
+            f, kf = fire[lo:lo + _BATCH_SLICE], k[lo:lo + _BATCH_SLICE]
+            g[f] -= DEGREE * kf
+            odo[f] += kf
+            start, deg = ptr[f], ptr[f + 1] - ptr[f]
+            # positions of the fired vertices' CSR rows in indices, concatenated
+            rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+            np.add.at(g, idx[rows], np.repeat(kf, deg))
         fire = np.flatnonzero(g >= DEGREE)
     _check_identity(state.grains, g, ball, odo)
     return RelaxResult(State(ball, g), Odometer(ball, odo), topples, dequeues)
@@ -247,7 +284,7 @@ def relax_random(state: State, rng: np.random.Generator) -> RelaxResult:
     if min(g) < 0:
         raise ValueError("relaxation requires nonnegative grain counts")
     ball = state.ball
-    ptr, idx = ball.indptr.tolist(), memoryview(ball.indices)
+    ptr, idx = memoryview(ball.indptr), memoryview(ball.indices)
     odo = [0] * ball.n
     unstable = sorted(v for v in range(ball.n) if g[v] >= DEGREE)
     budget = _budget(state.grains)

@@ -5,7 +5,9 @@ into waves: if site p holds 6 grains and some neighbor v also holds 6, force a
 topple at p and at v, and let the avalanche run.  Within one wave every vertex
 topples at most once, so a wave is a front sweeping the ball; successive fronts
 shrink.  Fronts are swept directly, not by calling ``sandpile.relax``: each
-round fires every unstable vertex at once, which the abelian property allows.
+round fires every unstable vertex at once, which the abelian property allows,
+and scatters its grains ``_WAVE_SLICE`` fired vertices at a time, so a
+round's temporaries stay a few MiB at any radius.
 Iterating waves at p until p is no longer at 6 next to a 6 (plus one last
 forced topple when p alone is left at 6) reproduces the direct relaxation of
 ``max_stable + one grain at p`` exactly, state and odometer both.
@@ -17,12 +19,14 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .ball import DEGREE, Ball
+from .ball import DEGREE, Ball, _require_memory
 from .errors import InvariantError
 from .sandpile import Odometer, State, is_stable, max_stable
 
 
 class WaveResult(NamedTuple):
+    """``fronts`` holds each wave's toppled vertex ids, ascending, as int32."""
+
     state: State
     odometer: Odometer
     wave_count: int
@@ -30,6 +34,19 @@ class WaveResult(NamedTuple):
 
 
 _FULL = DEGREE - 1  # a site must sit at 6 for a wave to start
+
+# fired vertices per slice of a wave round, which bounds the round's
+# entry-sized temporaries
+_WAVE_SLICE = 1 << 14
+
+# vertices per block when a front's ids are collected from its mask
+_FRONT_BLOCK = 1 << 20
+
+# peak memory of wave_relax, the ball included: a process peak of 58-62
+# bytes per vertex measured at radii 15 to 17 (ball 32, grains and
+# odometer 8 each, two per-wave marks, the fronts at 4 bytes per topple);
+# the margin covers allocator slack
+_WAVE_BYTES_PER_VERTEX = 80
 
 
 def _wave_candidates(state: State, site: int) -> list:
@@ -39,25 +56,53 @@ def _wave_candidates(state: State, site: int) -> list:
             if state.grains[v] == _FULL]
 
 
-def _forced_wave(state: State, site: int, via: int) -> tuple:
-    """Force topples at site and via, sweep the front, return (state, front ids)."""
-    g = state.grains.copy()
-    ball = state.ball
-    ptr = ball.indptr
+def _forced_wave(ball: Ball, g: np.ndarray, site: int, via: int) -> np.ndarray:
+    """Force topples at site and via and sweep the front, in place on the grains g.
+
+    Returns the mask of the vertices that toppled.  A round's next front is
+    collected slice by slice: a hit vertex joins it when it reaches 7
+    grains and is not marked ``queued`` yet.  Firing clears the mark, so a
+    vertex that toppled and reaches 7 again is queued again and trips the
+    toppled-twice check.
+    """
+    ptr, idx = ball.indptr, ball.indices
     toppled = np.zeros(ball.n, dtype=bool)
-    fire = np.array([site, via], dtype=np.int64)
+    queued = np.zeros(ball.n, dtype=bool)
+    fire = np.array([site, via], dtype=idx.dtype)
     while fire.size:
         if toppled[fire].any():
             raise InvariantError("a vertex toppled twice within one wave")
         toppled[fire] = True
+        queued[fire] = False
         g[fire] -= DEGREE
-        start, deg = ptr[fire], ptr[fire + 1] - ptr[fire]
-        # positions of the fired vertices' CSR rows in indices, concatenated
-        rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-        hit, grains = np.unique(ball.indices[rows], return_counts=True)
-        g[hit] += grains
-        fire = hit[g[hit] >= DEGREE]
-    return State(ball, g), np.flatnonzero(toppled)
+        found = []
+        for lo in range(0, fire.size, _WAVE_SLICE):
+            f = fire[lo:lo + _WAVE_SLICE]
+            start, deg = ptr[f], ptr[f + 1] - ptr[f]
+            # positions of the fired vertices' CSR rows in indices, concatenated
+            rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+            hit, grains = np.unique(idx[rows], return_counts=True)
+            g[hit] += grains
+            hit = hit[(g[hit] >= DEGREE) & ~queued[hit]]
+            queued[hit] = True
+            found.append(hit)
+        fire = np.concatenate(found)
+    return toppled
+
+
+def _front_ids(toppled: np.ndarray) -> np.ndarray:
+    """Ids of the toppled vertices, ascending, as int32, a block of the mask at a time.
+
+    The front of the first wave can be the whole ball; collecting it by
+    blocks spares an int64 id array of that size.
+    """
+    ids = np.empty(np.count_nonzero(toppled), dtype=np.int32)
+    at = 0
+    for lo in range(0, toppled.size, _FRONT_BLOCK):
+        part = np.flatnonzero(toppled[lo:lo + _FRONT_BLOCK])
+        ids[at:at + part.size] = part + lo
+        at += part.size
+    return ids
 
 
 def wave(state: State, site: int) -> State:
@@ -73,15 +118,16 @@ def wave(state: State, site: int) -> State:
     if state.grains.min() < 0 or not is_stable(state):
         raise ValueError("waves are defined on stable nonnegative states")
     candidates = _wave_candidates(state, site)
+    out = state.grains.copy()
     if not candidates:
-        return state.copy()
-    out, front = _forced_wave(state, site, candidates[0])
+        return State(state.ball, out)
+    toppled = _forced_wave(state.ball, out, site, candidates[0])
     if len(candidates) > 1:
-        alt, alt_front = _forced_wave(state, site, candidates[-1])
-        if not (np.array_equal(out.grains, alt.grains)
-                and np.array_equal(front, alt_front)):
+        alt = state.grains.copy()
+        alt_toppled = _forced_wave(state.ball, alt, site, candidates[-1])
+        if not (np.array_equal(out, alt) and np.array_equal(toppled, alt_toppled)):
             raise InvariantError("wave result depends on the seed neighbor")
-    return out
+    return State(state.ball, out)
 
 
 def wave_relax(ball: Ball, site: int) -> WaveResult:
@@ -90,33 +136,35 @@ def wave_relax(ball: Ball, site: int) -> WaveResult:
     Returns the final state, the odometer (each front adds one topple to its
     members), the number of waves, and the fronts themselves.  The trailing
     forced topple, needed when the site still holds 6 with no 6-neighbor,
-    counts as a final one-vertex wave.
+    counts as a final one-vertex wave.  The waves sweep one grain array in
+    place.  A ball whose relaxation would not fit in memory is refused
+    before anything is allocated.
     """
     if not 0 <= site < ball.n:
         raise ValueError(f"site {site} out of range")
+    _require_memory("wave relaxation", ball.radius, _WAVE_BYTES_PER_VERTEX)
     state = max_stable(ball)
+    g = state.grains
     counts = np.zeros(ball.n, dtype=np.int64)
     fronts = []
     for _ in range(ball.radius + 2):
         candidates = _wave_candidates(state, site)
         if not candidates:
             break
-        state, front = _forced_wave(state, site, candidates[0])
-        counts[front] += 1
-        fronts.append(front)
+        toppled = _forced_wave(ball, g, site, candidates[0])
+        counts += toppled
+        fronts.append(_front_ids(toppled))
     else:
         raise InvariantError("wave iteration failed to terminate")
-    g = state.grains.copy()
     g[site] += 1
     if g[site] >= DEGREE:
         g[site] -= DEGREE
         g[ball.neighbors(site)] += 1
         counts[site] += 1
-        fronts.append(np.array([site], dtype=np.int64))
-    final = State(ball, g)
-    if not is_stable(final):
+        fronts.append(np.array([site], dtype=np.int32))
+    if not is_stable(state):
         raise InvariantError("wave relaxation ended on an unstable state")
-    return WaveResult(final, Odometer(ball, counts), len(fronts), fronts)
+    return WaveResult(state, Odometer(ball, counts), len(fronts), fronts)
 
 
 def wave_relax_multi(ball: Ball, sites: Iterable[int]) -> WaveResult:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from heptapile import (DEGREE, Ball, CapacityError, FormatError, InvariantError,
-                       VertexType, ball_size, build_ball, distance_profile,
-                       level_counts, load_ball, save_ball, validate_ball)
+                       State, VertexType, ball_size, build_ball, distance_profile,
+                       level_counts, load_ball, load_odometer, load_state, relax,
+                       save_ball, save_odometer, save_state, validate_ball)
 from heptapile import ball as ball_module
 from heptapile.ball import (_format_ints, _parse_ints, _sign, deserialize_ball,
                             link_cycles, serialize_ball)
@@ -513,6 +514,8 @@ def test_integer_lines_parse_alike_in_small_pieces(monkeypatch, chunk):
 
 
 def test_ball_file_is_the_same_in_small_pieces(monkeypatch, tmp_path, ball_cache):
+    # ball files are written _WRITE_ROWS lines at a time; state and
+    # odometer files, the only ones parsed, are read _PARSE_CHUNK bytes at a time
     b = ball_cache(4)
     blob = serialize_ball(b)
     monkeypatch.setattr(ball_module, "_WRITE_ROWS", 5)
@@ -521,6 +524,12 @@ def test_ball_file_is_the_same_in_small_pieces(monkeypatch, tmp_path, ball_cache
     save_ball(b, path)
     assert path.read_bytes() == blob
     assert load_ball(path) == b
+    res = relax(State(b, np.arange(b.n, dtype=np.int64) % 23))
+    for obj, save, load in ((res.state, save_state, load_state),
+                            (res.odometer, save_odometer, load_odometer)):
+        save(obj, path)
+        assert len(path.read_bytes()) > 10 * 64  # the parse runs in many pieces
+        assert load(path, b) == obj
 
 
 def test_ball_file_io_memory_is_bounded(tmp_path, ball_cache):

@@ -1,8 +1,10 @@
 import os
+import weakref
 
 import pytest
 
-from heptapile import build_ball, load_ball, load_state, save_ball
+from heptapile import (ball as ball_module, ball_size, build_ball, cli, load_ball,
+                       load_state, sandpile, save_ball)
 from heptapile.cli import main
 from heptapile.render import cell_fills, color_histogram
 
@@ -186,6 +188,37 @@ def test_bench_methods_agree(capsys):
     assert "MISMATCH" not in text
     for method in ("naive", "batch", "wave", "closed"):
         assert method in text
+    for m in (1, 2):
+        assert f"# m={m} process peak RSS " in text
+
+
+def test_bench_holds_at_most_two_results(capsys, monkeypatch):
+    # when a run starts, only the first run's result may still be alive
+    results = []
+
+    def tracked(ball, method):
+        assert sum(ref() is not None for ref in results) <= 1
+        out = bench_once(ball, method)
+        results.append(weakref.ref(out[0].grains))
+        return out
+
+    bench_once = cli._bench_once
+    monkeypatch.setattr(cli, "_bench_once", tracked)
+    code, text, _ = run(capsys, "bench", "--m", "3..4", "--repeat", "2")
+    assert code == 0 and "MISMATCH" not in text
+    assert len(results) == 16
+
+
+def test_bench_refuses_a_range_that_cannot_fit_before_building(capsys, monkeypatch):
+    # room for the batch relaxation alone, not for the first result held
+    # beside the wave route; the top radius is checked before any ball
+    built = []
+    monkeypatch.setattr(cli, "build_ball", lambda m: built.append(m))
+    room = ball_size(8) * (sandpile._BATCH_BYTES_PER_VERTEX + 15)
+    monkeypatch.setattr(ball_module, "_physical_memory", lambda: room)
+    code, text, err = run(capsys, "bench", "--m", "1..8", "--methods", "batch,wave")
+    assert (code, text, built) == (2, "", [])
+    assert "bench of radius 8" in err and "needs about" in err
 
 
 def test_bench_rejects_unknown_method(capsys):

@@ -1,9 +1,12 @@
 import hashlib
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 
-from heptapile import (FormatError, InvariantError, Odometer, State, VertexType,
+from heptapile import (CapacityError, FormatError, InvariantError, Odometer, State,
+                       VertexType, ball as ball_module,
                        is_legal, is_stable, laplacian_delta, mass, max_stable,
                        perturb, predicted_beta, predicted_odometer, relax,
                        relax_batch, relax_random, save_odometer, save_state,
@@ -12,6 +15,9 @@ from heptapile import sandpile
 from heptapile.ball import _sign, deserialize_ball, serialize_ball
 from heptapile.sandpile import (deserialize_odometer, deserialize_state,
                                 serialize_odometer, serialize_state)
+from heptapile.verify import DEFAULT_SEED
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def test_laplacian_at_the_root(ball_cache):
@@ -189,6 +195,132 @@ def test_mass_overflow_reported(ball_cache):
     s = State(b, np.full(b.n, 2**62, dtype=np.int64))
     with pytest.raises(OverflowError):
         mass(s)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 1 << 16])
+def test_mass_and_budget_are_exact_at_the_int64_extremes(ball_cache, monkeypatch, block):
+    # both sum a block at a time; blocks of any size give the Python sum
+    monkeypatch.setattr(sandpile, "_SUM_BLOCK", block)
+    b = ball_cache(2)
+    rng = np.random.default_rng(block)
+    for fill in ([_INT64_MAX], [_INT64_MIN], [_INT64_MIN, _INT64_MAX], [-1, 1, 0],
+                 [_INT64_MAX, _INT64_MAX - 1, 2**32, 2**32 - 1, -(2**32)]):
+        grains = rng.choice(np.array(fill, dtype=np.int64), size=b.n)
+        grains[:len(fill)] = fill
+        want = sum(grains.tolist())
+        positive = sum(x for x in grains.tolist() if x > 0)
+        assert sandpile._budget(grains) == 1024 + 128 * (positive + b.n)
+        if _INT64_MIN <= want <= _INT64_MAX:
+            assert mass(State(b, grains)) == want
+        else:
+            with pytest.raises(OverflowError):
+                mass(State(b, grains))
+    # totals exactly at the bounds are in range; one grain more is not
+    edge = np.zeros(b.n, dtype=np.int64)
+    edge[:3] = _INT64_MAX, 5, -5
+    assert mass(State(b, edge)) == _INT64_MAX
+    edge[1] = 6
+    with pytest.raises(OverflowError):
+        mass(State(b, edge))
+    edge[:3] = _INT64_MIN, -5, 5
+    assert mass(State(b, edge)) == _INT64_MIN
+    edge[1] = -6
+    with pytest.raises(OverflowError):
+        mass(State(b, edge))
+
+
+def _relax_with_in_queue_flags(state):
+    """The queue engine as it stood with an in-queue flag per vertex: the oracle."""
+    g = state.grains.tolist()
+    ball = state.ball
+    ptr, idx = ball.indptr.tolist(), ball.indices.tolist()
+    odo = [0] * ball.n
+    in_queue = [False] * ball.n
+    queue = deque()
+    for v in range(ball.n):
+        if g[v] >= 7:
+            queue.append(v)
+            in_queue[v] = True
+    topples = dequeues = 0
+    while queue:
+        v = queue.popleft()
+        dequeues += 1
+        in_queue[v] = False
+        if g[v] < 7:
+            continue
+        g[v] -= 7
+        odo[v] += 1
+        topples += 1
+        for u in idx[ptr[v]:ptr[v + 1]]:
+            g[u] += 1
+            if g[u] >= 7 and not in_queue[u]:
+                in_queue[u] = True
+                queue.append(u)
+        if g[v] >= 7:
+            in_queue[v] = True
+            queue.append(v)
+    return g, odo, topples, dequeues
+
+
+def _abelian_states(ball):
+    """The random multi-fire states of ``verify.check_abelian``."""
+    rng = np.random.default_rng([DEFAULT_SEED, 99])
+    return [State(ball, rng.integers(0, 14, size=ball.n, dtype=np.int64))
+            for _ in range(10)]
+
+
+def test_queue_engine_matches_the_in_queue_flag_oracle(ball_cache):
+    rng = np.random.default_rng(17)
+    starts = _abelian_states(ball_cache(4))
+    for m in range(0, 7):
+        b = ball_cache(m)
+        starts.append(perturb(max_stable(b), [0, b.n - 1]))
+        starts.append(State(b, rng.integers(0, 40, size=b.n, dtype=np.int64)))
+    for start in starts:
+        res = relax(start)
+        g, odo, topples, dequeues = _relax_with_in_queue_flags(start)
+        assert res.state.grains.tolist() == g
+        assert res.odometer.counts.tolist() == odo
+        assert (res.topples, res.dequeues) == (topples, dequeues)
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size):
+    rng = np.random.default_rng(size)
+    starts = _abelian_states(ball_cache(4))
+    for m in range(0, 9):
+        b = ball_cache(m)
+        starts.append(perturb(max_stable(b), [0]))
+        starts.append(perturb(max_stable(b), [b.n - 1]))
+        if m <= 4:
+            starts.append(State(b, rng.integers(0, 40, size=b.n, dtype=np.int64)))
+    monkeypatch.setattr(sandpile, "_BATCH_SLICE", 1 << 40)
+    whole = [relax_batch(start) for start in starts]
+    monkeypatch.setattr(sandpile, "_BATCH_SLICE", size)
+    for start, want in zip(starts, whole):
+        got = relax_batch(start)
+        assert got.state == want.state
+        assert got.odometer == want.odometer
+        assert (got.topples, got.dequeues) == (want.topples, want.dequeues)
+    assert any(r.dequeues < r.topples for r in whole)  # some vertices fire twice a round
+
+
+def test_batch_relaxation_refused_before_allocating(ball_cache, monkeypatch):
+    b = ball_cache(8)
+    start = perturb(max_stable(b), [0])
+    # one byte short of the relaxation's model
+    room = b.n * sandpile._BATCH_BYTES_PER_VERTEX - 1
+    monkeypatch.setattr(ball_module, "_physical_memory", lambda: room)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="batch relaxation of radius 8"):
+            relax_batch(start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < b.n  # less than a byte per vertex: nothing was allocated
+    monkeypatch.setattr(ball_module, "_physical_memory", lambda: room + 1)
+    assert relax_batch(start).odometer == predicted_odometer(b, [0])
 
 
 def test_max_stable_and_perturb(ball_cache):

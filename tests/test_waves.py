@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from heptapile import (State, VertexType, alpha, ball_size, max_stable,
-                       perturb, predicted_odometer, relax, verify, wave,
-                       wave_relax, wave_relax_multi)
+from heptapile import (CapacityError, InvariantError, State, VertexType, alpha,
+                       ball as ball_module, ball_size, max_stable, perturb,
+                       predicted_odometer, relax, verify, wave, wave_relax,
+                       wave_relax_multi, waves)
 
 
 def first_wave_expectation(ball):
@@ -173,3 +176,59 @@ def test_root_relaxation_is_invariant_under_a_seventh_rotation(m, ball_cache):
     assert len(fronts) == m + 1
     for front in fronts:
         assert np.array_equal(np.sort(rot[front]), front)
+
+
+def _wave_sites(ball):
+    """The root and the last vertex, and up to radius 4 the first of every ring."""
+    starts = ball.level_start[:-1] if ball.radius <= 4 else [0]
+    return sorted({0, ball.n - 1} | set(int(v) for v in starts))
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_waves_are_the_same_in_small_slices(ball_cache, monkeypatch, size):
+    cases = [(ball_cache(m), site) for m in range(0, 9) for site in _wave_sites(ball_cache(m))]
+    rng = np.random.default_rng(size)
+    b = ball_cache(4)
+    stable = [State(b, rng.integers(0, 7, size=b.n, dtype=np.int64)) for _ in range(3)]
+    monkeypatch.setattr(waves, "_WAVE_SLICE", 1 << 40)
+    whole = [wave_relax(ball, site) for ball, site in cases]
+    whole_waves = [wave(state, site) for state in stable for site in range(b.n)]
+    monkeypatch.setattr(waves, "_WAVE_SLICE", size)
+    monkeypatch.setattr(waves, "_FRONT_BLOCK", size)
+    for (ball, site), want in zip(cases, whole):
+        got = wave_relax(ball, site)
+        assert got.state == want.state
+        assert got.odometer == want.odometer
+        assert len(got.fronts) == len(want.fronts) == got.wave_count
+        for front, want_front in zip(got.fronts, want.fronts):
+            assert front.dtype == np.int32
+            assert np.array_equal(front, want_front)
+    assert [wave(state, site) for state in stable for site in range(b.n)] == whole_waves
+
+
+def test_a_vertex_toppling_twice_in_one_wave_is_caught(ball_cache):
+    # with 13 grains the site is still at 6 after its forced topple, and the
+    # grain that its neighbor's topple sends back brings it to 7 again
+    b = ball_cache(2)
+    g = max_stable(b).grains
+    g[0] = 13
+    with pytest.raises(InvariantError, match="toppled twice"):
+        waves._forced_wave(b, g, 0, int(b.neighbors(0)[0]))
+
+
+def test_wave_relaxation_refused_before_allocating(ball_cache, monkeypatch):
+    b = ball_cache(8)
+    room = b.n * waves._WAVE_BYTES_PER_VERTEX - 1
+    monkeypatch.setattr(ball_module, "_physical_memory", lambda: room)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="wave relaxation of radius 8"):
+            wave_relax(b, 0)
+        with pytest.raises(CapacityError, match="wave relaxation of radius 8"):
+            wave_relax_multi(b, [0, 5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < b.n  # less than a byte per vertex: nothing was allocated
+    monkeypatch.setattr(ball_module, "_physical_memory", lambda: room + 1)
+    assert wave_relax(b, 0).odometer == predicted_odometer(b, [0])
