@@ -52,10 +52,11 @@ DEGREE = 7
 _INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
 
-# peak memory of build_ball, validation included: an RSS rise of 33 bytes
-# per vertex measured at radii 13 and 14, the ball itself (32); the margin
-# of almost 3x leaves room for allocator slack and for a caller's state and
-# odometer arrays (8 bytes per vertex each) beside the ball
+# the only memory model, checked by build_ball, which makes every Ball a
+# route receives: 96 bytes per vertex cover the ball (32), a caller's input,
+# state and odometer (8 each) and a route's temporaries.  Process peaks per
+# vertex at radii 15 to 17, ball and input included: relax_batch 73-77 B,
+# wave_relax 58-62 B, bench --methods batch,wave,closed 74 B at radius 17
 _BYTES_PER_VERTEX = 96
 
 # vertices per block of build_ball and validate_ball, which bounds their
@@ -68,23 +69,22 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _require_memory(what: str, m: int, bytes_per_vertex: int) -> tuple:
-    """Refuse a job on the radius-``m`` ball that cannot fit; else its CSR size.
+def _require_memory(m: int) -> tuple:
+    """Refuse the radius-``m`` ball if it cannot fit; else (vertices, entries).
 
-    Raises ``CapacityError`` for a radius beyond ``_MAX_RADIUS``, before any
-    arithmetic that grows with ``m``, and for a job whose peak, modeled as
-    ``bytes_per_vertex`` per vertex, exceeds physical memory.  Callers check
-    before they allocate anything.  Returns the vertex and entry counts.
+    Raises ``CapacityError`` beyond ``_MAX_RADIUS``, before any arithmetic
+    that grows with ``m``, and when ``n * _BYTES_PER_VERTEX`` bytes exceed
+    physical memory.
     """
     if m > _MAX_RADIUS:
         raise CapacityError(
             f"ball of radius {m} is beyond radius {_MAX_RADIUS}, the last whose "
             f"adjacency entries int32 neighbor ids can address")
     n, entries = _csr_size(m)
-    need, have = n * bytes_per_vertex, _physical_memory()
+    need, have = n * _BYTES_PER_VERTEX, _physical_memory()
     if need > have:
         raise CapacityError(
-            f"{what} of radius {m} has {n} vertices and needs about {need:.3g} "
+            f"ball of radius {m} has {n} vertices and needs about {need:.3g} "
             f"bytes, beyond the {have:.3g} bytes of physical memory")
     return n, entries
 
@@ -219,7 +219,7 @@ def build_ball(m: int) -> Ball:
     """
     if m < 0:
         raise ValueError("radius must be nonnegative")
-    n, entries = _require_memory("ball", m, _BYTES_PER_VERTEX)
+    n, entries = _require_memory(m)
     sizes = _ring_sizes(m)
 
     ring_size = np.array([1] + [a + b for a, b in sizes], dtype=np.int64)

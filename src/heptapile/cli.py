@@ -10,14 +10,14 @@ import time
 import numpy as np
 
 from . import closed_form as cf
-from .ball import _BYTES_PER_VERTEX, _require_memory, build_ball, load_ball, save_ball
+from .ball import _require_memory, build_ball, load_ball, save_ball
 from .errors import CapacityError, FormatError, InvariantError
 from .geometry import build_embedding
 from .render import load_palette, render_state
-from .sandpile import (_BATCH_BYTES_PER_VERTEX, mass, max_stable, perturb, relax,
-                       relax_batch, save_odometer, save_state, load_state)
+from .sandpile import (mass, max_stable, perturb, relax, relax_batch, save_odometer,
+                       save_state, load_state)
 from .verify import DEFAULT_SEED, run_default_suite
-from .waves import _WAVE_BYTES_PER_VERTEX, wave_relax
+from .waves import wave_relax
 
 
 def _parse_range(text: str) -> range:
@@ -126,6 +126,8 @@ def cmd_verify(args) -> int:
     radii = _parse_range(args.m)
     if radii.start < 1:  # the radius-0 ball has no boundary and no ring
         raise ValueError(f"verify takes radii from 1 up (e.g. 1..6), got {args.m!r}")
+    if args.trials < 4:  # the sweep always runs its four fixed site families
+        raise ValueError(f"--trials must be at least 4, got {args.trials}")
     print(f"# verify  radii={args.m}  trials={args.trials}  seed={args.seed}")
     reports = run_default_suite(radii, args.trials, args.seed)
     failed = 0
@@ -189,17 +191,6 @@ def _bench_radius(ball, methods, repeat) -> bool:
     return True
 
 
-def _bench_bytes_per_vertex(methods) -> int:
-    """Peak memory per vertex of a bench radius, the ball included.
-
-    The largest method's own model (the queue engine and the closed forms
-    stay below the ball's), plus the first result's state and odometer,
-    held while later runs are compared.
-    """
-    own = {"batch": _BATCH_BYTES_PER_VERTEX, "wave": _WAVE_BYTES_PER_VERTEX}
-    return max(own.get(method, _BYTES_PER_VERTEX) for method in methods) + 16
-
-
 def cmd_bench(args) -> int:
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
     known = {"naive", "batch", "wave", "closed"}
@@ -211,7 +202,7 @@ def cmd_bench(args) -> int:
     radii = _parse_range(args.m)
     # the largest radius needs the most, so a range that cannot finish
     # is refused before its first ball is built
-    _require_memory("bench", radii[-1], _bench_bytes_per_vertex(methods))
+    _require_memory(radii[-1])
     print(f"# bench  radii={args.m}  methods={','.join(methods)}  "
           f"repeat={args.repeat}")
     print(f"{'m':>3} {'vertices':>9} {'method':>12} {'seconds':>10} "

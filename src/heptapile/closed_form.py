@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .ball import DEGREE, Ball, VertexType
+from .ball import DEGREE, Ball
 from .errors import CapacityError
 from .sandpile import Odometer, State
 
@@ -76,15 +76,17 @@ def alpha(s: int, ball: Ball) -> State:
     """
     if s < 0:
         raise ValueError("index must be nonnegative")
-    lvl = ball.level
-    second = ball.vtype == VertexType.SECOND
+    vals = ball.vtype.astype(np.int64)
+    vals *= 2
+    vals += 1  # 3 or 5 by type (the root, type 0, gets 1)
     if s == 0:
-        vals = np.where(second, 5, 3).astype(np.int64)
         vals[0] = -1
         return State(ball, vals)
-    outer = np.where(second, 5, 3)
-    on_ring = np.where(second, 3, 2)
-    vals = np.where(lvl > s, outer, np.where(lvl == s, on_ring, 6)).astype(np.int64)
+    start = ball.level_start
+    lo, hi = (int(start[s]), int(start[s + 1])) if s <= ball.radius else (ball.n, ball.n)
+    vals[:lo] = 6  # levels are id-contiguous, so each is one slice
+    vals[lo:hi] //= 2
+    vals[lo:hi] += 1  # 3 or 5 becomes 2 or 3 on level s
     return State(ball, vals)
 
 
@@ -116,7 +118,8 @@ def predicted_odometer(ball: Ball, sites: Iterable[int]) -> Odometer:
     """Predicted topple counts: min(m+1-level(v), m+1-min level of sites)."""
     _, s = _site_levels(ball, sites)
     m = ball.radius
-    counts = np.minimum(m + 1 - ball.level.astype(np.int64), m + 1 - s)
+    counts = np.subtract(m + 1, ball.level, dtype=np.int64)
+    np.minimum(counts, m + 1 - s, out=counts)
     return Odometer(ball, counts)
 
 

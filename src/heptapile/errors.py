@@ -2,7 +2,7 @@
 
 
 class CapacityError(ValueError):
-    """Requested object exceeds the 64-bit indexing contract."""
+    """A ball beyond radius 19 (int32 neighbor ids), physical memory or int64 counts."""
 
 
 class FormatError(ValueError):

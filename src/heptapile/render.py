@@ -107,6 +107,8 @@ def render_state(state, embedding: Embedding, *, palette=None,
         raise ValueError(f"unknown edges mode {edges!r}")
     if homothety <= 0:
         raise ValueError("homothety ratio must be positive")
+    if size < 1:
+        raise ValueError(f"image size must be at least 1 pixel, got {size}")
     palette = dict(DEFAULT_PALETTE) if palette is None else palette
     ball = embedding.ball
 

@@ -10,10 +10,8 @@ exactly: a FIFO queue (``relax``), rounds over the whole fire set
 (``relax_batch``) and random legal order (``relax_random``).  The same
 property lets ``relax_batch`` scatter each round's grains in slices of fired
 vertices, so its temporaries beyond the grains and the odometer stay a few
-MiB at any radius, and it refuses, before allocating, a ball whose
-relaxation would not fit in physical memory.  Sums of grains are taken a
-block at a time in exact integers.  States and odometers are saved as
-sparse text files.
+MiB at any radius.  Sums of grains are taken a block at a time in exact
+integers.  States and odometers are saved as sparse text files.
 """
 
 from __future__ import annotations
@@ -25,8 +23,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .ball import (DEGREE, Ball, _format_ints, _parse_ints, _require_memory, _sign,
-                   _split_checked)
+from .ball import DEGREE, Ball, _format_ints, _parse_ints, _sign, _split_checked
 from .errors import FormatError, InvariantError
 
 _INT64_MIN = -(2**63)
@@ -163,12 +160,6 @@ def mass(state: State) -> int:
 # entry-sized temporaries
 _BATCH_SLICE = 1 << 16
 
-# peak memory of relax_batch, the ball and the input state included: a
-# process peak of 73-77 bytes per vertex measured at radii 15 to 17 (ball
-# 32, input, grains and odometer 8 each, the largest round's fire set and
-# topple counts about 10); the margin covers allocator slack
-_BATCH_BYTES_PER_VERTEX = 96
-
 # rows per block of _check_identity, which bounds its entry-sized gather
 _IDENTITY_ROWS = 1 << 14
 
@@ -238,12 +229,9 @@ def relax_batch(state: State) -> RelaxResult:
     time; additions commute, so the slices change no result, and the
     round's temporaries stay a few MiB at any radius.  ``dequeues`` counts
     (vertex, round) picks.  The budget bounds every grain and odometer
-    entry, so below 2**62 the int64 counts cannot wrap.  A ball whose
-    relaxation would not fit in memory is refused before anything is
-    allocated.
+    entry, so below 2**62 the int64 counts cannot wrap.
     """
     ball = state.ball
-    _require_memory("batch relaxation", ball.radius, _BATCH_BYTES_PER_VERTEX)
     if state.grains.min() < 0:
         raise ValueError("relaxation requires nonnegative grain counts")
     budget = _budget(state.grains)

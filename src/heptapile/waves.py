@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .ball import DEGREE, Ball, _require_memory
+from .ball import DEGREE, Ball
 from .errors import InvariantError
 from .sandpile import Odometer, State, is_stable, max_stable
 
@@ -41,12 +41,6 @@ _WAVE_SLICE = 1 << 14
 
 # vertices per block when a front's ids are collected from its mask
 _FRONT_BLOCK = 1 << 20
-
-# peak memory of wave_relax, the ball included: a process peak of 58-62
-# bytes per vertex measured at radii 15 to 17 (ball 32, grains and
-# odometer 8 each, two per-wave marks, the fronts at 4 bytes per topple);
-# the margin covers allocator slack
-_WAVE_BYTES_PER_VERTEX = 80
 
 
 def _wave_candidates(state: State, site: int) -> list:
@@ -136,13 +130,10 @@ def wave_relax(ball: Ball, site: int) -> WaveResult:
     Returns the final state, the odometer (each front adds one topple to its
     members), the number of waves, and the fronts themselves.  The trailing
     forced topple, needed when the site still holds 6 with no 6-neighbor,
-    counts as a final one-vertex wave.  The waves sweep one grain array in
-    place.  A ball whose relaxation would not fit in memory is refused
-    before anything is allocated.
+    counts as a final one-vertex wave.  The waves sweep one grain array in place.
     """
     if not 0 <= site < ball.n:
         raise ValueError(f"site {site} out of range")
-    _require_memory("wave relaxation", ball.radius, _WAVE_BYTES_PER_VERTEX)
     state = max_stable(ball)
     g = state.grains
     counts = np.zeros(ball.n, dtype=np.int64)

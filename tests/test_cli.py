@@ -4,7 +4,7 @@ import weakref
 import pytest
 
 from heptapile import (ball as ball_module, ball_size, build_ball, cli, load_ball,
-                       load_state, sandpile, save_ball)
+                       load_state, save_ball)
 from heptapile.cli import main
 from heptapile.render import cell_fills, color_histogram
 
@@ -113,6 +113,15 @@ def test_verify_rejects_radius_zero(capsys, radii):
     assert text == ""  # refused before any check runs
 
 
+@pytest.mark.parametrize("trials", ["0", "3"])
+def test_verify_rejects_fewer_trials_than_fixed_families(capsys, monkeypatch, trials):
+    called = []
+    monkeypatch.setattr(cli, "run_default_suite", lambda *a: called.append(a))
+    code, text, err = run(capsys, "verify", "--m", "1..2", "--trials", trials)
+    assert (code, text, called) == (2, "", [])
+    assert "--trials must be at least 4" in err
+
+
 def test_verify_good_ball_file(tmp_path, capsys):
     path = tmp_path / "ok.heptaball"
     save_ball(build_ball(2), path)
@@ -210,15 +219,15 @@ def test_bench_holds_at_most_two_results(capsys, monkeypatch):
 
 
 def test_bench_refuses_a_range_that_cannot_fit_before_building(capsys, monkeypatch):
-    # room for the batch relaxation alone, not for the first result held
-    # beside the wave route; the top radius is checked before any ball
+    # one byte short of the radius-8 ball's model; the top radius is
+    # checked before any ball
     built = []
     monkeypatch.setattr(cli, "build_ball", lambda m: built.append(m))
-    room = ball_size(8) * (sandpile._BATCH_BYTES_PER_VERTEX + 15)
+    room = ball_size(8) * ball_module._BYTES_PER_VERTEX - 1
     monkeypatch.setattr(ball_module, "_physical_memory", lambda: room)
     code, text, err = run(capsys, "bench", "--m", "1..8", "--methods", "batch,wave")
     assert (code, text, built) == (2, "", [])
-    assert "bench of radius 8" in err and "needs about" in err
+    assert "ball of radius 8" in err and "needs about" in err
 
 
 def test_bench_rejects_unknown_method(capsys):
@@ -267,6 +276,14 @@ def test_render_bad_zoom(tmp_path, capsys):
                        "1,2", "--out", str(tmp_path / "n.svg"))
     assert code == 2
     assert "zoom" in err
+
+
+def test_render_rejects_nonpositive_size(tmp_path, capsys):
+    out = tmp_path / "n.svg"
+    code, _, err = run(capsys, "render", "-m", "2", "--size", "-50",
+                       "--out", str(out))
+    assert code == 2 and "at least 1 pixel" in err
+    assert not out.exists()
 
 
 def test_bench_rejects_zero_repeat(capsys):

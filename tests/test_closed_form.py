@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ def test_predicted_odometer_mixed_levels_vs_engine(ball_cache):
     q = int(b.ring(3).start) + 5
     res = relax(perturb(max_stable(b), [p, q]))
     assert res.odometer == predicted_odometer(b, [p, q])
+
+
+@pytest.mark.parametrize("level", [0, 6, 12])
+def test_predictions_hold_no_ball_sized_temporary(ball_cache, level):
+    # the two int64 results alone take 16 bytes per vertex
+    b = ball_cache(12)
+    sites = [int(b.ring(level).start)]
+    tracemalloc.start()
+    try:
+        beta = predicted_beta(b, sites)
+        odometer = predicted_odometer(b, sites)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * b.n
+    assert beta.grains.dtype == odometer.counts.dtype == np.int64
 
 
 def test_mass_loss_values(ball_cache):

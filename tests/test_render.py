@@ -107,6 +107,12 @@ def test_homothety_refits_viewport(emb2):
         render_state(phi, emb2, homothety=0.0)
 
 
+@pytest.mark.parametrize("size", [0, -50])
+def test_nonpositive_size_is_refused(emb2, size):
+    with pytest.raises(ValueError, match="at least 1 pixel"):
+        render_state(max_stable(emb2.ball), emb2, size=size)
+
+
 def test_zoom_culls_cells():
     ball = build_ball(4)
     emb = build_embedding(ball)

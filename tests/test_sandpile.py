@@ -5,12 +5,12 @@ from collections import deque
 import numpy as np
 import pytest
 
-from heptapile import (CapacityError, FormatError, InvariantError, Odometer, State,
+from heptapile import (FormatError, InvariantError, Odometer, State,
                        VertexType, ball as ball_module,
                        is_legal, is_stable, laplacian_delta, mass, max_stable,
                        perturb, predicted_beta, predicted_odometer, relax,
                        relax_batch, relax_random, save_odometer, save_state,
-                       load_odometer, load_state, topple, total_topplings)
+                       load_odometer, load_state, topple, total_topplings, wave_relax)
 from heptapile import sandpile
 from heptapile.ball import _sign, deserialize_ball, serialize_ball
 from heptapile.sandpile import (deserialize_odometer, deserialize_state,
@@ -305,22 +305,21 @@ def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size
     assert any(r.dequeues < r.topples for r in whole)  # some vertices fire twice a round
 
 
-def test_batch_relaxation_refused_before_allocating(ball_cache, monkeypatch):
-    b = ball_cache(8)
+@pytest.mark.parametrize("route", ["batch", "wave"])
+def test_relaxation_peak_stays_within_the_ball_model(ball_cache, route):
+    # the ball's memory model less the ball itself (32 bytes per vertex) is
+    # all a route may add, so no route needs a guard of its own
+    b = ball_cache(12)
     start = perturb(max_stable(b), [0])
-    # one byte short of the relaxation's model
-    room = b.n * sandpile._BATCH_BYTES_PER_VERTEX - 1
-    monkeypatch.setattr(ball_module, "_physical_memory", lambda: room)
+    run = {"batch": lambda: relax_batch(start), "wave": lambda: wave_relax(b, 0)}[route]
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match="batch relaxation of radius 8"):
-            relax_batch(start)
+        result = run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < b.n  # less than a byte per vertex: nothing was allocated
-    monkeypatch.setattr(ball_module, "_physical_memory", lambda: room + 1)
-    assert relax_batch(start).odometer == predicted_odometer(b, [0])
+    assert peak < (ball_module._BYTES_PER_VERTEX - 32) * b.n
+    assert result.odometer == predicted_odometer(b, [0])
 
 
 def test_max_stable_and_perturb(ball_cache):

@@ -1,12 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from heptapile import (CapacityError, InvariantError, State, VertexType, alpha,
-                       ball as ball_module, ball_size, max_stable, perturb,
-                       predicted_odometer, relax, verify, wave, wave_relax,
-                       wave_relax_multi, waves)
+from heptapile import (InvariantError, State, VertexType, alpha, ball_size,
+                       max_stable, perturb, predicted_odometer, relax, verify,
+                       wave, wave_relax, wave_relax_multi, waves)
 
 
 def first_wave_expectation(ball):
@@ -214,21 +211,3 @@ def test_a_vertex_toppling_twice_in_one_wave_is_caught(ball_cache):
     g[0] = 13
     with pytest.raises(InvariantError, match="toppled twice"):
         waves._forced_wave(b, g, 0, int(b.neighbors(0)[0]))
-
-
-def test_wave_relaxation_refused_before_allocating(ball_cache, monkeypatch):
-    b = ball_cache(8)
-    room = b.n * waves._WAVE_BYTES_PER_VERTEX - 1
-    monkeypatch.setattr(ball_module, "_physical_memory", lambda: room)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError, match="wave relaxation of radius 8"):
-            wave_relax(b, 0)
-        with pytest.raises(CapacityError, match="wave relaxation of radius 8"):
-            wave_relax_multi(b, [0, 5])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < b.n  # less than a byte per vertex: nothing was allocated
-    monkeypatch.setattr(ball_module, "_physical_memory", lambda: room + 1)
-    assert wave_relax(b, 0).odometer == predicted_odometer(b, [0])
