@@ -21,9 +21,9 @@ import time
 
 import pytest
 
-from heptapile import (build_ball, build_embedding, max_stable, mass,
-                       perturb, predicted_beta, relax, relax_batch,
-                       render_state, wave, wave_relax_multi)
+from heptapile import (build_ball, build_embedding, max_stable, perturb,
+                       predicted_beta, relax, relax_batch, render_state, wave,
+                       wave_relax_multi)
 from heptapile import closed_form as cf
 from heptapile.render import color_histogram
 from heptapile.sandpile import serialize_odometer, serialize_state

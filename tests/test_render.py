@@ -1,7 +1,6 @@
 import hashlib
 import re
 
-import numpy as np
 import pytest
 
 from heptapile import (State, build_ball, build_embedding, cell_fills,

@@ -166,6 +166,37 @@ def test_budget_guard_trips_on_tiny_budget(ball_cache, monkeypatch):
             engine(perturb(max_stable(b), [0]))
 
 
+@pytest.mark.parametrize("draws", [1, 3, 1 << 12])
+def test_budget_holds_exactly_the_total_topples(ball_cache, monkeypatch, draws):
+    # the queue engine checks its budget per generation and the random-order
+    # engine per block of draws; each still raises iff the total exceeds it
+    monkeypatch.setattr(sandpile, "_DRAWS", draws)
+    for k, start in enumerate(_abelian_states(ball_cache(4))):
+        want = relax(start)
+        runs = []
+        for _ in range(2):
+            rng = np.random.default_rng([draws, k])
+            res = relax_random(start, rng)
+            assert (res.state, res.odometer, res.topples) == (
+                want.state, want.odometer, want.topples)
+            runs.append(rng.bit_generator.state)
+        assert runs[0] == runs[1]  # a fixed seed draws the same picks again
+    engines = (relax, relax_batch,
+               lambda s: relax_random(s, np.random.default_rng(draws)))
+    b = ball_cache(3)
+    for start in (perturb(max_stable(b), [0]), _abelian_states(ball_cache(2))[0]):
+        want = relax(start)
+        monkeypatch.setattr(sandpile, "_budget", lambda grains: want.topples)
+        for engine in engines:
+            res = engine(start)
+            assert (res.state, res.odometer, res.topples) == (
+                want.state, want.odometer, want.topples)
+        monkeypatch.setattr(sandpile, "_budget", lambda grains: want.topples - 1)
+        for engine in engines:
+            with pytest.raises(InvariantError):
+                engine(start)
+
+
 def test_batch_refuses_counts_that_could_wrap(ball_cache):
     b = ball_cache(1)
     grains = np.zeros(b.n, dtype=np.int64)
@@ -305,13 +336,16 @@ def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size
     assert any(r.dequeues < r.topples for r in whole)  # some vertices fire twice a round
 
 
-@pytest.mark.parametrize("route", ["batch", "wave"])
+@pytest.mark.parametrize("route", ["naive", "batch", "wave"])
 def test_relaxation_peak_stays_within_the_ball_model(ball_cache, route):
     # the ball's memory model less the ball itself (32 bytes per vertex) is
-    # all a route may add, so no route needs a guard of its own
+    # all a route may add, so no route needs a guard of its own; the queue
+    # engine's two generation lists never hold more than n vertices together
+    # at radii 6..13, so its peak at radius 12 stands for every radius
     b = ball_cache(12)
     start = perturb(max_stable(b), [0])
-    run = {"batch": lambda: relax_batch(start), "wave": lambda: wave_relax(b, 0)}[route]
+    run = {"naive": lambda: relax(start), "batch": lambda: relax_batch(start),
+           "wave": lambda: wave_relax(b, 0)}[route]
     tracemalloc.start()
     try:
         result = run()
