@@ -26,22 +26,28 @@ than a few MiB beside the ball.
 
 Every file format ends in a ``CHECK`` line holding the BLAKE2b-64 digest of
 the bytes before it; ``_sign`` and ``_write_signed`` write that line and
-``_split_checked`` checks it.  Between the header and that line, every format
-is lines of integers separated by single spaces: ``_format_ints`` writes them
-and ``_parse_ints``, its inverse, reads them, both in whole-array numpy, and
-no other code formats or parses that grammar.  A ball file is never parsed:
-a ball is fixed by its radius, so ``deserialize_ball`` compares the file with
-the serialized ball of the radius its header states.
+``_check_stream`` checks it a piece at a time.  Between the header and that
+line, every format is lines of integers separated by single spaces:
+``_format_ints`` writes them and ``_parse_ints``, its inverse, reads them,
+both in whole-array numpy, and no other code formats or parses that
+grammar.  The writer takes a grid of values and a grid of separator bytes, 0
+where a line has no token; each value is written right-aligned into a
+zero-filled byte row, its leading zeros stay NUL, and one ``bytes.translate``
+drops every NUL.  A chunk of vertex lines is one such grid, a row per vertex
+with a slot per token, and a chunk of state or odometer lines is a grid of
+id/value pairs.  A ball file is never parsed: a ball is fixed by its radius,
+so ``load_ball`` compares the file, a chunk of lines at a time, with the
+serialized ball of the radius its header states, never holding the file.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import re
 from collections import deque
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +57,7 @@ DEGREE = 7
 
 _INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
+_UINT32_MAX = 2**32 - 1
 
 # the only memory model, checked by build_ball, which makes every Ball a
 # route receives: 96 bytes per vertex cover the ball (32), a caller's input,
@@ -498,11 +505,11 @@ _BALL_HEADER = re.compile(rb"HEPTABALL v2 m=(0|[1-9]\d{0,18}) n=([1-9]\d{0,18})"
 _SEPARATOR = re.compile(rb"[\x00- ]")
 _SPACING = "lines must hold integers separated by single spaces"
 
-# bytes of state or odometer text tokenized at once, and vertex lines
-# formatted at once: both bound the codec's temporaries, the second when a
-# ball is saved and when it is loaded, which compares a chunk of lines at a
-# time (saving the m=10 ball, a 3 MB file, peaks at 0.8 MB with 1024 lines
-# at once and 2.7 MB with 4096)
+# bytes of a file read and hashed, or of state or odometer text tokenized,
+# at once, and vertex lines formatted at once: both bound the codec's
+# temporaries, the second when a ball is saved and when it is loaded, which
+# compares a chunk of lines at a time (saving the m=10 ball, a 3 MB file,
+# peaks at 0.5 MB with 1024 lines at once and 1.7 MB with 4096)
 _PARSE_CHUNK = 1 << 20
 _WRITE_ROWS = 1024
 
@@ -533,28 +540,33 @@ def _write_signed(path, chunks) -> None:
         fh.write(_check_line(hasher))
 
 
-def _split_checked(data: bytes) -> tuple:
-    """Verify the trailing CHECK line; return the first line and the lines after it.
+def _check_stream(fh) -> tuple:
+    """The first line, line count and body length of the signed file ``fh``.
 
-    The lines after the first, up to the CHECK line, come as a memoryview of
-    ``data``, not a copy.
+    Verifies the CHECK line, reading ``_PARSE_CHUNK`` bytes at a time and
+    holding back only the last line; the first line is b"" if it is the
+    CHECK line, and ``fh`` is left after it otherwise.
     """
-    if not data.endswith(b"\n"):
+    hasher, held, lines, cut = _hasher(), bytearray(), 0, 0
+    for piece in iter(lambda: fh.read(_PARSE_CHUNK), b""):
+        lines += piece.count(b"\n")
+        end = piece.rfind(b"\n", 0, len(piece) - 1) + 1
+        if end or held.endswith(b"\n"):
+            hasher.update(held)
+            hasher.update(memoryview(piece)[:end])
+            cut += len(held) + end
+            held = bytearray(piece[end:])
+        else:
+            held += piece
+    if not held.endswith(b"\n"):
         raise FormatError("stream must end with a newline")
-    cut = data.rfind(b"\n", 0, -1) + 1
-    check, stated = data[cut:cut + 6], data[cut + 6:-1]
-    if check != b"CHECK ":
+    if held[:6] != b"CHECK ":
         raise FormatError("missing CHECK line")
-    body = memoryview(data)[:cut]
-    hasher = _hasher()
-    hasher.update(body)
-    computed = hasher.hexdigest().encode("ascii")
+    stated, computed = bytes(held[6:-1]), hasher.hexdigest().encode("ascii")
     if stated != computed:
         raise FormatError(f"checksum mismatch: stated {stated!r}, computed {computed!r}")
-    if not cut:
-        return b"", body
-    head = data.find(b"\n", 0, cut)
-    return data[:head], body[head + 1:]
+    fh.seek(0)
+    return (fh.readline()[:-1] if cut else b""), lines, cut
 
 
 def _parse_ints(text):
@@ -600,54 +612,68 @@ def _parse_ints(text):
     return values, ends
 
 
-# 10**1 .. 10**19: a magnitude has one digit more than the powers at most it
-_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+def _format_ints(values, seps) -> bytes:
+    """The inverse of ``_parse_ints``: each value in decimal, then its separator.
 
-
-def _format_ints(values, ends) -> bytes:
-    """The inverse of ``_parse_ints``: lines of integers, as bytes.
-
-    Each value is written in decimal, then a newline where ``ends`` is set
-    and a space elsewhere.  Every value gets one row of a byte matrix, right
-    aligned against its separator, and one boolean mask keeps each row's
-    bytes.
+    ``values`` is an integer array of any shape and ``seps`` a uint8 array
+    of separator bytes that broadcasts to it, written in row-major order; a
+    value whose separator is 0 is not written.  Every value gets one row of
+    a zero-filled byte matrix, right-aligned against its separator, with a
+    sign only where it is negative.  Its leading zeros stay NUL, and one
+    translate drops them.
     """
     values = np.asarray(values, dtype=np.int64)
     if not values.size:
         return b""
-    neg = values < 0
+    live = seps != 0
     # abs(-2**63) wraps to -2**63, which reads as 2**63 unsigned
     mag = np.abs(values).view(np.uint64)
-    digits = np.searchsorted(_POWERS_OF_TEN, mag, side="right") + 1
-    width = digits + neg + 1
-    cols = int(width.max())
-    text = np.empty((values.size, cols), dtype=np.uint8)
-    text[:, -1] = np.where(ends, ord("\n"), ord(" "))
-    if mag.max() <= np.iinfo(np.uint32).max:
+    top = int(mag.max())
+    if top <= _UINT32_MAX:
         mag = mag.astype(np.uint32)  # narrower division is faster
-    for col in range(cols - 2, cols - 2 - int(digits.max()), -1):
+    mag *= live
+    sign, width = int(values.min() < 0), len(str(top))
+    text = np.zeros(values.shape + (sign + width + 1,), dtype=np.uint8)
+    text[..., -1] = seps
+    write = live
+    for col in range(sign + width - 1, sign - 1, -1):
         quot = mag // 10
-        text[:, col] = mag - 10 * quot + ord("0")
+        mag -= 10 * quot
+        mag += ord("0")
+        np.multiply(mag, write, out=text[..., col], casting="unsafe")
         mag = quot
-    signed = np.flatnonzero(neg)
-    text[signed, cols - 2 - digits[signed]] = ord("-")
-    return text[np.arange(cols) >= cols - width[:, None]].tobytes()
+        write = mag != 0
+    if sign:
+        neg = np.nonzero((values < 0) & live)
+        digits = np.count_nonzero(text[neg], axis=-1) - 1  # less the separator
+        text[neg + (width - digits,)] = ord("-")
+    return text.tobytes().translate(None, b"\0")
 
 
 def _ball_lines(ball: Ball):
-    """The serialized ball up to its CHECK line, as chunks of bytes."""
+    """The serialized ball up to its CHECK line, as chunks of bytes.
+
+    Each chunk of ``_WRITE_ROWS`` vertex lines is one int64 grid, a row per
+    vertex and as many slots as the chunk's longest line: id, level, type
+    and deficit, then the neighbors, with separator 0 past the line's end.
+    """
     yield f"HEPTABALL v2 m={ball.radius} n={ball.n}\n".encode("ascii")
     for lo in range(0, ball.n, _WRITE_ROWS):
         hi = min(lo + _WRITE_ROWS, ball.n)
         ptr = ball.indptr[lo:hi + 1]
-        lead = np.column_stack((np.arange(lo, hi), ball.level[lo:hi],
-                                ball.vtype[lo:hi], DEGREE - np.diff(ptr)))
-        # each row's neighbors, with id, level, type and deficit put before them
-        tokens = np.insert(ball.indices[ptr[0]:ptr[-1]],
-                           np.repeat(ptr[:-1] - ptr[0], 4), lead.ravel())
-        ends = np.zeros(tokens.size, dtype=bool)
-        ends[ptr[1:] - ptr[0] + 4 * np.arange(1, hi - lo + 1) - 1] = True
-        yield _format_ints(tokens, ends)
+        length = np.diff(ptr)
+        longest = int(length.max())
+        # the separators of a line with k neighbors, k = 0..longest
+        seps = np.tri(longest + 1, 4 + longest, 3, dtype=np.uint8) * ord(" ")
+        np.fill_diagonal(seps[:, 3:], ord("\n"))
+        seps = seps.take(length, axis=0)
+        grid = np.zeros(seps.shape, dtype=np.int64)
+        grid[:, 0] = np.arange(lo, hi)
+        grid[:, 1] = ball.level[lo:hi]
+        grid[:, 2] = ball.vtype[lo:hi]
+        grid[:, 3] = DEGREE - length
+        grid[:, 4:][seps[:, 4:] != 0] = ball.indices[ptr[0]:ptr[-1]]
+        yield _format_ints(grid, seps)
 
 
 def serialize_ball(ball: Ball) -> bytes:
@@ -656,35 +682,36 @@ def serialize_ball(ball: Ball) -> bytes:
 
 
 def deserialize_ball(data: bytes) -> Ball:
-    """The ball that ``data`` serializes; any other bytes raise FormatError.
+    """The ball that ``data`` serializes; any other bytes raise FormatError."""
+    return _read_ball(io.BytesIO(data))
 
-    A ball is fixed by its radius, so the vertex lines are not parsed: they
-    are compared, a chunk of ``_ball_lines`` at a time, with those of the
-    radius-m ball, and the first difference names its file line.  The
-    header and the number of vertex lines are checked before the ball is
-    built, so that a short file cannot ask for a large ball.
+
+def _read_ball(fh) -> Ball:
+    """The ball that the binary file ``fh`` holds; other bytes raise FormatError.
+
+    Its lines are compared, a chunk of ``_ball_lines`` at a time, with those
+    of the radius-m ball, built once the header and line count agree with it.
     """
-    head, _ = _split_checked(data)
+    head, lines, _ = _check_stream(fh)
     header = _BALL_HEADER.fullmatch(head)
     if header is None:
         raise FormatError(f"malformed header: {head!r}")
     m, n = int(header.group(1)), int(header.group(2))
     if not (m <= _MAX_RADIUS and _csr_size(m)[0] == n):
         raise FormatError(f"stated radius disagrees with the vertex count: m={m}, n={n}")
-    lines = data.count(b"\n") - 2  # less the header and CHECK lines
-    if lines != n:
-        raise FormatError(f"expected {n} vertex lines, found {lines}")
+    if lines - 2 != n:  # less the header and CHECK lines
+        raise FormatError(f"expected {n} vertex lines, found {lines - 2}")
     ball = build_ball(m)
     chunks = _ball_lines(ball)
     next(chunks)  # the header, checked above
     # with n lines in both, vertex lines that start with every chunk end there
-    at, line = len(head) + 1, 2
+    line = 2
     for chunk in chunks:
-        if not data.startswith(chunk, at):
-            same = os.path.commonprefix([data[at:at + len(chunk)], chunk])
+        text = fh.read(len(chunk))
+        if text != chunk:
+            same = os.path.commonprefix([text, chunk])
             line += chunk.count(b"\n", 0, len(same))
             raise FormatError(f"line {line} differs from the radius-{m} ball")
-        at += len(chunk)
         line += chunk.count(b"\n")
     return ball
 
@@ -694,4 +721,5 @@ def save_ball(ball: Ball, path) -> None:
 
 
 def load_ball(path) -> Ball:
-    return deserialize_ball(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        return _read_ball(fh)

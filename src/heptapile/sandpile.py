@@ -20,13 +20,16 @@ States and odometers are saved as sparse text files.
 
 from __future__ import annotations
 
+import io
 import re
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .ball import DEGREE, Ball, _format_ints, _parse_ints, _sign, _split_checked
+from . import ball as _ball
+from .ball import (DEGREE, Ball, _check_stream, _format_ints, _parse_ints, _sign,
+                   _write_signed)
 from .errors import FormatError, InvariantError
 
 _INT64_MIN = -(2**63)
@@ -326,18 +329,25 @@ _FIELD_HEADER = re.compile(
     rb"(HEPTASTATE|HEPTAODOM) v2 m=(\d{1,19}) n=(\d{1,19}) default=(-?\d{1,19})")
 
 
-def _serialize_field(tag: str, ball: Ball, values: np.ndarray) -> bytes:
+def _field_lines(tag: str, ball: Ball, values: np.ndarray):
+    """The serialized field up to its CHECK line, as chunks of bytes.
+
+    Each chunk holds as many tokens as a ball chunk of ``_WRITE_ROWS``
+    interior lines, two per entry line.
+    """
     uniq, counts = np.unique(values, return_counts=True)
     default = int(uniq[np.argmax(counts)])  # ties break toward the smaller value
+    yield f"{tag} v2 m={ball.radius} n={ball.n} default={default}\n".encode("ascii")
     ids = np.flatnonzero(values != default)
-    head = f"{tag} v2 m={ball.radius} n={ball.n} default={default}\n"
-    entries = np.column_stack((ids, values[ids])).ravel()
-    return _sign(head.encode("ascii")
-                 + _format_ints(entries, np.tile([False, True], ids.size)))
+    step = _ball._WRITE_ROWS * (4 + DEGREE) // 2
+    for lo in range(0, ids.size, step):
+        part = ids[lo:lo + step]
+        yield _format_ints(np.column_stack((part, values[part])),
+                           np.frombuffer(b" \n", dtype=np.uint8))
 
 
 def _deserialize_field(expected_tag: str, data: bytes, ball: Ball) -> np.ndarray:
-    head, text = _split_checked(data)
+    head, _, cut = _check_stream(io.BytesIO(data))
     header = _FIELD_HEADER.fullmatch(head)
     if header is None or header.group(1) != expected_tag.encode("ascii"):
         raise FormatError(f"malformed {expected_tag} header: {head!r}")
@@ -347,7 +357,7 @@ def _deserialize_field(expected_tag: str, data: bytes, ball: Ball) -> np.ndarray
             f"stream is for m={m}, n={n}; ball has m={ball.radius}, n={ball.n}")
     if not _INT64_MIN <= default <= _INT64_MAX:
         raise FormatError(f"default {default} outside signed 64-bit range")
-    tokens, ends = _parse_ints(text)
+    tokens, ends = _parse_ints(memoryview(data)[len(head) + 1:cut])
     if ends[0::2].any() or not ends[1::2].all():
         raise FormatError("each entry line must hold a vertex id and a value")
     ids = tokens[0::2]
@@ -361,7 +371,7 @@ def _deserialize_field(expected_tag: str, data: bytes, ball: Ball) -> np.ndarray
 
 
 def serialize_state(state: State) -> bytes:
-    return _serialize_field("HEPTASTATE", state.ball, state.grains)
+    return _sign(b"".join(_field_lines("HEPTASTATE", state.ball, state.grains)))
 
 
 def deserialize_state(data: bytes, ball: Ball) -> State:
@@ -369,7 +379,7 @@ def deserialize_state(data: bytes, ball: Ball) -> State:
 
 
 def serialize_odometer(odometer: Odometer) -> bytes:
-    return _serialize_field("HEPTAODOM", odometer.ball, odometer.counts)
+    return _sign(b"".join(_field_lines("HEPTAODOM", odometer.ball, odometer.counts)))
 
 
 def deserialize_odometer(data: bytes, ball: Ball) -> Odometer:
@@ -380,7 +390,7 @@ def deserialize_odometer(data: bytes, ball: Ball) -> Odometer:
 
 
 def save_state(state: State, path) -> None:
-    Path(path).write_bytes(serialize_state(state))
+    _write_signed(path, _field_lines("HEPTASTATE", state.ball, state.grains))
 
 
 def load_state(path, ball: Ball) -> State:
@@ -388,7 +398,7 @@ def load_state(path, ball: Ball) -> State:
 
 
 def save_odometer(odometer: Odometer, path) -> None:
-    Path(path).write_bytes(serialize_odometer(odometer))
+    _write_signed(path, _field_lines("HEPTAODOM", odometer.ball, odometer.counts))
 
 
 def load_odometer(path, ball: Ball) -> Odometer:

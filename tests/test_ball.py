@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import re
 import tracemalloc
@@ -11,8 +12,8 @@ from heptapile import (DEGREE, Ball, CapacityError, FormatError, InvariantError,
                        level_counts, load_ball, load_odometer, load_state, relax,
                        save_ball, save_odometer, save_state, validate_ball)
 from heptapile import ball as ball_module
-from heptapile.ball import (_format_ints, _parse_ints, _sign, deserialize_ball,
-                            link_cycles, serialize_ball)
+from heptapile.ball import (_check_stream, _format_ints, _parse_ints, _sign,
+                            deserialize_ball, link_cycles, serialize_ball)
 
 # |ball(m)| for m = 0..12, from the Fibonacci closed form, frozen
 SIZES = [1, 8, 29, 85, 232, 617, 1625, 4264, 11173, 29261, 76616, 200593,
@@ -28,6 +29,8 @@ BALL_DIGESTS = {
     2: "615588f9b436686fe018689ba6e5eb07da58453518ce885a31a9568b89dc40d5",
     5: "8aaea78fb5621e826a4a9f0b661b961aa23e0c99fab0861ca9e6f54c799da0ed",
     8: "62f0df841440696f7e3fcf4262782ae4ac3b26e274d6e01507b825b0da02d9d6",
+    # the first radius with 6-digit ids
+    11: "9824277aa8e4d1a0d679dc0619604544ad7eee6f4c3061f2e95ed3eedc9a6a64",
 }
 
 
@@ -479,7 +482,8 @@ def test_integer_writer_inverts_the_parser():
     def check(lines):
         values = [x for line in lines for x in line]
         ends = [k == len(line) - 1 for line in lines for k in range(len(line))]
-        text = _format_ints(np.array(values, dtype=np.int64), np.array(ends, dtype=bool))
+        seps = np.array([ord("\n") if end else ord(" ") for end in ends], dtype=np.uint8)
+        text = _format_ints(np.array(values, dtype=np.int64), seps)
         assert text == "".join(str(x) + ("\n" if end else " ")
                                for x, end in zip(values, ends)).encode("ascii")
         parsed, parsed_ends = _parse_ints(text)
@@ -487,6 +491,41 @@ def test_integer_writer_inverts_the_parser():
         assert parsed_ends.tolist() == ends
 
     check()
+
+
+def test_integer_writer_writes_each_live_value_then_its_separator():
+    # separator 0 means "no token here": the value, whatever it is, is dropped
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    edges = [0, 1, -1, 9, -9, 10, -10, -2**63, 2**63 - 1]
+    int64 = st.one_of(st.sampled_from(edges), st.integers(-2**63, 2**63 - 1))
+    cell = st.tuples(int64, st.sampled_from([0, ord(" "), ord("\n")]))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.lists(cell, max_size=40), st.integers(1, 4))
+    @hypothesis.example([(x, ord(" ")) for x in edges] + [(x, 0) for x in edges], 1)
+    @hypothesis.example([(-2**63, 0), (7, ord("\n"))], 2)
+    def check(cells, cols):
+        cells = cells[:len(cells) - len(cells) % cols]
+        values = np.array([v for v, _ in cells], dtype=np.int64).reshape(-1, cols)
+        seps = np.array([c for _, c in cells], dtype=np.uint8).reshape(-1, cols)
+        assert _format_ints(values, seps) == b"".join(
+            b"%d%c" % (v, c) for v, c in cells if c)
+
+    check()
+
+
+def test_hand_built_ball_writes_its_arrays():
+    # an unvalidated ball: an 8-entry row, an empty row, and ids no uint32
+    # or a 7-neighbor grid can hold
+    rows = [[1, 2, 3, 4, 5, 6, 7, 2**31 - 1], [-5, 0], [], [-2**31, 0, 2]]
+    b = Ball(1, np.array([0, 1, 1, 1], dtype=np.int32),
+             np.array([0, 1, 2, 1], dtype=np.int8),
+             np.cumsum([0] + [len(r) for r in rows]).astype(np.int64),
+             np.array([w for r in rows for w in r], dtype=np.int32))
+    lines = "".join(" ".join(map(str, [v, b.level[v], b.vtype[v], DEGREE - len(r)] + r))
+                    + "\n" for v, r in enumerate(rows))
+    assert serialize_ball(b) == _sign(("HEPTABALL v2 m=1 n=4\n" + lines).encode("ascii"))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
@@ -513,6 +552,41 @@ def test_integer_lines_parse_alike_in_small_pieces(monkeypatch, chunk):
         _parse_ints(b"12 345\n6 %d\n" % 2**63)
 
 
+def _check_whole(data):
+    """What ``_check_stream`` must return for ``data``, from the whole bytes."""
+    if not data.endswith(b"\n"):
+        raise FormatError("stream must end with a newline")
+    cut = data.rfind(b"\n", 0, -1) + 1
+    if data[cut:cut + 6] != b"CHECK ":
+        raise FormatError("missing CHECK line")
+    if data[cut + 6:-1] != hashlib.blake2b(data[:cut], digest_size=8).hexdigest().encode():
+        raise FormatError("checksum mismatch")
+    return (data[:data.find(b"\n")] if cut else b""), data.count(b"\n"), cut
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+def test_checked_files_read_alike_in_small_pieces(monkeypatch, ball_cache, chunk):
+    # a file is hashed a piece at a time, holding back the line that may be
+    # the CHECK line: any piece size must find the first line, line count
+    # and body that the whole bytes give, and reject the same files
+    monkeypatch.setattr(ball_module, "_PARSE_CHUNK", chunk)
+    blob = serialize_ball(ball_cache(1))
+    flipped = bytearray(blob)
+    flipped[30] ^= 1
+    for data in (blob, _sign(b""), _sign(b"one line\n"), _sign(b"\n\n"),
+                 blob[:-1], blob[:blob.rfind(b"CHECK")], bytes(flipped),
+                 blob[:-2] + b"0\n", blob + blob, b"", b"\n", b"CHECK \n"):
+        try:
+            want = _check_whole(data)
+        except FormatError as exc:
+            with pytest.raises(FormatError, match=str(exc)):
+                _check_stream(io.BytesIO(data))
+            continue
+        fh = io.BytesIO(data)
+        assert _check_stream(fh) == want
+        assert not want[2] or fh.tell() == len(want[0]) + 1
+
+
 def test_ball_file_is_the_same_in_small_pieces(monkeypatch, tmp_path, ball_cache):
     # ball files are written _WRITE_ROWS lines at a time; state and
     # odometer files, the only ones parsed, are read _PARSE_CHUNK bytes at a time
@@ -533,9 +607,9 @@ def test_ball_file_is_the_same_in_small_pieces(monkeypatch, tmp_path, ball_cache
 
 
 def test_ball_file_io_memory_is_bounded(tmp_path, ball_cache):
-    # saving streams a few thousand vertex lines at a time; loading holds
-    # the file and builds the ball beside it, then compares a chunk of lines
-    # at a time (2.3x the file size at m=10)
+    # saving streams a few thousand vertex lines at a time; loading reads
+    # the file a piece at a time, builds the ball and compares a chunk of
+    # lines at a time, never holding the file (1.3x the file size at m=10)
     b = ball_cache(10)
     path = tmp_path / "b.heptaball"
     tracemalloc.start()
@@ -549,7 +623,7 @@ def test_ball_file_io_memory_is_bounded(tmp_path, ball_cache):
         tracemalloc.stop()
     size = path.stat().st_size
     assert save_peak < size / 2
-    assert load_peak < 3 * size
+    assert load_peak < 2 * size
 
 
 def _one_sided(b: Ball, u: int) -> Ball:

@@ -450,6 +450,21 @@ def test_state_file_roundtrip(tmp_path, ball_cache):
     assert load_odometer(op, b) == res.odometer
 
 
+def test_field_serialization_memory_is_bounded(ball_cache):
+    # entry lines are formatted a chunk at a time; the file of the m=11
+    # origin beta is 0.6 MiB, and one-shot formatting peaked at 8.3 MiB
+    b = ball_cache(11)
+    beta, odometer = predicted_beta(b, [0]), predicted_odometer(b, [0])
+    for serialize, field in ((serialize_state, beta), (serialize_odometer, odometer)):
+        tracemalloc.start()
+        try:
+            serialize(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
+
 # sha256 of whole state and odometer files, frozen: pins the bytes of the
 # field writer, where the round trips below only pin what it can read back
 FIELD_DIGESTS = {
