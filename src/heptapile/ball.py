@@ -27,16 +27,17 @@ than a few MiB beside the ball.
 Every file format ends in a ``CHECK`` line holding the BLAKE2b-64 digest of
 the bytes before it; ``_sign`` and ``_write_signed`` write that line and
 ``_check_stream`` checks it a piece at a time.  Between the header and that
-line, every format is lines of integers separated by single spaces:
-``_format_ints`` writes them and ``_parse_ints``, its inverse, reads them,
-both in whole-array numpy, and no other code formats or parses that
-grammar.  The writer takes a grid of values and a grid of separator bytes, 0
-where a line has no token; each value is written right-aligned into a
-zero-filled byte row, its leading zeros stay NUL, and one ``bytes.translate``
-drops every NUL.  A chunk of vertex lines is one such grid, a row per vertex
-with a slot per token, and a chunk of state or odometer lines is a grid of
-id/value pairs.  A ball file is never parsed: a ball is fixed by its radius,
-so ``load_ball`` compares the file, a chunk of lines at a time, with the
+line, every format is lines of integers separated by single spaces, and
+``_format_ints`` is the only code that writes them, in whole-array numpy.
+It takes a grid of values and a grid of separator bytes, 0 where a line has
+no token; each value is written right-aligned into a zero-filled byte row,
+its leading zeros stay NUL, and one ``bytes.translate`` drops every NUL.  A
+chunk of vertex lines is one such grid, a row per vertex with a slot per
+token, and a chunk of state or odometer lines is a grid of id/value pairs.
+No file is parsed into what it holds: a file loads only when it is byte for
+byte what the writer writes for the object it describes, and
+``_compare_lines`` compares it with those bytes a chunk of lines at a time.
+A ball is fixed by its radius, so ``load_ball`` compares the file with the
 serialized ball of the radius its header states, never holding the file.
 """
 
@@ -55,7 +56,6 @@ from .errors import CapacityError, FormatError, InvariantError
 
 DEGREE = 7
 
-_INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
 _UINT32_MAX = 2**32 - 1
 
@@ -502,14 +502,12 @@ def link_cycles(ball: Ball) -> np.ndarray:
 
 
 _BALL_HEADER = re.compile(rb"HEPTABALL v2 m=(0|[1-9]\d{0,18}) n=([1-9]\d{0,18})")
-_SEPARATOR = re.compile(rb"[\x00- ]")
-_SPACING = "lines must hold integers separated by single spaces"
 
-# bytes of a file read and hashed, or of state or odometer text tokenized,
-# at once, and vertex lines formatted at once: both bound the codec's
-# temporaries, the second when a ball is saved and when it is loaded, which
-# compares a chunk of lines at a time (saving the m=10 ball, a 3 MB file,
-# peaks at 0.5 MB with 1024 lines at once and 1.7 MB with 4096)
+# bytes of a file read and hashed at once, and vertex lines formatted at
+# once: both bound the codec's temporaries, the second when a file is saved
+# and when it is loaded, which compares a chunk of lines at a time (saving
+# the m=10 ball, a 3 MB file, peaks at 0.5 MB with 1024 lines at once and
+# 1.7 MB with 4096)
 _PARSE_CHUNK = 1 << 20
 _WRITE_ROWS = 1024
 
@@ -569,51 +567,8 @@ def _check_stream(fh) -> tuple:
     return (fh.readline()[:-1] if cut else b""), lines, cut
 
 
-def _parse_ints(text):
-    """Values of newline-ended lines of integers, and whether each ends a line.
-
-    ``text`` is any bytes-like object.  It is read in pieces of about
-    ``_PARSE_CHUNK`` bytes, each ending after a separator: one pass checks
-    the characters and counts the tokens, the next parses each piece
-    straight into the two output arrays.
-    """
-    buf = np.frombuffer(text, dtype=np.uint8)
-    if buf.size and buf[-1] != ord("\n"):
-        raise FormatError(_SPACING)
-    cuts = [0]
-    while cuts[-1] < buf.size:
-        sep = _SEPARATOR.search(text, cuts[-1] + _PARSE_CHUNK - 1)
-        cuts.append(sep.end() if sep else buf.size)
-    pieces = list(zip(cuts, cuts[1:]))
-    count = 0
-    for lo, hi in pieces:
-        if bytes(text[lo:hi]).translate(None, b"-0123456789 \n"):
-            raise FormatError(_SPACING)
-        count += np.count_nonzero(buf[lo:hi] <= ord(" "))
-    values = np.empty(count, dtype=np.int64)
-    ends = np.empty(count, dtype=bool)
-    done = 0
-    for lo, hi in pieces:
-        # the separator ending each token; each token is [-]digits, and a
-        # sign at 0 looks back at the final newline
-        after = lo + np.flatnonzero(buf[lo:hi] <= ord(" "))
-        signs = lo + np.flatnonzero(buf[lo:hi] == ord("-"))
-        if (np.any(buf[after - 1] < ord("0")) or np.any(buf[signs + 1] < ord("0"))
-                or np.any(buf[signs - 1] > ord(" "))):
-            raise FormatError(_SPACING)
-        piece = values[done:done + after.size]
-        piece[:] = np.fromstring(bytes(text[lo:hi]), dtype=np.int64, sep=" ")
-        for k in np.flatnonzero(piece == _INT64_MAX).tolist():  # numpy saturates
-            token = bytes(text[after[k - 1] + 1 if k else lo:after[k]])
-            if int(token) != _INT64_MAX:
-                raise FormatError(f"value {token.decode()} outside signed 64-bit range")
-        ends[done:done + after.size] = buf[after] == ord("\n")
-        done += after.size
-    return values, ends
-
-
 def _format_ints(values, seps) -> bytes:
-    """The inverse of ``_parse_ints``: each value in decimal, then its separator.
+    """Each value in decimal, then its separator.
 
     ``values`` is an integer array of any shape and ``seps`` a uint8 array
     of separator bytes that broadcasts to it, written in row-major order; a
@@ -686,13 +641,32 @@ def deserialize_ball(data: bytes) -> Ball:
     return _read_ball(io.BytesIO(data))
 
 
+def _compare_lines(fh, chunks, cut: int, what: str) -> None:
+    """Require the first ``cut`` bytes of ``fh`` to be the byte chunks.
+
+    Reads the file a chunk's length at a time from its start and names, in
+    the format error, the first line that differs from ``what``.
+    """
+    fh.seek(0)
+    line = 1
+    for chunk in chunks:
+        text = fh.read(len(chunk))
+        if text != chunk:
+            same = os.path.commonprefix([text, chunk])
+            line += chunk.count(b"\n", 0, len(same))
+            raise FormatError(f"line {line} differs from {what}")
+        line += chunk.count(b"\n")
+    if fh.tell() != cut:  # the file has lines beyond the chunks
+        raise FormatError(f"line {line} differs from {what}")
+
+
 def _read_ball(fh) -> Ball:
     """The ball that the binary file ``fh`` holds; other bytes raise FormatError.
 
-    Its lines are compared, a chunk of ``_ball_lines`` at a time, with those
-    of the radius-m ball, built once the header and line count agree with it.
+    Its lines are compared with those of the radius-m ball, built once the
+    header and line count agree with it.
     """
-    head, lines, _ = _check_stream(fh)
+    head, lines, cut = _check_stream(fh)
     header = _BALL_HEADER.fullmatch(head)
     if header is None:
         raise FormatError(f"malformed header: {head!r}")
@@ -702,17 +676,7 @@ def _read_ball(fh) -> Ball:
     if lines - 2 != n:  # less the header and CHECK lines
         raise FormatError(f"expected {n} vertex lines, found {lines - 2}")
     ball = build_ball(m)
-    chunks = _ball_lines(ball)
-    next(chunks)  # the header, checked above
-    # with n lines in both, vertex lines that start with every chunk end there
-    line = 2
-    for chunk in chunks:
-        text = fh.read(len(chunk))
-        if text != chunk:
-            same = os.path.commonprefix([text, chunk])
-            line += chunk.count(b"\n", 0, len(same))
-            raise FormatError(f"line {line} differs from the radius-{m} ball")
-        line += chunk.count(b"\n")
+    _compare_lines(fh, _ball_lines(ball), cut, f"the radius-{m} ball")
     return ball
 
 

@@ -15,20 +15,21 @@ integers and checks the budget once per block.  The abelian property also lets
 ``relax_batch`` scatter each round's grains in slices of fired vertices, so
 its temporaries beyond the grains and the odometer stay a few MiB at any
 radius.  Sums of grains are taken a block at a time in exact integers.
-States and odometers are saved as sparse text files.
+States and odometers are saved as sparse text files, and a file loads only
+when it is byte for byte what the writer writes for the values it holds.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from pathlib import Path
+import warnings
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import ball as _ball
-from .ball import (DEGREE, Ball, _check_stream, _format_ints, _parse_ints, _sign,
+from .ball import (DEGREE, Ball, _check_stream, _compare_lines, _format_ints, _sign,
                    _write_signed)
 from .errors import FormatError, InvariantError
 
@@ -346,28 +347,45 @@ def _field_lines(tag: str, ball: Ball, values: np.ndarray):
                            np.frombuffer(b" \n", dtype=np.uint8))
 
 
-def _deserialize_field(expected_tag: str, data: bytes, ball: Ball) -> np.ndarray:
-    head, _, cut = _check_stream(io.BytesIO(data))
+def _read_field(fh, tag: str, ball: Ball) -> np.ndarray:
+    """The values that the signed field file ``fh`` holds for ``ball``.
+
+    The body is parsed loosely into id/value pairs, then the whole file is
+    compared with what ``_field_lines`` writes for the values they give, so
+    only the writer's own bytes load.
+    """
+    head, _, cut = _check_stream(fh)
     header = _FIELD_HEADER.fullmatch(head)
-    if header is None or header.group(1) != expected_tag.encode("ascii"):
-        raise FormatError(f"malformed {expected_tag} header: {head!r}")
+    if header is None or header.group(1) != tag.encode("ascii"):
+        raise FormatError(f"malformed {tag} header: {head!r}")
     m, n, default = (int(header.group(i)) for i in (2, 3, 4))
     if m != ball.radius or n != ball.n:
         raise FormatError(
             f"stream is for m={m}, n={n}; ball has m={ball.radius}, n={ball.n}")
     if not _INT64_MIN <= default <= _INT64_MAX:
         raise FormatError(f"default {default} outside signed 64-bit range")
-    tokens, ends = _parse_ints(memoryview(data)[len(head) + 1:cut])
-    if ends[0::2].any() or not ends[1::2].all():
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy 1.x warns and stops where 2.x raises
+            tokens = np.fromstring(fh.read(cut - fh.tell()), dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        raise FormatError("lines must hold integers separated by single spaces") from None
+    if tokens.size % 2:
         raise FormatError("each entry line must hold a vertex id and a value")
     ids = tokens[0::2]
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise FormatError("entry for a vertex out of range")
-    if np.any(np.diff(ids) <= 0):
-        raise FormatError("entries must have strictly ascending vertex ids")
     values = np.full(n, default, dtype=np.int64)
     values[ids] = tokens[1::2]
+    _compare_lines(fh, _field_lines(tag, ball, values), cut, f"the {tag} it holds")
     return values
+
+
+def _read_odometer(fh, ball: Ball) -> Odometer:
+    values = _read_field(fh, "HEPTAODOM", ball)
+    if values.size and values.min() < 0:
+        raise FormatError("odometer entries must be nonnegative")
+    return Odometer(ball, values)
 
 
 def serialize_state(state: State) -> bytes:
@@ -375,7 +393,7 @@ def serialize_state(state: State) -> bytes:
 
 
 def deserialize_state(data: bytes, ball: Ball) -> State:
-    return State(ball, _deserialize_field("HEPTASTATE", data, ball))
+    return State(ball, _read_field(io.BytesIO(data), "HEPTASTATE", ball))
 
 
 def serialize_odometer(odometer: Odometer) -> bytes:
@@ -383,10 +401,7 @@ def serialize_odometer(odometer: Odometer) -> bytes:
 
 
 def deserialize_odometer(data: bytes, ball: Ball) -> Odometer:
-    values = _deserialize_field("HEPTAODOM", data, ball)
-    if values.size and values.min() < 0:
-        raise FormatError("odometer entries must be nonnegative")
-    return Odometer(ball, values)
+    return _read_odometer(io.BytesIO(data), ball)
 
 
 def save_state(state: State, path) -> None:
@@ -394,7 +409,8 @@ def save_state(state: State, path) -> None:
 
 
 def load_state(path, ball: Ball) -> State:
-    return deserialize_state(Path(path).read_bytes(), ball)
+    with open(path, "rb") as fh:
+        return State(ball, _read_field(fh, "HEPTASTATE", ball))
 
 
 def save_odometer(odometer: Odometer, path) -> None:
@@ -402,4 +418,5 @@ def save_odometer(odometer: Odometer, path) -> None:
 
 
 def load_odometer(path, ball: Ball) -> Odometer:
-    return deserialize_odometer(Path(path).read_bytes(), ball)
+    with open(path, "rb") as fh:
+        return _read_odometer(fh, ball)

@@ -1,7 +1,6 @@
 import hashlib
 import io
 import itertools
-import re
 import tracemalloc
 
 import numpy as np
@@ -12,8 +11,8 @@ from heptapile import (DEGREE, Ball, CapacityError, FormatError, InvariantError,
                        level_counts, load_ball, load_odometer, load_state, relax,
                        save_ball, save_odometer, save_state, validate_ball)
 from heptapile import ball as ball_module
-from heptapile.ball import (_check_stream, _format_ints, _parse_ints, _sign,
-                            deserialize_ball, link_cycles, serialize_ball)
+from heptapile.ball import (_check_stream, _format_ints, _sign, deserialize_ball,
+                            link_cycles, serialize_ball)
 
 # |ball(m)| for m = 0..12, from the Fibonacci closed form, frozen
 SIZES = [1, 8, 29, 85, 232, 617, 1625, 4264, 11173, 29261, 76616, 200593,
@@ -452,22 +451,6 @@ def test_malformed_vertex_line_rejected(ball_cache, line, text, message):
         deserialize_ball(resign(lines))
 
 
-def test_integer_lines_follow_their_grammar():
-    # every short string over a small alphabet: parsed exactly when it is
-    # lines of [-]digits separated by single spaces, rejected otherwise
-    grammar = re.compile(rb"(?:(?:-?[0-9]+ )*-?[0-9]+\n)*")
-    for size in range(5):
-        for chars in itertools.product(b"-07 \n\t+", repeat=size):
-            text = bytes(chars)
-            if grammar.fullmatch(text):
-                values, ends = _parse_ints(text)
-                assert values.tolist() == [int(t) for t in text.split()]
-                assert int(ends.sum()) == text.count(b"\n")
-            else:
-                with pytest.raises(FormatError):
-                    _parse_ints(text)
-
-
 def test_integer_writer_inverts_the_parser():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -486,9 +469,6 @@ def test_integer_writer_inverts_the_parser():
         text = _format_ints(np.array(values, dtype=np.int64), seps)
         assert text == "".join(str(x) + ("\n" if end else " ")
                                for x, end in zip(values, ends)).encode("ascii")
-        parsed, parsed_ends = _parse_ints(text)
-        assert parsed.tolist() == values
-        assert parsed_ends.tolist() == ends
 
     check()
 
@@ -528,30 +508,6 @@ def test_hand_built_ball_writes_its_arrays():
     assert serialize_ball(b) == _sign(("HEPTABALL v2 m=1 n=4\n" + lines).encode("ascii"))
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
-def test_integer_lines_parse_alike_in_small_pieces(monkeypatch, chunk):
-    # the text is tokenized a piece at a time, each piece ending after a
-    # separator: tiny pieces must parse and reject exactly as one piece does
-    monkeypatch.setattr(ball_module, "_PARSE_CHUNK", chunk)
-    grammar = re.compile(rb"(?:(?:-?[0-9]+ )*-?[0-9]+\n)*")
-    for size in range(5):
-        for chars in itertools.product(b"-07 \n", repeat=size):
-            text = bytes(chars)
-            if grammar.fullmatch(text):
-                values, ends = _parse_ints(text)
-                assert values.tolist() == [int(t) for t in text.split()]
-                assert ends.tolist() == [t.endswith(b"\n") for t in
-                                         re.findall(rb"[^ \n]+[ \n]", text)]
-            else:
-                with pytest.raises(FormatError):
-                    _parse_ints(text)
-    top = 2**63 - 1
-    values, _ = _parse_ints(b"12 %d\n-%d 345\n" % (top, top))
-    assert values.tolist() == [12, top, -top, 345]
-    with pytest.raises(FormatError, match="64-bit"):
-        _parse_ints(b"12 345\n6 %d\n" % 2**63)
-
-
 def _check_whole(data):
     """What ``_check_stream`` must return for ``data``, from the whole bytes."""
     if not data.endswith(b"\n"):
@@ -588,8 +544,9 @@ def test_checked_files_read_alike_in_small_pieces(monkeypatch, ball_cache, chunk
 
 
 def test_ball_file_is_the_same_in_small_pieces(monkeypatch, tmp_path, ball_cache):
-    # ball files are written _WRITE_ROWS lines at a time; state and
-    # odometer files, the only ones parsed, are read _PARSE_CHUNK bytes at a time
+    # every file is written in chunks of lines sized by _WRITE_ROWS, read
+    # _PARSE_CHUNK bytes at a time to check its digest, then compared with
+    # the writer's bytes a chunk at a time
     b = ball_cache(4)
     blob = serialize_ball(b)
     monkeypatch.setattr(ball_module, "_WRITE_ROWS", 5)
@@ -602,7 +559,8 @@ def test_ball_file_is_the_same_in_small_pieces(monkeypatch, tmp_path, ball_cache
     for obj, save, load in ((res.state, save_state, load_state),
                             (res.odometer, save_odometer, load_odometer)):
         save(obj, path)
-        assert len(path.read_bytes()) > 10 * 64  # the parse runs in many pieces
+        # a chunk of field lines is 5 * (4 + DEGREE) // 2 = 27 entry lines
+        assert path.read_bytes().count(b"\n") > 5 * 27  # compared in many chunks
         assert load(path, b) == obj
 
 

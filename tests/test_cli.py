@@ -3,9 +3,9 @@ import weakref
 import pytest
 
 from heptapile import (ball as ball_module, ball_size, build_ball, cli, load_ball,
-                       load_state, save_ball)
+                       load_state, max_stable, perturb, relax, save_ball)
 from heptapile.cli import main
-from heptapile.render import cell_fills, color_histogram
+from heptapile.render import DEFAULT_PALETTE, cell_fills, color_histogram
 
 
 def run(capsys, *argv):
@@ -242,6 +242,21 @@ def test_render_beta_origin(tmp_path, capsys):
     svg = out.read_text()
     assert color_histogram(svg) == {"#000000": 1, "#585858": 21,
                                     "#c8c8c8": 7}
+
+
+def test_render_colors_a_relaxed_state_file(tmp_path, capsys):
+    state, out = tmp_path / "s.heptastate", tmp_path / "s.svg"
+    code, _, _ = run(capsys, "relax", "-m", "3", "--p", "5,40", "--state-out",
+                     str(state), "--odometer-out", str(tmp_path / "o.heptaodom"))
+    assert code == 0
+    code, _, _ = run(capsys, "render", "-m", "3", "--state", str(state),
+                     "--out", str(out))
+    assert code == 0
+    b = build_ball(3)
+    grains = relax(perturb(max_stable(b), [5, 40])).state.grains.tolist()
+    fills = cell_fills(out.read_text())
+    assert len(set(grains[v] for v in fills)) > 1
+    assert fills == {v: DEFAULT_PALETTE[grains[v]] for v in fills}
 
 
 def test_render_with_palette_and_zoom(tmp_path, capsys):

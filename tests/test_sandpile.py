@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
-from heptapile import (FormatError, InvariantError, Odometer, State,
+from heptapile import (DEGREE, FormatError, InvariantError, Odometer, State,
                        VertexType, ball as ball_module,
                        is_legal, is_stable, laplacian_delta, mass, max_stable,
                        perturb, predicted_beta, predicted_odometer, relax,
@@ -549,22 +550,43 @@ def test_every_single_byte_mutation_rejected(ball_cache):
     files = st.one_of(st.integers(0, 4).flatmap(ball_file),
                       _field_cases(st, ball_cache).flatmap(field_files))
 
+    def check_mutation(blob, load, pos, byte):
+        mutated = blob[:pos] + bytes([byte]) + blob[pos + 1:]
+        with pytest.raises(FormatError):
+            load(mutated)
+        signed = blob.rindex(b"CHECK ")
+        if pos >= signed:
+            return
+        resigned = _sign(mutated[:signed])
+        # a ball file must be the built ball's bytes, so it stays refused
+        # when re-signed; a state or odometer file may then be another valid
+        # one, but only as the writer's own bytes for what it holds
+        if load is deserialize_ball:
+            with pytest.raises(FormatError):
+                load(resigned)
+            return
+        try:
+            field = load(resigned)
+        except FormatError:
+            return
+        serialize = serialize_state if isinstance(field, State) else serialize_odometer
+        assert serialize(field) == resigned
+
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
     @hypothesis.given(files, st.data())
     def check(file, data):
         blob, load = file
         pos = data.draw(st.integers(0, len(blob) - 1))
         byte = data.draw(st.integers(0, 255).filter(lambda x: x != blob[pos]))
-        mutated = blob[:pos] + bytes([byte]) + blob[pos + 1:]
-        with pytest.raises(FormatError):
-            load(mutated)
-        # a ball file must be the built ball's bytes, so it stays refused
-        # when re-signed; a state or odometer file may then be another valid one
-        signed = blob.rindex(b"CHECK ")
-        if load is deserialize_ball and pos < signed:
-            with pytest.raises(FormatError):
-                load(_sign(mutated[:signed]))
+        check_mutation(blob, load, pos, byte)
 
+    # "3 5" re-signed as "3 6", the default: a state the writer never writes
+    b = ball_cache(1)
+    grains = np.full(b.n, DEGREE - 1, dtype=np.int64)
+    grains[3] = 5
+    blob = serialize_state(State(b, grains))
+    check_mutation(blob, lambda data: deserialize_state(data, b),
+                   blob.index(b"\n3 5\n") + 3, ord("6"))
     check()
 
 
@@ -599,18 +621,65 @@ def test_state_entry_at_the_64_bit_maximum_accepted(ball_cache):
     (b"HEPTAODOM v2 m=1 n=8 default=6", b"", "header"),
     (b"HEPTASTATE v2 m=1 n=8 default=%d" % 2**63, b"", "64-bit"),
     (b"HEPTASTATE v2 m=1 n=8 default=" + b"9" * 5000, b"", "header"),
-    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 5\n2 5\n", "ascending"),
-    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 5\n3 4\n", "ascending"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 5\n2 5\n", "line 2 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 5\n3 4\n", "line 2 differs"),
     (b"HEPTASTATE v2 m=1 n=8 default=6", b"8 5\n", "out of range"),
     (b"HEPTASTATE v2 m=1 n=8 default=6", b"-1 5\n", "out of range"),
     (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 5 6\n", "a vertex id and a value"),
-    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3\n5\n", "a vertex id and a value"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3\n5\n", "line 2 differs"),
     (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 x\n", "single spaces"),
-    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 %d\n" % 2**63, "64-bit"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 %d\n" % 2**63, "line 2 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 %d\n" % (-2**63 - 1), "line 2 differs"),
+    # parsed as some state, but not the writer's bytes for it
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 05\n", "line 2 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"03 5\n", "line 2 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 +5\n", "line 2 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 -0\n", "line 2 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3\t5\n", "line 2 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 5 \n", "line 2 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 6\n", "line 2 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 5\n4 6\n", "line 3 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"0 6\n3 5\n", "line 2 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"3 5\n3 5\n", "line 3 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=06", b"", "line 1 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=-0", b"", "line 1 differs"),
+    (b"HEPTASTATE v2 m=01 n=8 default=6", b"", "line 1 differs"),
+    # the default is the most frequent value, the smaller one of a tie
+    (b"HEPTASTATE v2 m=1 n=8 default=5", b"0 6\n1 6\n2 6\n3 6\n4 6\n", "line 1 differs"),
+    (b"HEPTASTATE v2 m=1 n=8 default=6", b"0 5\n1 5\n2 5\n3 5\n", "line 1 differs"),
 ])
 def test_malformed_state_rejected(ball_cache, head, entries, message):
     with pytest.raises(FormatError, match=message):
         deserialize_state(_sign(head + b"\n" + entries), ball_cache(1))
+
+
+def test_short_state_bodies_load_only_as_the_writers_bytes(ball_cache):
+    # every body of up to 4 bytes over a small alphabet, signed: it loads
+    # exactly when it is what the writer writes for the state it loads as
+    b = ball_cache(1)
+    head = b"HEPTASTATE v2 m=1 n=8 default=6\n"
+    alphabet = b"-07 \n\t+"
+    loaded = set()
+    for size in range(5):
+        for chars in itertools.product(alphabet, repeat=size):
+            blob = _sign(head + bytes(chars))
+            try:
+                state = deserialize_state(blob, b)
+            except FormatError:
+                continue
+            assert serialize_state(state) == blob
+            loaded.add(bytes(chars))
+    # an entry line takes 4 bytes or more, so the writer's bodies of up to
+    # 4 bytes hold at most one entry, "v g\n" with one-digit v and g
+    written = set()
+    for v, g in itertools.product(range(b.n), range(10)):
+        grains = np.full(b.n, DEGREE - 1, dtype=np.int64)
+        grains[v] = g
+        body = serialize_state(State(b, grains)).splitlines(keepends=True)[1:-1]
+        written.add(b"".join(body))
+    assert loaded == {body for body in written
+                      if len(body) <= 4 and set(body) <= set(alphabet)}
+    assert loaded == {b"", b"0 0\n", b"0 7\n", b"7 0\n", b"7 7\n"}
 
 
 def test_every_single_byte_flip_rejected(ball_cache):
