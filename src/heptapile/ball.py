@@ -60,10 +60,11 @@ _INT32_MAX = 2**31 - 1
 _UINT32_MAX = 2**32 - 1
 
 # the only memory model, checked by build_ball, which makes every Ball a
-# route receives: 96 bytes per vertex cover the ball (32), a caller's input,
+# route receives: 96 bytes per vertex cover the ball (25), a caller's input,
 # state and odometer (8 each) and a route's temporaries.  Process peaks per
-# vertex at radii 15 to 17, ball and input included: relax_batch 73-77 B,
-# wave_relax 58-62 B, bench --methods batch,wave,closed 74 B at radius 17
+# vertex at radii 15 to 17, ball and input included: relax_batch 59-64 B,
+# wave_relax 51-55 B, bench --methods batch,wave,closed 67-68 B at radius 17.
+# A lower figure would admit larger balls, so a smaller ball leaves it at 96
 _BYTES_PER_VERTEX = 96
 
 # vertices per block of build_ball and validate_ball, which bounds their
@@ -114,15 +115,16 @@ class Ball:
     ----------
     radius : int
         Ball radius ``m``.
-    level : (n,) int32 array
+    level : (n,) int8 array
         Graph distance from the root; id blocks are level-contiguous.
+        Levels reach at most ``_MAX_RADIUS`` (19).
     vtype : (n,) int8 array
         ``VertexType`` value per vertex.
-    indptr : (n+1,) int64 array
+    indptr : (n+1,) int32 array
     indices : int32 array
         The adjacency in CSR form, the only one stored: the neighbors of
         ``v`` inside the ball are ``indices[indptr[v]:indptr[v + 1]]``,
-        ascending.
+        ascending.  ``_MAX_RADIUS`` keeps both below 2**31.
     deficit : (n,) int8 array, derived
         Number of tiling neighbors outside the ball (7 minus row length).
     level_start : (m+2,) int64 array, derived
@@ -285,7 +287,7 @@ def build_ball(m: int) -> Ball:
             at += rows.size
 
     # row lengths: 7 inside; on the outer ring, 2 ring edges plus vtype down
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int32)
     if m:
         outer = int(level_start[m])
         indptr[1:outer + 1] = DEGREE
@@ -293,7 +295,7 @@ def build_ball(m: int) -> Ball:
     np.cumsum(indptr[1:], out=indptr[1:])
     if at != entries:
         raise InvariantError("written adjacency disagrees with the row lengths")
-    ball = Ball(m, np.repeat(np.arange(m + 1, dtype=np.int32), ring_size), vtype,
+    ball = Ball(m, np.repeat(np.arange(m + 1, dtype=np.int8), ring_size), vtype,
                 indptr, indices)
     validate_ball(ball)
     return ball
@@ -367,7 +369,8 @@ def _forward_entries(ball: Ball) -> int:
     total = 0
     for lo in range(0, ball.n, _BLOCK):
         ptr = ball.indptr[lo:min(lo + _BLOCK, ball.n) + 1]
-        u = np.repeat(np.arange(lo, lo + ptr.size - 1), np.diff(ptr))
+        u = np.repeat(np.arange(lo, lo + ptr.size - 1, dtype=ball.indices.dtype),
+                      np.diff(ptr))
         total += int(np.count_nonzero(ball.indices[ptr[0]:ptr[-1]] > u))
     return total
 
@@ -376,7 +379,9 @@ def _vertex_faults(ball: Ball, lo: int, hi: int):
     """The per-vertex checks of ``validate_ball`` on vertices lo..hi-1."""
     ids = np.arange(lo, hi)
     lvl = ball.level[lo:hi]
-    rise = np.diff(ball.level[max(lo - 1, 0):hi])
+    # in int64: an int8 difference wraps, and 127 then -128 would read as a rise of 1
+    seq = ball.level[max(lo - 1, 0):hi]
+    rise = np.subtract(seq[1:], seq[:-1], dtype=np.int64)
     yield "levels must rise by 0 or 1 per id", np.any((rise < 0) | (rise > 1))
     vtype = ball.vtype[lo:hi]
     yield ("type 0 must appear exactly at the root",

@@ -164,6 +164,10 @@ _BATCH_SLICE = 1 << 16
 # rows per block of _check_identity, which bounds its entry-sized gather
 _IDENTITY_ROWS = 1 << 14
 
+# vertices per block when a relax_batch round's fire set is collected; a
+# block's int64 positions stay in cache until they are written as int32
+_FIRE_BLOCK = 1 << 16
+
 
 def _check_identity(before: np.ndarray, after: np.ndarray,
                     ball: Ball, counts: np.ndarray) -> None:
@@ -230,15 +234,52 @@ def relax(state: State) -> RelaxResult:
     return RelaxResult(State(ball, final), Odometer(ball, counts), topples, topples)
 
 
+def _fire_set(g: np.ndarray) -> np.ndarray:
+    """Ids of the vertices holding 7 or more grains, ascending, as int32.
+
+    Collected from the mask a block at a time, which spares an int64 id
+    array as large as the round.
+    """
+    unstable = g >= DEGREE
+    fire = np.empty(np.count_nonzero(unstable), dtype=np.int32)
+    at = 0
+    for lo in range(0, g.size, _FIRE_BLOCK):
+        part = np.flatnonzero(unstable[lo:lo + _FIRE_BLOCK])
+        # ids are below n < 2**31, so the int64 sums fit int32
+        np.add(part, lo, out=fire[at:at + part.size], casting="unsafe")
+        at += part.size
+    return fire
+
+
+def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,
+                  fire: np.ndarray, k: np.ndarray) -> None:
+    """Topple each fired vertex ``k`` times, ``_BATCH_SLICE`` fired vertices at a time.
+
+    A slice's ids are widened to intp once: numpy casts an index array of
+    any other dtype again on each of the slice's four gathers and scatters.
+    """
+    ptr, idx = ball.indptr, ball.indices
+    for lo in range(0, fire.size, _BATCH_SLICE):
+        f, kf = fire[lo:lo + _BATCH_SLICE].astype(np.intp), k[lo:lo + _BATCH_SLICE]
+        g[f] -= DEGREE * kf
+        odo[f] += kf
+        start, deg = ptr[f], ptr[f + 1] - ptr[f]
+        # positions of the fired vertices' CSR rows in indices, concatenated
+        rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+        np.add.at(g, idx[rows], np.repeat(kf, deg))
+
+
 def relax_batch(state: State) -> RelaxResult:
     """Topple in rounds, each firing every vertex with g >= 7 grains g // 7 times.
 
     Each round takes ``k = g // 7`` for its whole fire set first, then
     topples and scatters the grains ``_BATCH_SLICE`` fired vertices at a
     time; additions commute, so the slices change no result, and the
-    round's temporaries stay a few MiB at any radius.  ``dequeues`` counts
-    (vertex, round) picks.  The budget bounds every grain and odometer
-    entry, so below 2**62 the int64 counts cannot wrap.
+    round's temporaries stay a few MiB at any radius.  A round holds its
+    fire set as int32 ids and ``k`` as int64, 12 bytes per fired vertex,
+    and drops ``k`` before the next fire set is collected.  ``dequeues``
+    counts (vertex, round) picks.  The budget bounds every grain and
+    odometer entry, so below 2**62 the int64 counts cannot wrap.
     """
     ball = state.ball
     if state.grains.min() < 0:
@@ -246,11 +287,10 @@ def relax_batch(state: State) -> RelaxResult:
     budget = _budget(state.grains)
     if budget >= 2**62:
         raise OverflowError("too many grains to relax in 64-bit counts")
-    ptr, idx = ball.indptr, ball.indices
     g = state.grains.copy()
     odo = np.zeros(ball.n, dtype=np.int64)
     topples = dequeues = 0
-    fire = np.flatnonzero(g >= DEGREE)
+    fire = _fire_set(g)
     while fire.size:
         k = g[fire]
         k //= DEGREE
@@ -258,15 +298,9 @@ def relax_batch(state: State) -> RelaxResult:
         dequeues += fire.size
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
-        for lo in range(0, fire.size, _BATCH_SLICE):
-            f, kf = fire[lo:lo + _BATCH_SLICE], k[lo:lo + _BATCH_SLICE]
-            g[f] -= DEGREE * kf
-            odo[f] += kf
-            start, deg = ptr[f], ptr[f + 1] - ptr[f]
-            # positions of the fired vertices' CSR rows in indices, concatenated
-            rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-            np.add.at(g, idx[rows], np.repeat(kf, deg))
-        fire = np.flatnonzero(g >= DEGREE)
+        _topple_round(g, odo, ball, fire, k)
+        del k
+        fire = _fire_set(g)
     _check_identity(state.grains, g, ball, odo)
     return RelaxResult(State(ball, g), Odometer(ball, odo), topples, dequeues)
 

@@ -158,7 +158,18 @@ def test_ball_is_the_same_in_small_blocks(monkeypatch, ball_cache, block):
         for field in ("level", "vtype", "deficit", "level_start", "indptr", "indices"):
             got, want = getattr(small, field), getattr(default, field)
             assert got.dtype == want.dtype and np.array_equal(got, want), field
-    assert default.indices.dtype == np.int32 and default.indptr.dtype == np.int64
+    assert default.indices.dtype == np.int32 and default.indptr.dtype == np.int32
+    assert default.level.dtype == np.int8 and default.vtype.dtype == np.int8
+
+
+def test_ball_nbytes_follow_the_csr_size(ball_cache):
+    # int32 neighbor ids and row pointers, int8 levels and types: about 25
+    # bytes per vertex, and nothing else is stored
+    for m in range(13):
+        b = ball_cache(m)
+        n, entries = ball_module._csr_size(m)
+        stored = (b.level, b.vtype, b.indptr, b.indices)
+        assert sum(a.nbytes for a in stored) == 4 * entries + 4 * (n + 1) + 2 * n
 
 
 @pytest.mark.parametrize("m", [10, 12])
@@ -451,46 +462,30 @@ def test_malformed_vertex_line_rejected(ball_cache, line, text, message):
         deserialize_ball(resign(lines))
 
 
-def test_integer_writer_inverts_the_parser():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-    edges = [0, 1, -1, 9, -9, 10, -10, -2**63, 2**63 - 1]
-    int64 = st.one_of(st.sampled_from(edges), st.integers(-2**63, 2**63 - 1))
-
-    @hypothesis.settings(max_examples=100, deadline=None, database=None)
-    @hypothesis.given(st.lists(st.lists(int64, min_size=1, max_size=8), max_size=20))
-    @hypothesis.example([])
-    @hypothesis.example([[x] for x in edges])
-    @hypothesis.example([edges])
-    def check(lines):
-        values = [x for line in lines for x in line]
-        ends = [k == len(line) - 1 for line in lines for k in range(len(line))]
-        seps = np.array([ord("\n") if end else ord(" ") for end in ends], dtype=np.uint8)
-        text = _format_ints(np.array(values, dtype=np.int64), seps)
-        assert text == "".join(str(x) + ("\n" if end else " ")
-                               for x, end in zip(values, ends)).encode("ascii")
-
-    check()
-
-
 def test_integer_writer_writes_each_live_value_then_its_separator():
-    # separator 0 means "no token here": the value, whatever it is, is dropped
+    # separator 0 means "no token here": the value, whatever it is, is dropped;
+    # a grid and its flattened rows write the same bytes
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     edges = [0, 1, -1, 9, -9, 10, -10, -2**63, 2**63 - 1]
     int64 = st.one_of(st.sampled_from(edges), st.integers(-2**63, 2**63 - 1))
     cell = st.tuples(int64, st.sampled_from([0, ord(" "), ord("\n")]))
+    line = [(x, ord(" ")) for x in edges[:-1]] + [(edges[-1], ord("\n"))]
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
     @hypothesis.given(st.lists(cell, max_size=40), st.integers(1, 4))
+    @hypothesis.example([], 1)
+    @hypothesis.example([(x, ord("\n")) for x in edges], 1)  # each alone on a line
+    @hypothesis.example(line, len(edges))  # one line of all of them
     @hypothesis.example([(x, ord(" ")) for x in edges] + [(x, 0) for x in edges], 1)
     @hypothesis.example([(-2**63, 0), (7, ord("\n"))], 2)
     def check(cells, cols):
         cells = cells[:len(cells) - len(cells) % cols]
         values = np.array([v for v, _ in cells], dtype=np.int64).reshape(-1, cols)
         seps = np.array([c for _, c in cells], dtype=np.uint8).reshape(-1, cols)
-        assert _format_ints(values, seps) == b"".join(
-            b"%d%c" % (v, c) for v, c in cells if c)
+        want = b"".join(b"%d%c" % (v, c) for v, c in cells if c)
+        assert _format_ints(values, seps) == want
+        assert _format_ints(values.ravel(), seps.ravel()) == want
 
     check()
 
@@ -629,6 +624,12 @@ def test_validate_rejects_levels_out_of_order(monkeypatch, ball_cache):
     monkeypatch.setattr(ball_module, "_BLOCK", 3)
     level = b.level.copy()
     level[3] = 0
+    with pytest.raises(InvariantError, match="rise by 0 or 1"):
+        validate_ball(Ball(b.radius, level, b.vtype, b.indptr, b.indices))
+    # int8 levels 127 then -128 fall by 255, which an int8 difference reads as 1
+    b = ball_cache(5)
+    level = np.concatenate((np.arange(256).astype(np.uint8).view(np.int8),
+                            np.zeros(b.n - 261, dtype=np.int8), np.arange(1, 6, dtype=np.int8)))
     with pytest.raises(InvariantError, match="rise by 0 or 1"):
         validate_ball(Ball(b.radius, level, b.vtype, b.indptr, b.indices))
 

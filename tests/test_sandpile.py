@@ -318,6 +318,8 @@ def test_queue_engine_matches_the_in_queue_flag_oracle(ball_cache):
 
 @pytest.mark.parametrize("size", [1, 3, 7])
 def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size):
+    # a round's fire set is collected, and toppled, a block of vertices at a
+    # time: neither block size may change a value
     rng = np.random.default_rng(size)
     starts = _abelian_states(ball_cache(4))
     for m in range(0, 9):
@@ -327,22 +329,27 @@ def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size
         if m <= 4:
             starts.append(State(b, rng.integers(0, 40, size=b.n, dtype=np.int64)))
     monkeypatch.setattr(sandpile, "_BATCH_SLICE", 1 << 40)
+    monkeypatch.setattr(sandpile, "_FIRE_BLOCK", 1 << 40)
     whole = [relax_batch(start) for start in starts]
     monkeypatch.setattr(sandpile, "_BATCH_SLICE", size)
+    monkeypatch.setattr(sandpile, "_FIRE_BLOCK", size)
     for start, want in zip(starts, whole):
         got = relax_batch(start)
         assert got.state == want.state
         assert got.odometer == want.odometer
         assert (got.topples, got.dequeues) == (want.topples, want.dequeues)
+    fire = sandpile._fire_set(np.arange(20))  # the round's ids, as int32
+    assert fire.dtype == np.int32 and fire.tolist() == list(range(7, 20))
     assert any(r.dequeues < r.topples for r in whole)  # some vertices fire twice a round
 
 
 @pytest.mark.parametrize("route", ["naive", "batch", "wave"])
 def test_relaxation_peak_stays_within_the_ball_model(ball_cache, route):
-    # the ball's memory model less the ball itself (32 bytes per vertex) is
-    # all a route may add, so no route needs a guard of its own; the queue
-    # engine's two generation lists never hold more than n vertices together
-    # at radii 6..13, so its peak at radius 12 stands for every radius
+    # a route may add 64 bytes per vertex, the memory model less 32; the ball
+    # takes 25, and the other 7 stay headroom, not room for a route to grow
+    # into, so no route needs a guard of its own.  The queue engine's two
+    # generation lists never hold more than n vertices together at radii
+    # 6..13, so its peak at radius 12 stands for every radius
     b = ball_cache(12)
     start = perturb(max_stable(b), [0])
     run = {"naive": lambda: relax(start), "batch": lambda: relax_batch(start),
