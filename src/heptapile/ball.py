@@ -21,8 +21,8 @@ trusted.
 
 ``build_ball`` writes each adjacency row straight into the CSR by index
 arithmetic over the rings' type vectors, with no edge list and no sort, and
-``validate_ball`` checks it a block of rows at a time, so neither holds more
-than a few MiB beside the ball.
+``validate_ball`` checks it in two passes over blocks of rows, vertices first
+and entries second, so neither holds more than a few MiB beside the ball.
 
 Every file format ends in a ``CHECK`` line holding the BLAKE2b-64 digest of
 the bytes before it; ``_sign`` and ``_write_signed`` write that line and
@@ -309,9 +309,14 @@ def validate_ball(ball: Ball) -> None:
     down/side degree per type, each ring a single cycle of consecutive ids,
     and ring population counts matching the growth recurrence.
 
-    A generic CSR check that shares no row arithmetic with ``build_ball``.  It
-    runs over blocks of ``_BLOCK`` rows, which bounds its temporaries, and
-    finds each entry's source in its target's row to check symmetry.
+    A generic CSR check that shares no row arithmetic with ``build_ball``.
+    It makes two passes over blocks of ``_BLOCK`` rows, which bounds its
+    temporaries.  The first checks each block's vertices and counts its
+    forward entries (u < w); one range check on all neighbor ids follows;
+    the second checks each block's entries, finding each forward entry's
+    source in its target's row to check symmetry.  Each check raises where
+    it fails, so the message names the first failing check of the first
+    failing block of a pass.
 
     The checks are necessary, not sufficient: crossing two up-edges x-y and
     z-w into x-w and z-y, in all four rows, keeps every one of them on a
@@ -325,16 +330,17 @@ def validate_ball(ball: Ball) -> None:
     if len(ptr) != n + 1 or ptr[0] != 0 or ptr[-1] != idx.size:
         raise InvariantError("indptr does not delimit the adjacency rows")
 
-    fault = _first_fault(n, _vertex_faults, ball)
+    forward = sum(_check_vertices(ball, lo, min(lo + _BLOCK, n))
+                  for lo in range(0, n, _BLOCK))
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InvariantError("neighbor id out of range")
     starts = ball.level_start
-    if fault is None and idx.size:
-        # with distinct entries in each row, the adjacency is symmetric iff
-        # each forward entry has its reverse and forward entries are half
-        # of all, so only forward entries need a lookup
-        balanced = 2 * _forward_entries(ball) == idx.size
-        fault = _first_fault(n, _row_faults, ball, np.diff(starts), balanced)
-    if fault is not None:
-        raise InvariantError(fault)
+    # with distinct entries in each row, the adjacency is symmetric iff each
+    # forward entry has its reverse and forward entries are half of all, so
+    # only forward entries need a lookup
+    balanced, ring_len = 2 * forward == idx.size, np.diff(starts)
+    for lo in range(0, n, _BLOCK):
+        _check_rows(ball, ring_len, balanced, lo, min(lo + _BLOCK, n))
 
     for l, (a, b) in enumerate(_ring_sizes(m), start=1):
         block = slice(int(starts[l]), int(starts[l + 1]))
@@ -345,70 +351,49 @@ def validate_ball(ball: Ball) -> None:
                 f"ring {l} has {nf}/{ns} vertices of type 1/2, expected {a}/{b}")
 
 
-def _first_fault(n: int, faults, *args):
-    """The message of the first check, in order, that fails on any block of rows.
+def _check_vertices(ball: Ball, lo: int, hi: int) -> int:
+    """The per-vertex checks of ``validate_ball`` on vertices lo..hi-1.
 
-    ``faults(*args, lo, hi)`` yields (message, failed) for each check in
-    turn on rows ``lo..hi-1``.  A block stops at its first failure, and
-    later blocks run only the checks before it, so the message is the one
-    that running each check over all rows, in order, would give.
+    Returns the number of their entries (u, w) with u < w, counted once
+    the checks hold.
     """
-    found, limit = None, None
-    for lo in range(0, n, _BLOCK):
-        for k, (message, failed) in enumerate(faults(*args, lo, min(lo + _BLOCK, n))):
-            if k == limit:
-                break
-            if failed:
-                found, limit = message, k
-                break
-    return found
-
-
-def _forward_entries(ball: Ball) -> int:
-    """The number of entries (u, w) with u < w, counted a block of rows at a time."""
-    total = 0
-    for lo in range(0, ball.n, _BLOCK):
-        ptr = ball.indptr[lo:min(lo + _BLOCK, ball.n) + 1]
-        u = np.repeat(np.arange(lo, lo + ptr.size - 1, dtype=ball.indices.dtype),
-                      np.diff(ptr))
-        total += int(np.count_nonzero(ball.indices[ptr[0]:ptr[-1]] > u))
-    return total
-
-
-def _vertex_faults(ball: Ball, lo: int, hi: int):
-    """The per-vertex checks of ``validate_ball`` on vertices lo..hi-1."""
-    ids = np.arange(lo, hi)
     lvl = ball.level[lo:hi]
     # in int64: an int8 difference wraps, and 127 then -128 would read as a rise of 1
     seq = ball.level[max(lo - 1, 0):hi]
     rise = np.subtract(seq[1:], seq[:-1], dtype=np.int64)
-    yield "levels must rise by 0 or 1 per id", np.any((rise < 0) | (rise > 1))
+    if np.any((rise < 0) | (rise > 1)):
+        raise InvariantError("levels must rise by 0 or 1 per id")
     vtype = ball.vtype[lo:hi]
-    yield ("type 0 must appear exactly at the root",
-           np.any((vtype == VertexType.ZEROTH) != (ids == 0)))
-    yield "unknown vertex type", np.any((vtype < 0) | (vtype > VertexType.SECOND))
-    length = np.diff(ball.indptr[lo:hi + 1])
-    yield "row length out of 0..7", np.any((length < 0) | (length > DEGREE))
-    yield ("interior rows must have 7 entries",
-           np.any((length != DEGREE) & (lvl < ball.radius)))
+    if np.any((vtype == VertexType.ZEROTH) != (np.arange(lo, hi) == 0)):
+        raise InvariantError("type 0 must appear exactly at the root")
+    if np.any((vtype < 0) | (vtype > VertexType.SECOND)):
+        raise InvariantError("unknown vertex type")
+    ptr = ball.indptr[lo:hi + 1]
+    length = np.diff(ptr)
+    if np.any((length < 0) | (length > DEGREE)):
+        raise InvariantError("row length out of 0..7")
+    if np.any((length != DEGREE) & (lvl < ball.radius)):
+        raise InvariantError("interior rows must have 7 entries")
+    u = np.repeat(np.arange(lo, hi, dtype=ball.indices.dtype), length)
+    return int(np.count_nonzero(ball.indices[ptr[0]:ptr[-1]] > u))
 
 
-def _row_faults(ball: Ball, ring_len: np.ndarray, balanced: bool, lo: int, hi: int):
+def _check_rows(ball: Ball, ring_len: np.ndarray, balanced: bool, lo: int, hi: int):
     """The per-entry checks of ``validate_ball`` on the rows of lo..hi-1.
 
-    Runs once the per-vertex checks hold everywhere, so every row has at
-    most 7 entries.  ``balanced`` tells whether forward entries (u < w) are
-    half of all entries.
+    Runs once the per-vertex checks hold everywhere and every neighbor id
+    is in range, so every row has at most 7 entries.  ``balanced`` tells
+    whether forward entries (u < w) are half of all entries.
     """
     ptr, indices = ball.indptr[lo:hi + 1], ball.indices
     idx = indices[ptr[0]:ptr[-1]]
     deg = np.diff(ptr)
     row = np.repeat(np.arange(hi - lo, dtype=idx.dtype), deg)  # each entry's, from lo
     u = row + lo
-    yield "neighbor id out of range", idx.size and (idx.min() < 0 or idx.max() >= ball.n)
-    yield "self-loop", np.any(u == idx)
-    yield ("adjacency rows must be strictly ascending",
-           np.any((idx[1:] <= idx[:-1]) & (row[1:] == row[:-1])))
+    if np.any(u == idx):
+        raise InvariantError("self-loop")
+    if np.any((idx[1:] <= idx[:-1]) & (row[1:] == row[:-1])):
+        raise InvariantError("adjacency rows must be strictly ascending")
     # the source of each forward entry (u < w) must be stored in the row of
     # w, among its entries from indptr[w]; sources sit low in ascending
     # rows, so the probes stop once every source is found
@@ -425,23 +410,26 @@ def _row_faults(ball: Ball, ring_len: np.ndarray, balanced: bool, lo: int, hi: i
         if found.all():
             break
         start += 1
-    yield "adjacency is not symmetric", not (balanced and found.all())
+    if not (balanced and found.all()):
+        raise InvariantError("adjacency is not symmetric")
     lvl = ball.level
     dl = lvl[idx] - np.repeat(lvl[lo:hi], deg)
-    yield "edge spans more than one level", np.any(np.abs(dl) > 1)
+    if np.any(np.abs(dl) > 1):
+        raise InvariantError("edge spans more than one level")
     # per row: entries one level down, on the same level, one level up
     per_level = np.bincount(3 * row + (dl + 1), minlength=3 * (hi - lo)).reshape(-1, 3)
     vtype = ball.vtype[lo:hi]
     # a vertex's type is its number of parents
-    yield "down-degree disagrees with vertex type", np.any(per_level[:, 0] != vtype)
-    yield ("every ring vertex needs exactly two side edges",
-           np.any(per_level[:, 1] != 2 * (vtype != 0)))
+    if np.any(per_level[:, 0] != vtype):
+        raise InvariantError("down-degree disagrees with vertex type")
+    if np.any(per_level[:, 1] != 2 * (vtype != 0)):
+        raise InvariantError("every ring vertex needs exactly two side edges")
     # side edges must be exactly the consecutive-id pairs of each ring; with
     # side degree 2 everywhere this forces one cycle per level
     gap = np.abs(u - idx)
     wrap = (dl == 0) & (gap != 1)
-    yield ("ring edge between non-consecutive ids",
-           np.any(gap[wrap] != ring_len[lvl[idx[wrap]]] - 1))
+    if np.any(gap[wrap] != ring_len[lvl[idx[wrap]]] - 1):
+        raise InvariantError("ring edge between non-consecutive ids")
 
 
 def distance_profile(ball: Ball) -> np.ndarray:

@@ -57,7 +57,8 @@ def _forced_wave(ball: Ball, g: np.ndarray, site: int, via: int) -> np.ndarray:
     collected slice by slice: a hit vertex joins it when it reaches 7
     grains and is not marked ``queued`` yet.  Firing clears the mark, so a
     vertex that toppled and reaches 7 again is queued again and trips the
-    toppled-twice check.
+    toppled-twice check.  A slice's ids are widened to intp once: numpy casts
+    an index array of any other dtype again on each of its gathers.
     """
     ptr, idx = ball.indptr, ball.indices
     toppled = np.zeros(ball.n, dtype=bool)
@@ -71,7 +72,7 @@ def _forced_wave(ball: Ball, g: np.ndarray, site: int, via: int) -> np.ndarray:
         g[fire] -= DEGREE
         found = []
         for lo in range(0, fire.size, _WAVE_SLICE):
-            f = fire[lo:lo + _WAVE_SLICE]
+            f = fire[lo:lo + _WAVE_SLICE].astype(np.intp)
             start, deg = ptr[f], ptr[f + 1] - ptr[f]
             # positions of the fired vertices' CSR rows in indices, concatenated
             rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())

@@ -612,9 +612,9 @@ def _one_sided(b: Ball, u: int) -> Ball:
     return Ball(b.radius, b.level, b.vtype, b.indptr, idx)
 
 
-@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("block", [None, 1, 3, 7])
 def test_validate_rejects_a_one_sided_backward_entry(monkeypatch, ball_cache, block):
-    # with blocks of 3 rows, the second fault sits in a late block
+    # with small blocks, the second fault sits in a late block
     if block:
         monkeypatch.setattr(ball_module, "_BLOCK", block)
     b = ball_cache(3)
@@ -624,34 +624,36 @@ def test_validate_rejects_a_one_sided_backward_entry(monkeypatch, ball_cache, bl
 
 
 def test_validate_finds_faults_in_a_late_block(monkeypatch, ball_cache):
-    monkeypatch.setattr(ball_module, "_BLOCK", 3)
     b = ball_cache(3)
     vtype = b.vtype.copy()
     vtype[b.n - 2] = VertexType.ZEROTH
-    with pytest.raises(InvariantError, match="type 0"):
-        validate_ball(Ball(b.radius, b.level, vtype, b.indptr, b.indices))
     idx = b.indices.copy()
     idx[-1] = b.n
-    with pytest.raises(InvariantError, match="out of range"):
-        validate_ball(Ball(b.radius, b.level, b.vtype, b.indptr, idx))
+    for block in (1, 3, 7):
+        monkeypatch.setattr(ball_module, "_BLOCK", block)
+        with pytest.raises(InvariantError, match="type 0"):
+            validate_ball(Ball(b.radius, b.level, vtype, b.indptr, b.indices))
+        with pytest.raises(InvariantError, match="out of range"):
+            validate_ball(Ball(b.radius, b.level, b.vtype, b.indptr, idx))
 
 
 def test_validate_rejects_levels_out_of_order(monkeypatch, ball_cache):
     b = ball_cache(3)
     with pytest.raises(InvariantError, match="from 0 at the root to the radius"):
         validate_ball(Ball(b.radius + 1, b.level, b.vtype, b.indptr, b.indices))
-    # with blocks of 3 rows, the fall from id 2 to id 3 crosses a block boundary
-    monkeypatch.setattr(ball_module, "_BLOCK", 3)
     level = b.level.copy()
     level[3] = 0
-    with pytest.raises(InvariantError, match="rise by 0 or 1"):
-        validate_ball(Ball(b.radius, level, b.vtype, b.indptr, b.indices))
     # int8 levels 127 then -128 fall by 255, which an int8 difference reads as 1
-    b = ball_cache(5)
-    level = np.concatenate((np.arange(256).astype(np.uint8).view(np.int8),
-                            np.zeros(b.n - 261, dtype=np.int8), np.arange(1, 6, dtype=np.int8)))
-    with pytest.raises(InvariantError, match="rise by 0 or 1"):
-        validate_ball(Ball(b.radius, level, b.vtype, b.indptr, b.indices))
+    b5 = ball_cache(5)
+    wrap = np.concatenate((np.arange(256).astype(np.uint8).view(np.int8),
+                           np.zeros(b5.n - 261, dtype=np.int8), np.arange(1, 6, dtype=np.int8)))
+    # with blocks of 1 or 3 rows, the fall from id 2 to id 3 crosses a block boundary
+    for block in (1, 3, 7):
+        monkeypatch.setattr(ball_module, "_BLOCK", block)
+        with pytest.raises(InvariantError, match="rise by 0 or 1"):
+            validate_ball(Ball(b.radius, level, b.vtype, b.indptr, b.indices))
+        with pytest.raises(InvariantError, match="rise by 0 or 1"):
+            validate_ball(Ball(b5.radius, wrap, b5.vtype, b5.indptr, b5.indices))
 
 
 def test_validate_rejects_crossed_edges(ball_cache):
@@ -717,11 +719,20 @@ def test_validate_rejects_mutated_level(ball_cache):
         validate_ball(b)
 
 
-def test_validate_rejects_every_single_entry_change():
+def test_validate_checks_rows_without_entries():
+    # a radius-0 ball with a second vertex, typed 1 but with an empty row:
+    # the per-entry pass runs on balls without entries and finds no parent
+    b = Ball(0, np.zeros(2, dtype=np.int8), np.array([0, 1], dtype=np.int8),
+             np.zeros(3, dtype=np.int32), np.zeros(0, dtype=np.int32))
+    with pytest.raises(InvariantError, match="down-degree"):
+        validate_ball(b)
+
+
+def _reject_single_entry_changes(examples: int) -> None:
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.settings(max_examples=examples, deadline=None, database=None)
     @hypothesis.given(st.integers(1, 4), st.data())
     def check(m, data):
         b = build_ball(m)
@@ -734,6 +745,17 @@ def test_validate_rejects_every_single_entry_change():
             validate_ball(Ball(b.radius, b.level, b.vtype, b.indptr, idx))
 
     check()
+
+
+def test_validate_rejects_every_single_entry_change():
+    _reject_single_entry_changes(300)
+
+
+def test_validate_rejects_every_single_entry_change_in_small_blocks(monkeypatch):
+    # blocks of 3 rows cut the forward count and the row pass across block
+    # boundaries at every radius drawn
+    monkeypatch.setattr(ball_module, "_BLOCK", 3)
+    _reject_single_entry_changes(100)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
