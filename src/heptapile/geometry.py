@@ -13,10 +13,10 @@ rotational neighbor order of the ``ball.link_cycles`` table.  The walk takes
 one ring at a time (in batches of ring vertices) and computes all of its
 (vertex, slot) rotations at once: the first (vertex, slot) in ring order that
 reaches an unplaced vertex places it, and every other reach is compared with
-the placed position.  It runs in 80-bit extended precision, summing each 3x3
-product as numpy's longdouble matmul does, and renormalizes every placed
-point back onto the sheet; the stored coordinates are float64.  The dual
-cells are built in one pass over the same table.
+the placed position.  It runs in 80-bit extended precision, with stacked
+longdouble matmuls, and renormalizes every placed point back onto the
+sheet; the stored coordinates are float64.  The dual cells are built in
+one pass over the same table.
 
 The Klein projection (x/z, y/z) maps the sheet onto the open unit disk and
 sends geodesics to straight chords, which is what the renderer draws.
@@ -128,18 +128,6 @@ def _build_cells(pos: np.ndarray, cyc: np.ndarray):
     return corners, cell_ptr
 
 
-def _matvec(mat, vec):
-    """``mat @ vec`` over stacks, summed as numpy's longdouble matmul does.
-
-    That loop starts from zero and adds the three products left to right;
-    repeating it exactly keeps the batched walk bit-identical to one matmul
-    per vertex.
-    """
-    out = 0.0 + mat[..., 0] * vec[..., None, 0]
-    out = out + mat[..., 1] * vec[..., None, 1]
-    return out + mat[..., 2] * vec[..., None, 2]
-
-
 def build_embedding(ball: Ball) -> Embedding:
     """Place every vertex on the sheet and build the dual cells.
 
@@ -168,8 +156,7 @@ def build_embedding(ball: Ball) -> Embedding:
         placed[ball.neighbors(0)] = True
     turn = np.arange(1, DEGREE) * (2 * pi / DEGREE)
     cos, sin = np.cos(turn), np.sin(turn)
-    # J B J for the symmetric boost B: entries negated in the last row and
-    # column; adding 0.0 turns -0.0 into the +0.0 a matmul by J yields
+    # J B J for the symmetric boost B: entries negated in the last row and column
     flip = np.array([[1, 1, -1], [1, 1, -1], [-1, -1, 1]], dtype=ld)
     worst = 0.0
     for lvl in range(1, ball.radius):
@@ -181,11 +168,11 @@ def build_embedding(ball: Ball) -> Embedding:
             # neighbor keeps the error growth per level linear instead of
             # compounding through repeated matrix application
             boost = translation_to(pos[v])
-            local = _matvec(flip * boost + 0.0, pos[cyc[v, 0]])
+            local = ((flip * boost) @ pos[cyc[v, 0], :, None])[..., 0]
             lx, ly, lz = local[:, :1], local[:, 1:2], local[:, 2:]
             spun = np.stack((cos * lx - sin * ly, sin * lx + cos * ly,
                              np.broadcast_to(lz, (len(v), DEGREE - 1))), axis=-1)
-            q = _matvec(boost[:, None], spun).reshape(-1, 3)
+            q = (boost[:, None] @ spun[..., None]).reshape(-1, 3)
             # the first (vertex, slot) in ring order that reaches an unplaced
             # vertex places it; every other reach is compared
             target = cyc[v, 1:].ravel()

@@ -134,8 +134,8 @@ def topple(state: State, v: int) -> State:
 _SUM_BLOCK = 1 << 16
 
 
-def _exact_sum(values: np.ndarray, positive_only: bool = False) -> int:
-    """The exact sum of int64 values (of the positive ones only, if asked), by blocks.
+def _exact_sum(values: np.ndarray) -> int:
+    """The exact sum of int64 values, by blocks.
 
     Each value is split into its high and low 32 bits, whose sums over a
     block cannot leave int64; their exact recombination is a Python int.
@@ -143,8 +143,6 @@ def _exact_sum(values: np.ndarray, positive_only: bool = False) -> int:
     total = 0
     for lo in range(0, values.size, _SUM_BLOCK):
         block = values[lo:lo + _SUM_BLOCK]
-        if positive_only:
-            block = np.maximum(block, 0)
         total += (int((block >> 32).sum()) << 32) + int((block & 0xFFFFFFFF).sum())
     return total
 
@@ -184,7 +182,8 @@ def _check_identity(before: np.ndarray, after: np.ndarray,
 
 
 def _budget(grains: np.ndarray) -> int:
-    return 1024 + 128 * (_exact_sum(grains, positive_only=True) + grains.size)
+    """Topple limit for nonnegative ``grains`` (each relaxer refuses negative ones)."""
+    return 1024 + 128 * (_exact_sum(grains) + grains.size)
 
 
 def relax(state: State) -> RelaxResult:

@@ -16,11 +16,22 @@ from . import closed_form as cf
 from .ball import Ball, VertexType, build_ball, distance_profile
 from .geometry import (EDGE_LENGTH, build_embedding, edge_lengths,
                        interior_angles, klein, nearest_neighbor_mismatches)
-from .sandpile import (State, mass, max_stable, perturb, relax, relax_batch,
-                       relax_random)
+from .sandpile import (RelaxResult, State, mass, max_stable, perturb, relax,
+                       relax_batch, relax_random)
 from .waves import wave, wave_relax, wave_relax_multi
 
 DEFAULT_SEED = 7
+
+# the fixed checks' settings, each pinned by tests/test_acceptance.py
+_COMBINATORICS_RADIUS = 12
+_MASS_RATIO_RADIUS = 10
+_MASS_RATIO_TOL = 1e-3        # |ratio - sqrt(5)| at _MASS_RATIO_RADIUS
+_ABELIAN_RADIUS = 4
+_ABELIAN_STATES = 10
+_ABELIAN_ORDERS = 20          # random toppling orders per state
+_GEOMETRY_RADIUS = 5
+_LENGTH_TOL = 1e-9
+_ANGLE_TOL = 1e-6
 
 
 @dataclass
@@ -69,18 +80,32 @@ def site_families(ball: Ball, trials: int, rng: np.random.Generator) -> list:
     return fams
 
 
-def check_combinatorics(max_radius: int = 12) -> CheckReport:
+def _ring_types(ball: Ball, lvl: int) -> tuple:
+    """Ring ``lvl``'s (first, second) type counts, as ``cf.level_counts`` gives them."""
+    ring = ball.ring(lvl)
+    nf = int(np.count_nonzero(ball.vtype[ring.start:ring.stop] == VertexType.FIRST))
+    return nf, len(ring) - nf
+
+
+def _closed_form_faults(start: State, res: RelaxResult, sites: list) -> list:
+    """Which of ``odometer``, ``state`` and ``mass`` (loss) differ from the closed forms."""
+    ball = start.ball
+    agree = {"odometer": res.odometer == cf.predicted_odometer(ball, sites),
+             "state": res.state == cf.predicted_beta(ball, sites),
+             "mass": mass(start) - mass(res.state) == cf.mass_loss(ball.radius)}
+    return [name for name, ok in agree.items() if not ok]
+
+
+def check_combinatorics() -> CheckReport:
     """Generated ring populations and ball sizes match the Fibonacci forms.
 
     Ring l is the same in every ball of radius at least l, so ball m is the
     prefix of the largest ball that ends with ring m.
     """
-    rep = CheckReport(f"ring combinatorics, radii 1..{max_radius}")
-    ball = build_ball(max_radius)
-    for m in range(1, max_radius + 1):
-        ring = ball.ring(m)
-        nf = int(np.count_nonzero(ball.vtype[ring.start:ring.stop] == VertexType.FIRST))
-        got = (ring.stop, nf, len(ring) - nf)
+    rep = CheckReport(f"ring combinatorics, radii 1..{_COMBINATORICS_RADIUS}")
+    ball = build_ball(_COMBINATORICS_RADIUS)
+    for m in range(1, _COMBINATORICS_RADIUS + 1):
+        got = (ball.ring(m).stop, *_ring_types(ball, m))
         want = (cf.ball_size(m), *cf.level_counts(m))
         if got != want:
             rep.fail(f"m={m}: size and ring-{m} type counts {got}, closed form {want}")
@@ -92,21 +117,15 @@ def _sweep_trial(ball: Ball, sites: list, reports: dict) -> None:
     """Run one perturbation through every route, failing the reports it breaks."""
     start = perturb(max_stable(ball), sites)
     res = relax(start)
-    m = ball.radius
-    tag = f"m={m} sites={sites}"
-    if res.odometer != cf.predicted_odometer(ball, sites):
-        reports["odometer"].fail(f"odometer: {tag}")
-    if res.state != cf.predicted_beta(ball, sites):
-        reports["state"].fail(f"state: {tag}")
-    if mass(start) - mass(res.state) != cf.mass_loss(m):
-        reports["mass"].fail(f"mass: {tag}")
+    tag = f"m={ball.radius} sites={sites}"
+    for fault in _closed_form_faults(start, res, sites):
+        reports[fault].fail(f"{fault}: {tag}")
     wres = wave_relax_multi(ball, sites)
     if wres.state != res.state or wres.odometer != res.odometer:
         reports["waves"].fail(f"waves: {tag}")
 
 
-def relaxation_sweep(balls: dict, trials: int = 10,
-                     seed: int = DEFAULT_SEED) -> list:
+def relaxation_sweep(balls: dict, trials: int, seed: int) -> list:
     """Oracle-equivalence sweep; one report per compared quantity.
 
     ``balls`` maps each radius to its ball.  For every ball and every sampled
@@ -130,20 +149,19 @@ def relaxation_sweep(balls: dict, trials: int = 10,
     return list(reports.values())
 
 
-def check_mass_ratio(max_radius: int = 10, tol: float = 1e-3) -> CheckReport:
-    """Mass-loss ratio table; the radius-10 entry must sit within tol of sqrt 5."""
-    rep = CheckReport(f"mass-loss ratio approaches sqrt(5), radius {max_radius}")
+def check_mass_ratio() -> CheckReport:
+    """Mass-loss ratio table; its last entry must sit within _MASS_RATIO_TOL of sqrt 5."""
+    rep = CheckReport(f"mass-loss ratio approaches sqrt(5), radius {_MASS_RATIO_RADIUS}")
     root5 = math.sqrt(5.0)
     rep.note(f"{'m':>3} {'size':>9} {'loss':>9} {'ratio':>12} {'|ratio-sqrt5|':>14}")
-    final_gap = None
-    for m in range(1, max_radius + 1):
+    for m in range(1, _MASS_RATIO_RADIUS + 1):
         ratio = cf.mass_loss_ratio(m)
         gap = abs(float(ratio) - root5)
         rep.note(f"{m:>3} {cf.ball_size(m):>9} {cf.mass_loss(m):>9} "
                  f"{float(ratio):>12.7f} {gap:>14.3e}")
-        final_gap = gap
-    if final_gap is None or final_gap >= tol:
-        rep.fail(f"|ratio - sqrt(5)| = {final_gap} at m={max_radius}, need < {tol}")
+    if gap >= _MASS_RATIO_TOL:  # the last entry's
+        rep.fail(f"|ratio - sqrt(5)| = {gap} at m={_MASS_RATIO_RADIUS}, "
+                 f"need < {_MASS_RATIO_TOL}")
     return rep
 
 
@@ -191,21 +209,20 @@ def check_wave_profiles(balls: dict) -> CheckReport:
     return rep
 
 
-def check_abelian(radius: int = 4, n_states: int = 10, n_orders: int = 20,
-                  seed: int = DEFAULT_SEED) -> CheckReport:
+def check_abelian(seed: int = DEFAULT_SEED) -> CheckReport:
     """Random legal toppling orders all land on one stabilization and odometer."""
-    rep = CheckReport(
-        f"order independence: {n_states} states x {n_orders} orders, radius {radius}")
-    ball = build_ball(radius)
+    rep = CheckReport(f"order independence: {_ABELIAN_STATES} states x "
+                      f"{_ABELIAN_ORDERS} orders, radius {_ABELIAN_RADIUS}")
+    ball = build_ball(_ABELIAN_RADIUS)
     rng = np.random.default_rng([seed, 99])
-    for i in range(n_states):
+    for i in range(_ABELIAN_STATES):
         grains = rng.integers(0, 14, size=ball.n, dtype=np.int64)
         state = State(ball, grains)
         base = relax(state)
         alt = relax_batch(state)
         if alt.state != base.state or alt.odometer != base.odometer:
             rep.fail(f"state {i}: batch schedule diverged")
-        for j in range(n_orders):
+        for j in range(_ABELIAN_ORDERS):
             order_rng = np.random.default_rng([seed, i, j])
             res = relax_random(state, order_rng)
             if res.state != base.state or res.odometer != base.odometer:
@@ -214,21 +231,20 @@ def check_abelian(radius: int = 4, n_states: int = 10, n_orders: int = 20,
     return rep
 
 
-def check_geometry(radius: int = 5, length_tol: float = 1e-9,
-                   angle_tol: float = 1e-6) -> CheckReport:
+def check_geometry() -> CheckReport:
     """Embedding invariants: edge lengths, angles, disk bound, neighbor recovery."""
-    rep = CheckReport(f"embedding geometry on the radius-{radius} ball")
-    ball = build_ball(radius)
+    rep = CheckReport(f"embedding geometry on the radius-{_GEOMETRY_RADIUS} ball")
+    ball = build_ball(_GEOMETRY_RADIUS)
     emb = build_embedding(ball)
     lengths = edge_lengths(emb)
     worst_len = float(np.abs(lengths - EDGE_LENGTH).max())
-    rep.note(f"edge length spread {worst_len:.3e} (tolerance {length_tol:.0e})")
-    if worst_len > length_tol:
+    rep.note(f"edge length spread {worst_len:.3e} (tolerance {_LENGTH_TOL:.0e})")
+    if worst_len > _LENGTH_TOL:
         rep.fail("edge lengths drift beyond tolerance")
     angles = interior_angles(emb)
     worst_ang = float(np.abs(angles - 2.0 * math.pi / 7.0).max())
-    rep.note(f"interior angle spread {worst_ang:.3e} (tolerance {angle_tol:.0e})")
-    if worst_ang > angle_tol:
+    rep.note(f"interior angle spread {worst_ang:.3e} (tolerance {_ANGLE_TOL:.0e})")
+    if worst_ang > _ANGLE_TOL:
         rep.fail("interior angles drift beyond tolerance")
     radii = np.hypot(*klein(emb.vertex_pos).T)
     if float(radii.max()) >= 1.0:
@@ -247,14 +263,13 @@ def check_geometry(radius: int = 5, length_tol: float = 1e-9,
     return rep
 
 
-def run_default_suite(radii=range(1, 7), trials: int = 10,
-                      seed: int = DEFAULT_SEED) -> list:
+def run_default_suite(radii, trials: int, seed: int) -> list:
     """The standard verification battery; returns every CheckReport."""
     balls = {m: build_ball(m) for m in radii}
-    reports = [check_combinatorics(12)]
+    reports = [check_combinatorics()]
     reports += relaxation_sweep(balls, trials, seed)
     reports.append(check_mass_ratio())
     reports.append(check_wave_profiles(balls))
-    reports.append(check_abelian(seed=seed))
-    reports.append(check_geometry(5))
+    reports.append(check_abelian(seed))
+    reports.append(check_geometry())
     return reports

@@ -6,8 +6,12 @@ report carries one line per criterion as well.  Criteria 2 through 5 share
 a single relaxation sweep over radii 1..8 with ten perturbation sets per
 radius; the sweep is run once per session.
 
-Tolerances are pinned here and nowhere looser:
+Settings and tolerances are pinned and nowhere looser: those of
+``heptapile.verify``'s fixed checks by ``test_pinned_settings``, the two
+timings by criterion 9:
+  ring combinatorics                   radii 1..12
   mass ratio vs sqrt(5) at radius 10   < 1e-3
+  order independence on radius 4       10 states x 20 orders
   edge lengths on the radius-5 ball    < 1e-9
   interior angles                      < 1e-6
   naive relaxation of the loaded ball  < 10 s
@@ -24,7 +28,7 @@ import pytest
 from heptapile import (build_ball, build_embedding, max_stable, perturb,
                        predicted_beta, relax, relax_batch, render_state, wave,
                        wave_relax_multi)
-from heptapile import closed_form as cf
+from heptapile import closed_form as cf, verify
 from heptapile.render import color_histogram
 from heptapile.sandpile import serialize_odometer, serialize_state
 from heptapile.verify import (check_abelian, check_combinatorics,
@@ -56,9 +60,20 @@ def sweep():
     return {rep.name.split(" ", 1)[0]: rep for rep in reports}, balls
 
 
+def test_pinned_settings():
+    got = (verify._COMBINATORICS_RADIUS,
+           verify._MASS_RATIO_RADIUS, verify._MASS_RATIO_TOL,
+           verify._ABELIAN_RADIUS, verify._ABELIAN_STATES, verify._ABELIAN_ORDERS,
+           verify._GEOMETRY_RADIUS, verify._LENGTH_TOL, verify._ANGLE_TOL)
+    want = (12, 10, 1e-3, 4, 10, 20, 5, 1e-9, 1e-6)
+    verdict_flag("pinned settings: radius 12; radius 10, tol 1e-3; radius 4, "
+                 "10 states, 20 orders; radius 5, tols 1e-9 and 1e-6",
+                 got == want, f"settings {got}, pinned {want}")
+
+
 def test_criterion_1_ring_combinatorics():
     verdict("criterion 1: ring counts and ball sizes, radii 1..12",
-            check_combinatorics(12))
+            check_combinatorics())
 
 
 def test_criterion_2_odometer_formula(sweep):
@@ -73,7 +88,7 @@ def test_criterion_3_final_state(sweep):
 
 def test_criterion_4_mass_loss(sweep):
     mass_rep = sweep[0]["mass"]
-    ratio_rep = check_mass_ratio(10, tol=1e-3)
+    ratio_rep = check_mass_ratio()
     ok = mass_rep.passed and ratio_rep.passed
     verdict_flag("criterion 4: mass loss closed form + sqrt(5) ratio at "
                  "radius 10 (tol 1e-3)", ok,
@@ -92,12 +107,12 @@ def test_criterion_5_waves(sweep):
 
 def test_criterion_6_order_independence():
     verdict("criterion 6: 10 states x 20 toppling orders agree on radius 4",
-            check_abelian(radius=4, n_states=10, n_orders=20))
+            check_abelian())
 
 
 def test_criterion_7_geometry():
     verdict("criterion 7: embedding on radius 5 (edges 1e-9, angles 1e-6, "
-            "Klein disk, 7-NN)", check_geometry(5, 1e-9, 1e-6))
+            "Klein disk, 7-NN)", check_geometry())
 
 
 def _panel_state(ball, kind: str):

@@ -2,8 +2,8 @@ import weakref
 
 import pytest
 
-from heptapile import (ball as ball_module, ball_size, build_ball, cli, load_ball,
-                       load_state, max_stable, perturb, relax, save_ball)
+from heptapile import (ball as ball_module, ball_size, build_ball, cli, level_counts,
+                       load_ball, load_state, max_stable, perturb, relax, save_ball)
 from heptapile.cli import main
 from heptapile.render import DEFAULT_PALETTE, cell_fills, color_histogram
 
@@ -20,6 +20,26 @@ def test_gen_writes_ball(tmp_path, capsys):
     assert code == 0
     assert "vertices=29" in text
     assert load_ball(out).n == 29
+
+
+def test_gen_ring_table_matches_the_closed_forms(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "three.heptaball")
+    code, text, _ = run(capsys, "gen", "-m", "3", "--out", out)
+    assert code == 0
+    assert "MISMATCH" not in text
+    lines = text.splitlines()
+    assert len(lines) == 6
+    for lvl, line in enumerate(lines[2:5], 1):
+        ring, first, second, closed = line.split(None, 3)
+        want = level_counts(lvl)
+        assert (int(ring), int(first), int(second)) == (lvl, *want)
+        assert closed == str(tuple(want))
+    assert lines[5] == f"total {ball_size(3)} vs closed form {ball_size(3)}"
+    # a miscounted ring is flagged on its row and fails the command
+    monkeypatch.setattr(cli, "_ring_types", lambda ball, lvl: (0, 0))
+    code, text, _ = run(capsys, "gen", "-m", "3", "--out", out)
+    assert code == 1
+    assert text.count("MISMATCH") == 3
 
 
 def test_gen_zero(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import itertools
+import sys
 import tracemalloc
 from collections import deque
 
@@ -207,11 +209,16 @@ def test_batch_refuses_counts_that_could_wrap(ball_cache):
 
 
 def test_negative_grains_rejected_by_relax(ball_cache):
+    # each engine refuses before it takes its budget, which counts only
+    # nonnegative grains correctly
     b = ball_cache(1)
-    s = State(b, np.full(b.n, -1, dtype=np.int64))
-    for engine in (relax, relax_batch):
-        with pytest.raises(ValueError):
-            engine(s)
+    mixed = np.full(b.n, 7, dtype=np.int64)
+    mixed[-1] = -1
+    for grains in (np.full(b.n, -1, dtype=np.int64), mixed):
+        for engine in (relax, relax_batch,
+                       lambda s: relax_random(s, np.random.default_rng(0))):
+            with pytest.raises(ValueError, match="nonnegative"):
+                engine(State(b, grains))
 
 
 def test_mass_values(ball_cache):
@@ -231,7 +238,9 @@ def test_mass_overflow_reported(ball_cache):
 
 @pytest.mark.parametrize("block", [1, 3, 7, 1 << 16])
 def test_mass_and_budget_are_exact_at_the_int64_extremes(ball_cache, monkeypatch, block):
-    # both sum a block at a time; blocks of any size give the Python sum
+    # both sum a block at a time; blocks of any size give the Python sum.
+    # The budget is taken only of nonnegative grains: every relaxer refuses
+    # a negative one before it asks for the budget
     monkeypatch.setattr(sandpile, "_SUM_BLOCK", block)
     b = ball_cache(2)
     rng = np.random.default_rng(block)
@@ -241,7 +250,7 @@ def test_mass_and_budget_are_exact_at_the_int64_extremes(ball_cache, monkeypatch
         grains[:len(fill)] = fill
         want = sum(grains.tolist())
         positive = sum(x for x in grains.tolist() if x > 0)
-        assert sandpile._budget(grains) == 1024 + 128 * (positive + b.n)
+        assert sandpile._budget(np.maximum(grains, 0)) == 1024 + 128 * (positive + b.n)
         if _INT64_MIN <= want <= _INT64_MAX:
             assert mass(State(b, grains)) == want
         else:
@@ -427,6 +436,54 @@ def test_random_orders_agree(ball_cache):
         res = relax_random(start, np.random.default_rng(100 + k))
         assert res.state == base.state
         assert res.odometer == base.odometer
+
+
+class _ScriptedDraws:
+    """Stands in for a Generator: hands out the given draws below 2**53 in turn."""
+
+    def __init__(self, draws):
+        self.draws = itertools.cycle(draws)
+
+    def integers(self, low, high, size):
+        assert (low, high) == (0, 1 << 53)
+        return np.array([next(self.draws) for _ in range(size)], dtype=np.int64)
+
+
+def test_random_order_picks_by_the_top_bits_of_each_draw(ball_cache):
+    # every legal order gives the same result, so only the picks themselves
+    # show a bias; a tracer on relax_random's frame reads each one: the list
+    # and the draw before the pick line runs, the picked vertex after it
+    src, first = inspect.getsourcelines(sandpile.relax_random)
+    pick_line = first + next(k for k, line in enumerate(src)
+                             if "v = unstable[i]" in line)
+    code = sandpile.relax_random.__code__
+    picks, pending = [], []
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            if pending:
+                picks.append((*pending.pop(), frame.f_locals["v"]))
+            if frame.f_lineno == pick_line:
+                pending.append((frame.f_locals["x"], list(frame.f_locals["unstable"])))
+        return trace_lines
+
+    b = ball_cache(2)
+    start = State(b, np.full(b.n, 7, dtype=np.int64))
+    top = (1 << 53) - 1
+    rng = _ScriptedDraws([top, 0, 1 << 52, top, 3 << 51, 1, top, 5 << 50])
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 trace_lines if frame.f_code is code else None)
+    try:
+        res = relax_random(start, rng)
+    finally:
+        sys.settrace(before)
+    assert len(picks) == res.topples
+    for x, unstable, v in picks:
+        assert v == unstable[x * len(unstable) >> 53]
+    # the largest draw picks the last vertex, also when several are unstable
+    assert any(x == top and len(unstable) > 1 and v == unstable[-1]
+               for x, unstable, v in picks)
 
 
 def test_state_roundtrip_and_two_line_phi(ball_cache):
