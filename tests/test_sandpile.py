@@ -14,7 +14,7 @@ from heptapile import (DEGREE, FormatError, InvariantError, Odometer, State,
                        perturb, predicted_beta, predicted_odometer, relax,
                        relax_batch, relax_random, save_odometer, save_state,
                        load_odometer, load_state, topple, total_topplings, wave_relax)
-from heptapile import sandpile
+from heptapile import sandpile, waves
 from heptapile.ball import _sign, deserialize_ball, serialize_ball
 from heptapile.sandpile import (deserialize_odometer, deserialize_state,
                                 serialize_odometer, serialize_state)
@@ -325,11 +325,10 @@ def test_queue_engine_matches_the_in_queue_flag_oracle(ball_cache):
         assert (res.topples, res.dequeues) == (topples, dequeues)
 
 
-@pytest.mark.parametrize("size", [1, 3, 7])
-def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size):
-    # a round's fire set is collected, and toppled, a block of vertices at a
-    # time: neither block size may change a value
-    rng = np.random.default_rng(size)
+def _slice_starts(ball_cache, seed):
+    """Multi-fire states, one grain on the root or the last vertex at m=0..8,
+    and random states at m=0..4."""
+    rng = np.random.default_rng(seed)
     starts = _abelian_states(ball_cache(4))
     for m in range(0, 9):
         b = ball_cache(m)
@@ -337,6 +336,29 @@ def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size
         starts.append(perturb(max_stable(b), [b.n - 1]))
         if m <= 4:
             starts.append(State(b, rng.integers(0, 40, size=b.n, dtype=np.int64)))
+    return starts
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_queue_generations_are_the_same_in_small_slices(ball_cache, monkeypatch, size):
+    # a generation is toppled a slice of vertices at a time: the slice size
+    # may change the push order within a generation, but no value
+    starts = _slice_starts(ball_cache, size)
+    monkeypatch.setattr(sandpile, "_QUEUE_SLICE", 1 << 40)
+    whole = [relax(start) for start in starts]
+    monkeypatch.setattr(sandpile, "_QUEUE_SLICE", size)
+    for start, want in zip(starts, whole):
+        got = relax(start)
+        assert got.state == want.state
+        assert got.odometer == want.odometer
+        assert (got.topples, got.dequeues) == (want.topples, want.dequeues)
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size):
+    # a round's fire set is collected, and toppled, a block of vertices at a
+    # time: neither block size may change a value
+    starts = _slice_starts(ball_cache, size)
     monkeypatch.setattr(sandpile, "_BATCH_SLICE", 1 << 40)
     monkeypatch.setattr(sandpile, "_FIRE_BLOCK", 1 << 40)
     whole = [relax_batch(start) for start in starts]
@@ -352,13 +374,41 @@ def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size
     assert any(r.dequeues < r.topples for r in whole)  # some vertices fire twice a round
 
 
+def test_scalar_engines_run_without_the_batch_and_wave_code(ball_cache, monkeypatch):
+    # the scalar engines must not share code with relax_batch or the wave
+    # route, so that one bug cannot fool two checks: with their kernels
+    # broken, both still land on the closed forms
+    def broken(*args, **kwargs):
+        raise AssertionError("a scalar engine called batch or wave code")
+
+    for module, name in ((sandpile, "_topple_round"), (sandpile, "_fire_set"),
+                         (waves, "_forced_wave"), (waves, "_front_ids")):
+        monkeypatch.setattr(module, name, broken)
+    b = ball_cache(3)
+    for route in (lambda: relax_batch(perturb(max_stable(b), [0])),
+                  lambda: wave_relax(b, 0)):
+        with pytest.raises(AssertionError, match="batch or wave code"):
+            route()
+    rng = np.random.default_rng(7)
+    for m in range(1, 7):
+        b = ball_cache(m)
+        for sites in ([0], [b.n - 1], [int(b.level_start[m - 1]), b.n - 1]):
+            start = perturb(max_stable(b), sites)
+            want = (predicted_beta(b, sites), predicted_odometer(b, sites),
+                    total_topplings(m, min(int(b.level[s]) for s in sites)))
+            for res in (relax(start), relax_random(start, rng)):
+                assert (res.state, res.odometer, res.topples) == want
+
+
 @pytest.mark.parametrize("route", ["naive", "batch", "wave"])
 def test_relaxation_peak_stays_within_the_ball_model(ball_cache, route):
     # a route may add 64 bytes per vertex, the memory model less 32; the ball
     # takes 25, and the other 7 stay headroom, not room for a route to grow
     # into, so no route needs a guard of its own.  The queue engine's two
     # generation lists never hold more than n vertices together at radii
-    # 6..13, so its peak at radius 12 stands for every radius
+    # 6..13, and beside them it holds one slice's transient list of about
+    # 7 * _QUEUE_SLICE gathered neighbor ids, the same at every radius, so
+    # its peak at radius 12 stands for every radius
     b = ball_cache(12)
     start = perturb(max_stable(b), [0])
     run = {"naive": lambda: relax(start), "batch": lambda: relax_batch(start),
