@@ -62,8 +62,8 @@ _UINT32_MAX = 2**32 - 1
 # the only memory model, checked by build_ball, which makes every Ball a
 # route receives: 96 bytes per vertex cover the ball (25), a caller's input,
 # state and odometer (8 each) and a route's temporaries.  Process peaks per
-# vertex at radii 15 to 17, ball and input included: relax_batch 59-64 B,
-# wave_relax 51-55 B, bench --methods batch,wave,closed 67-68 B at radius 17.
+# vertex at radii 15 to 17, ball and input included: relax_batch 60-63 B,
+# wave_relax 49-52 B, bench --methods batch,wave,closed 65 B at radius 17.
 # A lower figure would admit larger balls, so a smaller ball leaves it at 96
 _BYTES_PER_VERTEX = 96
 

@@ -159,9 +159,11 @@ def _bench_once(ball, method: str):
 def _bench_radius(ball, methods, repeat) -> bool:
     """Run every method ``repeat`` times on the ball; print its rows if all agree.
 
-    At most two results are alive at once: the first run's state and
-    odometer, which every later run must equal, and the run just finished,
-    which is compared and dropped at once.
+    The first run must give the closed forms' odometer, state and toppling
+    total, so no choice of methods lets two that share code vouch for each
+    other.  At most two results are alive at once: the first run's state
+    and odometer, which every later run must equal, and either one closed
+    form or the run just finished, which is compared and dropped at once.
     """
     m, first, rows = ball.radius, None, []
     for method in methods:
@@ -173,6 +175,12 @@ def _bench_radius(ball, methods, repeat) -> bool:
                 expected = cf.total_topplings(m)
                 if int(odom.counts.sum()) != expected:
                     print(f"MISMATCH at m={m}: total topplings != {expected}")
+                    return False
+                if odom != cf.predicted_odometer(ball, [0]):
+                    print(f"MISMATCH at m={m}: {method} odometer != closed form")
+                    return False
+                if state != cf.predicted_beta(ball, [0]):
+                    print(f"MISMATCH at m={m}: {method} state != closed form")
                     return False
             elif state != first[0] or odom != first[1]:
                 print(f"MISMATCH at m={m}: {method} disagrees with {methods[0]}")

@@ -13,9 +13,12 @@ walks its queue one generation at a time, each a set of vertices pushed in
 slice order, adds every grain and decides every push one at a time, and
 checks the toppling budget once per generation; ``relax_random`` draws its
 choices in blocks of uniform integers and checks the budget once per block.
-The abelian property also lets ``relax_batch`` scatter each round's grains
-in slices of fired vertices, so its temporaries beyond the grains and the
-odometer stay a few MiB at any radius.  Sums of grains are taken a block at
+``relax_batch`` and the wave route topple through one round kernel,
+``_topple_round``: the abelian property lets it scatter a round's grains in
+slices of fired vertices, so its temporaries beyond the grains, the
+odometer and the fire sets stay a few MiB at any radius, and it collects
+the next fire set from the span of ids the round fired or fed, not from
+the whole grain array.  Sums of grains are taken a block at
 a time in exact integers.  States and odometers are saved as sparse text
 files, and a file loads only when it is byte for byte what the writer writes
 for the values it holds.
@@ -157,9 +160,9 @@ def mass(state: State) -> int:
     return total
 
 
-# fired vertices per slice of a relax_batch round, which bounds the round's
-# entry-sized temporaries
-_BATCH_SLICE = 1 << 16
+# fired vertices per slice of a _topple_round round, which bounds the round's
+# entry-sized temporaries; relax_batch and the wave route share it
+_BATCH_SLICE = 1 << 14
 
 # queued vertices per slice of a relax generation; the neighbor ids of a
 # slice's rows are gathered into one list of about 7 Python ints per vertex,
@@ -170,8 +173,8 @@ _QUEUE_SLICE = 1 << 10
 # rows per block of _check_identity, which bounds its entry-sized gather
 _IDENTITY_ROWS = 1 << 14
 
-# vertices per block when a relax_batch round's fire set is collected; a
-# block's int64 positions stay in cache until they are written as int32
+# vertices per block when _ids collects ids from a mask; a block's int64
+# positions stay in cache until they are written as int32
 _FIRE_BLOCK = 1 << 16
 
 
@@ -252,31 +255,37 @@ def relax(state: State) -> RelaxResult:
     return RelaxResult(State(ball, final), Odometer(ball, counts), topples, topples)
 
 
-def _fire_set(g: np.ndarray) -> np.ndarray:
-    """Ids of the vertices holding 7 or more grains, ascending, as int32.
+def _ids(mask: np.ndarray, lo: int = 0) -> np.ndarray:
+    """``lo`` plus the positions of the true entries of ``mask``, ascending, as int32.
 
-    Collected from the mask a block at a time, which spares an int64 id
-    array as large as the round.
+    Collected a block of the mask at a time, which spares an int64 id array
+    as large as the mask.
     """
-    unstable = g >= DEGREE
-    fire = np.empty(np.count_nonzero(unstable), dtype=np.int32)
+    ids = np.empty(np.count_nonzero(mask), dtype=np.int32)
     at = 0
-    for lo in range(0, g.size, _FIRE_BLOCK):
-        part = np.flatnonzero(unstable[lo:lo + _FIRE_BLOCK])
+    for block in range(0, mask.size, _FIRE_BLOCK):
+        part = np.flatnonzero(mask[block:block + _FIRE_BLOCK])
         # ids are below n < 2**31, so the int64 sums fit int32
-        np.add(part, lo, out=fire[at:at + part.size], casting="unsafe")
+        np.add(part, lo + block, out=ids[at:at + part.size], casting="unsafe")
         at += part.size
-    return fire
+    return ids
 
 
 def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,
-                  fire: np.ndarray, k: np.ndarray) -> None:
-    """Topple each fired vertex ``k`` times, ``_BATCH_SLICE`` fired vertices at a time.
+                  fire: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Topple each fired vertex ``k`` times; returns the next fire set.
 
-    A slice's ids are widened to intp once: numpy casts an index array of
-    any other dtype again on each of the slice's four gathers and scatters.
+    ``fire`` is ascending and holds every vertex with 7 or more grains, so
+    after the round only a fired vertex or one that gained grains can hold
+    7 or more.  The next fire set, the ids holding 7 or more, ascending, as
+    int32, is therefore collected from the ids between the smallest and the
+    largest fired or fed id alone, whatever the CSR.  The grains are
+    scattered ``_BATCH_SLICE`` fired vertices at a time; a slice's ids are
+    widened to intp once, because numpy casts an index array of any other
+    dtype again on each of the slice's gathers and scatters.
     """
     ptr, idx = ball.indptr, ball.indices
+    first, last = int(fire[0]), int(fire[-1])
     for lo in range(0, fire.size, _BATCH_SLICE):
         f, kf = fire[lo:lo + _BATCH_SLICE].astype(np.intp), k[lo:lo + _BATCH_SLICE]
         g[f] -= DEGREE * kf
@@ -284,18 +293,24 @@ def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,
         start, deg = ptr[f], ptr[f + 1] - ptr[f]
         # positions of the fired vertices' CSR rows in indices, concatenated
         rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-        np.add.at(g, idx[rows], np.repeat(kf, deg))
+        fed = idx[rows]
+        if fed.size:
+            first, last = min(first, int(fed.min())), max(last, int(fed.max()))
+        np.add.at(g, fed, np.repeat(kf, deg))
+    return _ids(g[first:last + 1] >= DEGREE, first)
 
 
 def relax_batch(state: State) -> RelaxResult:
     """Topple in rounds, each firing every vertex with g >= 7 grains g // 7 times.
 
-    Each round takes ``k = g // 7`` for its whole fire set first, then
-    topples and scatters the grains ``_BATCH_SLICE`` fired vertices at a
-    time; additions commute, so the slices change no result, and the
-    round's temporaries stay a few MiB at any radius.  A round holds its
-    fire set as int32 ids and ``k`` as int64, 12 bytes per fired vertex,
-    and drops ``k`` before the next fire set is collected.  ``dequeues``
+    The first fire set is a scan of the whole grain array; each round takes
+    ``k = g // 7`` for its whole fire set, then ``_topple_round``, the
+    kernel the wave route shares, topples and scatters the grains
+    ``_BATCH_SLICE`` fired vertices at a time and collects the next fire set
+    from the ids the round touched.  Additions commute, so the slices change
+    no result, and the round's temporaries stay a few MiB at any radius.  A
+    round holds its fire set as int32 ids and ``k`` as int64, 12 bytes per
+    fired vertex, besides the next fire set.  ``dequeues``
     counts (vertex, round) picks.  The budget bounds every grain and
     odometer entry, so below 2**62 the int64 counts cannot wrap.
     """
@@ -308,7 +323,7 @@ def relax_batch(state: State) -> RelaxResult:
     g = state.grains.copy()
     odo = np.zeros(ball.n, dtype=np.int64)
     topples = dequeues = 0
-    fire = _fire_set(g)
+    fire = _ids(g >= DEGREE)
     while fire.size:
         k = g[fire]
         k //= DEGREE
@@ -316,9 +331,7 @@ def relax_batch(state: State) -> RelaxResult:
         dequeues += fire.size
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
-        _topple_round(g, odo, ball, fire, k)
-        del k
-        fire = _fire_set(g)
+        fire = _topple_round(g, odo, ball, fire, k)
     _check_identity(state.grains, g, ball, odo)
     return RelaxResult(State(ball, g), Odometer(ball, odo), topples, dequeues)
 

@@ -4,10 +4,11 @@ Adding one grain to the maximal stable state triggers an avalanche that splits
 into waves: if site p holds 6 grains and some neighbor v also holds 6, force a
 topple at p and at v, and let the avalanche run.  Within one wave every vertex
 topples at most once, so a wave is a front sweeping the ball; successive fronts
-shrink.  Fronts are swept directly, not by calling ``sandpile.relax``: each
-round fires every unstable vertex at once, which the abelian property allows,
-and scatters its grains ``_WAVE_SLICE`` fired vertices at a time, so a
-round's temporaries stay a few MiB at any radius.
+shrink.  Fronts are swept in rounds, not by calling ``sandpile.relax``:
+each round fires every unstable vertex once, which the abelian property
+allows, through ``relax_batch``'s round kernel ``sandpile._topple_round``,
+so a round's temporaries stay a few MiB at any radius and its next front
+is collected from the ids it fired or fed.
 Iterating waves at p until p is no longer at 6 next to a 6 (plus one last
 forced topple when p alone is left at 6) reproduces the direct relaxation of
 ``max_stable + one grain at p`` exactly, state and odometer both.
@@ -19,6 +20,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from . import sandpile as _sandpile
 from .ball import DEGREE, Ball
 from .errors import InvariantError
 from .sandpile import Odometer, State, is_stable, max_stable
@@ -35,13 +37,6 @@ class WaveResult(NamedTuple):
 
 _FULL = DEGREE - 1  # a site must sit at 6 for a wave to start
 
-# fired vertices per slice of a wave round, which bounds the round's
-# entry-sized temporaries
-_WAVE_SLICE = 1 << 14
-
-# vertices per block when a front's ids are collected from its mask
-_FRONT_BLOCK = 1 << 20
-
 
 def _wave_candidates(state: State, site: int) -> list:
     if state.grains[site] != _FULL:
@@ -50,54 +45,25 @@ def _wave_candidates(state: State, site: int) -> list:
             if state.grains[v] == _FULL]
 
 
-def _forced_wave(ball: Ball, g: np.ndarray, site: int, via: int) -> np.ndarray:
+def _forced_wave(ball: Ball, g: np.ndarray, counts: np.ndarray,
+                 site: int, via: int) -> np.ndarray:
     """Force topples at site and via and sweep the front, in place on the grains g.
 
-    Returns the mask of the vertices that toppled.  A round's next front is
-    collected slice by slice: a hit vertex joins it when it reaches 7
-    grains and is not marked ``queued`` yet.  Firing clears the mark, so a
-    vertex that toppled and reaches 7 again is queued again and trips the
-    toppled-twice check.  A slice's ids are widened to intp once: numpy casts
-    an index array of any other dtype again on each of its gathers.
+    Returns the mask of the vertices that toppled; ``counts`` gains one
+    topple at each.  Each round fires its fire set once through
+    ``sandpile._topple_round``, which returns every vertex then holding 7
+    or more grains, so a vertex that toppled and reaches 7 again fires
+    again and trips the toppled-twice check.
     """
-    ptr, idx = ball.indptr, ball.indices
     toppled = np.zeros(ball.n, dtype=bool)
-    queued = np.zeros(ball.n, dtype=bool)
-    fire = np.array([site, via], dtype=idx.dtype)
+    fire = np.array(sorted((site, via)), dtype=np.int32)
     while fire.size:
         if toppled[fire].any():
             raise InvariantError("a vertex toppled twice within one wave")
         toppled[fire] = True
-        queued[fire] = False
-        g[fire] -= DEGREE
-        found = []
-        for lo in range(0, fire.size, _WAVE_SLICE):
-            f = fire[lo:lo + _WAVE_SLICE].astype(np.intp)
-            start, deg = ptr[f], ptr[f + 1] - ptr[f]
-            # positions of the fired vertices' CSR rows in indices, concatenated
-            rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-            hit, grains = np.unique(idx[rows], return_counts=True)
-            g[hit] += grains
-            hit = hit[(g[hit] >= DEGREE) & ~queued[hit]]
-            queued[hit] = True
-            found.append(hit)
-        fire = np.concatenate(found)
+        fire = _sandpile._topple_round(g, counts, ball, fire,
+                                       np.broadcast_to(np.int64(1), fire.shape))
     return toppled
-
-
-def _front_ids(toppled: np.ndarray) -> np.ndarray:
-    """Ids of the toppled vertices, ascending, as int32, a block of the mask at a time.
-
-    The front of the first wave can be the whole ball; collecting it by
-    blocks spares an int64 id array of that size.
-    """
-    ids = np.empty(np.count_nonzero(toppled), dtype=np.int32)
-    at = 0
-    for lo in range(0, toppled.size, _FRONT_BLOCK):
-        part = np.flatnonzero(toppled[lo:lo + _FRONT_BLOCK])
-        ids[at:at + part.size] = part + lo
-        at += part.size
-    return ids
 
 
 def wave(state: State, site: int) -> State:
@@ -116,10 +82,11 @@ def wave(state: State, site: int) -> State:
     out = state.grains.copy()
     if not candidates:
         return State(state.ball, out)
-    toppled = _forced_wave(state.ball, out, site, candidates[0])
+    counts = np.zeros(state.ball.n, dtype=np.int64)  # scratch: a wave keeps no odometer
+    toppled = _forced_wave(state.ball, out, counts, site, candidates[0])
     if len(candidates) > 1:
         alt = state.grains.copy()
-        alt_toppled = _forced_wave(state.ball, alt, site, candidates[-1])
+        alt_toppled = _forced_wave(state.ball, alt, counts, site, candidates[-1])
         if not (np.array_equal(out, alt) and np.array_equal(toppled, alt_toppled)):
             raise InvariantError("wave result depends on the seed neighbor")
     return State(state.ball, out)
@@ -143,9 +110,7 @@ def wave_relax(ball: Ball, site: int) -> WaveResult:
         candidates = _wave_candidates(state, site)
         if not candidates:
             break
-        toppled = _forced_wave(ball, g, site, candidates[0])
-        counts += toppled
-        fronts.append(_front_ids(toppled))
+        fronts.append(_sandpile._ids(_forced_wave(ball, g, counts, site, candidates[0])))
     else:
         raise InvariantError("wave iteration failed to terminate")
     g[site] += 1

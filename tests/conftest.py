@@ -42,3 +42,15 @@ def forged_balls():
     """Radius-4 graphs that keep every degree, level and type, but are not the ball."""
     b = build_ball(4)
     return {"crossed": _crossed(b, 8, 29, 11, 37), "reflected": _reflected(b)}
+
+
+def _wave_sites(ball):
+    """The root and the last vertex, and up to radius 4 the first of every ring."""
+    starts = ball.level_start[:-1] if ball.radius <= 4 else [0]
+    return sorted({0, ball.n - 1} | set(int(v) for v in starts))
+
+
+@pytest.fixture(scope="session")
+def wave_cases(ball_cache):
+    """(ball, site) pairs at radii 0..8 for the wave slice and round tests."""
+    return [(ball_cache(m), site) for m in range(0, 9) for site in _wave_sites(ball_cache(m))]

@@ -2,8 +2,9 @@ import weakref
 
 import pytest
 
-from heptapile import (ball as ball_module, ball_size, build_ball, cli, level_counts,
-                       load_ball, load_state, max_stable, perturb, relax, save_ball)
+from heptapile import (Odometer, State, ball as ball_module, ball_size, build_ball, cli,
+                       level_counts, load_ball, load_state, max_stable, perturb, relax,
+                       save_ball)
 from heptapile.cli import main
 from heptapile.render import DEFAULT_PALETTE, cell_fills, color_histogram
 
@@ -235,6 +236,27 @@ def test_bench_holds_at_most_two_results(capsys, monkeypatch):
     code, text, _ = run(capsys, "bench", "--m", "3..4", "--repeat", "2")
     assert code == 0 and "MISMATCH" not in text
     assert len(results) == 16
+
+
+@pytest.mark.parametrize("field", ["state", "odometer"])
+def test_bench_judges_its_first_result_by_the_closed_forms(capsys, monkeypatch, field):
+    # batch and wave topple through one kernel, so a fault there would make
+    # them agree with each other: one grain or topple moved from the root to
+    # the last vertex in both keeps every total, and the closed forms catch it
+    def shifted(ball, method):
+        state, odom, *rest = bench_once(ball, method)
+        values = (state.grains if field == "state" else odom.counts).copy()
+        values[0] -= 1
+        values[-1] += 1
+        if field == "state":
+            return (State(ball, values), odom, *rest)
+        return (state, Odometer(ball, values), *rest)
+
+    bench_once = cli._bench_once
+    monkeypatch.setattr(cli, "_bench_once", shifted)
+    code, text, _ = run(capsys, "bench", "--m", "3", "--methods", "batch,wave")
+    assert code == 1
+    assert f"MISMATCH at m=3: batch {field} != closed form" in text
 
 
 def test_bench_refuses_a_range_that_cannot_fit_before_building(capsys, monkeypatch):

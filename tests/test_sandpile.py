@@ -8,7 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from heptapile import (DEGREE, FormatError, InvariantError, Odometer, State,
+from heptapile import (DEGREE, Ball, FormatError, InvariantError, Odometer, State,
                        VertexType, ball as ball_module,
                        is_legal, is_stable, laplacian_delta, mass, max_stable,
                        perturb, predicted_beta, predicted_odometer, relax,
@@ -369,9 +369,48 @@ def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size
         assert got.state == want.state
         assert got.odometer == want.odometer
         assert (got.topples, got.dequeues) == (want.topples, want.dequeues)
-    fire = sandpile._fire_set(np.arange(20))  # the round's ids, as int32
+    fire = sandpile._ids(np.arange(20) >= 7)  # the round's ids, as int32
     assert fire.dtype == np.int32 and fire.tolist() == list(range(7, 20))
     assert any(r.dequeues < r.topples for r in whole)  # some vertices fire twice a round
+
+
+def _root_linked_to_the_outer_ring(ball_cache):
+    """The radius-3 ball with an extra edge from the root to vertex 29, the
+    first of the outer ring: a CSR whose rows reach far beyond their level."""
+    b = ball_cache(3)
+    rows = [b.neighbors(v).tolist() for v in range(b.n)]
+    rows[0] = rows[0] + [29]
+    rows[29] = [0] + rows[29]
+    indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int32)
+    return Ball(b.radius, b.level, b.vtype, indptr, np.concatenate(rows).astype(np.int32))
+
+
+def test_each_round_returns_the_fire_set_of_a_full_scan(ball_cache, monkeypatch, wave_cases):
+    # a round scans only the ids between the smallest and the largest it
+    # fired or fed, which must still find every vertex holding 7 or more
+    kernel = sandpile._topple_round
+    rounds = []
+
+    def checked(g, odo, ball, fire, k):
+        nxt = kernel(g, odo, ball, fire, k)
+        assert nxt.dtype == np.int32
+        assert np.array_equal(nxt, np.flatnonzero(g >= DEGREE))
+        rounds.append(nxt.size)
+        return nxt
+
+    monkeypatch.setattr(sandpile, "_topple_round", checked)
+    for start in _slice_starts(ball_cache, 0):
+        relax_batch(start)
+    for b, site in wave_cases:
+        wave_relax(b, site)
+    assert len(rounds) > 500 and 0 in rounds
+    linked = _root_linked_to_the_outer_ring(ball_cache)
+    rng = np.random.default_rng(3)
+    starts = [perturb(max_stable(linked), sites) for sites in ([0], [29], [84], [5, 40])]
+    starts.append(State(linked, rng.integers(0, 40, size=linked.n, dtype=np.int64)))
+    for start in starts:
+        got, want = relax_batch(start), relax(start)
+        assert (got.state, got.odometer, got.topples) == (want.state, want.odometer, want.topples)
 
 
 def test_scalar_engines_run_without_the_batch_and_wave_code(ball_cache, monkeypatch):
@@ -381,8 +420,8 @@ def test_scalar_engines_run_without_the_batch_and_wave_code(ball_cache, monkeypa
     def broken(*args, **kwargs):
         raise AssertionError("a scalar engine called batch or wave code")
 
-    for module, name in ((sandpile, "_topple_round"), (sandpile, "_fire_set"),
-                         (waves, "_forced_wave"), (waves, "_front_ids")):
+    for module, name in ((sandpile, "_topple_round"), (sandpile, "_ids"),
+                         (waves, "_forced_wave")):
         monkeypatch.setattr(module, name, broken)
     b = ball_cache(3)
     for route in (lambda: relax_batch(perturb(max_stable(b), [0])),
