@@ -63,7 +63,8 @@ _UINT32_MAX = 2**32 - 1
 # route receives: 96 bytes per vertex cover the ball (25), a caller's input,
 # state and odometer (8 each) and a route's temporaries.  Process peaks per
 # vertex at radii 15 to 17, ball and input included: relax_batch 60-63 B,
-# wave_relax 49-52 B, bench --methods batch,wave,closed 65 B at radius 17.
+# wave_relax 49-52 B, bench --methods batch,wave,closed 65 B at radius 17,
+# bench --methods naive,closed 66.5, 61.9 and 60.9 B at radii 15, 16, 17.
 # A lower figure would admit larger balls, so a smaller ball leaves it at 96
 _BYTES_PER_VERTEX = 96
 

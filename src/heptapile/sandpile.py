@@ -7,12 +7,15 @@ vertex is below 7; the toppling odometer counts topples per vertex, and the
 identity ``relaxed = start + laplacian(odometer)`` is re-checked after every
 run instead of trusted.  By the abelian property three schedules must agree
 exactly: a FIFO queue (``relax``), rounds over the whole fire set
-(``relax_batch``) and random legal order (``relax_random``).  The two scalar
-engines share no code with ``relax_batch`` or the wave route: ``relax``
-walks its queue one generation at a time, each a set of vertices pushed in
-slice order, adds every grain and decides every push one at a time, and
-checks the toppling budget once per generation; ``relax_random`` draws its
-choices in blocks of uniform integers and checks the budget once per block.
+(``relax_batch``) and random legal order (``relax_random``).  The queue and
+random-order engines share no code with ``relax_batch`` or the wave route:
+``relax`` walks its queue one generation at a time, each an int array of
+distinct vertices that it topples a slice at a time in numpy, counting each
+slice's grains per fed vertex with ``np.unique`` and deciding its pushes
+from each vertex's grains before and after the slice, and checks the
+toppling budget once per generation; ``relax_random`` is the scalar
+reference, one topple and one grain at a time, and draws its choices in
+blocks of uniform integers and checks the budget once per block.
 ``relax_batch`` and the wave route topple through one round kernel,
 ``_topple_round``: the abelian property lets it scatter a round's grains in
 slices of fired vertices, so its temporaries beyond the grains, the
@@ -164,11 +167,14 @@ def mass(state: State) -> int:
 # entry-sized temporaries; relax_batch and the wave route share it
 _BATCH_SLICE = 1 << 14
 
-# queued vertices per slice of a relax generation; the neighbor ids of a
-# slice's rows are gathered into one list of about 7 Python ints per vertex,
-# which adds to the generation lists: at radius 12 the traced peak read 57.2
-# bytes per vertex with this slice and 64.1 with slices of 1 << 14
-_QUEUE_SLICE = 1 << 10
+# queued vertices per slice of a relax generation, which bounds the slice's
+# temporaries of about 7 gathered ids per vertex.  Best-of-k seconds per
+# relax of max_stable + root at radius 8 / 12 / 13, and the traced peak at
+# radius 12 over n: 1 << 12 4.6 ms / 0.14 s / 0.42 s, 27.5 B; 1 << 13
+# 3.1 ms / 0.13 s / 0.41 s, 28.9 B; 1 << 14 3.1 ms / 0.13 s / 0.32 s,
+# 31.6 B; 1 << 15 3.8 ms / 0.12 s / 0.42 s, 39.7 B.  Radius 4 fits in one
+# slice of any of these
+_QUEUE_SLICE = 1 << 14
 
 # rows per block of _check_identity, which bounds its entry-sized gather
 _IDENTITY_ROWS = 1 << 14
@@ -201,58 +207,55 @@ def relax(state: State) -> RelaxResult:
     """Topple until stable; returns the stable state and the odometer.
 
     The engine walks a FIFO queue of unstable vertices one generation at a
-    time: it topples each vertex of the current list once and appends the
-    vertices that become unstable to the next list, so the lists are the
-    FIFO generations as sets, pushed within a generation in slice order.
-    It needs no in-queue flag: a vertex is queued exactly when it holds 7
-    or more grains, so a neighbor joins the queue when a grain brings it to
-    exactly 7 (rows hold distinct neighbors), and every queued vertex
-    topples once when it is read.  A generation's length is therefore its
-    topple count, and the budget is checked once per generation, before it
-    topples.
+    time: it topples each vertex of the current generation once and
+    collects the vertices that become unstable into the next, so the
+    generations are the FIFO generations as sets.  It needs no in-queue
+    flag: a vertex is queued exactly when it holds 7 or more grains, so a
+    fired vertex is queued again when it keeps 7 or more after losing 7,
+    a fed vertex when its grains cross from below 7 to 7 or more, and every
+    queued vertex topples once when it is read.  A generation's length is
+    therefore its topple count, and the budget is checked once per
+    generation, before it topples.
 
-    A generation is toppled ``_QUEUE_SLICE`` vertices at a time: one gather
-    collects the neighbor ids of the slice's rows, then one loop topples the
-    slice's vertices and a second adds a grain per gathered id.  Additions
-    commute, so the split changes no value.
+    A generation is an int array, toppled ``_QUEUE_SLICE`` vertices at a
+    time by numpy calls alone: one gather collects the neighbor ids of the
+    slice's rows, ``np.unique`` counts the grains each fed vertex receives,
+    and each vertex's grains before and after the slice decide its push.
+    Additions commute, so the split changes no value.  A budget of 2**62
+    or more is refused: below it no grain count or odometer entry can leave
+    int64, since none exceeds the starting total or the budget.
     """
-    g = state.grains.tolist()
-    if min(g) < 0:
-        raise ValueError("relaxation requires nonnegative grain counts")
     ball = state.ball
-    ptr, idx = ball.indptr, ball.indices
-    seven = DEGREE
-    counts = np.zeros(ball.n, dtype=np.int64)
-    queue = np.flatnonzero(state.grains >= seven).tolist()
+    if state.grains.min() < 0:
+        raise ValueError("relaxation requires nonnegative grain counts")
     budget = _budget(state.grains)
+    if budget >= 2**62:
+        raise OverflowError("too many grains to relax in 64-bit counts")
+    ptr, idx = ball.indptr, ball.indices
+    g = state.grains.copy()
+    counts = np.zeros(ball.n, dtype=np.int64)
+    queue = np.flatnonzero(g >= DEGREE)
     topples = 0
-    while queue:
-        topples += len(queue)
+    while queue.size:
+        topples += queue.size
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
         nxt = []
-        push = nxt.append
-        for lo in range(0, len(queue), _QUEUE_SLICE):
-            part = queue[lo:lo + _QUEUE_SLICE]
-            f = np.array(part, dtype=np.intp)
+        for lo in range(0, queue.size, _QUEUE_SLICE):
+            f = queue[lo:lo + _QUEUE_SLICE]
             counts[f] += 1  # a generation holds distinct vertices
+            g[f] -= DEGREE
+            nxt.append(f[g[f] >= DEGREE])
             start, deg = ptr[f], ptr[f + 1] - ptr[f]
             # positions of the slice's CSR rows in indices, concatenated
             rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-            for v in part:
-                gv = g[v] - seven
-                g[v] = gv
-                if gv >= seven:
-                    push(v)
-            for u in idx[rows].tolist():
-                gu = g[u] + 1
-                g[u] = gu
-                if gu == seven:
-                    push(u)
-        queue = nxt
-    final = np.array(g, dtype=np.int64)
-    _check_identity(state.grains, final, ball, counts)
-    return RelaxResult(State(ball, final), Odometer(ball, counts), topples, topples)
+            fed, gain = np.unique(idx[rows], return_counts=True)
+            old = g[fed]
+            g[fed] = new = old + gain
+            nxt.append(fed[(old < DEGREE) & (new >= DEGREE)])
+        queue = np.concatenate(nxt)
+    _check_identity(state.grains, g, ball, counts)
+    return RelaxResult(State(ball, g), Odometer(ball, counts), topples, topples)
 
 
 def _ids(mask: np.ndarray, lo: int = 0) -> np.ndarray:

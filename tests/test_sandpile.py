@@ -169,6 +169,14 @@ def test_budget_guard_trips_on_tiny_budget(ball_cache, monkeypatch):
             engine(perturb(max_stable(b), [0]))
 
 
+def test_relaxers_refuse_a_budget_their_int64_counts_cannot_hold(ball_cache, monkeypatch):
+    # below a budget of 2**62 no grain count or odometer entry can wrap
+    monkeypatch.setattr(sandpile, "_budget", lambda grains: 2**62)
+    for engine in (relax, relax_batch):
+        with pytest.raises(OverflowError):
+            engine(perturb(max_stable(ball_cache(1)), [0]))
+
+
 @pytest.mark.parametrize("draws", [1, 3, 1 << 12])
 def test_budget_holds_exactly_the_total_topples(ball_cache, monkeypatch, draws):
     # the queue engine checks its budget per generation and the random-order
@@ -443,11 +451,12 @@ def test_scalar_engines_run_without_the_batch_and_wave_code(ball_cache, monkeypa
 def test_relaxation_peak_stays_within_the_ball_model(ball_cache, route):
     # a route may add 64 bytes per vertex, the memory model less 32; the ball
     # takes 25, and the other 7 stay headroom, not room for a route to grow
-    # into, so no route needs a guard of its own.  The queue engine's two
-    # generation lists never hold more than n vertices together at radii
-    # 6..13, and beside them it holds one slice's transient list of about
-    # 7 * _QUEUE_SLICE gathered neighbor ids, the same at every radius, so
-    # its peak at radius 12 stands for every radius
+    # into, so no route needs a guard of its own.  The queue engine holds
+    # int64 grains and odometer, 16 bytes per vertex, and two generations
+    # of int64 ids that never hold more than n vertices together at radii
+    # 6..13; the next is joined from its slices' pieces once, and one
+    # slice's temporaries, about 7 * _QUEUE_SLICE gathered ids, are the
+    # same at every radius, so its peak at radius 12 stands for every radius
     b = ball_cache(12)
     start = perturb(max_stable(b), [0])
     run = {"naive": lambda: relax(start), "batch": lambda: relax_batch(start),
