@@ -10,21 +10,22 @@ exactly: a FIFO queue (``relax``), rounds over the whole fire set
 (``relax_batch``) and random legal order (``relax_random``).  The queue and
 random-order engines share no code with ``relax_batch`` or the wave route:
 ``relax`` walks its queue one generation at a time, each an int array of
-distinct vertices that it topples a slice at a time in numpy, counting each
-slice's grains per fed vertex with ``np.unique`` and deciding its pushes
-from each vertex's grains before and after the slice, and checks the
-toppling budget once per generation; ``relax_random`` is the scalar
-reference, one topple and one grain at a time, and draws its choices in
-blocks of uniform integers and checks the budget once per block.
-``relax_batch`` and the wave route topple through one round kernel,
-``_topple_round``: the abelian property lets it scatter a round's grains in
-slices of fired vertices, so its temporaries beyond the grains, the
-odometer and the fire sets stay a few MiB at any radius, and it collects
-the next fire set from the span of ids the round fired or fed, not from
-the whole grain array.  Sums of grains are taken a block at
-a time in exact integers.  States and odometers are saved as sparse text
-files, and a file loads only when it is byte for byte what the writer writes
-for the values it holds.
+distinct vertices that it topples a slice at a time in numpy, expanding a
+slice's CSR rows per run of consecutive ids, counting its grains per fed
+vertex by sorting the gathered ids and deciding its pushes from each
+vertex's grains before and after the slice, and checks the toppling budget
+once per generation; ``relax_random`` is the scalar reference, one topple
+and one grain at a time, and draws its choices in blocks of uniform
+integers and checks the budget once per block.  ``relax_batch`` and the
+wave route topple through one round kernel, ``_topple_round``: the abelian
+property lets it scatter a round's grains in slices of fired vertices,
+whose rows it expands per run of consecutive ids in code of its own, so
+its temporaries beyond the grains, the odometer and the fire sets stay a
+few MiB at any radius, and it collects the next fire set from the span of
+ids the round fired or fed, not from the whole grain array.  Sums of
+grains are taken a block at a time in exact integers.  States and odometers
+are saved as sparse text files, and a file loads only when it is byte for
+byte what the writer writes for the values it holds.
 """
 
 from __future__ import annotations
@@ -169,11 +170,12 @@ _BATCH_SLICE = 1 << 14
 
 # queued vertices per slice of a relax generation, which bounds the slice's
 # temporaries of about 7 gathered ids per vertex.  Best-of-k seconds per
-# relax of max_stable + root at radius 8 / 12 / 13, and the traced peak at
-# radius 12 over n: 1 << 12 4.6 ms / 0.14 s / 0.42 s, 27.5 B; 1 << 13
-# 3.1 ms / 0.13 s / 0.41 s, 28.9 B; 1 << 14 3.1 ms / 0.13 s / 0.32 s,
-# 31.6 B; 1 << 15 3.8 ms / 0.12 s / 0.42 s, 39.7 B.  Radius 4 fits in one
-# slice of any of these
+# relax of max_stable + root at radius 8 / 12 / 13 over two runs, and the
+# traced peak at radius 12 over n: 1 << 12 2.6 ms / 0.10 s / 0.28 s,
+# 30.5 B; 1 << 13 2.5 ms / 0.09 s / 0.31 s, 32.0 B; 1 << 14 2.7 ms /
+# 0.13 s / 0.23 s, 35.0 B; 1 << 15 2.2 ms / 0.10 s / 0.25 s, 40.8 B.  The
+# times drift by about a fifth between runs on a 2-core host, so no size
+# wins clearly.  Radius 4 fits in one slice of any of these
 _QUEUE_SLICE = 1 << 14
 
 # rows per block of _check_identity, which bounds its entry-sized gather
@@ -203,6 +205,25 @@ def _budget(grains: np.ndarray) -> int:
     return 1024 + 128 * (_exact_sum(grains) + grains.size)
 
 
+def _queue_rows(ptr: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Positions in ``indices`` of the CSR rows of the ids ``f``, concatenated in order.
+
+    ``f`` is cut into maximal runs in which each id is one more than the
+    last; a run's rows are contiguous in ``indices``, so one ``np.repeat``
+    over the runs, not over the vertices, expands them.  ``relax`` alone
+    calls this.
+    """
+    head = np.empty(f.size, dtype=bool)  # where a run starts
+    head[:1] = True
+    np.not_equal(f[1:], f[:-1] + 1, out=head[1:])
+    tail = np.empty(f.size, dtype=bool)  # where a run ends
+    tail[:-1] = head[1:]
+    tail[-1:] = True
+    start, stop = ptr[f[head]], ptr[f[tail] + 1]
+    length = stop - start
+    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
+
+
 def relax(state: State) -> RelaxResult:
     """Topple until stable; returns the stable state and the odometer.
 
@@ -218,9 +239,11 @@ def relax(state: State) -> RelaxResult:
     generation, before it topples.
 
     A generation is an int array, toppled ``_QUEUE_SLICE`` vertices at a
-    time by numpy calls alone: one gather collects the neighbor ids of the
-    slice's rows, ``np.unique`` counts the grains each fed vertex receives,
-    and each vertex's grains before and after the slice decide its push.
+    time by numpy calls alone.  ``_queue_rows`` expands the slice's CSR
+    rows per run of consecutive ids, one gather collects their neighbor
+    ids, and the gathered ids are sorted in place: each run of equal ids
+    is one fed vertex, and its length is the grains that vertex receives.
+    Each vertex's grains before and after the slice decide its push.
     Additions commute, so the split changes no value.  A budget of 2**62
     or more is refused: below it no grain count or odometer entry can leave
     int64, since none exceeds the starting total or the budget.
@@ -246,10 +269,14 @@ def relax(state: State) -> RelaxResult:
             counts[f] += 1  # a generation holds distinct vertices
             g[f] -= DEGREE
             nxt.append(f[g[f] >= DEGREE])
-            start, deg = ptr[f], ptr[f + 1] - ptr[f]
-            # positions of the slice's CSR rows in indices, concatenated
-            rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-            fed, gain = np.unique(idx[rows], return_counts=True)
+            got = idx[_queue_rows(ptr, f)]
+            got.sort()
+            # bounds of the runs of equal ids in got, its two ends included
+            edge = np.empty(got.size + 1, dtype=bool)
+            edge[0] = edge[-1] = True
+            np.not_equal(got[1:], got[:-1], out=edge[1:-1])
+            bounds = np.flatnonzero(edge)
+            fed, gain = got[bounds[:-1]].astype(np.intp), np.diff(bounds)
             old = g[fed]
             g[fed] = new = old + gain
             nxt.append(fed[(old < DEGREE) & (new >= DEGREE)])
@@ -274,32 +301,53 @@ def _ids(mask: np.ndarray, lo: int = 0) -> np.ndarray:
     return ids
 
 
+def _round_rows(ptr: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Positions in ``indices`` of the CSR rows of the ids ``f`` (at least one), concatenated.
+
+    Consecutive ids have adjacent rows, so each run of them is one range of
+    positions, and the ranges are expanded by one ``np.repeat`` over the
+    runs.  The round kernel's own code: the queue engine expands its rows
+    in ``_queue_rows``.
+    """
+    step = np.flatnonzero(np.diff(f) != 1)  # the last index of every run but the final one
+    first = f[np.concatenate(([0], step + 1))]
+    last = f[np.append(step, f.size - 1)]
+    lo, hi = ptr[first], ptr[last + 1]
+    width = hi - lo
+    end = np.cumsum(width)  # where each run's positions end in the output
+    return np.arange(end[-1]) + np.repeat(lo + width - end, width)
+
+
 def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,
-                  fire: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Topple each fired vertex ``k`` times; returns the next fire set.
+                  fire: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+    """Topple each fired vertex ``k`` times, or once if ``k`` is None; returns the next fire set.
 
     ``fire`` is ascending and holds every vertex with 7 or more grains, so
     after the round only a fired vertex or one that gained grains can hold
     7 or more.  The next fire set, the ids holding 7 or more, ascending, as
     int32, is therefore collected from the ids between the smallest and the
     largest fired or fed id alone, whatever the CSR.  The grains are
-    scattered ``_BATCH_SLICE`` fired vertices at a time; a slice's ids are
-    widened to intp once, because numpy casts an index array of any other
-    dtype again on each of the slice's gathers and scatters.
+    scattered ``_BATCH_SLICE`` fired vertices at a time, their rows
+    expanded per run of consecutive ids by ``_round_rows``; a once-each
+    round scatters a scalar 1 per entry.  A slice's ids are widened to intp
+    once, because numpy casts an index array of any other dtype again on
+    each of the slice's gathers and scatters.
     """
     ptr, idx = ball.indptr, ball.indices
     first, last = int(fire[0]), int(fire[-1])
     for lo in range(0, fire.size, _BATCH_SLICE):
-        f, kf = fire[lo:lo + _BATCH_SLICE].astype(np.intp), k[lo:lo + _BATCH_SLICE]
-        g[f] -= DEGREE * kf
-        odo[f] += kf
-        start, deg = ptr[f], ptr[f + 1] - ptr[f]
-        # positions of the fired vertices' CSR rows in indices, concatenated
-        rows = np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-        fed = idx[rows]
+        f = fire[lo:lo + _BATCH_SLICE].astype(np.intp)
+        if k is None:
+            g[f] -= DEGREE
+            odo[f] += 1
+        else:
+            kf = k[lo:lo + _BATCH_SLICE]
+            g[f] -= DEGREE * kf
+            odo[f] += kf
+        fed = idx[_round_rows(ptr, f)]
         if fed.size:
             first, last = min(first, int(fed.min())), max(last, int(fed.max()))
-        np.add.at(g, fed, np.repeat(kf, deg))
+        np.add.at(g, fed, 1 if k is None else np.repeat(kf, ptr[f + 1] - ptr[f]))
     return _ids(g[first:last + 1] >= DEGREE, first)
 
 
@@ -312,10 +360,12 @@ def relax_batch(state: State) -> RelaxResult:
     ``_BATCH_SLICE`` fired vertices at a time and collects the next fire set
     from the ids the round touched.  Additions commute, so the slices change
     no result, and the round's temporaries stay a few MiB at any radius.  A
-    round holds its fire set as int32 ids and ``k`` as int64, 12 bytes per
-    fired vertex, besides the next fire set.  ``dequeues``
-    counts (vertex, round) picks.  The budget bounds every grain and
-    odometer entry, so below 2**62 the int64 counts cannot wrap.
+    round holds its fire set as int32 ids, 4 bytes per fired vertex, besides
+    the next fire set; it holds ``k`` as int64, 8 bytes more, only when some
+    vertex fires more than once, and otherwise topples each vertex once, as
+    a wave round does.  ``dequeues`` counts (vertex, round) picks.  The
+    budget bounds every grain and odometer entry, so below 2**62 the int64
+    counts cannot wrap.
     """
     ball = state.ball
     if state.grains.min() < 0:
@@ -330,10 +380,13 @@ def relax_batch(state: State) -> RelaxResult:
     while fire.size:
         k = g[fire]
         k //= DEGREE
-        topples += int(k.sum())
+        fired = int(k.sum())
+        topples += fired
         dequeues += fire.size
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
+        if fired == fire.size:  # every k is 1: the round need not hold k
+            k = None
         fire = _topple_round(g, odo, ball, fire, k)
     _check_identity(state.grains, g, ball, odo)
     return RelaxResult(State(ball, g), Odometer(ball, odo), topples, dequeues)

@@ -399,7 +399,7 @@ def test_each_round_returns_the_fire_set_of_a_full_scan(ball_cache, monkeypatch,
     kernel = sandpile._topple_round
     rounds = []
 
-    def checked(g, odo, ball, fire, k):
+    def checked(g, odo, ball, fire, k=None):
         nxt = kernel(g, odo, ball, fire, k)
         assert nxt.dtype == np.int32
         assert np.array_equal(nxt, np.flatnonzero(g >= DEGREE))
@@ -423,28 +423,79 @@ def test_each_round_returns_the_fire_set_of_a_full_scan(ball_cache, monkeypatch,
 
 def test_scalar_engines_run_without_the_batch_and_wave_code(ball_cache, monkeypatch):
     # the scalar engines must not share code with relax_batch or the wave
-    # route, so that one bug cannot fool two checks: with their kernels
-    # broken, both still land on the closed forms
+    # route, so that one bug cannot fool two checks: with the kernel, or its
+    # row expansion alone, broken, both still land on the closed forms, and
+    # with the queue engine's row expansion broken, batch and wave still do
     def broken(*args, **kwargs):
-        raise AssertionError("a scalar engine called batch or wave code")
+        raise AssertionError("broken code was called")
 
-    for module, name in ((sandpile, "_topple_round"), (sandpile, "_ids"),
-                         (waves, "_forced_wave")):
-        monkeypatch.setattr(module, name, broken)
-    b = ball_cache(3)
-    for route in (lambda: relax_batch(perturb(max_stable(b), [0])),
-                  lambda: wave_relax(b, 0)):
-        with pytest.raises(AssertionError, match="batch or wave code"):
-            route()
     rng = np.random.default_rng(7)
-    for m in range(1, 7):
-        b = ball_cache(m)
-        for sites in ([0], [b.n - 1], [int(b.level_start[m - 1]), b.n - 1]):
-            start = perturb(max_stable(b), sites)
-            want = (predicted_beta(b, sites), predicted_odometer(b, sites),
-                    total_topplings(m, min(int(b.level[s]) for s in sites)))
-            for res in (relax(start), relax_random(start, rng)):
-                assert (res.state, res.odometer, res.topples) == want
+    scalar = {"queue": relax, "random": lambda start: relax_random(start, rng)}
+    rounds = {"batch": relax_batch,
+              "wave": lambda start: waves.wave_relax_multi(
+                  start.ball, np.flatnonzero(start.grains == DEGREE))}
+    kernel = ((sandpile, "_topple_round"), (sandpile, "_ids"), (waves, "_forced_wave"))
+    for names, dead, alive in ((kernel, rounds, scalar),
+                               (((sandpile, "_round_rows"),), rounds, scalar),
+                               (((sandpile, "_queue_rows"),), {"queue": relax}, rounds)):
+        with monkeypatch.context() as patch:
+            for module, name in names:
+                patch.setattr(module, name, broken)
+            b = ball_cache(3)
+            for route in dead.values():
+                with pytest.raises(AssertionError, match="broken code"):
+                    route(perturb(max_stable(b), [0]))
+            for m in range(1, 7):
+                b = ball_cache(m)
+                for sites in ([0], [b.n - 1], [int(b.level_start[m - 1]), b.n - 1]):
+                    start = perturb(max_stable(b), sites)
+                    want = (predicted_beta(b, sites), predicted_odometer(b, sites))
+                    topples = total_topplings(m, min(int(b.level[s]) for s in sites))
+                    for name, route in alive.items():
+                        res = route(start)
+                        assert (res.state, res.odometer) == want, name
+                        if name != "wave":
+                            assert res.topples == topples, name
+
+
+def _id_lists(st, n):
+    """Nonempty id lists below ``n`` built from ascending runs, descending
+    steps and single ids."""
+    run = st.tuples(st.integers(0, n - 1), st.integers(1, 12)).map(
+        lambda r: list(range(r[0], min(r[0] + r[1], n))))
+    down = st.tuples(st.integers(0, n - 1), st.integers(1, 12)).map(
+        lambda r: list(range(r[0], max(r[0] - r[1], -1), -1)))
+    single = st.integers(0, n - 1).map(lambda v: [v])
+    return st.lists(st.one_of(run, down, single), min_size=1, max_size=8).map(
+        lambda parts: list(itertools.chain.from_iterable(parts)))
+
+
+@pytest.mark.parametrize("expand", ["_queue_rows", "_round_rows"])
+def test_row_expansion_equals_the_rows_one_vertex_at_a_time(ball_cache, expand):
+    # each route expands a slice's CSR rows per run of consecutive ids; a
+    # slice may cut a run anywhere, and a row may be empty (the radius-0
+    # root's) or reach far from its level (the linked ball's root)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rows_of = getattr(sandpile, expand)
+    balls = [ball_cache(0), ball_cache(1), ball_cache(3),
+             _root_linked_to_the_outer_ring(ball_cache)]
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(balls).flatmap(
+        lambda b: st.tuples(st.just(b), _id_lists(st, b.n))),
+        st.sampled_from([1, 3, 7, 1 << 40]))
+    def check(case, size):
+        b, ids = case
+        for lo in range(0, len(ids), size):
+            f = np.array(ids[lo:lo + size], dtype=np.intp)
+            rows = rows_of(b.indptr, f)
+            want = [np.arange(b.indptr[v], b.indptr[v + 1]) for v in f]
+            assert rows.tolist() == np.concatenate(want).tolist()
+            assert b.indices[rows].tolist() == np.concatenate(
+                [b.neighbors(v) for v in f]).tolist()
+
+    check()
 
 
 @pytest.mark.parametrize("route", ["naive", "batch", "wave"])
