@@ -10,18 +10,19 @@ exactly: a FIFO queue (``relax``), rounds over the whole fire set
 (``relax_batch``) and random legal order (``relax_random``).  The queue and
 random-order engines share no code with ``relax_batch`` or the wave route:
 ``relax`` walks its queue one generation at a time, each an int array of
-distinct vertices that it topples a slice at a time in numpy, expanding a
-slice's CSR rows per run of consecutive ids, counting its grains per fed
-vertex by sorting the gathered ids and deciding its pushes from each
-vertex's grains before and after the slice, and checks the toppling budget
-once per generation; ``relax_random`` is the scalar reference, one topple
-and one grain at a time, and draws its choices in blocks of uniform
-integers and checks the budget once per block.  ``relax_batch`` and the
+distinct vertices that it topples a slice at a time in numpy, reading a
+slice's neighbor ids per run of consecutive ids, whose CSR rows are one
+block of ``indices``, counting its grains per fed vertex by sorting a copy
+of those ids and deciding its pushes from each vertex's grains before and
+after the slice, and checks the toppling budget once per generation;
+``relax_random`` is the scalar reference, one topple and one grain at a
+time, and draws its choices in blocks of uniform integers and checks the
+budget once per block.  ``relax_batch`` and the
 wave route topple through one round kernel, ``_topple_round``: the abelian
 property lets it scatter a round's grains in slices of fired vertices,
-whose rows it expands per run of consecutive ids in code of its own, so
-its temporaries beyond the grains, the odometer and the fire sets stay a
-few MiB at any radius, and it collects the next fire set from the span of
+whose neighbor ids it reads per run of consecutive ids in code of its own,
+so its temporaries beyond the grains, the odometer and the fire sets stay
+a few MiB at any radius, and it collects the next fire set from the span of
 ids the round fired or fed, not from the whole grain array.  Sums of
 grains are taken a block at a time in exact integers.  States and odometers
 are saved as sparse text files, and a file loads only when it is byte for
@@ -169,14 +170,31 @@ def mass(state: State) -> int:
 _BATCH_SLICE = 1 << 14
 
 # queued vertices per slice of a relax generation, which bounds the slice's
-# temporaries of about 7 gathered ids per vertex.  Best-of-k seconds per
-# relax of max_stable + root at radius 8 / 12 / 13 over two runs, and the
-# traced peak at radius 12 over n: 1 << 12 2.6 ms / 0.10 s / 0.28 s,
-# 30.5 B; 1 << 13 2.5 ms / 0.09 s / 0.31 s, 32.0 B; 1 << 14 2.7 ms /
-# 0.13 s / 0.23 s, 35.0 B; 1 << 15 2.2 ms / 0.10 s / 0.25 s, 40.8 B.  The
-# times drift by about a fifth between runs on a 2-core host, so no size
-# wins clearly.  Radius 4 fits in one slice of any of these
+# temporaries: about 7 int32 neighbor ids per vertex, and an int64
+# position beside each when the slice's runs are short.  Best-of-k seconds
+# per relax of max_stable + root at radius 8 / 12 / 13 over two runs, and
+# the traced peak at radius 12 over n, measured with every slice gathered
+# through positions: 1 << 12 2.6 ms / 0.10 s / 0.28 s, 30.5 B; 1 << 13
+# 2.5 ms / 0.09 s / 0.31 s, 32.0 B; 1 << 14 2.7 ms / 0.13 s / 0.23 s,
+# 35.0 B; 1 << 15 2.2 ms / 0.10 s / 0.25 s, 40.8 B.  Copying long runs
+# leaves the 1 << 14 peak at 35.0 B: it is set late in a generation, after
+# a gather or at the join, not by the positions.  The times drift by about
+# a fifth between runs on a 2-core host, so no size wins clearly.  Radius 4
+# fits in one slice of any of these
 _QUEUE_SLICE = 1 << 14
+
+# mean CSR row entries per run of consecutive ids from which _queue_gather
+# and _round_gather copy a slice's neighbor ids a run at a time as blocks
+# of indices, not through an int64 position per entry: a block costs a
+# Python-level slice per run, a position a few ns per entry.  Slices of
+# 16,384 ids at radius 12 in runs of 1 / 6 / 8 / 16 vertices and in one run
+# (7 / 42 / 56 / 112 / 114,688 entries per run) took 1.2-1.3 / 1.1-1.5 /
+# 1.0-1.5 / 1.0-1.4 / 1.0-1.1 ms gathered and 6.1-7.2 / 0.9-1.8 / 0.8-1.4 /
+# 0.5-0.7 / 0.04-0.05 ms copied (best of 5 x 50 calls, two runs), so the
+# two meet between 42 and 56 entries, about 7 vertices.  From the all-sixes
+# state nearly every slice is a few whole rings or arcs; a random state's
+# slices are mostly runs of one or two vertices
+_LONG_RUN = 64
 
 # rows per block of _check_identity, which bounds its entry-sized gather
 _IDENTITY_ROWS = 1 << 14
@@ -205,13 +223,15 @@ def _budget(grains: np.ndarray) -> int:
     return 1024 + 128 * (_exact_sum(grains) + grains.size)
 
 
-def _queue_rows(ptr: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Positions in ``indices`` of the CSR rows of the ids ``f``, concatenated in order.
+def _queue_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The neighbor ids of the ids ``f``, their CSR rows concatenated in order, as a new array.
 
     ``f`` is cut into maximal runs in which each id is one more than the
-    last; a run's rows are contiguous in ``indices``, so one ``np.repeat``
-    over the runs, not over the vertices, expands them.  ``relax`` alone
-    calls this.
+    last; a run's rows are one block of ``idx``.  When the runs average
+    ``_LONG_RUN`` row entries or more, each block is copied as a slice;
+    otherwise one ``np.repeat`` over the runs expands the blocks' positions
+    and one gather reads them.  The result never shares memory with
+    ``idx``, since ``relax`` sorts it in place.  ``relax`` alone calls this.
     """
     head = np.empty(f.size, dtype=bool)  # where a run starts
     head[:1] = True
@@ -221,7 +241,10 @@ def _queue_rows(ptr: np.ndarray, f: np.ndarray) -> np.ndarray:
     tail[-1:] = True
     start, stop = ptr[f[head]], ptr[f[tail] + 1]
     length = stop - start
-    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
+    total = int(length.sum())
+    if total >= _LONG_RUN * length.size:
+        return np.concatenate([idx[a:b] for a, b in zip(start.tolist(), stop.tolist())])
+    return idx[np.repeat(start - np.cumsum(length) + length, length) + np.arange(total)]
 
 
 def relax(state: State) -> RelaxResult:
@@ -239,10 +262,11 @@ def relax(state: State) -> RelaxResult:
     generation, before it topples.
 
     A generation is an int array, toppled ``_QUEUE_SLICE`` vertices at a
-    time by numpy calls alone.  ``_queue_rows`` expands the slice's CSR
-    rows per run of consecutive ids, one gather collects their neighbor
-    ids, and the gathered ids are sorted in place: each run of equal ids
-    is one fed vertex, and its length is the grains that vertex receives.
+    time by numpy calls alone.  ``_queue_gather`` reads the slice's
+    neighbor ids into a new array per run of consecutive ids, copying long
+    runs as blocks of ``indices`` and gathering short ones through their
+    positions, and the copy is sorted in place: each run of equal ids is
+    one fed vertex, and its length is the grains that vertex receives.
     Each vertex's grains before and after the slice decide its push.
     Additions commute, so the split changes no value.  A budget of 2**62
     or more is refused: below it no grain count or odometer entry can leave
@@ -269,7 +293,7 @@ def relax(state: State) -> RelaxResult:
             counts[f] += 1  # a generation holds distinct vertices
             g[f] -= DEGREE
             nxt.append(f[g[f] >= DEGREE])
-            got = idx[_queue_rows(ptr, f)]
+            got = _queue_gather(ptr, idx, f)
             got.sort()
             # bounds of the runs of equal ids in got, its two ends included
             edge = np.empty(got.size + 1, dtype=bool)
@@ -301,21 +325,28 @@ def _ids(mask: np.ndarray, lo: int = 0) -> np.ndarray:
     return ids
 
 
-def _round_rows(ptr: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Positions in ``indices`` of the CSR rows of the ids ``f`` (at least one), concatenated.
+def _round_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The neighbor ids of the ids ``f`` (at least one), their CSR rows concatenated in order.
 
-    Consecutive ids have adjacent rows, so each run of them is one range of
-    positions, and the ranges are expanded by one ``np.repeat`` over the
-    runs.  The round kernel's own code: the queue engine expands its rows
-    in ``_queue_rows``.
+    Consecutive ids have adjacent rows, so each run of them is one block of
+    ``idx``.  A slice of one run is returned as a view of its block, which
+    the round kernel only reads.  Runs that average ``_LONG_RUN`` row
+    entries or more are copied a block at a time; shorter ones are read
+    through positions that one ``np.repeat`` over the runs expands.  The
+    round kernel's own code: the queue engine gathers its rows in
+    ``_queue_gather``.
     """
     step = np.flatnonzero(np.diff(f) != 1)  # the last index of every run but the final one
+    if not step.size:
+        return idx[ptr[f[0]]:ptr[f[-1] + 1]]
     first = f[np.concatenate(([0], step + 1))]
     last = f[np.append(step, f.size - 1)]
     lo, hi = ptr[first], ptr[last + 1]
     width = hi - lo
-    end = np.cumsum(width)  # where each run's positions end in the output
-    return np.arange(end[-1]) + np.repeat(lo + width - end, width)
+    end = np.cumsum(width)  # where each run's entries end in the output
+    if end[-1] >= _LONG_RUN * width.size:
+        return np.concatenate([idx[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
+    return idx[np.arange(end[-1]) + np.repeat(lo + width - end, width)]
 
 
 def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,
@@ -327,11 +358,12 @@ def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,
     7 or more.  The next fire set, the ids holding 7 or more, ascending, as
     int32, is therefore collected from the ids between the smallest and the
     largest fired or fed id alone, whatever the CSR.  The grains are
-    scattered ``_BATCH_SLICE`` fired vertices at a time, their rows
-    expanded per run of consecutive ids by ``_round_rows``; a once-each
-    round scatters a scalar 1 per entry.  A slice's ids are widened to intp
-    once, because numpy casts an index array of any other dtype again on
-    each of the slice's gathers and scatters.
+    scattered ``_BATCH_SLICE`` fired vertices at a time to the neighbor
+    ids that ``_round_gather`` reads per run of consecutive ids, in row
+    order; a once-each round scatters a scalar 1 per entry, and a
+    multi-fire round each vertex's ``k`` repeated over its row.  A slice's
+    ids are widened to intp once, because numpy casts an index array of any
+    other dtype again on each of the slice's gathers and scatters.
     """
     ptr, idx = ball.indptr, ball.indices
     first, last = int(fire[0]), int(fire[-1])
@@ -344,7 +376,7 @@ def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,
             kf = k[lo:lo + _BATCH_SLICE]
             g[f] -= DEGREE * kf
             odo[f] += kf
-        fed = idx[_round_rows(ptr, f)]
+        fed = _round_gather(ptr, idx, f)
         if fed.size:
             first, last = min(first, int(fed.min())), max(last, int(fed.max()))
         np.add.at(g, fed, 1 if k is None else np.repeat(kf, ptr[f + 1] - ptr[f]))

@@ -7,9 +7,10 @@ topples at most once, so a wave is a front sweeping the ball; successive fronts
 shrink.  Fronts are swept in rounds, not by calling ``sandpile.relax``:
 each round fires every unstable vertex once, which the abelian property
 allows, through ``relax_batch``'s round kernel ``sandpile._topple_round``,
-which expands the round's CSR rows per run of consecutive ids and adds one
-grain per row entry, so a round's temporaries stay a few MiB at any radius
-and its next front is collected from the ids it fired or fed.
+which reads the round's neighbor ids per run of consecutive ids, a long run
+as one block of the CSR ``indices``, and adds one grain per row entry, so a
+round's temporaries stay a few MiB at any radius and its next front is
+collected from the ids it fired or fed.
 Iterating waves at p until p is no longer at 6 next to a 6 (plus one last
 forced topple when p alone is left at 6) reproduces the direct relaxation of
 ``max_stable + one grain at p`` exactly, state and odometer both.

@@ -424,8 +424,8 @@ def test_each_round_returns_the_fire_set_of_a_full_scan(ball_cache, monkeypatch,
 def test_scalar_engines_run_without_the_batch_and_wave_code(ball_cache, monkeypatch):
     # the scalar engines must not share code with relax_batch or the wave
     # route, so that one bug cannot fool two checks: with the kernel, or its
-    # row expansion alone, broken, both still land on the closed forms, and
-    # with the queue engine's row expansion broken, batch and wave still do
+    # row gather alone, broken, both still land on the closed forms, and
+    # with the queue engine's row gather broken, batch and wave still do
     def broken(*args, **kwargs):
         raise AssertionError("broken code was called")
 
@@ -436,8 +436,8 @@ def test_scalar_engines_run_without_the_batch_and_wave_code(ball_cache, monkeypa
                   start.ball, np.flatnonzero(start.grains == DEGREE))}
     kernel = ((sandpile, "_topple_round"), (sandpile, "_ids"), (waves, "_forced_wave"))
     for names, dead, alive in ((kernel, rounds, scalar),
-                               (((sandpile, "_round_rows"),), rounds, scalar),
-                               (((sandpile, "_queue_rows"),), {"queue": relax}, rounds)):
+                               (((sandpile, "_round_gather"),), rounds, scalar),
+                               (((sandpile, "_queue_gather"),), {"queue": relax}, rounds)):
         with monkeypatch.context() as patch:
             for module, name in names:
                 patch.setattr(module, name, broken)
@@ -470,32 +470,70 @@ def _id_lists(st, n):
         lambda parts: list(itertools.chain.from_iterable(parts)))
 
 
-@pytest.mark.parametrize("expand", ["_queue_rows", "_round_rows"])
-def test_row_expansion_equals_the_rows_one_vertex_at_a_time(ball_cache, expand):
-    # each route expands a slice's CSR rows per run of consecutive ids; a
-    # slice may cut a run anywhere, and a row may be empty (the radius-0
-    # root's) or reach far from its level (the linked ball's root)
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-    rows_of = getattr(sandpile, expand)
+def _gather_cases(st, ball_cache):
+    """A ball and an id list on it: the radius-0 ball's empty row, small
+    balls, and the linked ball, whose root's row reaches its outer ring."""
     balls = [ball_cache(0), ball_cache(1), ball_cache(3),
              _root_linked_to_the_outer_ring(ball_cache)]
+    return st.sampled_from(balls).flatmap(lambda b: st.tuples(st.just(b), _id_lists(st, b.n)))
 
-    @hypothesis.settings(max_examples=200, deadline=None, database=None)
-    @hypothesis.given(st.sampled_from(balls).flatmap(
-        lambda b: st.tuples(st.just(b), _id_lists(st, b.n))),
-        st.sampled_from([1, 3, 7, 1 << 40]))
+
+def test_queue_gather_returns_the_rows_in_a_new_array(ball_cache, monkeypatch):
+    # a slice's neighbor ids, copied a run at a time or gathered through
+    # positions as _LONG_RUN decides, whatever cuts its runs; relax sorts
+    # them in place, so they must never be a view of the ball's ids
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(_gather_cases(st, ball_cache), st.sampled_from([1, 3, 7, 1 << 40]))
     def check(case, size):
         b, ids = case
-        for lo in range(0, len(ids), size):
+        for long_run, lo in itertools.product((0, 1 << 40), range(0, len(ids), size)):
+            monkeypatch.setattr(sandpile, "_LONG_RUN", long_run)  # copied, then gathered
             f = np.array(ids[lo:lo + size], dtype=np.intp)
-            rows = rows_of(b.indptr, f)
-            want = [np.arange(b.indptr[v], b.indptr[v + 1]) for v in f]
-            assert rows.tolist() == np.concatenate(want).tolist()
-            assert b.indices[rows].tolist() == np.concatenate(
-                [b.neighbors(v) for v in f]).tolist()
+            got = sandpile._queue_gather(b.indptr, b.indices, f)
+            assert got.tolist() == np.concatenate([b.neighbors(v) for v in f]).tolist()
+            assert not np.shares_memory(got, b.indices)
 
     check()
+
+
+def test_round_gather_returns_the_rows(ball_cache, monkeypatch):
+    # a slice of fired ids, ascending or not, gives its neighbor ids in row
+    # order, which a multi-fire round's repeated k must line up with; a
+    # one-run slice may come back as a view, which the kernel only reads
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(_gather_cases(st, ball_cache), st.sampled_from([1, 3, 7, 1 << 40]))
+    def check(case, size):
+        b, ids = case
+        for long_run, lo in itertools.product((0, 1 << 40), range(0, len(ids), size)):
+            monkeypatch.setattr(sandpile, "_LONG_RUN", long_run)  # copied, then gathered
+            f = np.array(ids[lo:lo + size], dtype=np.intp)
+            got = sandpile._round_gather(b.indptr, b.indices, f)
+            assert got.tolist() == np.concatenate([b.neighbors(v) for v in f]).tolist()
+
+    check()
+
+
+@pytest.mark.parametrize("long_run", [0, 1 << 40], ids=["copied", "gathered"])
+def test_relaxation_leaves_the_ball_intact(ball_cache, monkeypatch, long_run):
+    # the gathers read the ball's ids through slices of them, and the queue
+    # engine sorts what it gathers in place: no route may write to the ball
+    monkeypatch.setattr(sandpile, "_LONG_RUN", long_run)
+    b = ball_cache(8)
+    indices, indptr = b.indices.copy(), b.indptr.copy()
+    one_run = perturb(max_stable(b), [0])
+    multi_run = perturb(max_stable(b), [int(b.level_start[7]), int(b.level_start[8]) + 5, b.n - 1])
+    for start in (one_run, multi_run):
+        relax(start)
+        relax_batch(start)
+        waves.wave_relax_multi(b, np.flatnonzero(start.grains == DEGREE))
+    assert np.array_equal(b.indices, indices)
+    assert np.array_equal(b.indptr, indptr)
 
 
 @pytest.mark.parametrize("route", ["naive", "batch", "wave"])
@@ -506,8 +544,9 @@ def test_relaxation_peak_stays_within_the_ball_model(ball_cache, route):
     # int64 grains and odometer, 16 bytes per vertex, and two generations
     # of int64 ids that never hold more than n vertices together at radii
     # 6..13; the next is joined from its slices' pieces once, and one
-    # slice's temporaries, about 7 * _QUEUE_SLICE gathered ids, are the
-    # same at every radius, so its peak at radius 12 stands for every radius
+    # slice's temporaries, about 7 * _QUEUE_SLICE int32 neighbor ids, and
+    # an int64 position per id when its runs are short, are the same at
+    # every radius, so its peak at radius 12 stands for every radius
     b = ball_cache(12)
     start = perturb(max_stable(b), [0])
     run = {"naive": lambda: relax(start), "batch": lambda: relax_batch(start),
