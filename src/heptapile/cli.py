@@ -247,7 +247,8 @@ def cmd_render(args) -> int:
                        skip_subpixel=not args.keep_subpixel)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    print(f"# render  m={ball.radius}  cells={ball.n}  out={args.out}")
+    drawn = svg.count(' id="v')
+    print(f"# render  m={ball.radius}  vertices={ball.n}  cells={drawn}  out={args.out}")
     return 0
 
 

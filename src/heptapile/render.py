@@ -5,6 +5,14 @@ centers, filled by the palette color of its grain count; geodesic boundaries
 are straight chords in the Klein model, so the polygons are exact.  Output is
 deterministic: fixed 6-decimal coordinates, cells in vertex-id order.
 
+Every number in the picture (corners, the centers of cells with fewer than
+three corners, line ends, the disk outline) is written by ``_format_fixed``,
+a numpy kernel whose text is byte for byte ``f"{x:.6f}"``.  It rounds the
+float ``x * 1e6`` half to even with ``np.rint``, where Python rounds the
+exact decimal product; the two can part only when the float product lies
+within one ulp of a half, and those values (with products of 2**52 or more,
+nan and inf) go through ``str.format``.  Renders seldom have any.
+
 The default palette anchors the grayscale used throughout: 0 black, 3 dark
 grey, 5 light grey, 6 white, with the remaining stable values interpolated,
 -1 (a bookkeeping value) in blue, and 7 in red for unstable sites.  Values
@@ -37,8 +45,18 @@ SENTINEL_COLOR = "#ff00ff"
 
 _SUBPIXEL_RADIUS = 1.0 - 1e-4
 
-# cells whose coordinates are formatted together
+_UINT32_MAX = 2**32 - 1
+
+# cells (or edges) whose numbers are written together: it bounds the
+# temporaries of _format_fixed, a few dozen bytes per number, and the
+# batch's text
 _CELL_BATCH = 1024
+
+# what stands before, between and after the four numbers of a <line>
+_LINE_START = b'<line x1="'
+_LINE_SEPS = np.arange(1, 5, dtype=np.uint8)
+_LINE_TEXT = ((b"\x01", b'" y1="'), (b"\x02", b'" x2="'), (b"\x03", b'" y2="'),
+              (b"\x04", b'"/>\n' + _LINE_START))
 
 
 def parse_palette(text: str) -> dict:
@@ -83,8 +101,62 @@ def _fill_for(value: int, palette: dict) -> str:
         return SENTINEL_COLOR
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+def _format_fixed(values, seps) -> bytes:
+    """Each value as ``f"{x:.6f}"`` writes it, then its separator.
+
+    ``values`` is a float array of any shape and ``seps`` a uint8 array of
+    nonzero separator bytes that broadcasts to it, written in row-major
+    order.  A value's magnitude scaled to millionths, ``rint(|x| * 1e6)``
+    (half to even), is written like ``ball._format_ints`` writes an integer:
+    one row of a zero-filled byte matrix per value, right-aligned against its
+    separator, six fraction digits after a point, whole digits NUL-padded on
+    the left, a sign where the sign bit is set, and one translate drops the
+    NULs.  Python rounds the exact decimal value of ``x * 1e6`` where this
+    rounds the float product, which is within half an ulp of it, so the two
+    can differ only near a half: a value whose product lies within one ulp
+    of a half, a product of 2**52 or more, nan and inf are written by
+    ``str.format`` instead, right-aligned in their rows.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    seps = np.broadcast_to(seps, np.shape(values)).ravel()
+    if not x.size:
+        return b""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.abs(x) * 1e6
+        q = np.rint(p)
+        plain = (p < 2.0**52) & (np.abs(p - q) < 0.5 - np.spacing(p))
+    odd = np.flatnonzero(~plain)
+    spelled = [f"{v:.6f}".encode("ascii") for v in x[odd].tolist()]
+    mag = np.where(plain, q, 0.0).astype(np.int64)
+    if mag.max() <= _UINT32_MAX:
+        mag = mag.astype(np.uint32)  # narrower division is faster
+    whole, frac = np.divmod(mag, 10**6)
+    sign = np.signbit(x) & plain
+    digits = len(str(int(whole.max())))
+    width = max(int(sign.any()) + digits + 7, max(map(len, spelled), default=0)) + 1
+    text = np.zeros((x.size, width), dtype=np.uint8)
+    text[:, -1] = seps
+    for col in range(width - 2, width - 8, -1):
+        quot = frac // 10
+        frac -= 10 * quot
+        frac += ord("0")
+        text[:, col] = frac
+        frac = quot
+    text[:, width - 8] = ord(".")
+    write = True
+    for col in range(width - 9, width - 9 - digits, -1):
+        quot = whole // 10
+        whole -= 10 * quot
+        whole += ord("0")
+        np.multiply(whole, write, out=text[:, col], casting="unsafe")
+        whole = quot
+        write = whole != 0
+    neg = np.flatnonzero(sign)
+    text[neg, width - 1 - np.count_nonzero(text[neg], axis=1)] = ord("-")
+    for row, word in zip(odd.tolist(), spelled):
+        text[row, :-1] = 0
+        text[row, width - 1 - len(word):-1] = np.frombuffer(word, dtype=np.uint8)
+    return text.tobytes().translate(None, b"\0")
 
 
 def render_state(state, embedding: Embedding, *, palette=None,
@@ -146,9 +218,9 @@ def render_state(state, embedding: Embedding, *, palette=None,
         f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
     if homothety == 1.0 and zoom is None:
-        parts.append(
-            f'<circle cx="{_fmt(half)}" cy="{_fmt(half)}" r="{_fmt(half * 0.9999)}" '
-            f'fill="none" stroke="#888888" stroke-width="1"/>')
+        c, r = _format_fixed(np.array([half, half * 0.9999]), ord(" ")).decode("ascii").split()
+        parts.append(f'<circle cx="{c}" cy="{c}" r="{r}" '
+                     f'fill="none" stroke="#888888" stroke-width="1"/>')
 
     if fill_cells or draw_dual:
         attrs = ' stroke="#404040" stroke-width="0.5"' if draw_dual else ""
@@ -164,7 +236,8 @@ def render_state(state, embedding: Embedding, *, palette=None,
         np.subtract(1.0, ck[:, 1], out=ck[:, 1])
         ck *= half
         px = ck if ids.size == ball.n else ck[np.repeat(keep, np.diff(ptr))]
-        ends = np.cumsum(np.diff(ptr)[ids])
+        counts = np.diff(ptr)[ids]
+        ends = np.cumsum(counts)
         if fill_cells:
             values = grains[ids].tolist()
             # one lookup per distinct value, in order of first appearance
@@ -172,22 +245,23 @@ def render_state(state, embedding: Embedding, *, palette=None,
             fills = [colors[g] for g in values]
         else:
             fills = ["none"] * ids.size
-        # coordinates are formatted a batch of cells at a time, which keeps
-        # the short-lived strings few
+        # a batch of cells at a time, its corners written as "x,y" pairs, a
+        # space between the corners of a cell and a newline after its last
         for lo in range(0, ids.size, _CELL_BATCH):
             hi = min(lo + _CELL_BATCH, ids.size)
             base = int(ends[lo - 1]) if lo else 0
-            coords = list(map("{:.6f},{:.6f}".format, *px[base:ends[hi - 1]].T.tolist()))
-            a = 0
-            for v, b, fill in zip(ids[lo:hi].tolist(), (ends[lo:hi] - base).tolist(),
-                                  fills[lo:hi]):
-                if b - a < 3:
-                    x, y = coords[a].split(",")
+            seps = np.empty((int(ends[hi - 1]) - base, 2), dtype=np.uint8)
+            seps[:, 0] = ord(",")
+            seps[:, 1] = ord(" ")
+            seps[ends[lo:hi] - base - 1, 1] = ord("\n")
+            points = _format_fixed(px[base:ends[hi - 1]], seps).decode("ascii").split("\n")
+            for v, k, fill, pts in zip(ids[lo:hi].tolist(), counts[lo:hi].tolist(),
+                                       fills[lo:hi], points):
+                if k < 3:
+                    x, y = pts.split(" ", 1)[0].split(",")
                     parts.append(f'<circle id="v{v}" cx="{x}" cy="{y}" r="3" fill="{fill}"/>')
                 else:
-                    parts.append(f'<polygon id="v{v}" points="{" ".join(coords[a:b])}" '
-                                 f'fill="{fill}"/>')
-                a = b
+                    parts.append(f'<polygon id="v{v}" points="{pts}" fill="{fill}"/>')
         parts.append("</g>")
 
     if draw_primal:
@@ -197,8 +271,16 @@ def render_state(state, embedding: Embedding, *, palette=None,
             shown = ~_outside_window(np.minimum(vk[u], vk[w]), np.maximum(vk[u], vk[w]))
             u, w = u[shown], w[shown]
         xs, ys = (vk[:, 0] + 1.0) * half, (1.0 - vk[:, 1]) * half
-        parts += map('<line x1="{:.6f}" y1="{:.6f}" x2="{:.6f}" y2="{:.6f}"/>'.format,
-                     xs[u].tolist(), ys[u].tolist(), xs[w].tolist(), ys[w].tolist())
+        # a batch of edges at a time, each end's numbers followed by a
+        # placeholder byte that becomes the text between them
+        for lo in range(0, u.size, _CELL_BATCH):
+            a, b = u[lo:lo + _CELL_BATCH], w[lo:lo + _CELL_BATCH]
+            text = _LINE_START + _format_fixed(
+                np.stack([xs[a], ys[a], xs[b], ys[b]], axis=1), _LINE_SEPS)
+            for sep, between in _LINE_TEXT:
+                text = text.replace(sep, between)
+            # the last line's end wrote the start of a line that is not there
+            parts.append(text[:-len(_LINE_START) - 1].decode("ascii"))
         parts.append("</g>")
 
     parts.append("</svg>\n")

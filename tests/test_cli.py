@@ -313,17 +313,19 @@ def test_render_with_palette_and_zoom(tmp_path, capsys):
     assert 0 < len(fills) < 29  # the window keeps the middle, culls the rim
 
 
-@pytest.mark.parametrize("source", [(), ("--max-stable",)])
+@pytest.mark.parametrize("source", [(), ("--max-stable",), ("--beta-origin",)])
 def test_render_keep_subpixel_draws_every_cell(tmp_path, capsys, source):
     # the bare tiling culls the rim like a colored state does, and with
-    # --keep-subpixel both draw every cell of the radius-7 ball
+    # --keep-subpixel both draw every cell of the radius-7 ball; the summary
+    # line gives the ball size and the number of cells drawn
     out = tmp_path / "t.svg"
     drawn = []
     for keep in ((), ("--keep-subpixel",)):
-        code, _, _ = run(capsys, "render", "-m", "7", "--edges", "dual", *source,
-                         *keep, "--out", str(out))
+        code, text, _ = run(capsys, "render", "-m", "7", "--edges", "dual", *source,
+                            *keep, "--out", str(out))
         assert code == 0
         drawn.append(out.read_text().count(' id="v'))
+        assert f"  vertices=4264  cells={drawn[-1]}  " in text
     assert drawn == [421, 4264]
 
 

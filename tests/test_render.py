@@ -1,13 +1,14 @@
 import hashlib
 import re
 
+import numpy as np
 import pytest
 
 from heptapile import (State, build_ball, build_embedding, cell_fills,
                        color_histogram, max_stable, predicted_beta,
                        render_state)
-from heptapile.render import (DEFAULT_PALETTE, SENTINEL_COLOR, load_palette,
-                              parse_palette)
+from heptapile.render import (DEFAULT_PALETTE, SENTINEL_COLOR, _format_fixed,
+                              load_palette, parse_palette)
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +187,75 @@ def test_palette_override_svg_bytes_pinned(emb5):
     assert cell_fills(svg)[40] == SENTINEL_COLOR
     assert _sha(svg) == (
         "3ed6bb8a79caf442e0bf80e93accc333a939649cd24fc2def5582995f74bb0ea")
+
+
+# sha256 of larger renders, taken before the coordinates were written in numpy
+LARGE_SVG_DIGESTS = {
+    # the archive_render benchmark's picture
+    "m8_homothety": (8, {"homothety": 0.005},
+                     "2267562e0eaad9821dc120561d59fc192e52c9ec0879afb4dcbd364951994624"),
+    # numbers from -8012.76 to 4620.60, negatives and four whole digits
+    "m6_zoomed_both": (6, {"edges": "both", "zoom": (0.5, -0.3, 20.0)},
+                       "3c7bb92b69c8d8a52b5ef120b554bfa235ab8b9ff00a2497ebfe91b1d96e6fd9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_SVG_DIGESTS))
+def test_large_svg_bytes_pinned(case, ball_cache):
+    m, options, digest = LARGE_SVG_DIGESTS[case]
+    emb = build_embedding(ball_cache(m))
+    assert _sha(render_state(predicted_beta(emb.ball, [0]), emb, **options)) == digest
+
+
+def _spelled(values, seps=b" "):
+    return "".join(f"{x:.6f}{chr(c)}" for x, c in zip(values, seps * len(values))).encode()
+
+
+# products x * 1e6 within an ulp of a half, where rint of the float product
+# and Python's rounding of the exact one part ways or come close to it
+_NEAR_HALF = [2.5e-06, 3.5e-06, 4.5e-06, 1.25e-05, 1.35e-05]
+_NEXT_TO_HALF = [float(np.nextafter((k + 0.5) / 1e6, to)) for k in (0, 2, 3, 12, 799_999)
+                 for to in (-np.inf, np.inf)]
+_FIXED_CASES = (_NEAR_HALF + [-x for x in _NEAR_HALF] + _NEXT_TO_HALF
+                + [(k + 0.5) / 1e6 for k in (0, 2, 3, 12, 799_999)]
+                + [1 / 128, -1 / 128, 3 / 64, 0.5e-6]  # exact ties, half to even
+                + [0.0, -0.0, -1e-9, 1e-9, -4e-7, 5e-324, -5e-324]
+                + [999.9999996, -999.9999996, 9.9999995, 0.9999999, 799.9999999]
+                + [2**52 / 1e6, -2**52 / 1e6, float(np.nextafter(2**52 / 1e6, 0)),
+                   2**53 / 1e6, 1e15, 1e300, -1.7976931348623157e308]
+                + [float("nan"), float("inf"), float("-inf")])
+
+
+@pytest.mark.parametrize("x", _FIXED_CASES)
+def test_fixed_writer_is_format_6f_on_edge_cases(x):
+    assert _format_fixed(np.array([x]), ord(" ")) == _spelled([x])
+
+
+def test_fixed_writer_is_format_6f_on_a_mixed_batch():
+    # every edge case in one call: the row width follows the widest text
+    values = np.array(_FIXED_CASES).reshape(-1, 1)
+    seps = np.full(values.shape, ord(","), dtype=np.uint8)
+    assert _format_fixed(values, seps) == _spelled(_FIXED_CASES, b",")
+    assert _format_fixed(np.array([]), ord(" ")) == b""
+
+
+def test_fixed_writer_is_format_6f():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    near_half = st.builds(lambda k, steps, neg: (-1) ** neg * float(
+        np.nextafter((k + 0.5) / 1e6, np.inf) if steps > 0 else
+        np.nextafter((k + 0.5) / 1e6, -np.inf) if steps < 0 else (k + 0.5) / 1e6),
+        st.integers(0, 10**10), st.integers(-1, 1), st.booleans())
+    value = st.one_of(st.floats(), st.floats(-1e4, 1e4), near_half,
+                      st.sampled_from(_FIXED_CASES))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.lists(value, min_size=1, max_size=30),
+                      st.sampled_from([b" ", b",\n", b"\x01\x02\x03\x04"]))
+    def check(values, seps):
+        values = values[:len(values) - len(values) % len(seps)] or [0.0] * len(seps)
+        grid = np.array(values).reshape(-1, len(seps))
+        row = np.frombuffer(seps, dtype=np.uint8)
+        assert _format_fixed(grid, row) == _spelled(values, seps)
+
+    check()
