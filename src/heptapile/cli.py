@@ -14,10 +14,10 @@ from .ball import _require_memory, build_ball, load_ball, save_ball
 from .errors import CapacityError, FormatError, InvariantError
 from .geometry import build_embedding
 from .render import load_palette, render_state
-from .sandpile import (mass, max_stable, perturb, relax, relax_batch, save_odometer,
-                       save_state, load_state)
-from .verify import DEFAULT_SEED, _closed_form_faults, _ring_types, run_default_suite
-from .waves import wave_relax
+from .sandpile import (mass, max_stable, perturb, relax, save_odometer, save_state,
+                       load_state)
+from .verify import (DEFAULT_SEED, ROUTES, _closed_form_faults, _ring_types,
+                     run_default_suite)
 
 
 def _parse_range(text: str) -> range:
@@ -103,7 +103,7 @@ def cmd_relax(args) -> int:
     save_odometer(res.odometer, args.odometer_out)
     print(f"wrote {args.state_out} and {args.odometer_out}")
     if args.verify:
-        good = not _closed_form_faults(start, res, sites)
+        good = not _closed_form_faults(before, res, sites)
         print(f"[{'PASS' if good else 'FAIL'}] closed-form comparison")
         return 0 if good else 1
     return 0
@@ -137,57 +137,43 @@ def cmd_verify(args) -> int:
 
 
 def _bench_once(ball, method: str):
-    """Returns (state, odometer, topples, dequeues, seconds)."""
+    """Relax one grain at the root by the named route; returns (RelaxResult, seconds)."""
     t0 = time.perf_counter()
-    if method == "closed":
-        state = cf.predicted_beta(ball, [0])
-        odom = cf.predicted_odometer(ball, [0])
-        topples = dequeues = 0
-    elif method == "wave":
-        res = wave_relax(ball, 0)
-        state, odom = res.state, res.odometer
-        topples = int(res.odometer.counts.sum())
-        dequeues = topples
-    else:
-        start = perturb(max_stable(ball), [0])
-        res = (relax_batch if method == "batch" else relax)(start)
-        state, odom = res.state, res.odometer
-        topples, dequeues = res.topples, res.dequeues
-    return state, odom, topples, dequeues, time.perf_counter() - t0
+    res = ROUTES[method](ball, [0])
+    return res, time.perf_counter() - t0
 
 
 def _bench_radius(ball, methods, repeat) -> bool:
     """Run every method ``repeat`` times on the ball; print its rows if all agree.
 
-    The first run must give the closed forms' odometer, state and toppling
-    total, so no choice of methods lets two that share code vouch for each
-    other.  At most two results are alive at once: the first run's state
-    and odometer, which every later run must equal, and either one closed
-    form or the run just finished, which is compared and dropped at once.
+    The first run must give the closed forms' toppling total, odometer,
+    state and mass loss, so no two methods that share code vouch for each
+    other.  The start's mass is summed before any route runs.  At most two
+    results are alive at once: the first run's, which every later run must
+    equal, and one closed form or the run just finished, dropped at once.
     """
     m, first, rows = ball.radius, None, []
+    start_mass = mass(perturb(max_stable(ball), [0]))
     for method in methods:
         best = None
         for _ in range(repeat):
-            state, odom, topples, dequeues, dt = _bench_once(ball, method)
+            res, dt = _bench_once(ball, method)
             if first is None:
-                first = state, odom
+                first = res
                 expected = cf.total_topplings(m)
-                if int(odom.counts.sum()) != expected:
+                if int(res.odometer.counts.sum()) != expected:
                     print(f"MISMATCH at m={m}: total topplings != {expected}")
                     return False
-                if odom != cf.predicted_odometer(ball, [0]):
-                    print(f"MISMATCH at m={m}: {method} odometer != closed form")
+                faults = _closed_form_faults(start_mass, res, [0])
+                if faults:
+                    print(f"MISMATCH at m={m}: {method} {faults[0]} != closed form")
                     return False
-                if state != cf.predicted_beta(ball, [0]):
-                    print(f"MISMATCH at m={m}: {method} state != closed form")
-                    return False
-            elif state != first[0] or odom != first[1]:
+            elif res.state != first.state or res.odometer != first.odometer:
                 print(f"MISMATCH at m={m}: {method} disagrees with {methods[0]}")
                 return False
-            del state, odom
             if best is None or dt < best[-1]:
-                best = topples, dequeues, dt
+                best = res.topples, res.dequeues, dt
+            del res
         rows.append((method, *best))
     for method, topples, dequeues, dt in rows:
         print(f"{m:>3} {ball.n:>9} {method:>12} {dt:>10.4f} "
@@ -197,10 +183,8 @@ def _bench_radius(ball, methods, repeat) -> bool:
 
 def cmd_bench(args) -> int:
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    known = {"naive", "batch", "wave", "closed"}
-    bad = set(methods) - known
-    if bad or not methods:
-        raise ValueError(f"methods must be drawn from {sorted(known)}")
+    if not methods or set(methods) - ROUTES.keys():
+        raise ValueError(f"methods must be drawn from {sorted(ROUTES)}")
     if args.repeat < 1:
         raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     radii = _parse_range(args.m)
@@ -288,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the relaxation engines")
     p.add_argument("--m", default="1..6", help="radius range, e.g. 1..10")
-    p.add_argument("--methods", default="naive,batch,wave,closed")
+    p.add_argument("--methods", default=",".join(ROUTES))
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 

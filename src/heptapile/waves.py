@@ -129,8 +129,9 @@ def wave_relax_multi(ball: Ball, sites: Iterable[int]) -> WaveResult:
     """Wave route for a multi-site perturbation of the maximal stable state.
 
     Runs the wave relaxation at the lowest-id site of minimal level, then
-    drops the remaining grains onto the result; that sum is already stable,
-    and the odometer is unchanged by the extra grains.
+    drops the remaining grains onto its state in place, with no copy of the
+    grains; that sum is already stable, and the odometer is unchanged by the
+    extra grains.
     """
     sites = sorted(set(int(p) for p in sites))
     if not sites:
@@ -139,11 +140,7 @@ def wave_relax_multi(ball: Ball, sites: Iterable[int]) -> WaveResult:
         raise ValueError("perturbation site outside ball")
     anchor = min(sites, key=lambda p: (int(ball.level[p]), p))
     result = wave_relax(ball, anchor)
-    g = result.state.grains.copy()
-    for p in sites:
-        if p != anchor:
-            g[p] += 1
-    final = State(ball, g)
-    if not is_stable(final):
+    result.state.grains[[p for p in sites if p != anchor]] += 1
+    if not is_stable(result.state):
         raise InvariantError("wave route produced an unstable multi-site state")
-    return WaveResult(final, result.odometer, result.wave_count, result.fronts)
+    return result

@@ -3,10 +3,11 @@ import weakref
 import pytest
 
 from heptapile import (Odometer, State, ball as ball_module, ball_size, build_ball, cli,
-                       level_counts, load_ball, load_state, max_stable, perturb, relax,
-                       save_ball)
+                       closed_form, level_counts, load_ball, load_state, max_stable,
+                       perturb, relax, save_ball)
 from heptapile.cli import main
 from heptapile.render import DEFAULT_PALETTE, cell_fills, color_histogram
+from heptapile.verify import ROUTES
 
 
 def run(capsys, *argv):
@@ -228,7 +229,7 @@ def test_bench_holds_at_most_two_results(capsys, monkeypatch):
     def tracked(ball, method):
         assert sum(ref() is not None for ref in results) <= 1
         out = bench_once(ball, method)
-        results.append(weakref.ref(out[0].grains))
+        results.append(weakref.ref(out[0].state.grains))
         return out
 
     bench_once = cli._bench_once
@@ -244,13 +245,13 @@ def test_bench_judges_its_first_result_by_the_closed_forms(capsys, monkeypatch, 
     # them agree with each other: one grain or topple moved from the root to
     # the last vertex in both keeps every total, and the closed forms catch it
     def shifted(ball, method):
-        state, odom, *rest = bench_once(ball, method)
-        values = (state.grains if field == "state" else odom.counts).copy()
+        res, dt = bench_once(ball, method)
+        values = (res.state.grains if field == "state" else res.odometer.counts).copy()
         values[0] -= 1
         values[-1] += 1
         if field == "state":
-            return (State(ball, values), odom, *rest)
-        return (state, Odometer(ball, values), *rest)
+            return res._replace(state=State(ball, values)), dt
+        return res._replace(odometer=Odometer(ball, values)), dt
 
     bench_once = cli._bench_once
     monkeypatch.setattr(cli, "_bench_once", shifted)
@@ -271,9 +272,21 @@ def test_bench_refuses_a_range_that_cannot_fit_before_building(capsys, monkeypat
     assert "ball of radius 8" in err and "needs about" in err
 
 
+def test_bench_judges_mass_loss_by_the_closed_form(capsys, monkeypatch):
+    # a mass-loss form one grain high fails the first result, though every
+    # route agrees on its state, odometer and toppling total
+    mass_loss = closed_form.mass_loss
+    monkeypatch.setattr(closed_form, "mass_loss", lambda m: mass_loss(m) + 1)
+    code, text, _ = run(capsys, "bench", "--m", "3", "--methods", "batch,wave")
+    assert code == 1
+    assert "MISMATCH at m=3: batch mass != closed form" in text
+
+
 def test_bench_rejects_unknown_method(capsys):
-    code, _, err = run(capsys, "bench", "--m", "1..1", "--methods", "magic")
-    assert code == 2
+    for methods in ("magic", "naive,magic", "", ","):
+        code, text, err = run(capsys, "bench", "--m", "1..1", "--methods", methods)
+        assert (code, text) == (2, "")
+        assert all(repr(name) in err for name in ROUTES)
 
 
 def test_render_beta_origin(tmp_path, capsys):

@@ -18,7 +18,7 @@ from heptapile import sandpile, waves
 from heptapile.ball import _sign, deserialize_ball, serialize_ball
 from heptapile.sandpile import (deserialize_odometer, deserialize_state,
                                 serialize_odometer, serialize_state)
-from heptapile.verify import DEFAULT_SEED
+from heptapile.verify import DEFAULT_SEED, ROUTES
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -425,37 +425,35 @@ def test_scalar_engines_run_without_the_batch_and_wave_code(ball_cache, monkeypa
     # the scalar engines must not share code with relax_batch or the wave
     # route, so that one bug cannot fool two checks: with the kernel, or its
     # row gather alone, broken, both still land on the closed forms, and
-    # with the queue engine's row gather broken, batch and wave still do
+    # with the queue engine's row gather broken, batch and wave still do;
+    # the queue, batch and wave routes are the verify route table's own
     def broken(*args, **kwargs):
         raise AssertionError("broken code was called")
 
     rng = np.random.default_rng(7)
-    scalar = {"queue": relax, "random": lambda start: relax_random(start, rng)}
-    rounds = {"batch": relax_batch,
-              "wave": lambda start: waves.wave_relax_multi(
-                  start.ball, np.flatnonzero(start.grains == DEGREE))}
+    queue = {"queue": ROUTES["naive"]}
+    scalar = {**queue, "random": lambda ball, sites: relax_random(
+        perturb(max_stable(ball), sites), rng)}
+    rounds = {"batch": ROUTES["batch"], "wave": ROUTES["wave"]}
     kernel = ((sandpile, "_topple_round"), (sandpile, "_ids"), (waves, "_forced_wave"))
     for names, dead, alive in ((kernel, rounds, scalar),
                                (((sandpile, "_round_gather"),), rounds, scalar),
-                               (((sandpile, "_queue_gather"),), {"queue": relax}, rounds)):
+                               (((sandpile, "_queue_gather"),), queue, rounds)):
         with monkeypatch.context() as patch:
             for module, name in names:
                 patch.setattr(module, name, broken)
             b = ball_cache(3)
             for route in dead.values():
                 with pytest.raises(AssertionError, match="broken code"):
-                    route(perturb(max_stable(b), [0]))
+                    route(b, [0])
             for m in range(1, 7):
                 b = ball_cache(m)
                 for sites in ([0], [b.n - 1], [int(b.level_start[m - 1]), b.n - 1]):
-                    start = perturb(max_stable(b), sites)
                     want = (predicted_beta(b, sites), predicted_odometer(b, sites))
                     topples = total_topplings(m, min(int(b.level[s]) for s in sites))
                     for name, route in alive.items():
-                        res = route(start)
-                        assert (res.state, res.odometer) == want, name
-                        if name != "wave":
-                            assert res.topples == topples, name
+                        res = route(b, sites)
+                        assert (res.state, res.odometer, res.topples) == (*want, topples), name
 
 
 def _id_lists(st, n):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,21 @@ def test_wave_relax_multi_matches_direct(ball_cache):
             via = wave_relax_multi(b, sites)
             assert via.state == direct.state
             assert via.odometer == direct.odometer
+
+
+def test_wave_relax_multi_adds_its_grains_in_place(ball_cache):
+    # the remaining grains go onto the state wave_relax built, so the
+    # multi-site route holds no second grain array (8 bytes per vertex)
+    b = ball_cache(12)
+    peaks = []
+    for run in (lambda: wave_relax(b, 0), lambda: wave_relax_multi(b, [0, b.n - 1])):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4 * b.n
 
 
 def _seventh_rotation(ball):
