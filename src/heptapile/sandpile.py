@@ -6,9 +6,9 @@ boundary vertices leak grains out of the ball.  Relaxation topples until every
 vertex is below 7; the toppling odometer counts topples per vertex, and the
 identity ``relaxed = start + laplacian(odometer)`` is re-checked after every
 run instead of trusted.  By the abelian property three schedules must agree
-exactly: a FIFO queue (``relax``), rounds over the whole fire set
-(``relax_batch``) and random legal order (``relax_random``).  The queue and
-random-order engines share no code with ``relax_batch`` or the wave route:
+exactly: a FIFO queue (``relax``), rounds that fire every unstable vertex
+once (``relax_batch``) and random legal order (``relax_random``).  The queue
+and random-order engines share no code with ``relax_batch`` or the wave route:
 ``relax`` walks its queue one generation at a time, each an int array of
 distinct vertices that it topples a slice at a time in numpy, reading a
 slice's neighbor ids per run of consecutive ids, whose CSR rows are one
@@ -17,16 +17,17 @@ of those ids and deciding its pushes from each vertex's grains before and
 after the slice, and checks the toppling budget once per generation;
 ``relax_random`` is the scalar reference, one topple and one grain at a
 time, and draws its choices in blocks of uniform integers and checks the
-budget once per block.  ``relax_batch`` and the
-wave route topple through one round kernel, ``_topple_round``: the abelian
-property lets it scatter a round's grains in slices of fired vertices,
-whose neighbor ids it reads per run of consecutive ids in code of its own,
-so its temporaries beyond the grains, the odometer and the fire sets stay
-a few MiB at any radius, and it collects the next fire set from the span of
-ids the round fired or fed, not from the whole grain array.  Sums of
-grains are taken a block at a time in exact integers.  States and odometers
-are saved as sparse text files, and a file loads only when it is byte for
-byte what the writer writes for the values it holds.
+budget once per block.  ``relax_batch`` and the wave route topple through
+one round kernel, ``_topple_round``, which fires each vertex of a fire set
+once: the abelian property lets it scatter a round's grains, one per row
+entry, in slices of fired vertices, whose neighbor ids it reads per run of
+consecutive ids in code of its own, so its temporaries beyond the grains,
+the odometer and the fire sets stay a few MiB at any radius, and it collects
+the next fire set from the span of ids the round fired or fed, not from the
+whole grain array.  Sums of grains are taken a block at a time in exact
+integers.  States and odometers are saved as sparse text files, and a file
+loads only when it is byte for byte what the writer writes for the values it
+holds.
 """
 
 from __future__ import annotations
@@ -330,11 +331,11 @@ def _round_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray
 
     Consecutive ids have adjacent rows, so each run of them is one block of
     ``idx``.  A slice of one run is returned as a view of its block, which
-    the round kernel only reads.  Runs that average ``_LONG_RUN`` row
-    entries or more are copied a block at a time; shorter ones are read
-    through positions that one ``np.repeat`` over the runs expands.  The
-    round kernel's own code: the queue engine gathers its rows in
-    ``_queue_gather``.
+    the round kernel only reads, adding one grain per entry.  Runs that
+    average ``_LONG_RUN`` row entries or more are copied a block at a time;
+    shorter ones are read through positions that one ``np.repeat`` over the
+    runs expands.  The round kernel's own code: the queue engine gathers its
+    rows in ``_queue_gather``.
     """
     step = np.flatnonzero(np.diff(f) != 1)  # the last index of every run but the final one
     if not step.size:
@@ -350,18 +351,16 @@ def _round_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray
 
 
 def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,
-                  fire: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
-    """Topple each fired vertex ``k`` times, or once if ``k`` is None; returns the next fire set.
+                  fire: np.ndarray) -> np.ndarray:
+    """Topple each vertex of ``fire`` once; returns the next fire set.
 
     ``fire`` is ascending and holds every vertex with 7 or more grains, so
     after the round only a fired vertex or one that gained grains can hold
     7 or more.  The next fire set, the ids holding 7 or more, ascending, as
     int32, is therefore collected from the ids between the smallest and the
     largest fired or fed id alone, whatever the CSR.  The grains are
-    scattered ``_BATCH_SLICE`` fired vertices at a time to the neighbor
-    ids that ``_round_gather`` reads per run of consecutive ids, in row
-    order; a once-each round scatters a scalar 1 per entry, and a
-    multi-fire round each vertex's ``k`` repeated over its row.  A slice's
+    scattered ``_BATCH_SLICE`` fired vertices at a time, one per neighbor
+    id that ``_round_gather`` reads per run of consecutive ids.  A slice's
     ids are widened to intp once, because numpy casts an index array of any
     other dtype again on each of the slice's gathers and scatters.
     """
@@ -369,35 +368,31 @@ def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,
     first, last = int(fire[0]), int(fire[-1])
     for lo in range(0, fire.size, _BATCH_SLICE):
         f = fire[lo:lo + _BATCH_SLICE].astype(np.intp)
-        if k is None:
-            g[f] -= DEGREE
-            odo[f] += 1
-        else:
-            kf = k[lo:lo + _BATCH_SLICE]
-            g[f] -= DEGREE * kf
-            odo[f] += kf
+        g[f] -= DEGREE
+        odo[f] += 1
         fed = _round_gather(ptr, idx, f)
         if fed.size:
             first, last = min(first, int(fed.min())), max(last, int(fed.max()))
-        np.add.at(g, fed, 1 if k is None else np.repeat(kf, ptr[f + 1] - ptr[f]))
+        np.add.at(g, fed, 1)
     return _ids(g[first:last + 1] >= DEGREE, first)
 
 
 def relax_batch(state: State) -> RelaxResult:
-    """Topple in rounds, each firing every vertex with g >= 7 grains g // 7 times.
+    """Topple in rounds, each firing every vertex holding 7 or more grains once.
 
-    The first fire set is a scan of the whole grain array; each round takes
-    ``k = g // 7`` for its whole fire set, then ``_topple_round``, the
-    kernel the wave route shares, topples and scatters the grains
-    ``_BATCH_SLICE`` fired vertices at a time and collects the next fire set
-    from the ids the round touched.  Additions commute, so the slices change
-    no result, and the round's temporaries stay a few MiB at any radius.  A
-    round holds its fire set as int32 ids, 4 bytes per fired vertex, besides
-    the next fire set; it holds ``k`` as int64, 8 bytes more, only when some
-    vertex fires more than once, and otherwise topples each vertex once, as
-    a wave round does.  ``dequeues`` counts (vertex, round) picks.  The
-    budget bounds every grain and odometer entry, so below 2**62 the int64
-    counts cannot wrap.
+    This is the parallel chip-firing schedule: a vertex holding 14 or more
+    grains fires again in the next round, so by the abelian property every
+    start ends on the queue engine's state, odometer and topples, though a
+    heavy start may take more rounds.  The first fire set is a scan of the
+    whole grain array; then ``_topple_round``, the kernel the wave route
+    shares, topples and scatters the grains ``_BATCH_SLICE`` fired vertices
+    at a time and collects the next fire set from the ids the round
+    touched.  Additions commute, so the slices change no result, and the
+    round's temporaries stay a few MiB at any radius.  A round holds its
+    fire set as int32 ids, 4 bytes per fired vertex, besides the next fire
+    set.  Each topple is one (vertex, round) pick, so ``dequeues`` equals
+    ``topples``, as in the queue engine.  The budget bounds every grain and
+    odometer entry, so below 2**62 the int64 counts cannot wrap.
     """
     ball = state.ball
     if state.grains.min() < 0:
@@ -407,21 +402,15 @@ def relax_batch(state: State) -> RelaxResult:
         raise OverflowError("too many grains to relax in 64-bit counts")
     g = state.grains.copy()
     odo = np.zeros(ball.n, dtype=np.int64)
-    topples = dequeues = 0
+    topples = 0
     fire = _ids(g >= DEGREE)
     while fire.size:
-        k = g[fire]
-        k //= DEGREE
-        fired = int(k.sum())
-        topples += fired
-        dequeues += fire.size
+        topples += fire.size
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
-        if fired == fire.size:  # every k is 1: the round need not hold k
-            k = None
-        fire = _topple_round(g, odo, ball, fire, k)
+        fire = _topple_round(g, odo, ball, fire)
     _check_identity(state.grains, g, ball, odo)
-    return RelaxResult(State(ball, g), Odometer(ball, odo), topples, dequeues)
+    return RelaxResult(State(ball, g), Odometer(ball, odo), topples, topples)
 
 
 # uniform 53-bit integers drawn per block of relax_random's step choices; a

@@ -312,7 +312,11 @@ def _relax_with_in_queue_flags(state):
 
 
 def _abelian_states(ball):
-    """The random multi-fire states of ``verify.check_abelian``."""
+    """The random states of ``verify.check_abelian``: 0..13 grains per vertex.
+
+    A vertex has at most 7 neighbors, so from these states no vertex ever
+    holds 14 grains.
+    """
     rng = np.random.default_rng([DEFAULT_SEED, 99])
     return [State(ball, rng.integers(0, 14, size=ball.n, dtype=np.int64))
             for _ in range(10)]
@@ -334,8 +338,9 @@ def test_queue_engine_matches_the_in_queue_flag_oracle(ball_cache):
 
 
 def _slice_starts(ball_cache, seed):
-    """Multi-fire states, one grain on the root or the last vertex at m=0..8,
-    and random states at m=0..4."""
+    """The abelian states, one grain on the root or the last vertex at m=0..8,
+    and random 0..39 states at m=0..4, whose vertices holding 14 grains or
+    more fire in consecutive rounds."""
     rng = np.random.default_rng(seed)
     starts = _abelian_states(ball_cache(4))
     for m in range(0, 9):
@@ -379,7 +384,7 @@ def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size
         assert (got.topples, got.dequeues) == (want.topples, want.dequeues)
     fire = sandpile._ids(np.arange(20) >= 7)  # the round's ids, as int32
     assert fire.dtype == np.int32 and fire.tolist() == list(range(7, 20))
-    assert any(r.dequeues < r.topples for r in whole)  # some vertices fire twice a round
+    assert all(r.dequeues == r.topples for r in whole)  # no round fires a vertex twice
 
 
 def _root_linked_to_the_outer_ring(ball_cache):
@@ -393,14 +398,39 @@ def _root_linked_to_the_outer_ring(ball_cache):
     return Ball(b.radius, b.level, b.vtype, indptr, np.concatenate(rows).astype(np.int32))
 
 
-def test_each_round_returns_the_fire_set_of_a_full_scan(ball_cache, monkeypatch, wave_cases):
-    # a round scans only the ids between the smallest and the largest it
-    # fired or fed, which must still find every vertex holding 7 or more
+def test_root_rounds_fire_the_rings_of_their_parity(ball_cache, monkeypatch):
+    # from max-stable + root, round r = 0..2m fires exactly the rings
+    # l = r (mod 2) with l <= min(r, 2m - r)
     kernel = sandpile._topple_round
     rounds = []
 
-    def checked(g, odo, ball, fire, k=None):
-        nxt = kernel(g, odo, ball, fire, k)
+    def recorded(g, odo, ball, fire):
+        rounds.append(fire.copy())
+        return kernel(g, odo, ball, fire)
+
+    monkeypatch.setattr(sandpile, "_topple_round", recorded)
+    for m in range(0, 11):
+        b = ball_cache(m)
+        rounds.clear()
+        relax_batch(perturb(max_stable(b), [0]))
+        assert len(rounds) == 2 * m + 1
+        for r, fire in enumerate(rounds):
+            rings = (b.level % 2 == r % 2) & (b.level <= min(r, 2 * m - r))
+            assert np.array_equal(fire, np.flatnonzero(rings)), (m, r)
+
+
+def test_each_round_returns_the_fire_set_of_a_full_scan(ball_cache, monkeypatch, wave_cases):
+    # a round fires each vertex of its fire set once and no other, and scans
+    # only the ids between the smallest and the largest it fired or fed,
+    # which must still find every vertex holding 7 or more
+    kernel = sandpile._topple_round
+    rounds = []
+
+    def checked(g, odo, ball, fire):
+        before = odo.copy()
+        nxt = kernel(g, odo, ball, fire)
+        added = odo - before
+        assert (added[fire] == 1).all() and added.sum() == fire.size
         assert nxt.dtype == np.int32
         assert np.array_equal(nxt, np.flatnonzero(g >= DEGREE))
         rounds.append(nxt.size)
@@ -499,8 +529,8 @@ def test_queue_gather_returns_the_rows_in_a_new_array(ball_cache, monkeypatch):
 
 def test_round_gather_returns_the_rows(ball_cache, monkeypatch):
     # a slice of fired ids, ascending or not, gives its neighbor ids in row
-    # order, which a multi-fire round's repeated k must line up with; a
-    # one-run slice may come back as a view, which the kernel only reads
+    # order, one grain per entry for the round kernel to scatter; a one-run
+    # slice may come back as a view, which the kernel only reads
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -579,7 +609,7 @@ def test_batch_agrees(ball_cache):
     assert plain.state == batched.state
     assert plain.odometer == batched.odometer
     assert batched.dequeues <= plain.dequeues
-    assert batched.dequeues < batched.topples  # some round fired a vertex twice
+    assert batched.dequeues == batched.topples  # no round fires a vertex twice
 
 
 @pytest.mark.parametrize("site", ["root", "outer"])
