@@ -20,12 +20,15 @@ time, and draws its choices in blocks of uniform integers and checks the
 budget once per block.  ``relax_batch`` and the wave route topple through
 one round kernel, ``_topple_round``, which fires each vertex of a fire set
 once: the abelian property lets it scatter a round's grains, one per row
-entry, in slices of fired vertices, whose neighbor ids it reads per run of
-consecutive ids in code of its own, so its temporaries beyond the grains,
-the odometer and the fire sets stay a few MiB at any radius, and it collects
-the next fire set from the span of ids the round fired or fed, not from the
-whole grain array.  Sums of grains are taken a block at a time in exact
-integers.  States and odometers are saved as sparse text files, and a file
+entry, in slices of fired vertices.  A slice that is one run of consecutive
+ids, as most are from the all-sixes state, fires through slices of the
+grains and the odometer and reads its neighbor ids in place as one block of
+the CSR; any other has its rows read per run in code of its own.  So its
+temporaries beyond the grains, the odometer and the fire sets stay a few MiB
+at any radius, and it collects the next fire set from the span of ids the
+round fired or fed, not from the whole grain array.  The identity check sums
+a block of full rows as seven columns.  Sums of grains are taken a block at
+a time in exact integers.  States and odometers are saved as sparse text files, and a file
 loads only when it is byte for byte what the writer writes for the values it
 holds.
 """
@@ -207,13 +210,26 @@ _FIRE_BLOCK = 1 << 16
 
 def _check_identity(before: np.ndarray, after: np.ndarray,
                     ball: Ball, counts: np.ndarray) -> None:
-    """Require ``after == before + laplacian(counts)``, a block of rows at a time."""
+    """Require ``after == before + laplacian(counts)``, a block of rows at a time.
+
+    A block's neighbor ids are widened to intp once for their gather.  When
+    every row of the block holds ``DEGREE`` entries, as in all but the outer
+    rings, the gathered counts are summed as ``DEGREE`` columns; other
+    blocks sum each row's counts with ``np.add.reduceat``.
+    """
     ptr, idx = ball.indptr, ball.indices
     for lo in range(0, ball.n, _IDENTITY_ROWS):
         hi = min(lo + _IDENTITY_ROWS, ball.n)
         a, b = ptr[lo], ptr[hi]
         # grains each vertex received: one per topple of each stored neighbor
-        gain = np.add.reduceat(counts[idx[a:b]], ptr[lo:hi] - a) if b > a else 0
+        got = counts[idx[a:b].astype(np.intp)]
+        if (np.diff(ptr[lo:hi + 1]) == DEGREE).all():
+            rows = got.reshape(-1, DEGREE)
+            gain = rows[:, 0] + rows[:, 1]
+            for j in range(2, DEGREE):
+                gain += rows[:, j]
+        else:
+            gain = np.add.reduceat(got, ptr[lo:hi] - a) if b > a else 0
         if not np.array_equal(after[lo:hi],
                               before[lo:hi] + gain - DEGREE * counts[lo:hi]):
             raise InvariantError("relaxed state differs from start + laplacian(odometer)")
@@ -330,16 +346,13 @@ def _round_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray
     """The neighbor ids of the ids ``f`` (at least one), their CSR rows concatenated in order.
 
     Consecutive ids have adjacent rows, so each run of them is one block of
-    ``idx``.  A slice of one run is returned as a view of its block, which
-    the round kernel only reads, adding one grain per entry.  Runs that
-    average ``_LONG_RUN`` row entries or more are copied a block at a time;
-    shorter ones are read through positions that one ``np.repeat`` over the
-    runs expands.  The round kernel's own code: the queue engine gathers its
-    rows in ``_queue_gather``.
+    ``idx``.  Runs that average ``_LONG_RUN`` row entries or more are copied
+    a block at a time; shorter ones are read through positions that one
+    ``np.repeat`` over the runs expands.  The round kernel reads a slice of
+    one run in place and calls this for the others.  The round kernel's own
+    code: the queue engine gathers its rows in ``_queue_gather``.
     """
     step = np.flatnonzero(np.diff(f) != 1)  # the last index of every run but the final one
-    if not step.size:
-        return idx[ptr[f[0]]:ptr[f[-1] + 1]]
     first = f[np.concatenate(([0], step + 1))]
     last = f[np.append(step, f.size - 1)]
     lo, hi = ptr[first], ptr[last + 1]
@@ -360,17 +373,28 @@ def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,
     int32, is therefore collected from the ids between the smallest and the
     largest fired or fed id alone, whatever the CSR.  The grains are
     scattered ``_BATCH_SLICE`` fired vertices at a time, one per neighbor
-    id that ``_round_gather`` reads per run of consecutive ids.  A slice's
-    ids are widened to intp once, because numpy casts an index array of any
-    other dtype again on each of the slice's gathers and scatters.
+    id.  A slice whose last id is its first plus its length less one is one
+    run of consecutive ids, since the ids ascend and are distinct: it fires
+    through slices of the grains and the odometer, and its neighbor ids are
+    one block of ``indices``, read in place.  Any other slice's ids are
+    widened to intp once, because numpy casts an index array of any other
+    dtype again on each of the slice's gathers and scatters, and
+    ``_round_gather`` reads its rows per run of consecutive ids.
     """
     ptr, idx = ball.indptr, ball.indices
     first, last = int(fire[0]), int(fire[-1])
     for lo in range(0, fire.size, _BATCH_SLICE):
-        f = fire[lo:lo + _BATCH_SLICE].astype(np.intp)
-        g[f] -= DEGREE
-        odo[f] += 1
-        fed = _round_gather(ptr, idx, f)
+        f = fire[lo:lo + _BATCH_SLICE]
+        a, b = int(f[0]), int(f[-1]) + 1
+        if b - a == f.size:
+            g[a:b] -= DEGREE
+            odo[a:b] += 1
+            fed = idx[ptr[a]:ptr[b]]
+        else:
+            f = f.astype(np.intp)
+            g[f] -= DEGREE
+            odo[f] += 1
+            fed = _round_gather(ptr, idx, f)
         if fed.size:
             first, last = min(first, int(fed.min())), max(last, int(fed.max()))
         np.add.at(g, fed, 1)

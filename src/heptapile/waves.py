@@ -7,10 +7,14 @@ topples at most once, so a wave is a front sweeping the ball; successive fronts
 shrink.  Fronts are swept in rounds, not by calling ``sandpile.relax``:
 each round fires every unstable vertex once, which the abelian property
 allows, through ``relax_batch``'s round kernel ``sandpile._topple_round``,
-which reads the round's neighbor ids per run of consecutive ids, a long run
-as one block of the CSR ``indices``, and adds one grain per row entry, so a
-round's temporaries stay a few MiB at any radius and its next front is
-collected from the ids it fired or fed.
+which fires a slice of one run of consecutive ids in place and reads the
+other slices' neighbor ids per run, a long run as one block of the CSR
+``indices``, and adds one grain per row entry, so a round's temporaries
+stay a few MiB at any radius and its next front is collected from the ids
+it fired or fed.  One scratch mask of toppled vertices serves every wave of
+a relaxation: a fire set of one run is tested and marked through a slice of
+it, and each wave's front is collected from, and cleared over, only the
+span of ids the wave fired.
 Iterating waves at p until p is no longer at 6 next to a 6 (plus one last
 forced topple when p alone is left at 6) reproduces the direct relaxation of
 ``max_stable + one grain at p`` exactly, state and odometer both.
@@ -47,24 +51,39 @@ def _wave_candidates(state: State, site: int) -> list:
             if state.grains[v] == _FULL]
 
 
-def _forced_wave(ball: Ball, g: np.ndarray, counts: np.ndarray,
+def _forced_wave(ball: Ball, g: np.ndarray, counts: np.ndarray, toppled: np.ndarray,
                  site: int, via: int) -> np.ndarray:
     """Force topples at site and via and sweep the front, in place on the grains g.
 
-    Returns the mask of the vertices that toppled; ``counts`` gains one
-    topple at each.  Each round fires its fire set once through
+    Returns the front, the ids of the vertices that toppled, ascending, as
+    int32; ``counts`` gains one topple at each.  ``toppled`` is the
+    caller's scratch mask, all false on entry and again on return: each
+    fire set is tested and marked in it, a fire set of one run of
+    consecutive ids through a slice and any other through its ids, and the
+    front is collected from the span of ids the wave fired, which is then
+    cleared.  Each round fires its fire set once through
     ``sandpile._topple_round``, which returns every vertex then holding 7
     or more grains, so a vertex that toppled and reaches 7 again fires
     again and trips the toppled-twice check.
     """
-    toppled = np.zeros(ball.n, dtype=bool)
     fire = np.array(sorted((site, via)), dtype=np.int32)
+    first, last = int(fire[0]), int(fire[-1])
     while fire.size:
-        if toppled[fire].any():
+        a, b = int(fire[0]), int(fire[-1]) + 1
+        if b - a == fire.size:  # ascending distinct ids: one run
+            twice = toppled[a:b].any()
+            toppled[a:b] = True
+        else:
+            twice = toppled[fire].any()
+            toppled[fire] = True
+        if twice:
             raise InvariantError("a vertex toppled twice within one wave")
-        toppled[fire] = True
+        first, last = min(first, a), max(last, b - 1)
         fire = _sandpile._topple_round(g, counts, ball, fire)
-    return toppled
+    span = toppled[first:last + 1]
+    front = _sandpile._ids(span, first)
+    span[:] = False
+    return front
 
 
 def wave(state: State, site: int) -> State:
@@ -84,11 +103,12 @@ def wave(state: State, site: int) -> State:
     if not candidates:
         return State(state.ball, out)
     counts = np.zeros(state.ball.n, dtype=np.int64)  # scratch: a wave keeps no odometer
-    toppled = _forced_wave(state.ball, out, counts, site, candidates[0])
+    toppled = np.zeros(state.ball.n, dtype=bool)
+    front = _forced_wave(state.ball, out, counts, toppled, site, candidates[0])
     if len(candidates) > 1:
         alt = state.grains.copy()
-        alt_toppled = _forced_wave(state.ball, alt, counts, site, candidates[-1])
-        if not (np.array_equal(out, alt) and np.array_equal(toppled, alt_toppled)):
+        alt_front = _forced_wave(state.ball, alt, counts, toppled, site, candidates[-1])
+        if not (np.array_equal(out, alt) and np.array_equal(front, alt_front)):
             raise InvariantError("wave result depends on the seed neighbor")
     return State(state.ball, out)
 
@@ -99,21 +119,24 @@ def wave_relax(ball: Ball, site: int) -> WaveResult:
     Returns the final state, the odometer (each front adds one topple to its
     members), the number of waves, and the fronts themselves.  The trailing
     forced topple, needed when the site still holds 6 with no 6-neighbor,
-    counts as a final one-vertex wave.  The waves sweep one grain array in place.
+    counts as a final one-vertex wave.  The waves sweep one grain array in
+    place and share one scratch mask of toppled vertices.
     """
     if not 0 <= site < ball.n:
         raise ValueError(f"site {site} out of range")
     state = max_stable(ball)
     g = state.grains
     counts = np.zeros(ball.n, dtype=np.int64)
+    toppled = np.zeros(ball.n, dtype=bool)  # every wave's scratch mask
     fronts = []
     for _ in range(ball.radius + 2):
         candidates = _wave_candidates(state, site)
         if not candidates:
             break
-        fronts.append(_sandpile._ids(_forced_wave(ball, g, counts, site, candidates[0])))
+        fronts.append(_forced_wave(ball, g, counts, toppled, site, candidates[0]))
     else:
         raise InvariantError("wave iteration failed to terminate")
+    del toppled  # held through the stability scan below, it would raise the peak by n bytes
     g[site] += 1
     if g[site] >= DEGREE:
         g[site] -= DEGREE

@@ -143,6 +143,65 @@ def test_identity_check_catches_an_odometer_off_by_one(ball_cache, monkeypatch):
         sandpile._check_identity(start.grains, res.state.grains, b, counts)
 
 
+def _laplacian_after(ball, before, counts):
+    """``before + laplacian(counts)`` one row at a time: each vertex loses 7
+    per topple and gains one per topple of each stored neighbor."""
+    return np.array([int(before[v]) - DEGREE * int(counts[v])
+                     + int(counts[ball.neighbors(v)].sum()) for v in range(ball.n)])
+
+
+def _rows_of_eight_and_six(ball_cache):
+    """The radius-3 ball with the last entry of row 1 moved to row 2: rows
+    of 6 and 8 entries in a block whose entries still number 7 per row."""
+    b = ball_cache(3)
+    rows = [b.neighbors(v).tolist() for v in range(b.n)]
+    rows[2] = rows[2] + [rows[1].pop()]
+    indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int32)
+    return Ball(b.radius, b.level, b.vtype, indptr, np.concatenate(rows).astype(np.int32))
+
+
+def test_identity_check_sums_full_rows_by_columns(ball_cache, monkeypatch):
+    # a block whose rows all hold 7 entries is summed as seven columns and
+    # any other per row, decided from the row lengths, not their sum: an
+    # odometer off by one is caught in a block of full rows, in an outer-ring
+    # block, in a block that straddles the last two rings, next to a row of
+    # 8, and in a block whose rows of 8 and 6 sum to 7 per row
+    rng = np.random.default_rng(5)
+    b = ball_cache(6)
+    outer = int(b.level_start[6])
+    start = perturb(max_stable(b), [0])
+    res = relax_batch(start)
+    linked = _root_linked_to_the_outer_ring(ball_cache)
+    linked_start = perturb(max_stable(linked), [0])
+    linked_res = relax(linked_start)
+    faked = _rows_of_eight_and_six(ball_cache)
+    faked_start = rng.integers(0, 40, size=faked.n, dtype=np.int64)
+    faked_counts = rng.integers(0, 5, size=faked.n, dtype=np.int64)
+    cases = [  # ball, start, counts, block rows, the vertices to bump
+        (b, start.grains, res.state.grains, res.odometer.counts, 64, [0, 100, b.n - 1]),
+        (b, start.grains, res.state.grains, res.odometer.counts, outer - 10,
+         [outer - 1, outer]),
+        (linked, linked_start.grains, linked_res.state.grains, linked_res.odometer.counts,
+         8, [0, 29]),
+        (faked, faked_start, _laplacian_after(faked, faked_start, faked_counts), faked_counts,
+         8, [1, 2]),
+    ]
+    for ball, before, after, counts, rows, bumped in cases:
+        monkeypatch.setattr(sandpile, "_IDENTITY_ROWS", rows)
+        assert np.array_equal(after, _laplacian_after(ball, before, counts))
+        sandpile._check_identity(before, after, ball, counts)
+        for v in bumped:
+            bad = counts.copy()
+            bad[v] += 1
+            with pytest.raises(InvariantError, match="start \\+ laplacian"):
+                sandpile._check_identity(before, after, ball, bad)
+    widths = np.diff(b.indptr)
+    assert (widths[:64] == DEGREE).all() and (widths[-64:] < DEGREE).all()
+    assert (outer - 10) < outer < 2 * (outer - 10)  # the second block straddles
+    assert np.diff(linked.indptr)[0] == 8
+    assert np.diff(faked.indptr)[:8].tolist() == [7, 6, 8, 7, 7, 7, 7, 7]
+
+
 def test_relax_idempotent(ball_cache):
     b = ball_cache(2)
     rng = np.random.default_rng(11)
@@ -398,6 +457,49 @@ def _root_linked_to_the_outer_ring(ball_cache):
     return Ball(b.radius, b.level, b.vtype, indptr, np.concatenate(rows).astype(np.int32))
 
 
+def _round_oracle(g, odo, ball, fire):
+    """``_topple_round`` one vertex and one grain at a time."""
+    for v in fire.tolist():
+        g[v] -= DEGREE
+        odo[v] += 1
+        for u in ball.neighbors(v).tolist():
+            g[u] += 1
+    return np.flatnonzero(g >= DEGREE).astype(np.int32)
+
+
+@pytest.mark.parametrize("size", [3, 1 << 40])
+def test_round_kernel_matches_a_scalar_oracle(ball_cache, monkeypatch, size):
+    # a slice of one run fires through slices of the grains and odometer,
+    # any other through its ids: one run, two runs, a run cut by the slice
+    # size, and runs whose rows reach the outer ring all give the oracle's
+    # grains, odometer and next fire set
+    monkeypatch.setattr(sandpile, "_BATCH_SLICE", size)
+    rng = np.random.default_rng(11)
+    b = ball_cache(4)
+    ring2, ring3 = b.ring(2), b.ring(3)
+    linked = _root_linked_to_the_outer_ring(ball_cache)
+    cases = [
+        (b, list(ring2)),                                    # one run
+        (b, list(ring2)[:5] + list(ring3)[4:11]),            # two runs
+        (b, list(ring3)[1:9]),                               # one run, cut when size is 3
+        (b, [0] + list(ring2)[2:4] + [int(ring3[-1])]),      # short runs
+        (linked, [0, 1, 2]),                                 # a row reaching the outer ring
+        (linked, [0, 29, 30]),
+    ]
+    for ball, fire in cases:
+        g = np.full(ball.n, DEGREE - 1, dtype=np.int64)
+        g[fire] = rng.integers(DEGREE, 3 * DEGREE, size=len(fire))
+        odo = rng.integers(0, 3, size=ball.n, dtype=np.int64)
+        ids = np.array(fire, dtype=np.int32)
+        want_g, want_odo = g.copy(), odo.copy()
+        want = _round_oracle(want_g, want_odo, ball, ids)
+        got = sandpile._topple_round(g, odo, ball, ids)
+        assert got.dtype == np.int32
+        assert got.tolist() == want.tolist(), fire
+        assert g.tolist() == want_g.tolist(), fire
+        assert odo.tolist() == want_odo.tolist(), fire
+
+
 def test_root_rounds_fire_the_rings_of_their_parity(ball_cache, monkeypatch):
     # from max-stable + root, round r = 0..2m fires exactly the rings
     # l = r (mod 2) with l <= min(r, 2m - r)
@@ -529,8 +631,7 @@ def test_queue_gather_returns_the_rows_in_a_new_array(ball_cache, monkeypatch):
 
 def test_round_gather_returns_the_rows(ball_cache, monkeypatch):
     # a slice of fired ids, ascending or not, gives its neighbor ids in row
-    # order, one grain per entry for the round kernel to scatter; a one-run
-    # slice may come back as a view, which the kernel only reads
+    # order, one grain per entry for the round kernel to scatter
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 

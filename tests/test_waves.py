@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heptapile import (InvariantError, State, VertexType, alpha, ball_size,
+from heptapile import (DEGREE, InvariantError, State, VertexType, alpha, ball_size,
                        max_stable, perturb, predicted_odometer, relax, sandpile,
                        verify, wave, wave_relax, wave_relax_multi, waves)
 
@@ -221,4 +221,65 @@ def test_a_vertex_toppling_twice_in_one_wave_is_caught(ball_cache):
     g = max_stable(b).grains
     g[0] = 13
     with pytest.raises(InvariantError, match="toppled twice"):
-        waves._forced_wave(b, g, np.zeros(b.n, dtype=np.int64), 0, int(b.neighbors(0)[0]))
+        waves._forced_wave(b, g, np.zeros(b.n, dtype=np.int64), np.zeros(b.n, dtype=bool),
+                           0, int(b.neighbors(0)[0]))
+
+
+def test_a_vertex_toppling_twice_is_caught_in_any_fire_set(ball_cache):
+    # the site holds 13, so it is back at 7 after the first round; it then
+    # fires alone, a set of one run, or beside vertex 3, a set of two runs,
+    # and the check trips on either path
+    b = ball_cache(2)
+    for extra in ([], [3]):
+        g = np.zeros(b.n, dtype=np.int64)
+        g[0], g[1] = 13, DEGREE - 1
+        g[extra] = DEGREE
+        with pytest.raises(InvariantError, match="toppled twice"):
+            waves._forced_wave(b, g, np.zeros(b.n, dtype=np.int64),
+                               np.zeros(b.n, dtype=bool), 0, 1)
+
+
+def _fresh_mask_fronts(ball, site):
+    """The fronts of ``wave_relax(ball, site)``, each wave swept in rounds
+    with a mask of its own and a full scan for every fire set."""
+    g = max_stable(ball).grains
+    fronts = []
+    while True:
+        via = [v for v in ball.neighbors(site).tolist() if g[v] == DEGREE - 1]
+        if g[site] != DEGREE - 1 or not via:
+            break
+        toppled = np.zeros(ball.n, dtype=bool)
+        fire = np.array(sorted((site, via[0])))
+        while fire.size:
+            assert not toppled[fire].any()
+            toppled[fire] = True
+            g[fire] -= DEGREE
+            np.add.at(g, np.concatenate([ball.neighbors(v) for v in fire]), 1)
+            fire = np.flatnonzero(g >= DEGREE)
+        fronts.append(np.flatnonzero(toppled))
+    if g[site] == DEGREE - 1:
+        fronts.append(np.array([site]))
+    return fronts
+
+
+def test_fronts_from_one_mask_equal_fronts_from_fresh_masks(wave_cases, ball_cache,
+                                                           monkeypatch):
+    # wave_relax marks every wave in one mask and clears only the span each
+    # wave fired, so the mask must be all false again after every wave, and
+    # no wave may see a vertex marked by an earlier one
+    forced = waves._forced_wave
+
+    def checked(ball, g, counts, toppled, site, via):
+        front = forced(ball, g, counts, toppled, site, via)
+        assert not toppled.any()
+        return front
+
+    monkeypatch.setattr(waves, "_forced_wave", checked)
+    cases = wave_cases + [(ball_cache(5), v) for v in (1, 100, 500)]
+    for b, site in cases:
+        got = wave_relax(b, site).fronts
+        want = _fresh_mask_fronts(b, site)
+        assert len(got) == len(want), (b.radius, site)
+        for front, want_front in zip(got, want):
+            assert front.dtype == np.int32
+            assert front.tolist() == want_front.tolist(), (b.radius, site)
