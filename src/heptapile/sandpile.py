@@ -9,12 +9,12 @@ run instead of trusted.  By the abelian property three schedules must agree
 exactly: a FIFO queue (``relax``), rounds that fire every unstable vertex
 once (``relax_batch``) and random legal order (``relax_random``).  The queue
 and random-order engines share no code with ``relax_batch`` or the wave route:
-``relax`` walks its queue one generation at a time, each an int array of
-distinct vertices that it topples a slice at a time in numpy, reading a
-slice's neighbor ids per run of consecutive ids, whose CSR rows are one
-block of ``indices``, counting its grains per fed vertex by sorting a copy
-of those ids and deciding its pushes from each vertex's grains before and
-after the slice, and checks the toppling budget once per generation;
+``relax`` walks its queue one generation at a time, each an ascending int
+array of distinct vertices that it topples a slice at a time in numpy,
+reading a one-run slice's neighbor ids in place and any other slice's per
+run in code of its own, adds one grain per neighbor id with ``np.add.at``,
+takes the next generation from one scan of the ids the generation fired or
+fed, and checks the toppling budget once per generation;
 ``relax_random`` is the scalar reference, one topple and one grain at a
 time, and draws its choices in blocks of uniform integers and checks the
 budget once per block.  ``relax_batch`` and the wave route topple through
@@ -173,18 +173,17 @@ def mass(state: State) -> int:
 # entry-sized temporaries; relax_batch and the wave route share it
 _BATCH_SLICE = 1 << 14
 
-# queued vertices per slice of a relax generation, which bounds the slice's
-# temporaries: about 7 int32 neighbor ids per vertex, and an int64
-# position beside each when the slice's runs are short.  Best-of-k seconds
-# per relax of max_stable + root at radius 8 / 12 / 13 over two runs, and
-# the traced peak at radius 12 over n, measured with every slice gathered
-# through positions: 1 << 12 2.6 ms / 0.10 s / 0.28 s, 30.5 B; 1 << 13
-# 2.5 ms / 0.09 s / 0.31 s, 32.0 B; 1 << 14 2.7 ms / 0.13 s / 0.23 s,
-# 35.0 B; 1 << 15 2.2 ms / 0.10 s / 0.25 s, 40.8 B.  Copying long runs
-# leaves the 1 << 14 peak at 35.0 B: it is set late in a generation, after
-# a gather or at the join, not by the positions.  The times drift by about
-# a fifth between runs on a 2-core host, so no size wins clearly.  Radius 4
-# fits in one slice of any of these
+# queued vertices per slice of a relax generation, which bounds the
+# temporaries of a slice of more than one run: about 7 int32 neighbor ids
+# per vertex, and an int64 position beside each when its runs are short.
+# Best-of-k seconds per relax of max_stable + root at radius 8 / 12 / 13
+# over two runs: 1 << 12 0.9-1.0 ms / 0.031-0.034 s / 0.09-0.11 s; 1 << 13
+# 1.0-1.7 ms / 0.033-0.049 s / 0.10 s; 1 << 14 0.9-1.7 ms / 0.030-0.049 s /
+# 0.09-0.13 s; 1 << 15 1.0-1.7 ms / 0.041-0.051 s / 0.10-0.11 s.  The
+# traced peak at radius 12 is 25.0 B per vertex at every size: the grains,
+# the odometer, two generations of ids and the scan's mask set it, not a
+# slice.  The times drift by half between runs on a 2-core host, so no
+# size wins clearly
 _QUEUE_SLICE = 1 << 14
 
 # mean CSR row entries per run of consecutive ids from which _queue_gather
@@ -248,7 +247,7 @@ def _queue_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray
     ``_LONG_RUN`` row entries or more, each block is copied as a slice;
     otherwise one ``np.repeat`` over the runs expands the blocks' positions
     and one gather reads them.  The result never shares memory with
-    ``idx``, since ``relax`` sorts it in place.  ``relax`` alone calls this.
+    ``idx``.  ``relax`` alone calls this, for slices of more than one run.
     """
     head = np.empty(f.size, dtype=bool)  # where a run starts
     head[:1] = True
@@ -268,26 +267,24 @@ def relax(state: State) -> RelaxResult:
     """Topple until stable; returns the stable state and the odometer.
 
     The engine walks a FIFO queue of unstable vertices one generation at a
-    time: it topples each vertex of the current generation once and
-    collects the vertices that become unstable into the next, so the
-    generations are the FIFO generations as sets.  It needs no in-queue
-    flag: a vertex is queued exactly when it holds 7 or more grains, so a
-    fired vertex is queued again when it keeps 7 or more after losing 7,
-    a fed vertex when its grains cross from below 7 to 7 or more, and every
-    queued vertex topples once when it is read.  A generation's length is
-    therefore its topple count, and the budget is checked once per
-    generation, before it topples.
+    time, toppling each vertex of a generation once, so the generations are
+    the FIFO generations as sets.  It needs no in-queue flag: a vertex is
+    queued exactly when it holds 7 or more grains, and each vertex that does
+    when a generation ends was fired or fed in it.  So the next generation
+    is one scan, ascending, of the ids between the smallest and the largest
+    fired or fed id.  A generation's length is its topple count, and the
+    budget is checked once per generation, before it topples.
 
-    A generation is an int array, toppled ``_QUEUE_SLICE`` vertices at a
-    time by numpy calls alone.  ``_queue_gather`` reads the slice's
-    neighbor ids into a new array per run of consecutive ids, copying long
-    runs as blocks of ``indices`` and gathering short ones through their
-    positions, and the copy is sorted in place: each run of equal ids is
-    one fed vertex, and its length is the grains that vertex receives.
-    Each vertex's grains before and after the slice decide its push.
-    Additions commute, so the split changes no value.  A budget of 2**62
-    or more is refused: below it no grain count or odometer entry can leave
-    int64, since none exceeds the starting total or the budget.
+    A generation is toppled ``_QUEUE_SLICE`` vertices at a time by numpy
+    calls alone.  A slice whose last id is its first plus its length less
+    one is one run of consecutive ids, since the ids ascend and are
+    distinct: it fires through slices of the grains and the odometer, and
+    its neighbor ids are one block of ``indices``, read in place;
+    ``_queue_gather`` reads any other slice's.  Each slice adds one grain
+    per neighbor id with ``np.add.at``: additions commute, so neither the
+    split nor the order within a generation changes a value.  A budget of
+    2**62 or more is refused: below it no grain count or odometer entry can
+    leave int64, since none exceeds the starting total or the budget.
     """
     ball = state.ball
     if state.grains.min() < 0:
@@ -304,24 +301,23 @@ def relax(state: State) -> RelaxResult:
         topples += queue.size
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
-        nxt = []
+        first, last = int(queue[0]), int(queue[-1])
         for lo in range(0, queue.size, _QUEUE_SLICE):
             f = queue[lo:lo + _QUEUE_SLICE]
-            counts[f] += 1  # a generation holds distinct vertices
-            g[f] -= DEGREE
-            nxt.append(f[g[f] >= DEGREE])
-            got = _queue_gather(ptr, idx, f)
-            got.sort()
-            # bounds of the runs of equal ids in got, its two ends included
-            edge = np.empty(got.size + 1, dtype=bool)
-            edge[0] = edge[-1] = True
-            np.not_equal(got[1:], got[:-1], out=edge[1:-1])
-            bounds = np.flatnonzero(edge)
-            fed, gain = got[bounds[:-1]].astype(np.intp), np.diff(bounds)
-            old = g[fed]
-            g[fed] = new = old + gain
-            nxt.append(fed[(old < DEGREE) & (new >= DEGREE)])
-        queue = np.concatenate(nxt)
+            a, b = int(f[0]), int(f[-1]) + 1
+            if b - a == f.size:
+                counts[a:b] += 1
+                g[a:b] -= DEGREE
+                fed = idx[ptr[a]:ptr[b]]
+            else:
+                counts[f] += 1
+                g[f] -= DEGREE
+                fed = _queue_gather(ptr, idx, f)
+            if fed.size:
+                first, last = min(first, int(fed.min())), max(last, int(fed.max()))
+            np.add.at(g, fed, 1)
+        queue = np.flatnonzero(g[first:last + 1] >= DEGREE)
+        queue += first
     _check_identity(state.grains, g, ball, counts)
     return RelaxResult(State(ball, g), Odometer(ball, counts), topples, topples)
 

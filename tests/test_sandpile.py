@@ -396,6 +396,31 @@ def test_queue_engine_matches_the_in_queue_flag_oracle(ball_cache):
         assert (res.topples, res.dequeues) == (topples, dequeues)
 
 
+def test_schedules_agree_with_the_in_queue_flag_oracle(ball_cache):
+    # the abelian property: the queue engine, whose generations hold any
+    # order, the parallel rounds and the one-vertex-at-a-time FIFO queue
+    # must end on the same state, odometer and topples from any
+    # nonnegative start, on the balls of radius 0..4 and on a CSR whose
+    # root's row reaches the outer ring
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    balls = [ball_cache(m) for m in range(0, 5)] + [_root_linked_to_the_outer_ring(ball_cache)]
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(balls).flatmap(lambda b: st.tuples(
+        st.just(b), st.lists(st.integers(0, 20), min_size=b.n, max_size=b.n))))
+    def check(case):
+        b, grains = case
+        start = State(b, np.array(grains, dtype=np.int64))
+        g, odo, topples, _ = _relax_with_in_queue_flags(start)
+        for res in (relax(start), relax_batch(start)):
+            assert res.state.grains.tolist() == g
+            assert res.odometer.counts.tolist() == odo
+            assert res.topples == topples
+
+    check()
+
+
 def _slice_starts(ball_cache, seed):
     """The abelian states, one grain on the root or the last vertex at m=0..8,
     and random 0..39 states at m=0..4, whose vertices holding 14 grains or
@@ -610,8 +635,9 @@ def _gather_cases(st, ball_cache):
 
 def test_queue_gather_returns_the_rows_in_a_new_array(ball_cache, monkeypatch):
     # a slice's neighbor ids, copied a run at a time or gathered through
-    # positions as _LONG_RUN decides, whatever cuts its runs; relax sorts
-    # them in place, so they must never be a view of the ball's ids
+    # positions as _LONG_RUN decides, whatever cuts its runs; relax reads a
+    # one-run slice's rows in place itself and sends only the others here,
+    # whose rows come back as a new array, never a view of the ball's ids
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -650,8 +676,9 @@ def test_round_gather_returns_the_rows(ball_cache, monkeypatch):
 
 @pytest.mark.parametrize("long_run", [0, 1 << 40], ids=["copied", "gathered"])
 def test_relaxation_leaves_the_ball_intact(ball_cache, monkeypatch, long_run):
-    # the gathers read the ball's ids through slices of them, and the queue
-    # engine sorts what it gathers in place: no route may write to the ball
+    # every route reads the ball's ids through slices of them, a one-run
+    # slice's in place, and scatters grains from them: none may write to
+    # the ball
     monkeypatch.setattr(sandpile, "_LONG_RUN", long_run)
     b = ball_cache(8)
     indices, indptr = b.indices.copy(), b.indptr.copy()
@@ -672,10 +699,11 @@ def test_relaxation_peak_stays_within_the_ball_model(ball_cache, route):
     # into, so no route needs a guard of its own.  The queue engine holds
     # int64 grains and odometer, 16 bytes per vertex, and two generations
     # of int64 ids that never hold more than n vertices together at radii
-    # 6..13; the next is joined from its slices' pieces once, and one
-    # slice's temporaries, about 7 * _QUEUE_SLICE int32 neighbor ids, and
-    # an int64 position per id when its runs are short, are the same at
-    # every radius, so its peak at radius 12 stands for every radius
+    # 6..13; the next is scanned from a bool mask over the ids the current
+    # one fired or fed, at most a byte per vertex, and a slice of more than
+    # one run gathers about 7 * _QUEUE_SLICE int32 neighbor ids, and an
+    # int64 position per id when its runs are short, the same at every
+    # radius, so its peak at radius 12 stands for every radius
     b = ball_cache(12)
     start = perturb(max_stable(b), [0])
     run = {"naive": lambda: relax(start), "batch": lambda: relax_batch(start),
