@@ -27,13 +27,17 @@ and entries second, so neither holds more than a few MiB beside the ball.
 Every file format ends in a ``CHECK`` line holding the BLAKE2b-64 digest of
 the bytes before it; ``_sign`` and ``_write_signed`` write that line and
 ``_check_stream`` checks it a piece at a time.  Between the header and that
-line, every format is lines of integers separated by single spaces, and
-``_format_ints`` is the only code that writes them, in whole-array numpy.
-It takes a grid of values and a grid of separator bytes, 0 where a line has
-no token; each value is written right-aligned into a zero-filled byte row,
-its leading zeros stay NUL, and one ``bytes.translate`` drops every NUL.  A
-chunk of vertex lines is one such grid, a row per vertex with a slot per
-token, and a chunk of state or odometer lines is a grid of id/value pairs.
+line, every format is lines of integers separated by single spaces, written
+in whole-array numpy by one digit kernel, ``_write_digits``: each value is
+written right-aligned into a zero-filled byte row, its leading zeros stay
+NUL, and one ``bytes.translate`` drops every NUL.  ``_format_ints`` runs it
+on a grid of values beside a grid of separator bytes, 0 where a line has no
+token; a chunk of state or odometer lines is a grid of id/value pairs.  A
+ball file writes each value's text once: ``_id_text`` runs the kernel on
+0..n-1 into one 8-byte word per value, and a chunk of vertex lines, a row
+per vertex with a slot per token, gathers its tokens' words from that
+table.  A chunk holding a value outside the table, and every chunk of a
+ball whose ids need 8 digits, goes through ``_format_ints`` instead.
 No file is parsed into what it holds: a file loads only when it is byte for
 byte what the writer writes for the object it describes, and
 ``_compare_lines`` compares it with those bytes a chunk of lines at a time.
@@ -65,11 +69,14 @@ _UINT32_MAX = 2**32 - 1
 # vertex at radii 15 to 17, ball and input included: relax_batch 60-63 B,
 # wave_relax 49-52 B, bench --methods batch,wave,closed 65 B at radius 17,
 # bench --methods naive,closed 66.5, 61.9 and 60.9 B at radii 15, 16, 17.
-# A lower figure would admit larger balls, so a smaller ball leaves it at 96
+# A lower figure would admit larger balls, so a smaller ball leaves it at 96.
+# Saving or loading a ball holds its id text table beside it, 8 B per
+# vertex: 29 MB at radius 14, 75 MB at 15, none from 16 on (_table_top)
 _BYTES_PER_VERTEX = 96
 
-# vertices per block of build_ball and validate_ball, which bounds their
-# temporaries to a few MiB at any radius
+# vertices per block of build_ball and validate_ball, and values per block
+# of the id text table, which bounds their temporaries to a few MiB at any
+# radius
 _BLOCK = 1 << 12
 
 
@@ -505,6 +512,11 @@ _BALL_HEADER = re.compile(rb"HEPTABALL v2 m=(0|[1-9]\d{0,18}) n=([1-9]\d{0,18})"
 _PARSE_CHUNK = 1 << 20
 _WRITE_ROWS = 1024
 
+# digits of the longest value in the id text table: one uint64 word holds
+# them and a separator.  Ids reach 8 digits from radius 16 on, where a
+# 16-byte word wrote the radius-11 ball no faster than the digit kernel
+_TABLE_DIGITS = 7
+
 
 def _hasher():
     import hashlib  # here, not at the top: it maps 3.5 MiB of OpenSSL
@@ -561,6 +573,23 @@ def _check_stream(fh) -> tuple:
     return (fh.readline()[:-1] if cut else b""), lines, cut
 
 
+def _write_digits(mag, write, text) -> None:
+    """Write the unsigned ``mag`` in decimal, right-aligned, into ``text``.
+
+    ``text`` is a zero-filled uint8 array with one row of digit columns per
+    value on its last axis.  The ones column is written where ``write``
+    holds, each further column where the magnitude left is nonzero, so
+    leading zeros stay NUL.  ``mag`` is consumed.
+    """
+    for col in range(text.shape[-1] - 1, -1, -1):
+        quot = mag // 10
+        mag -= 10 * quot
+        mag += ord("0")
+        np.multiply(mag, write, out=text[..., col], casting="unsafe")
+        mag = quot
+        write = mag != 0
+
+
 def _format_ints(values, seps) -> bytes:
     """Each value in decimal, then its separator.
 
@@ -584,14 +613,7 @@ def _format_ints(values, seps) -> bytes:
     sign, width = int(values.min() < 0), len(str(top))
     text = np.zeros(values.shape + (sign + width + 1,), dtype=np.uint8)
     text[..., -1] = seps
-    write = live
-    for col in range(sign + width - 1, sign - 1, -1):
-        quot = mag // 10
-        mag -= 10 * quot
-        mag += ord("0")
-        np.multiply(mag, write, out=text[..., col], casting="unsafe")
-        mag = quot
-        write = mag != 0
+    _write_digits(mag, live, text[..., sign:sign + width])
     if sign:
         neg = np.nonzero((values < 0) & live)
         digits = np.count_nonzero(text[neg], axis=-1) - 1  # less the separator
@@ -599,29 +621,85 @@ def _format_ints(values, seps) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
+def _table_top(n: int, m: int):
+    """The last value of the id text table for ``n`` vertices and radius ``m``.
+
+    The table holds 0..max(n - 1, 7, m): every id, level, type and deficit
+    of a built ball.  None when that value needs more than
+    ``_TABLE_DIGITS`` digits: no table is built, and every chunk of lines
+    is written by ``_format_ints``.
+    """
+    top = max(n - 1, DEGREE, m)
+    return top if top < 10 ** _TABLE_DIGITS else None
+
+
+def _id_text(lo: int, hi: int) -> np.ndarray:
+    """The decimal text of ``lo..hi - 1``, one uint64 word per value.
+
+    A word's bytes 0-6 hold the digits right-aligned after NULs, and byte 7
+    is left 0 for the separator.  The words are filled ``_BLOCK`` values at
+    a time, which bounds the digit kernel's temporaries.
+    """
+    words = np.zeros(hi - lo, dtype=np.uint64)
+    text = words.view(np.uint8).reshape(-1, 8)
+    width = len(str(hi - 1))
+    for a in range(lo, hi, _BLOCK):
+        b = min(a + _BLOCK, hi)
+        _write_digits(np.arange(a, b, dtype=np.uint32), True,
+                      text[a - lo:b - lo, _TABLE_DIGITS - width:_TABLE_DIGITS])
+    return words
+
+
+def _within(values: np.ndarray, top: int) -> bool:
+    """Whether every entry of ``values`` is in 0..top, as a table index."""
+    return not values.size or (int(values.min()) >= 0 and int(values.max()) <= top)
+
+
 def _ball_lines(ball: Ball):
     """The serialized ball up to its CHECK line, as chunks of bytes.
 
-    Each chunk of ``_WRITE_ROWS`` vertex lines is one int64 grid, a row per
-    vertex and as many slots as the chunk's longest line: id, level, type
-    and deficit, then the neighbors, with separator 0 past the line's end.
+    Each chunk is ``_WRITE_ROWS`` vertex lines: a row per vertex and as many
+    slots as the chunk's longest line (id, level, type and deficit, then the
+    neighbors), with separator 0 past the line's end.  The text of every
+    token is gathered from ``_id_text(0, top + 1)``, built once per call:
+    ids are a slice of it, every other column a gather, the separators go
+    into byte 7 of each word and one translate drops the NULs.  A chunk
+    holding a value outside 0..top, or a row of more than 7 entries, and
+    every chunk when ``_table_top`` gives no table, is written as an int64
+    grid by ``_format_ints`` instead, in the same bytes.
     """
     yield f"HEPTABALL v2 m={ball.radius} n={ball.n}\n".encode("ascii")
+    top = _table_top(ball.n, ball.radius)
+    table = None if top is None else _id_text(0, top + 1)
     for lo in range(0, ball.n, _WRITE_ROWS):
         hi = min(lo + _WRITE_ROWS, ball.n)
         ptr = ball.indptr[lo:hi + 1]
         length = np.diff(ptr)
         longest = int(length.max())
+        level, vtype = ball.level[lo:hi], ball.vtype[lo:hi]
+        nbrs = ball.indices[ptr[0]:ptr[-1]]
         # the separators of a line with k neighbors, k = 0..longest
         seps = np.tri(longest + 1, 4 + longest, 3, dtype=np.uint8) * ord(" ")
         np.fill_diagonal(seps[:, 3:], ord("\n"))
         seps = seps.take(length, axis=0)
+        slots = seps[:, 4:] != 0  # the neighbor slots in use
+        if table is not None and longest <= DEGREE and all(
+                _within(x, top) for x in (level, vtype, nbrs)):
+            words = np.zeros(seps.shape, dtype=np.uint64)
+            words[:, 0] = table[lo:hi]
+            words[:, 1] = table[level]
+            words[:, 2] = table[vtype]
+            words[:, 3] = table[DEGREE - length]
+            words[:, 4:][slots] = table[nbrs]
+            words.view(np.uint8)[:, 7::8] = seps
+            yield words.tobytes().translate(None, b"\0")
+            continue
         grid = np.zeros(seps.shape, dtype=np.int64)
         grid[:, 0] = np.arange(lo, hi)
-        grid[:, 1] = ball.level[lo:hi]
-        grid[:, 2] = ball.vtype[lo:hi]
+        grid[:, 1] = level
+        grid[:, 2] = vtype
         grid[:, 3] = DEGREE - length
-        grid[:, 4:][seps[:, 4:] != 0] = ball.indices[ptr[0]:ptr[-1]]
+        grid[:, 4:][slots] = nbrs
         yield _format_ints(grid, seps)
 
 

@@ -488,6 +488,31 @@ def relax_random(state: State, rng: np.random.Generator) -> RelaxResult:
     return RelaxResult(State(ball, final), Odometer(ball, counts), topples, topples)
 
 
+# entries of a field counted at once by _default, at least: a block is
+# as long as the field's value range if that is longer, so no block's count
+# costs more than its entries
+_COUNT_BLOCK = 1 << 14
+
+
+def _default(values: np.ndarray) -> int:
+    """The most frequent value of ``values``; ties break toward the smaller.
+
+    A field whose value range is no wider than its length is counted with
+    ``np.bincount`` a block at a time, with no copy of the field; a wider
+    one is counted by ``np.unique``, which sorts a copy.
+    """
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo >= values.size:
+        uniq, counts = np.unique(values, return_counts=True)
+        return int(uniq[np.argmax(counts)])
+    counts = np.zeros(hi - lo + 1, dtype=np.int64)
+    step = max(_COUNT_BLOCK, counts.size)
+    for a in range(0, values.size, step):
+        part = np.bincount(values[a:a + step] - lo)
+        counts[:part.size] += part
+    return lo + int(np.argmax(counts))
+
+
 _FIELD_HEADER = re.compile(
     rb"(HEPTASTATE|HEPTAODOM) v2 m=(\d{1,19}) n=(\d{1,19}) default=(-?\d{1,19})")
 
@@ -498,8 +523,7 @@ def _field_lines(tag: str, ball: Ball, values: np.ndarray):
     Each chunk holds as many tokens as a ball chunk of ``_WRITE_ROWS``
     interior lines, two per entry line.
     """
-    uniq, counts = np.unique(values, return_counts=True)
-    default = int(uniq[np.argmax(counts)])  # ties break toward the smaller value
+    default = _default(values)
     yield f"{tag} v2 m={ball.radius} n={ball.n} default={default}\n".encode("ascii")
     ids = np.flatnonzero(values != default)
     step = _ball._WRITE_ROWS * (4 + DEGREE) // 2

@@ -11,8 +11,8 @@ from heptapile import (DEGREE, Ball, CapacityError, FormatError, InvariantError,
                        level_counts, load_ball, load_odometer, load_state, relax,
                        save_ball, save_odometer, save_state, validate_ball)
 from heptapile import ball as ball_module
-from heptapile.ball import (_check_stream, _format_ints, _sign, deserialize_ball,
-                            link_cycles, serialize_ball)
+from heptapile.ball import (_check_stream, _format_ints, _id_text, _sign, _table_top,
+                            deserialize_ball, link_cycles, serialize_ball)
 
 # |ball(m)| for m = 0..12, from the Fibonacci closed form, frozen
 SIZES = [1, 8, 29, 85, 232, 617, 1625, 4264, 11173, 29261, 76616, 200593,
@@ -521,6 +521,66 @@ def test_hand_built_ball_writes_its_arrays():
     lines = "".join(" ".join(map(str, [v, b.level[v], b.vtype[v], DEGREE - len(r)] + r))
                     + "\n" for v, r in enumerate(rows))
     assert serialize_ball(b) == _sign(("HEPTABALL v2 m=1 n=4\n" + lines).encode("ascii"))
+
+
+def test_id_text_words_hold_each_value_in_decimal(monkeypatch):
+    # a word is the value's digits right-aligned in bytes 0-6 after NULs,
+    # byte 7 left for the separator; ranges around each digit boundary,
+    # filled 3 values at a time
+    monkeypatch.setattr(ball_module, "_BLOCK", 3)
+    edges = [0, 10**7 - 1] + [10**k + d for k in range(1, 7) for d in (-1, 0)]
+    for v in edges:
+        lo, hi = max(v - 4, 0), min(v + 5, 10**7)
+        words = _id_text(lo, hi)
+        assert words.dtype == np.uint64 and words.shape == (hi - lo,)
+        for x, word in zip(range(lo, hi), words.view(np.uint8).reshape(-1, 8)):
+            assert word.tobytes() == str(x).encode("ascii").rjust(7, b"\0") + b"\0"
+
+
+def test_id_text_table_stops_at_seven_digits():
+    # radius 15's last id has 7 digits, radius 16's (24,672,040 vertices) 8
+    assert _table_top(1, 0) == DEGREE
+    assert _table_top(8, 1) == DEGREE
+    assert _table_top(ball_size(15), 15) == ball_size(15) - 1 == 9_423_876
+    assert _table_top(10**7, 15) == 10**7 - 1
+    assert _table_top(10**7 + 1, 15) is None
+    assert ball_size(16) == 24_672_040 and _table_top(ball_size(16), 16) is None
+
+
+def test_chunks_in_and_out_of_the_id_text_table(monkeypatch):
+    # chunks of 3 lines: those holding a value outside 0..top (top = 29
+    # here) or a row of 8 entries are written by _format_ints, the others
+    # from the id text table, and the file is _format_ints on the whole grid
+    rows = [[1, 2], [0, 3, 4, 5, 6, 7, 8], []] * 10
+    level = [0, 1, 1] * 10
+    vtype = [0, 1, 2] * 10
+    rows[4] = [0, -1]                       # chunk 1: a negative id
+    rows[9] = [2**31 - 1]                   # chunk 3: far beyond the table
+    rows[15] = [1, 2, 3, 4, 5, 6, 7, 8]     # chunk 5: an 8-entry row
+    level[23] = -3                          # chunk 7: a negative level
+    vtype[29] = 30                          # chunk 9: one past the table
+    n, longest = len(rows), max(map(len, rows))
+    b = Ball(1, np.array(level, dtype=np.int32), np.array(vtype, dtype=np.int8),
+             np.cumsum([0] + [len(r) for r in rows]).astype(np.int64),
+             np.array([w for r in rows for w in r], dtype=np.int32))
+    assert _table_top(b.n, b.radius) == 29
+    grid = np.zeros((n, 4 + longest), dtype=np.int64)
+    seps = np.zeros(grid.shape, dtype=np.uint8)
+    for v, r in enumerate(rows):
+        grid[v, :4 + len(r)] = [v, level[v], vtype[v], DEGREE - len(r)] + r
+        seps[v, :4 + len(r)] = ord(" ")
+        seps[v, 3 + len(r)] = ord("\n")
+    calls = []
+
+    def counted(values, seps):
+        calls.append(values[0, 0])
+        return _format_ints(values, seps)
+
+    monkeypatch.setattr(ball_module, "_WRITE_ROWS", 3)
+    monkeypatch.setattr(ball_module, "_format_ints", counted)
+    blob = serialize_ball(b)
+    assert calls == [3, 9, 15, 21, 27]  # the first id of each chunk written so
+    assert blob == _sign(b"HEPTABALL v2 m=1 n=30\n" + _format_ints(grid, seps))
 
 
 def _check_whole(data):

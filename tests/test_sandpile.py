@@ -909,6 +909,33 @@ def test_field_bytes_pinned(m, ball_cache):
             for name, blob in blobs.items()} == FIELD_DIGESTS[m]
 
 
+@pytest.mark.parametrize("block", [None, 1, 3])
+def test_field_default_is_what_np_unique_picks(monkeypatch, block):
+    # a field of narrow value range is counted by bincount a block at a
+    # time, a wider one by np.unique: both pick the smallest most frequent
+    # value, the choice of np.unique's sorted counts
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    if block:
+        monkeypatch.setattr(sandpile, "_COUNT_BLOCK", block)
+    edges = [_INT64_MIN, _INT64_MIN + 1, _INT64_MAX - 1, _INT64_MAX]
+    value = st.one_of(st.integers(-3, 3), st.sampled_from(edges),
+                      st.integers(_INT64_MIN, _INT64_MAX))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.lists(value, min_size=1, max_size=30))
+    @hypothesis.example([5, 5, -2, -2, 9])
+    @hypothesis.example([_INT64_MAX, _INT64_MIN])
+    @hypothesis.example([_INT64_MIN + 1, _INT64_MIN, _INT64_MIN + 1, _INT64_MIN])
+    @hypothesis.example([_INT64_MAX, _INT64_MAX - 1, _INT64_MAX - 1, _INT64_MAX])
+    def check(field):
+        values = np.array(field, dtype=np.int64)
+        uniq, counts = np.unique(values, return_counts=True)
+        assert sandpile._default(values) == int(uniq[np.argmax(counts)])
+
+    check()
+
+
 def _field_cases(st, ball_cache):
     """A strategy of (m, grains, odometer counts) on balls of radius 0..3."""
     # small values repeat, so the default is not always the smallest value
