@@ -34,10 +34,11 @@ NUL, and one ``bytes.translate`` drops every NUL.  ``_format_ints`` runs it
 on a grid of values beside a grid of separator bytes, 0 where a line has no
 token; a chunk of state or odometer lines is a grid of id/value pairs.  A
 ball file writes each value's text once: ``_id_text`` runs the kernel on
-0..n-1 into one 8-byte word per value, and a chunk of vertex lines, a row
-per vertex with a slot per token, gathers its tokens' words from that
-table.  A chunk holding a value outside the table, and every chunk of a
-ball whose ids need 8 digits, goes through ``_format_ints`` instead.
+0..max(n-1, 7, m) into one word per value, 8 bytes through 7 digits and 16
+beyond, and a chunk of vertex lines, a row per vertex with a slot per
+token, gathers its tokens' words from that table.  A ``Ball`` holding a
+value the table cannot write is refused with ``ValueError`` before its
+header.
 No file is parsed into what it holds: a file loads only when it is byte for
 byte what the writer writes for the object it describes, and
 ``_compare_lines`` compares it with those bytes a chunk of lines at a time.
@@ -71,7 +72,8 @@ _UINT32_MAX = 2**32 - 1
 # bench --methods naive,closed 66.5, 61.9 and 60.9 B at radii 15, 16, 17.
 # A lower figure would admit larger balls, so a smaller ball leaves it at 96.
 # Saving or loading a ball holds its id text table beside it, 8 B per
-# vertex: 29 MB at radius 14, 75 MB at 15, none from 16 on (_table_top)
+# vertex through radius 15 (29 MB at 14, 75 MB at 15) and 16 B from radius
+# 16 on, where ids need 8 digits (395 MB at 16)
 _BYTES_PER_VERTEX = 96
 
 # vertices per block of build_ball and validate_ball, and values per block
@@ -512,11 +514,6 @@ _BALL_HEADER = re.compile(rb"HEPTABALL v2 m=(0|[1-9]\d{0,18}) n=([1-9]\d{0,18})"
 _PARSE_CHUNK = 1 << 20
 _WRITE_ROWS = 1024
 
-# digits of the longest value in the id text table: one uint64 word holds
-# them and a separator.  Ids reach 8 digits from radius 16 on, where a
-# 16-byte word wrote the radius-11 ball no faster than the digit kernel
-_TABLE_DIGITS = 7
-
 
 def _hasher():
     import hashlib  # here, not at the top: it maps 3.5 MiB of OpenSSL
@@ -535,10 +532,16 @@ def _sign(body: bytes) -> bytes:
 
 
 def _write_signed(path, chunks) -> None:
-    """Write the byte chunks to ``path``, then the CHECK line of all of them."""
+    """Write the byte chunks to ``path``, then the CHECK line of all of them.
+
+    The first chunk is pulled before the file is opened, so a writer that
+    refuses its object there leaves no file behind.
+    """
     hasher = _hasher()
+    chunks = iter(chunks)
+    first = next(chunks, b"")
     with open(path, "wb") as fh:
-        for chunk in chunks:
+        for chunk in itertools.chain((first,), chunks):
             hasher.update(chunk)
             fh.write(chunk)
         fh.write(_check_line(hasher))
@@ -621,38 +624,37 @@ def _format_ints(values, seps) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
-def _table_top(n: int, m: int):
-    """The last value of the id text table for ``n`` vertices and radius ``m``.
-
-    The table holds 0..max(n - 1, 7, m): every id, level, type and deficit
-    of a built ball.  None when that value needs more than
-    ``_TABLE_DIGITS`` digits: no table is built, and every chunk of lines
-    is written by ``_format_ints``.
-    """
-    top = max(n - 1, DEGREE, m)
-    return top if top < 10 ** _TABLE_DIGITS else None
-
-
 def _id_text(lo: int, hi: int) -> np.ndarray:
-    """The decimal text of ``lo..hi - 1``, one uint64 word per value.
+    """The decimal text of ``lo..hi - 1``, one word per value.
 
-    A word's bytes 0-6 hold the digits right-aligned after NULs, and byte 7
+    A word is 8 bytes while ``hi - 1`` has at most 7 digits and 16 bytes
+    otherwise; its digits stand right-aligned after NULs, and its last byte
     is left 0 for the separator.  The words are filled ``_BLOCK`` values at
     a time, which bounds the digit kernel's temporaries.
     """
-    words = np.zeros(hi - lo, dtype=np.uint64)
-    text = words.view(np.uint8).reshape(-1, 8)
+    size = 8 if hi <= 10**7 else 16
+    words = np.zeros(hi - lo, dtype=f"V{size}")
+    text = words.view(np.uint8).reshape(-1, size)
     width = len(str(hi - 1))
     for a in range(lo, hi, _BLOCK):
         b = min(a + _BLOCK, hi)
         _write_digits(np.arange(a, b, dtype=np.uint32), True,
-                      text[a - lo:b - lo, _TABLE_DIGITS - width:_TABLE_DIGITS])
+                      text[a - lo:b - lo, size - 1 - width:size - 1])
     return words
 
 
-def _within(values: np.ndarray, top: int) -> bool:
-    """Whether every entry of ``values`` is in 0..top, as a table index."""
-    return not values.size or (int(values.min()) >= 0 and int(values.max()) <= top)
+def _require_table(ball: Ball, top: int) -> None:
+    """Refuse ``ball`` if the id text table of 0..top cannot write it.
+
+    Raises ``ValueError`` naming the first such array: a level, type or
+    neighbor id outside 0..top, or a row of more than 7 entries.
+    """
+    for name, values, most in (("level", ball.level, top), ("vtype", ball.vtype, top),
+                               ("indices", ball.indices, top),
+                               ("indptr", np.diff(ball.indptr), DEGREE)):
+        if values.size and not (values.min() >= 0 and values.max() <= most):
+            raise ValueError(f"ball {name} holds a value outside 0..{most}, "
+                             f"which its file cannot write")
 
 
 def _ball_lines(ball: Ball):
@@ -661,46 +663,33 @@ def _ball_lines(ball: Ball):
     Each chunk is ``_WRITE_ROWS`` vertex lines: a row per vertex and as many
     slots as the chunk's longest line (id, level, type and deficit, then the
     neighbors), with separator 0 past the line's end.  The text of every
-    token is gathered from ``_id_text(0, top + 1)``, built once per call:
-    ids are a slice of it, every other column a gather, the separators go
-    into byte 7 of each word and one translate drops the NULs.  A chunk
-    holding a value outside 0..top, or a row of more than 7 entries, and
-    every chunk when ``_table_top`` gives no table, is written as an int64
-    grid by ``_format_ints`` instead, in the same bytes.
+    token is gathered from ``_id_text(0, top + 1)``, top = max(n - 1, 7, m),
+    built once per call: ids are a slice of it, every other column a
+    gather, the separators go into the last byte of each word and one
+    translate drops the NULs.  ``_require_table`` refuses a ball the table
+    cannot write before the header.
     """
+    top = max(ball.n - 1, DEGREE, ball.radius)
+    _require_table(ball, top)
     yield f"HEPTABALL v2 m={ball.radius} n={ball.n}\n".encode("ascii")
-    top = _table_top(ball.n, ball.radius)
-    table = None if top is None else _id_text(0, top + 1)
+    table = _id_text(0, top + 1)
     for lo in range(0, ball.n, _WRITE_ROWS):
         hi = min(lo + _WRITE_ROWS, ball.n)
         ptr = ball.indptr[lo:hi + 1]
         length = np.diff(ptr)
         longest = int(length.max())
-        level, vtype = ball.level[lo:hi], ball.vtype[lo:hi]
-        nbrs = ball.indices[ptr[0]:ptr[-1]]
         # the separators of a line with k neighbors, k = 0..longest
         seps = np.tri(longest + 1, 4 + longest, 3, dtype=np.uint8) * ord(" ")
         np.fill_diagonal(seps[:, 3:], ord("\n"))
         seps = seps.take(length, axis=0)
-        slots = seps[:, 4:] != 0  # the neighbor slots in use
-        if table is not None and longest <= DEGREE and all(
-                _within(x, top) for x in (level, vtype, nbrs)):
-            words = np.zeros(seps.shape, dtype=np.uint64)
-            words[:, 0] = table[lo:hi]
-            words[:, 1] = table[level]
-            words[:, 2] = table[vtype]
-            words[:, 3] = table[DEGREE - length]
-            words[:, 4:][slots] = table[nbrs]
-            words.view(np.uint8)[:, 7::8] = seps
-            yield words.tobytes().translate(None, b"\0")
-            continue
-        grid = np.zeros(seps.shape, dtype=np.int64)
-        grid[:, 0] = np.arange(lo, hi)
-        grid[:, 1] = level
-        grid[:, 2] = vtype
-        grid[:, 3] = DEGREE - length
-        grid[:, 4:][slots] = nbrs
-        yield _format_ints(grid, seps)
+        words = np.zeros(seps.shape, dtype=table.dtype)
+        words[:, 0] = table[lo:hi]
+        words[:, 1] = table[ball.level[lo:hi]]
+        words[:, 2] = table[ball.vtype[lo:hi]]
+        words[:, 3] = table[DEGREE - length]
+        words[:, 4:][seps[:, 4:] != 0] = table[ball.indices[ptr[0]:ptr[-1]]]
+        words.view(np.uint8)[:, table.itemsize - 1::table.itemsize] = seps
+        yield words.tobytes().translate(None, b"\0")
 
 
 def serialize_ball(ball: Ball) -> bytes:

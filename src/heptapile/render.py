@@ -7,7 +7,8 @@ deterministic: fixed 6-decimal coordinates, cells in vertex-id order.
 
 Every number in the picture (corners, the centers of cells with fewer than
 three corners, line ends, the disk outline) is written by ``_format_fixed``,
-a numpy kernel whose text is byte for byte ``f"{x:.6f}"``.  It rounds the
+whose text is byte for byte ``f"{x:.6f}"``; its digits come from the digit
+kernel that writes every file format, ``ball._write_digits``.  It rounds the
 float ``x * 1e6`` half to even with ``np.rint``, where Python rounds the
 exact decimal product; the two can part only when the float product lies
 within one ulp of a half, and those values (with products of 2**52 or more,
@@ -27,6 +28,7 @@ import warnings
 
 import numpy as np
 
+from .ball import _write_digits
 from .geometry import Embedding, radial_scale
 
 DEFAULT_PALETTE = {
@@ -107,15 +109,17 @@ def _format_fixed(values, seps) -> bytes:
     ``values`` is a float array of any shape and ``seps`` a uint8 array of
     nonzero separator bytes that broadcasts to it, written in row-major
     order.  A value's magnitude scaled to millionths, ``rint(|x| * 1e6)``
-    (half to even), is written like ``ball._format_ints`` writes an integer:
-    one row of a zero-filled byte matrix per value, right-aligned against its
-    separator, six fraction digits after a point, whole digits NUL-padded on
-    the left, a sign where the sign bit is set, and one translate drops the
-    NULs.  Python rounds the exact decimal value of ``x * 1e6`` where this
-    rounds the float product, which is within half an ulp of it, so the two
-    can differ only near a half: a value whose product lies within one ulp
-    of a half, a product of 2**52 or more, nan and inf are written by
-    ``str.format`` instead, right-aligned in their rows.
+    (half to even), is split into whole and fraction parts, and the digit
+    kernel ``ball._write_digits`` writes both into one row of a zero-filled
+    byte matrix per value, right-aligned against its separator: the
+    fraction plus 10**6 into seven columns, whose leading 1 the point
+    overwrites, and the whole part left of the point, NUL-padded on the
+    left.  A sign goes where the sign bit is set, and one translate drops
+    the NULs.  Python rounds the exact decimal value of ``x * 1e6`` where
+    this rounds the float product, which is within half an ulp of it, so
+    the two can differ only near a half: a value whose product lies within
+    one ulp of a half, a product of 2**52 or more, nan and inf are written
+    by ``str.format`` instead, right-aligned in their rows.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     seps = np.broadcast_to(seps, np.shape(values)).ravel()
@@ -136,21 +140,11 @@ def _format_fixed(values, seps) -> bytes:
     width = max(int(sign.any()) + digits + 7, max(map(len, spelled), default=0)) + 1
     text = np.zeros((x.size, width), dtype=np.uint8)
     text[:, -1] = seps
-    for col in range(width - 2, width - 8, -1):
-        quot = frac // 10
-        frac -= 10 * quot
-        frac += ord("0")
-        text[:, col] = frac
-        frac = quot
+    # the fraction is written with a leading 1, which keeps its leading
+    # zeros, and the point takes the 1's column
+    _write_digits(frac + 10**6, True, text[:, width - 8:width - 1])
     text[:, width - 8] = ord(".")
-    write = True
-    for col in range(width - 9, width - 9 - digits, -1):
-        quot = whole // 10
-        whole -= 10 * quot
-        whole += ord("0")
-        np.multiply(whole, write, out=text[:, col], casting="unsafe")
-        whole = quot
-        write = whole != 0
+    _write_digits(whole, True, text[:, width - 8 - digits:width - 8])
     neg = np.flatnonzero(sign)
     text[neg, width - 1 - np.count_nonzero(text[neg], axis=1)] = ord("-")
     for row, word in zip(odd.tolist(), spelled):

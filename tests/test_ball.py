@@ -11,8 +11,8 @@ from heptapile import (DEGREE, Ball, CapacityError, FormatError, InvariantError,
                        level_counts, load_ball, load_odometer, load_state, relax,
                        save_ball, save_odometer, save_state, validate_ball)
 from heptapile import ball as ball_module
-from heptapile.ball import (_check_stream, _format_ints, _id_text, _sign, _table_top,
-                            deserialize_ball, link_cycles, serialize_ball)
+from heptapile.ball import (_ball_lines, _check_stream, _csr_size, _format_ints, _id_text,
+                            _sign, deserialize_ball, link_cycles, serialize_ball)
 
 # |ball(m)| for m = 0..12, from the Fibonacci closed form, frozen
 SIZES = [1, 8, 29, 85, 232, 617, 1625, 4264, 11173, 29261, 76616, 200593,
@@ -510,77 +510,91 @@ def test_integer_writer_writes_each_live_value_then_its_separator():
     check()
 
 
-def test_hand_built_ball_writes_its_arrays():
-    # an unvalidated ball: an 8-entry row, an empty row, and ids no uint32
-    # or a 7-neighbor grid can hold
-    rows = [[1, 2, 3, 4, 5, 6, 7, 2**31 - 1], [-5, 0], [], [-2**31, 0, 2]]
-    b = Ball(1, np.array([0, 1, 1, 1], dtype=np.int32),
-             np.array([0, 1, 2, 1], dtype=np.int8),
-             np.cumsum([0] + [len(r) for r in rows]).astype(np.int64),
-             np.array([w for r in rows for w in r], dtype=np.int32))
-    lines = "".join(" ".join(map(str, [v, b.level[v], b.vtype[v], DEGREE - len(r)] + r))
-                    + "\n" for v, r in enumerate(rows))
-    assert serialize_ball(b) == _sign(("HEPTABALL v2 m=1 n=4\n" + lines).encode("ascii"))
-
-
-def test_id_text_words_hold_each_value_in_decimal(monkeypatch):
-    # a word is the value's digits right-aligned in bytes 0-6 after NULs,
-    # byte 7 left for the separator; ranges around each digit boundary,
-    # filled 3 values at a time
-    monkeypatch.setattr(ball_module, "_BLOCK", 3)
-    edges = [0, 10**7 - 1] + [10**k + d for k in range(1, 7) for d in (-1, 0)]
-    for v in edges:
-        lo, hi = max(v - 4, 0), min(v + 5, 10**7)
-        words = _id_text(lo, hi)
-        assert words.dtype == np.uint64 and words.shape == (hi - lo,)
-        for x, word in zip(range(lo, hi), words.view(np.uint8).reshape(-1, 8)):
-            assert word.tobytes() == str(x).encode("ascii").rjust(7, b"\0") + b"\0"
-
-
-def test_id_text_table_stops_at_seven_digits():
-    # radius 15's last id has 7 digits, radius 16's (24,672,040 vertices) 8
-    assert _table_top(1, 0) == DEGREE
-    assert _table_top(8, 1) == DEGREE
-    assert _table_top(ball_size(15), 15) == ball_size(15) - 1 == 9_423_876
-    assert _table_top(10**7, 15) == 10**7 - 1
-    assert _table_top(10**7 + 1, 15) is None
-    assert ball_size(16) == 24_672_040 and _table_top(ball_size(16), 16) is None
-
-
-def test_chunks_in_and_out_of_the_id_text_table(monkeypatch):
-    # chunks of 3 lines: those holding a value outside 0..top (top = 29
-    # here) or a row of 8 entries are written by _format_ints, the others
-    # from the id text table, and the file is _format_ints on the whole grid
-    rows = [[1, 2], [0, 3, 4, 5, 6, 7, 8], []] * 10
-    level = [0, 1, 1] * 10
-    vtype = [0, 1, 2] * 10
-    rows[4] = [0, -1]                       # chunk 1: a negative id
-    rows[9] = [2**31 - 1]                   # chunk 3: far beyond the table
-    rows[15] = [1, 2, 3, 4, 5, 6, 7, 8]     # chunk 5: an 8-entry row
-    level[23] = -3                          # chunk 7: a negative level
-    vtype[29] = 30                          # chunk 9: one past the table
-    n, longest = len(rows), max(map(len, rows))
+def hand_built(rows, level, vtype):
+    """An unvalidated ball of radius 1 with these rows, and its vertex lines."""
     b = Ball(1, np.array(level, dtype=np.int32), np.array(vtype, dtype=np.int8),
              np.cumsum([0] + [len(r) for r in rows]).astype(np.int64),
              np.array([w for r in rows for w in r], dtype=np.int32))
-    assert _table_top(b.n, b.radius) == 29
-    grid = np.zeros((n, 4 + longest), dtype=np.int64)
-    seps = np.zeros(grid.shape, dtype=np.uint8)
-    for v, r in enumerate(rows):
-        grid[v, :4 + len(r)] = [v, level[v], vtype[v], DEGREE - len(r)] + r
-        seps[v, :4 + len(r)] = ord(" ")
-        seps[v, 3 + len(r)] = ord("\n")
-    calls = []
+    lines = "".join(" ".join(map(str, [v, level[v], vtype[v], DEGREE - len(r)] + r))
+                    + "\n" for v, r in enumerate(rows))
+    return b, f"HEPTABALL v2 m=1 n={len(rows)}\n{lines}".encode("ascii")
 
-    def counted(values, seps):
-        calls.append(values[0, 0])
-        return _format_ints(values, seps)
 
+def test_hand_built_ball_writes_its_arrays(tmp_path):
+    # an unvalidated ball writes its own arrays, an empty row and a 7-entry
+    # row included, while the id text table (0..7 here) holds every value;
+    # any other ball is refused, and save_ball leaves no file for it
+    rows = [[1, 2, 3, 4, 5, 6, 7], [0, 3], [], [0, 2]]
+    level, vtype = [0, 1, 1, 1], [0, 1, 2, 1]
+    b, text = hand_built(rows, level, vtype)
+    assert serialize_ball(b) == _sign(text)
+    refused = [
+        ("indices", rows[:1] + [[-5, 0]] + rows[2:], level, vtype),
+        ("indices", rows[:3] + [[0, 2**31 - 1]], level, vtype),
+        ("indptr", [[1, 2, 3, 4, 5, 6, 7, 0]] + rows[1:], level, vtype),
+        ("level", rows, [0, 1, -1, 1], vtype),
+        ("vtype", rows, level, [0, 1, 2, 8]),
+    ]
+    for k, (name, *arrays) in enumerate(refused):
+        b, _ = hand_built(*arrays)
+        with pytest.raises(ValueError, match=f"ball {name} holds"):
+            serialize_ball(b)
+        path = tmp_path / f"refused-{k}.heptaball"
+        with pytest.raises(ValueError, match=f"ball {name} holds"):
+            save_ball(b, path)
+        assert not path.exists()
+
+
+def test_id_text_words_hold_each_value_in_decimal(monkeypatch):
+    # a word is the value's digits right-aligned after NULs and a last
+    # byte left for the separator, 8 bytes while the range's last value has
+    # at most 7 digits and 16 beyond; ranges below and around each digit
+    # boundary up to the largest int32 id, filled 3 values at a time
+    monkeypatch.setattr(ball_module, "_BLOCK", 3)
+    ranges = [(0, 9), (2**31 - 5, 2**31)]
+    ranges += [(10**k - 4, 10**k + d) for k in range(1, 10) for d in (0, 5)]
+    for lo, hi in ranges:
+        words = _id_text(lo, hi)
+        size = 8 if hi <= 10**7 else 16
+        assert words.itemsize == size and words.shape == (hi - lo,)
+        for x, word in zip(range(lo, hi), words.view(np.uint8).reshape(-1, size)):
+            assert word.tobytes() == str(x).encode("ascii").rjust(size - 1, b"\0") + b"\0"
+
+
+def test_id_text_words_widen_at_eight_digits():
+    # 8-byte words through 9,999,999 and 16-byte words from 10,000,000:
+    # radius 15's last id has 7 digits, radius 16's (24,672,040 vertices) 8
+    assert _id_text(10**7 - 1, 10**7).itemsize == 8
+    assert _id_text(10**7, 10**7 + 1).itemsize == 16
+    for m, size in ((15, 8), (16, 16)):
+        n = _csr_size(m)[0]
+        assert max(n - 1, DEGREE, m) == n - 1
+        assert _id_text(n - 1, n).itemsize == size
+    assert _csr_size(15)[0] == 9_423_877 and _csr_size(16)[0] == 24_672_040
+
+
+def test_ball_is_refused_before_its_header_whatever_chunk_holds_the_fault(monkeypatch):
+    # chunks of 3 lines, every one written from the id text table (0..29
+    # here); a value the table cannot write, in any chunk, refuses the ball
+    # before its header is yielded
+    rows = [[1, 2], [0, 3, 4, 5, 6, 7, 8], []] * 10
+    level, vtype = [0, 1, 1] * 10, [0, 1, 2] * 10
     monkeypatch.setattr(ball_module, "_WRITE_ROWS", 3)
-    monkeypatch.setattr(ball_module, "_format_ints", counted)
-    blob = serialize_ball(b)
-    assert calls == [3, 9, 15, 21, 27]  # the first id of each chunk written so
-    assert blob == _sign(b"HEPTABALL v2 m=1 n=30\n" + _format_ints(grid, seps))
+    b, text = hand_built(rows, level, vtype)
+    chunks = list(_ball_lines(b))
+    assert len(chunks) == 11 and b"".join(chunks) == text
+
+    def changed(seq, at, value):
+        return seq[:at] + [value] + seq[at + 1:]
+
+    for name, arrays in (
+            ("indices", (changed(rows, 4, [0, -1]), level, vtype)),        # chunk 1
+            ("indices", (changed(rows, 9, [2**31 - 1]), level, vtype)),    # chunk 3
+            ("indptr", (changed(rows, 15, list(range(1, 9))), level, vtype)),  # chunk 5
+            ("level", (rows, changed(level, 23, -3), vtype)),              # chunk 7
+            ("vtype", (rows, level, changed(vtype, 29, 30)))):             # chunk 9
+        with pytest.raises(ValueError, match=f"ball {name} holds"):
+            next(_ball_lines(hand_built(*arrays)[0]))
 
 
 def _check_whole(data):
