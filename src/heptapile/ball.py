@@ -23,6 +23,8 @@ trusted.
 arithmetic over the rings' type vectors, with no edge list and no sort, and
 ``validate_ball`` checks it in two passes over blocks of rows, vertices first
 and entries second, so neither holds more than a few MiB beside the ball.
+It reads the ids it checks by ``take`` and ``compress``, not by fancy or
+boolean indexing, which numpy runs slower on these int32 and int8 arrays.
 
 Every file format ends in a ``CHECK`` line holding the BLAKE2b-64 digest of
 the bytes before it; ``_sign`` and ``_write_signed`` write that line and
@@ -326,7 +328,10 @@ def validate_ball(ball: Ball) -> None:
     the second checks each block's entries, finding each forward entry's
     source in its target's row to check symmetry.  Each check raises where
     it fails, so the message names the first failing check of the first
-    failing block of a pass.
+    failing block of a pass.  The second pass gathers by ``take`` and
+    ``compress``, derives the self-loop, forward and ring-gap tests from
+    one array of ``u - w`` per block, and takes the shortest target row's
+    length once per block for all its probes.
 
     The checks are necessary, not sufficient: crossing two up-edges x-y and
     z-w into x-w and z-y, in all four rows, keeps every one of them on a
@@ -400,21 +405,24 @@ def _check_rows(ball: Ball, ring_len: np.ndarray, balanced: bool, lo: int, hi: i
     deg = np.diff(ptr)
     row = np.repeat(np.arange(hi - lo, dtype=idx.dtype), deg)  # each entry's, from lo
     u = row + lo
-    if np.any(u == idx):
+    diff = u - idx  # 0 on a self-loop, negative on a forward entry (u < w)
+    if not diff.all():
         raise InvariantError("self-loop")
     if np.any((idx[1:] <= idx[:-1]) & (row[1:] == row[:-1])):
         raise InvariantError("adjacency rows must be strictly ascending")
-    # the source of each forward entry (u < w) must be stored in the row of
-    # w, among its entries from indptr[w]; sources sit low in ascending
-    # rows, so the probes stop once every source is found
-    forward = idx > u
-    source, target = u[forward], idx[forward]
-    start, stored = ball.indptr[target], ball.indptr[1:][target]
+    # the source of each forward entry must be stored in the row of w,
+    # among its entries from indptr[w]; sources sit low in ascending rows,
+    # so the probes stop once every source is found
+    forward = diff < 0
+    source, target = u.compress(forward), idx.compress(forward)
+    start = ball.indptr.take(target)
+    stored = ball.indptr[1:].take(target)
     stored -= start
+    shortest = stored.min(initial=DEGREE)
     found = np.zeros(source.size, dtype=bool)
     for k in range(DEGREE):
         hit = indices.take(start, mode="clip") == source
-        if k >= stored.min(initial=DEGREE):
+        if k >= shortest:
             hit &= stored > k
         found |= hit
         if found.all():
@@ -423,7 +431,7 @@ def _check_rows(ball: Ball, ring_len: np.ndarray, balanced: bool, lo: int, hi: i
     if not (balanced and found.all()):
         raise InvariantError("adjacency is not symmetric")
     lvl = ball.level
-    dl = lvl[idx] - np.repeat(lvl[lo:hi], deg)
+    dl = lvl.take(idx) - np.repeat(lvl[lo:hi], deg)
     if np.any(np.abs(dl) > 1):
         raise InvariantError("edge spans more than one level")
     # per row: entries one level down, on the same level, one level up
@@ -436,9 +444,9 @@ def _check_rows(ball: Ball, ring_len: np.ndarray, balanced: bool, lo: int, hi: i
         raise InvariantError("every ring vertex needs exactly two side edges")
     # side edges must be exactly the consecutive-id pairs of each ring; with
     # side degree 2 everywhere this forces one cycle per level
-    gap = np.abs(u - idx)
+    gap = np.abs(diff, out=diff)
     wrap = (dl == 0) & (gap != 1)
-    if np.any(gap[wrap] != ring_len[lvl[idx[wrap]]] - 1):
+    if np.any(gap.compress(wrap) != ring_len.take(lvl.take(idx.compress(wrap))) - 1):
         raise InvariantError("ring edge between non-consecutive ids")
 
 

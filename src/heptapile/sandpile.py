@@ -12,9 +12,10 @@ and random-order engines share no code with ``relax_batch`` or the wave route:
 ``relax`` walks its queue one generation at a time, each an ascending int
 array of distinct vertices that it topples a slice at a time in numpy,
 reading a one-run slice's neighbor ids in place and any other slice's per
-run in code of its own, adds one grain per neighbor id with ``np.add.at``,
-takes the next generation from one scan of the ids the generation fired or
-fed, and checks the toppling budget once per generation;
+run, or row by row when it holds fewer than ``_LONG_RUN`` ids, in code of
+its own, adds one grain per neighbor id with ``np.add.at``, takes the next
+generation from one scan of the ids the generation fired or fed, and checks
+the toppling budget once per generation;
 ``relax_random`` is the scalar reference, one topple and one grain at a
 time, and draws its choices in blocks of uniform integers and checks the
 budget once per block.  ``relax_batch`` and the wave route topple through
@@ -23,14 +24,16 @@ once: the abelian property lets it scatter a round's grains, one per row
 entry, in slices of fired vertices.  A slice that is one run of consecutive
 ids, as most are from the all-sixes state, fires through slices of the
 grains and the odometer and reads its neighbor ids in place as one block of
-the CSR; any other has its rows read per run in code of its own.  So its
-temporaries beyond the grains, the odometer and the fire sets stay a few MiB
-at any radius, and it collects the next fire set from the span of ids the
-round fired or fed, not from the whole grain array.  The identity check sums
-a block of full rows as seven columns.  Sums of grains are taken a block at
-a time in exact integers.  States and odometers are saved as sparse text files, and a file
-loads only when it is byte for byte what the writer writes for the values it
-holds.
+the CSR; any other has its rows read per run, or row by row when it holds
+fewer than ``_LONG_RUN`` ids, in code of its own.  So its temporaries beyond
+the grains, the odometer and the fire sets stay a few MiB at any radius, and
+it collects the next fire set from the span of ids the round fired or fed,
+not from the whole grain array, with one ``flatnonzero`` when the span fits
+one block.  The identity check ends its blocks at the outer ring's first
+id, so every block of interior rows sums its full rows as seven columns.
+Sums of grains are taken a block at a time in exact integers.  States and
+odometers are saved as sparse text files, and a file loads only when it is
+byte for byte what the writer writes for the values it holds.
 """
 
 from __future__ import annotations
@@ -196,7 +199,11 @@ _QUEUE_SLICE = 1 << 14
 # 0.5-0.7 / 0.04-0.05 ms copied (best of 5 x 50 calls, two runs), so the
 # two meet between 42 and 56 entries, about 7 vertices.  From the all-sixes
 # state nearly every slice is a few whole rings or arcs; a random state's
-# slices are mostly runs of one or two vertices
+# slices are mostly runs of one or two vertices.  A slice of fewer than
+# _LONG_RUN ids holds fewer than 7 * _LONG_RUN entries, and its rows are
+# read one by one with no run detection, whose fixed numpy calls cost more
+# there than the gather: a 60-id slice at radius 6 took 37 us cut into runs
+# and 16-19 us row by row
 _LONG_RUN = 64
 
 # rows per block of _check_identity, which bounds its entry-sized gather
@@ -211,27 +218,30 @@ def _check_identity(before: np.ndarray, after: np.ndarray,
                     ball: Ball, counts: np.ndarray) -> None:
     """Require ``after == before + laplacian(counts)``, a block of rows at a time.
 
-    A block's neighbor ids are widened to intp once for their gather.  When
-    every row of the block holds ``DEGREE`` entries, as in all but the outer
-    rings, the gathered counts are summed as ``DEGREE`` columns; other
-    blocks sum each row's counts with ``np.add.reduceat``.
+    Blocks end at the outer ring's first id, so no block holds interior and
+    outer rows together.  A block's counts are gathered by ``take`` on its
+    neighbor ids.  When every row of the block holds ``DEGREE`` entries, as
+    in all but the outer rings, the gathered counts are summed as
+    ``DEGREE`` columns; other blocks sum each row's counts with
+    ``np.add.reduceat``.
     """
     ptr, idx = ball.indptr, ball.indices
-    for lo in range(0, ball.n, _IDENTITY_ROWS):
-        hi = min(lo + _IDENTITY_ROWS, ball.n)
-        a, b = ptr[lo], ptr[hi]
-        # grains each vertex received: one per topple of each stored neighbor
-        got = counts[idx[a:b].astype(np.intp)]
-        if (np.diff(ptr[lo:hi + 1]) == DEGREE).all():
-            rows = got.reshape(-1, DEGREE)
-            gain = rows[:, 0] + rows[:, 1]
-            for j in range(2, DEGREE):
-                gain += rows[:, j]
-        else:
-            gain = np.add.reduceat(got, ptr[lo:hi] - a) if b > a else 0
-        if not np.array_equal(after[lo:hi],
-                              before[lo:hi] + gain - DEGREE * counts[lo:hi]):
-            raise InvariantError("relaxed state differs from start + laplacian(odometer)")
+    outer = int(ball.level_start[ball.radius])
+    for first, end in ((0, outer), (outer, ball.n)):
+        for lo in range(first, end, _IDENTITY_ROWS):
+            hi = min(lo + _IDENTITY_ROWS, end)
+            a, b = ptr[lo], ptr[hi]
+            # grains each vertex received: one per topple of each stored neighbor
+            got = counts.take(idx[a:b])
+            if (ptr[lo + 1:hi + 1] - ptr[lo:hi] == DEGREE).all():
+                rows = got.reshape(-1, DEGREE)
+                gain = rows[:, 0] + rows[:, 1]
+                for j in range(2, DEGREE):
+                    gain += rows[:, j]
+            else:
+                gain = np.add.reduceat(got, ptr[lo:hi] - a) if b > a else 0
+            if (before[lo:hi] + gain - DEGREE * counts[lo:hi] != after[lo:hi]).any():
+                raise InvariantError("relaxed state differs from start + laplacian(odometer)")
 
 
 def _budget(grains: np.ndarray) -> int:
@@ -242,25 +252,30 @@ def _budget(grains: np.ndarray) -> int:
 def _queue_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The neighbor ids of the ids ``f``, their CSR rows concatenated in order, as a new array.
 
-    ``f`` is cut into maximal runs in which each id is one more than the
-    last; a run's rows are one block of ``idx``.  When the runs average
-    ``_LONG_RUN`` row entries or more, each block is copied as a slice;
-    otherwise one ``np.repeat`` over the runs expands the blocks' positions
-    and one gather reads them.  The result never shares memory with
-    ``idx``.  ``relax`` alone calls this, for slices of more than one run.
+    A slice of fewer than ``_LONG_RUN`` ids takes each id's row as its own
+    block, with no run detection.  A larger one is cut into maximal runs in
+    which each id is one more than the last; a run's rows are one block of
+    ``idx``.  When the blocks average ``_LONG_RUN`` row entries or more,
+    each is copied as a slice; otherwise one ``np.repeat`` over the blocks
+    expands their positions and one ``take`` reads them.  The result never
+    shares memory with ``idx``.  ``relax`` alone calls this, for slices of
+    more than one run.
     """
-    head = np.empty(f.size, dtype=bool)  # where a run starts
-    head[:1] = True
-    np.not_equal(f[1:], f[:-1] + 1, out=head[1:])
-    tail = np.empty(f.size, dtype=bool)  # where a run ends
-    tail[:-1] = head[1:]
-    tail[-1:] = True
-    start, stop = ptr[f[head]], ptr[f[tail] + 1]
+    if f.size < _LONG_RUN:
+        start, stop = ptr.take(f), ptr[1:].take(f)
+    else:
+        head = np.empty(f.size, dtype=bool)  # where a run starts
+        head[:1] = True
+        np.not_equal(f[1:], f[:-1] + 1, out=head[1:])
+        tail = np.empty(f.size, dtype=bool)  # where a run ends
+        tail[:-1] = head[1:]
+        tail[-1:] = True
+        start, stop = ptr.take(f.compress(head)), ptr[1:].take(f.compress(tail))
     length = stop - start
     total = int(length.sum())
     if total >= _LONG_RUN * length.size:
         return np.concatenate([idx[a:b] for a, b in zip(start.tolist(), stop.tolist())])
-    return idx[np.repeat(start - np.cumsum(length) + length, length) + np.arange(total)]
+    return idx.take(np.repeat(start - np.cumsum(length) + length, length) + np.arange(total))
 
 
 def relax(state: State) -> RelaxResult:
@@ -325,9 +340,13 @@ def relax(state: State) -> RelaxResult:
 def _ids(mask: np.ndarray, lo: int = 0) -> np.ndarray:
     """``lo`` plus the positions of the true entries of ``mask``, ascending, as int32.
 
-    Collected a block of the mask at a time, which spares an int64 id array
-    as large as the mask.
+    A mask of at most ``_FIRE_BLOCK`` entries takes one ``flatnonzero``; a
+    longer one is collected a block at a time, which spares an int64 id
+    array as large as the mask.
     """
+    if mask.size <= _FIRE_BLOCK:
+        # ids are below n < 2**31, so the int64 sums fit int32
+        return np.add(np.flatnonzero(mask), lo, dtype=np.int32, casting="unsafe")
     ids = np.empty(np.count_nonzero(mask), dtype=np.int32)
     at = 0
     for block in range(0, mask.size, _FIRE_BLOCK):
@@ -342,21 +361,26 @@ def _round_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray
     """The neighbor ids of the ids ``f`` (at least one), their CSR rows concatenated in order.
 
     Consecutive ids have adjacent rows, so each run of them is one block of
-    ``idx``.  Runs that average ``_LONG_RUN`` row entries or more are copied
-    a block at a time; shorter ones are read through positions that one
-    ``np.repeat`` over the runs expands.  The round kernel reads a slice of
-    one run in place and calls this for the others.  The round kernel's own
-    code: the queue engine gathers its rows in ``_queue_gather``.
+    ``idx``; a slice of fewer than ``_LONG_RUN`` ids skips finding its runs
+    and takes each id's row as a block.  Blocks that average ``_LONG_RUN``
+    row entries or more are copied one at a time; shorter ones are read by
+    ``take`` through positions that one ``np.repeat`` over the blocks
+    expands.  The round kernel reads a slice of one run in place and calls
+    this for the others.  The round kernel's own code: the queue engine
+    gathers its rows in ``_queue_gather``.
     """
-    step = np.flatnonzero(np.diff(f) != 1)  # the last index of every run but the final one
-    first = f[np.concatenate(([0], step + 1))]
-    last = f[np.append(step, f.size - 1)]
-    lo, hi = ptr[first], ptr[last + 1]
+    if f.size < _LONG_RUN:
+        first = last = f
+    else:
+        step = np.flatnonzero(np.diff(f) != 1)  # the last index of every run but the final one
+        first = f.take(np.concatenate(([0], step + 1)))
+        last = f.take(np.append(step, f.size - 1))
+    lo, hi = ptr.take(first), ptr[1:].take(last)
     width = hi - lo
-    end = np.cumsum(width)  # where each run's entries end in the output
+    end = np.cumsum(width)  # where each block's entries end in the output
     if end[-1] >= _LONG_RUN * width.size:
         return np.concatenate([idx[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
-    return idx[np.arange(end[-1]) + np.repeat(lo + width - end, width)]
+    return idx.take(np.arange(end[-1]) + np.repeat(lo + width - end, width))
 
 
 def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,

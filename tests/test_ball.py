@@ -802,6 +802,132 @@ def test_validate_checks_rows_without_entries():
         validate_ball(b)
 
 
+def _from_rows(b: Ball, rows, level=None, vtype=None) -> Ball:
+    """A ball with ``b``'s radius, levels and types (unless given) and these rows."""
+    indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int32)
+    return Ball(b.radius, b.level if level is None else level,
+                b.vtype if vtype is None else vtype, indptr,
+                np.concatenate([np.array(r, dtype=np.int32) for r in rows]))
+
+
+def _rewired(b: Ball, cut, join) -> Ball:
+    """``b`` without the edges ``cut`` and with the edges ``join``, in both rows each."""
+    rows = [set(b.neighbors(v).tolist()) for v in range(b.n)]
+    for x, y in cut:
+        rows[x].remove(y)
+        rows[y].remove(x)
+    for x, y in join:
+        assert y not in rows[x]
+        rows[x].add(y)
+        rows[y].add(x)
+    return _from_rows(b, [sorted(r) for r in rows])
+
+
+def _fault_balls(b: Ball) -> dict:
+    """The radius-3 ball ``b`` with one fault for each check of ``validate_ball``,
+    keyed by the message that check raises.
+
+    A fault in two rows either shows in the root's row, which every block
+    size puts in the first block, or breaks no check of the earlier row.
+    """
+    assert b.radius == 3
+    n, starts = b.n, b.level_start
+    rows = [b.neighbors(v).tolist() for v in range(n)]
+    adjacent = [set(r) for r in rows]
+    faults = {}
+
+    faults["levels must run from 0 at the root to the radius"] = Ball(
+        b.radius + 1, b.level, b.vtype, b.indptr, b.indices)
+    faults["indptr does not delimit the adjacency rows"] = Ball(
+        b.radius, b.level, b.vtype, b.indptr, np.append(b.indices, 1))
+    level = b.level.copy()
+    level[3] = 0
+    faults["levels must rise by 0 or 1 per id"] = Ball(
+        b.radius, level, b.vtype, b.indptr, b.indices)
+    for value, message in ((VertexType.ZEROTH, "type 0 must appear exactly at the root"),
+                           (3, "unknown vertex type")):
+        vtype = b.vtype.copy()
+        vtype[5] = value
+        faults[message] = Ball(b.radius, b.level, vtype, b.indptr, b.indices)
+    # row 1 takes row 2's last entry: 8 entries, before the 6 of row 2
+    moved = [list(r) for r in rows]
+    moved[1].append(moved[2].pop())
+    faults["row length out of 0..7"] = _from_rows(b, moved)
+    # the last interior row hands its last entry to the first outer row
+    indptr = b.indptr.copy()
+    indptr[starts[3]] -= 1
+    faults["interior rows must have 7 entries"] = Ball(
+        b.radius, b.level, b.vtype, indptr, b.indices)
+    idx = b.indices.copy()
+    idx[-1] = n
+    faults["neighbor id out of range"] = Ball(b.radius, b.level, b.vtype, b.indptr, idx)
+
+    faults["self-loop"] = _from_rows(b, [[0] + rows[0][:-1]] + rows[1:])
+    faults["adjacency rows must be strictly ascending"] = _from_rows(
+        b, [[2, 1] + rows[0][2:]] + rows[1:])
+    # the root's last neighbor becomes a level-2 vertex whose row lacks it
+    faults["adjacency is not symmetric"] = _from_rows(b, [rows[0][:-1] + [8]] + rows[1:])
+    # cross 0-7 and x-y into 0-x and 7-y, x on level 2
+    x, y = next((x, y) for x in range(int(starts[2]), int(starts[3])) if x not in adjacent[7]
+                for y in rows[x] if y not in adjacent[7] | {0, 7})
+    faults["edge spans more than one level"] = _rewired(b, [(0, 7), (x, y)], [(0, x), (7, y)])
+    vtype = b.vtype.copy()
+    vtype[int(starts[2])] = 3 - vtype[int(starts[2])]
+    faults["down-degree disagrees with vertex type"] = Ball(
+        b.radius, b.level, vtype, b.indptr, b.indices)
+    # cross the side edge x-(x+1) and z's up edge z-w into x-w and z-(x+1),
+    # z on x's ring: every down-degree holds, x has one side edge and z three
+    x = int(starts[2])
+    z, w = next((z, w) for z in range(x + 3, int(starts[3]))
+                for w in rows[z] if b.level[w] == 3 and w not in adjacent[x])
+    faults["every ring vertex needs exactly two side edges"] = _rewired(
+        b, [(x, x + 1), (z, w)], [(x, w), (z, x + 1)])
+    # cross the ring edges a-(a+1) and (a+4)-(a+5) into a-(a+4) and (a+1)-(a+5)
+    a = int(starts[2]) + 2
+    faults["ring edge between non-consecutive ids"] = _rewired(
+        b, [(a, a + 1), (a + 4, a + 5)], [(a, a + 4), (a + 1, a + 5)])
+    return faults
+
+
+def _wrong_population(b: Ball) -> Ball:
+    """A radius-2 graph that passes every per-row check of ``validate_ball``
+    but holds 12 type-1 and 8 type-2 vertices on ring 2, not 14 and 7.
+
+    Each ring-1 vertex holds an arc of four ring-2 positions, and its arc
+    overlaps the next arc in one position, except arcs 0 and 1, which share
+    two; a position in two arcs has two parents.
+    """
+    assert b.radius == 2
+    size = 20
+    arcs = [[(start + k) % size for k in range(4)] for start in (0, 2, 5, 8, 11, 14, 17)]
+    parents = [[1 + i for i, arc in enumerate(arcs) if p in arc] for p in range(size)]
+    rows = [list(range(1, 8))]
+    for i, arc in enumerate(arcs):
+        rows.append(sorted([0, 1 + (i - 1) % 7, 1 + (i + 1) % 7] + [8 + p for p in arc]))
+    for p in range(size):
+        rows.append(sorted(parents[p] + [8 + (p - 1) % size, 8 + (p + 1) % size]))
+    level = np.array([0] + [1] * 7 + [2] * size, dtype=np.int8)
+    vtype = np.array([0] + [1] * 7 + [len(ps) for ps in parents], dtype=np.int8)
+    return _from_rows(b, rows, level, vtype)
+
+
+@pytest.mark.parametrize("block", [None, 1, 3, 7])
+def test_validate_names_each_fault(monkeypatch, ball_cache, block):
+    # one fault per check: each ball must fail that check alone, so the
+    # message is the same whatever the block size and the order of the
+    # blocks a pass walks
+    if block:
+        monkeypatch.setattr(ball_module, "_BLOCK", block)
+    faults = _fault_balls(ball_cache(3))
+    faults["ring 2 has 12/8 vertices of type 1/2, expected 14/7"] = _wrong_population(
+        ball_cache(2))
+    assert len(faults) == 16
+    for message, faulty in faults.items():
+        with pytest.raises(InvariantError) as caught:
+            validate_ball(faulty)
+        assert str(caught.value) == message
+
+
 def _reject_single_entry_changes(examples: int) -> None:
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")

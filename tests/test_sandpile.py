@@ -164,8 +164,9 @@ def test_identity_check_sums_full_rows_by_columns(ball_cache, monkeypatch):
     # a block whose rows all hold 7 entries is summed as seven columns and
     # any other per row, decided from the row lengths, not their sum: an
     # odometer off by one is caught in a block of full rows, in an outer-ring
-    # block, in a block that straddles the last two rings, next to a row of
-    # 8, and in a block whose rows of 8 and 6 sum to 7 per row
+    # block, on both sides of the outer ring's first id, where a block that
+    # would straddle the last two rings is cut, next to a row of 8, and in a
+    # block whose rows of 8 and 6 sum to 7 per row
     rng = np.random.default_rng(5)
     b = ball_cache(6)
     outer = int(b.level_start[6])
@@ -197,7 +198,7 @@ def test_identity_check_sums_full_rows_by_columns(ball_cache, monkeypatch):
                 sandpile._check_identity(before, after, ball, bad)
     widths = np.diff(b.indptr)
     assert (widths[:64] == DEGREE).all() and (widths[-64:] < DEGREE).all()
-    assert (outer - 10) < outer < 2 * (outer - 10)  # the second block straddles
+    assert (outer - 10) < outer < 2 * (outer - 10)  # the second block is cut at outer
     assert np.diff(linked.indptr)[0] == 8
     assert np.diff(faked.indptr)[:8].tolist() == [7, 6, 8, 7, 7, 7, 7, 7]
 
@@ -672,6 +673,43 @@ def test_round_gather_returns_the_rows(ball_cache, monkeypatch):
             assert got.tolist() == np.concatenate([b.neighbors(v) for v in f]).tolist()
 
     check()
+
+
+def test_gathers_read_small_and_large_slices_alike(ball_cache, monkeypatch):
+    # a slice of fewer than _LONG_RUN ids is read row by row, a larger one
+    # per run of consecutive ids, each run copied or gathered: with
+    # _LONG_RUN at 0 every slice is cut into runs and copied, at 8 a short
+    # slice is read row by row and a long one mostly gathered, at 2**40
+    # every slice is read row by row
+    rng = np.random.default_rng(31)
+    for m in range(2, 9):
+        b = ball_cache(m)
+        for size in range(1, min(200, b.n) + 1):
+            # one run, short runs or scattered ids, as the window widens
+            window = min(b.n, size * int(rng.choice([1, 2, 4])))
+            first = int(rng.integers(0, b.n - window + 1))
+            f = np.sort(rng.choice(window, size, replace=False)) + first
+            want = np.concatenate([b.neighbors(v) for v in f]).tolist()
+            for long_run in (0, 8, 1 << 40):
+                monkeypatch.setattr(sandpile, "_LONG_RUN", long_run)
+                got = sandpile._queue_gather(b.indptr, b.indices, f)
+                assert got.tolist() == want
+                assert not np.shares_memory(got, b.indices)
+                assert sandpile._round_gather(b.indptr, b.indices, f).tolist() == want
+
+
+def test_ids_read_one_block_or_many_alike(monkeypatch):
+    # a span of at most _FIRE_BLOCK entries takes one flatnonzero, a longer
+    # one is read a block at a time; ids near 2**31 must not wrap
+    rng = np.random.default_rng(32)
+    for block in (16, sandpile._FIRE_BLOCK):
+        monkeypatch.setattr(sandpile, "_FIRE_BLOCK", block)
+        for size in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+            mask = rng.random(size) < 0.4
+            for lo in (0, 7, 2**31 - 1 - size):
+                got = sandpile._ids(mask, lo)
+                assert got.dtype == np.int32
+                assert got.tolist() == (np.flatnonzero(mask) + lo).tolist()
 
 
 @pytest.mark.parametrize("long_run", [0, 1 << 40], ids=["copied", "gathered"])
