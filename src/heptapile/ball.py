@@ -68,10 +68,12 @@ _UINT32_MAX = 2**32 - 1
 
 # the only memory model, checked by build_ball, which makes every Ball a
 # route receives: 96 bytes per vertex cover the ball (25), a caller's input,
-# state and odometer (8 each) and a route's temporaries.  Process peaks per
-# vertex at radii 15 to 17, ball and input included: relax_batch 60-63 B,
-# wave_relax 49-52 B, bench --methods batch,wave,closed 65 B at radius 17,
-# bench --methods naive,closed 66.5, 61.9 and 60.9 B at radii 15, 16, 17.
+# state and odometer (8 each) and a route's temporaries.  bench process
+# peaks per vertex at radii 15, 16 and 17, ball and closed-form check
+# included: --methods naive,closed 64.5, 60.2 and 59.3 B, batch,closed
+# 63.2, 59.4 and 58.6 B, wave,closed 63.9, 59.4 and 58.6 B and
+# batch,wave,closed 68.1, 65.9 and 65.0 B; each is set while a later
+# method runs, or is compared, beside the first method's result.
 # A lower figure would admit larger balls, so a smaller ball leaves it at 96.
 # Saving or loading a ball holds its id text table beside it, 8 B per
 # vertex through radius 15 (29 MB at 14, 75 MB at 15) and 16 B from radius

@@ -5,7 +5,17 @@ least 7 grains may topple: it loses 7 and each stored neighbor gains 1, so
 boundary vertices leak grains out of the ball.  Relaxation topples until every
 vertex is below 7; the toppling odometer counts topples per vertex, and the
 identity ``relaxed = start + laplacian(odometer)`` is re-checked after every
-run instead of trusted.  By the abelian property three schedules must agree
+run instead of trusted.  ``relax`` and ``relax_batch`` keep their working
+grains as int8 when the start's largest count is at most 120 (127 - 7),
+and as int64 through the same code otherwise.  On a ball from
+``build_ball`` or ``load_ball`` a vertex is listed in at most 7 rows, once
+in each, so in one generation or round a vertex gains at most 7 grains and
+one holding 7 or more fires once: no count passes max(start max, 13) + 7.
+On any other CSR a count may pass 127 and wrap; int8 sums are exact modulo
+256 and a topple takes 7 from 7 or more, so only upward wraps occur, each
+leaving a count 256 short, and the int64 identity check refuses the
+result.  Odometers, states and the budget stay int64.  By the abelian
+property three schedules must agree
 exactly: a FIFO queue (``relax``), rounds that fire every unstable vertex
 once (``relax_batch``) and random legal order (``relax_random``).  The queue
 and random-order engines share no code with ``relax_batch`` or the wave route:
@@ -147,7 +157,8 @@ def topple(state: State, v: int) -> State:
     return State(state.ball, out)
 
 
-# values per block of _exact_sum, which bounds its temporaries
+# values per block of _exact_sum and of the in-place widening of int8
+# grains, which bounds their temporaries
 _SUM_BLOCK = 1 << 16
 
 
@@ -209,6 +220,14 @@ _LONG_RUN = 64
 # rows per block of _check_identity, which bounds its entry-sized gather
 _IDENTITY_ROWS = 1 << 14
 
+# interior rows from which _check_identity cuts its blocks at the outer
+# ring: below it the cut block's fixed numpy calls cost more than its
+# seven-column sums save.  Best of 5 per call from max-stable + root, one
+# block / cut, three runs: radius 4 (85 interior rows) 16 / 29-32 us, 6
+# (617) 39-45 / 51-63 us, 7 (1,625) 81-87 / 86-93 us, 8 (4,264) 199-206 /
+# 188-201 us, 9 (11,173) 579-804 / 541-570 us
+_SPLIT_ROWS = 1 << 12
+
 # vertices per block when _ids collects ids from a mask; a block's int64
 # positions stay in cache until they are written as int32
 _FIRE_BLOCK = 1 << 16
@@ -218,15 +237,19 @@ def _check_identity(before: np.ndarray, after: np.ndarray,
                     ball: Ball, counts: np.ndarray) -> None:
     """Require ``after == before + laplacian(counts)``, a block of rows at a time.
 
-    Blocks end at the outer ring's first id, so no block holds interior and
-    outer rows together.  A block's counts are gathered by ``take`` on its
-    neighbor ids.  When every row of the block holds ``DEGREE`` entries, as
-    in all but the outer rings, the gathered counts are summed as
-    ``DEGREE`` columns; other blocks sum each row's counts with
-    ``np.add.reduceat``.
+    When the ball has ``_SPLIT_ROWS`` interior rows or more, blocks end at
+    the outer ring's first id, so no block holds interior and outer rows
+    together.  A block's counts are gathered by ``take`` on its neighbor
+    ids.  When every row of the block holds ``DEGREE`` entries, as in all
+    but the outer rings, the gathered counts are summed as ``DEGREE``
+    columns; other blocks sum each row's counts with ``np.add.reduceat``.
+    The sums are int64 whatever the dtype of ``after``, so relaxed int8
+    grains that wrapped past 127 differ from them by a multiple of 256.
     """
     ptr, idx = ball.indptr, ball.indices
     outer = int(ball.level_start[ball.radius])
+    if outer < _SPLIT_ROWS:
+        outer = 0  # one run of blocks: too few interior rows to cut them off
     for first, end in ((0, outer), (outer, ball.n)):
         for lo in range(first, end, _IDENTITY_ROWS):
             hi = min(lo + _IDENTITY_ROWS, end)
@@ -300,6 +323,15 @@ def relax(state: State) -> RelaxResult:
     split nor the order within a generation changes a value.  A budget of
     2**62 or more is refused: below it no grain count or odometer entry can
     leave int64, since none exceeds the starting total or the budget.
+
+    The working grains are int8 when the start's largest count is at most
+    120 and int64 otherwise, and the result is int64 either way.  On a ball
+    from ``build_ball`` or ``load_ball`` each vertex is listed in at most 7
+    rows, once in each, and a generation fires each of its vertices once,
+    so a vertex gains at most 7 grains in one and no count passes
+    max(start max, 13) + 7.  On any other CSR a count that passes 127 wraps
+    to 256 below its value, and the identity check, summed in int64,
+    refuses the result.
     """
     ball = state.ball
     if state.grains.min() < 0:
@@ -308,7 +340,14 @@ def relax(state: State) -> RelaxResult:
     if budget >= 2**62:
         raise OverflowError("too many grains to relax in 64-bit counts")
     ptr, idx = ball.indptr, ball.indices
-    g = state.grains.copy()
+    # int8 grains, when no count can pass 127, are the first n bytes of the
+    # int64 array that the relaxed state will hold, whose other pages stay
+    # untouched until the grains are widened in place
+    narrow = state.grains.max() <= 127 - DEGREE
+    wide = np.empty(ball.n, dtype=np.int64)
+    g = wide.view(np.int8)[:ball.n] if narrow else wide
+    g[:] = state.grains
+    one = g.dtype.type(1)  # np.add.at leaves its fast path for a Python 1
     counts = np.zeros(ball.n, dtype=np.int64)
     queue = np.flatnonzero(g >= DEGREE)
     topples = 0
@@ -330,11 +369,18 @@ def relax(state: State) -> RelaxResult:
                 fed = _queue_gather(ptr, idx, f)
             if fed.size:
                 first, last = min(first, int(fed.min())), max(last, int(fed.max()))
-            np.add.at(g, fed, 1)
+            np.add.at(g, fed, one)
         queue = np.flatnonzero(g[first:last + 1] >= DEGREE)
         queue += first
     _check_identity(state.grains, g, ball, counts)
-    return RelaxResult(State(ball, g), Odometer(ball, counts), topples, topples)
+    if narrow:
+        # last block first: a block's int64 values overwrite only its own
+        # int8 counts, copied out first, and those of later ids, widened
+        # already
+        for hi in range(ball.n, 0, -_SUM_BLOCK):
+            lo = max(hi - _SUM_BLOCK, 0)
+            wide[lo:hi] = g[lo:hi].copy()
+    return RelaxResult(State(ball, wide), Odometer(ball, counts), topples, topples)
 
 
 def _ids(mask: np.ndarray, lo: int = 0) -> np.ndarray:
@@ -399,9 +445,12 @@ def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,
     one block of ``indices``, read in place.  Any other slice's ids are
     widened to intp once, because numpy casts an index array of any other
     dtype again on each of the slice's gathers and scatters, and
-    ``_round_gather`` reads its rows per run of consecutive ids.
+    ``_round_gather`` reads its rows per run of consecutive ids.  ``g`` may
+    be int8 or int64: the kernel scatters a scalar of its dtype and leaves
+    the choice, and the proof that no count leaves it, to its callers.
     """
     ptr, idx = ball.indptr, ball.indices
+    one = g.dtype.type(1)  # np.add.at leaves its fast path for a Python 1
     first, last = int(fire[0]), int(fire[-1])
     for lo in range(0, fire.size, _BATCH_SLICE):
         f = fire[lo:lo + _BATCH_SLICE]
@@ -417,8 +466,22 @@ def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,
             fed = _round_gather(ptr, idx, f)
         if fed.size:
             first, last = min(first, int(fed.min())), max(last, int(fed.max()))
-        np.add.at(g, fed, 1)
+        np.add.at(g, fed, one)
     return _ids(g[first:last + 1] >= DEGREE, first)
+
+
+def _widen(wide: np.ndarray) -> None:
+    """Widen in place the int8 counts held in the first ``wide.size`` bytes of ``wide``.
+
+    The blocks go last first: a block's int64 values overwrite only its own
+    int8 counts, copied out first, and those of later ids, widened already.
+    ``relax_batch`` and the wave route call this; the queue engine widens
+    in code of its own.
+    """
+    g = wide.view(np.int8)[:wide.size]
+    for hi in range(wide.size, 0, -_SUM_BLOCK):
+        lo = max(hi - _SUM_BLOCK, 0)
+        wide[lo:hi] = g[lo:hi].copy()
 
 
 def relax_batch(state: State) -> RelaxResult:
@@ -436,7 +499,12 @@ def relax_batch(state: State) -> RelaxResult:
     fire set as int32 ids, 4 bytes per fired vertex, besides the next fire
     set.  Each topple is one (vertex, round) pick, so ``dequeues`` equals
     ``topples``, as in the queue engine.  The budget bounds every grain and
-    odometer entry, so below 2**62 the int64 counts cannot wrap.
+    odometer entry, so below 2**62 the int64 counts cannot wrap.  The
+    working grains are int8 when the start's largest count is at most 120
+    and int64 otherwise: a round fires each vertex once, so on a ball from
+    ``build_ball`` or ``load_ball`` no count passes max(start max, 13) + 7,
+    and on any other CSR a count that wraps past 127 ends a multiple of 256
+    below its value, which the int64 identity check refuses.
     """
     ball = state.ball
     if state.grains.min() < 0:
@@ -444,7 +512,12 @@ def relax_batch(state: State) -> RelaxResult:
     budget = _budget(state.grains)
     if budget >= 2**62:
         raise OverflowError("too many grains to relax in 64-bit counts")
-    g = state.grains.copy()
+    # int8 grains, when no count can pass 127, are the first n bytes of the
+    # int64 array that the relaxed state will hold, as in the queue engine
+    narrow = state.grains.max() <= 127 - DEGREE
+    wide = np.empty(ball.n, dtype=np.int64)
+    g = wide.view(np.int8)[:ball.n] if narrow else wide
+    g[:] = state.grains
     odo = np.zeros(ball.n, dtype=np.int64)
     topples = 0
     fire = _ids(g >= DEGREE)
@@ -454,7 +527,9 @@ def relax_batch(state: State) -> RelaxResult:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
         fire = _topple_round(g, odo, ball, fire)
     _check_identity(state.grains, g, ball, odo)
-    return RelaxResult(State(ball, g), Odometer(ball, odo), topples, topples)
+    if narrow:
+        _widen(wide)
+    return RelaxResult(State(ball, wide), Odometer(ball, odo), topples, topples)
 
 
 # uniform 53-bit integers drawn per block of relax_random's step choices; a

@@ -15,6 +15,13 @@ it fired or fed.  One scratch mask of toppled vertices serves every wave of
 a relaxation: a fire set of one run is tested and marked through a slice of
 it, and each wave's front is collected from, and cleared over, only the
 span of ids the wave fired.
+The working grains are int8: a wave starts on a stable state and fires
+each vertex once, so on a ball from ``build_ball`` or ``load_ball``, where
+a vertex is listed in at most 7 rows, no count passes 13.  On any other
+CSR a count may pass 127 and wrap; since a topple takes 7 from 6 or more,
+only upward wraps occur, each leaving the grains' sum 256 short, so the
+route checks that sum against the start plus its topples' grains and
+refuses a mismatch.
 Iterating waves at p until p is no longer at 6 next to a 6 (plus one last
 forced topple when p alone is left at 6) reproduces the direct relaxation of
 ``max_stable + one grain at p`` exactly, state and odometer both.
@@ -29,7 +36,7 @@ import numpy as np
 from . import sandpile as _sandpile
 from .ball import DEGREE, Ball
 from .errors import InvariantError
-from .sandpile import Odometer, State, is_stable, max_stable
+from .sandpile import Odometer, State, is_stable
 
 
 class WaveResult(NamedTuple):
@@ -44,11 +51,27 @@ class WaveResult(NamedTuple):
 _FULL = DEGREE - 1  # a site must sit at 6 for a wave to start
 
 
-def _wave_candidates(state: State, site: int) -> list:
-    if state.grains[site] != _FULL:
+def _wave_candidates(ball: Ball, g: np.ndarray, site: int) -> list:
+    if g[site] != _FULL:
         return []
-    return [v for v in state.ball.neighbors(site).tolist()
-            if state.grains[v] == _FULL]
+    return [v for v in ball.neighbors(site).tolist() if g[v] == _FULL]
+
+
+def _check_mass(ball: Ball, g: np.ndarray, counts: np.ndarray, start: int) -> None:
+    """Require ``g`` to hold ``start`` grains plus what the topples ``counts`` give.
+
+    Each topple at v takes 7 grains and gives one per entry of v's row.
+    int8 grains are exact modulo 256, and only a count passing 127 can
+    wrap, since a topple takes 7 from 6 or more, so each wrap leaves their
+    sum 256 short.
+    """
+    ptr, block = ball.indptr, _sandpile._SUM_BLOCK
+    want = start
+    for lo in range(0, ball.n, block):
+        hi = min(lo + block, ball.n)
+        want += int(np.dot(counts[lo:hi], np.diff(ptr[lo:hi + 1]) - DEGREE))
+    if int(g.sum(dtype=np.int64)) != want:
+        raise InvariantError("wave grains differ from the start plus their topples")
 
 
 def _forced_wave(ball: Ball, g: np.ndarray, counts: np.ndarray, toppled: np.ndarray,
@@ -98,19 +121,22 @@ def wave(state: State, site: int) -> State:
         raise ValueError(f"site {site} out of range")
     if state.grains.min() < 0 or not is_stable(state):
         raise ValueError("waves are defined on stable nonnegative states")
-    candidates = _wave_candidates(state, site)
-    out = state.grains.copy()
+    ball = state.ball
+    candidates = _wave_candidates(ball, state.grains, site)
     if not candidates:
-        return State(state.ball, out)
-    counts = np.zeros(state.ball.n, dtype=np.int64)  # scratch: a wave keeps no odometer
-    toppled = np.zeros(state.ball.n, dtype=bool)
-    front = _forced_wave(state.ball, out, counts, toppled, site, candidates[0])
+        return State(ball, state.grains.copy())
+    # int8 working grains, as in wave_relax
+    out = state.grains.astype(np.int8)
+    counts = np.zeros(ball.n, dtype=np.int64)  # scratch: a wave keeps no odometer
+    toppled = np.zeros(ball.n, dtype=bool)
+    front = _forced_wave(ball, out, counts, toppled, site, candidates[0])
+    _check_mass(ball, out, counts, int(state.grains.sum()))
     if len(candidates) > 1:
-        alt = state.grains.copy()
-        alt_front = _forced_wave(state.ball, alt, counts, toppled, site, candidates[-1])
+        alt = state.grains.astype(np.int8)
+        alt_front = _forced_wave(ball, alt, counts, toppled, site, candidates[-1])
         if not (np.array_equal(out, alt) and np.array_equal(front, alt_front)):
             raise InvariantError("wave result depends on the seed neighbor")
-    return State(state.ball, out)
+    return State(ball, out)
 
 
 def wave_relax(ball: Ball, site: int) -> WaveResult:
@@ -120,17 +146,24 @@ def wave_relax(ball: Ball, site: int) -> WaveResult:
     members), the number of waves, and the fronts themselves.  The trailing
     forced topple, needed when the site still holds 6 with no 6-neighbor,
     counts as a final one-vertex wave.  The waves sweep one grain array in
-    place and share one scratch mask of toppled vertices.
+    place and share one scratch mask of toppled vertices.  The grains are
+    int8, widened in place to the int64 state at the end: no count passes
+    13 on a ball from ``build_ball`` or ``load_ball``, and on any other CSR
+    a count that wraps past 127 leaves the grains' sum 256 short, which the
+    mass check refuses.
     """
     if not 0 <= site < ball.n:
         raise ValueError(f"site {site} out of range")
-    state = max_stable(ball)
-    g = state.grains
+    # the int8 grains are the first n bytes of the int64 state, whose other
+    # pages stay untouched until the grains are widened in place
+    wide = np.empty(ball.n, dtype=np.int64)
+    g = wide.view(np.int8)[:ball.n]
+    g[:] = _FULL
     counts = np.zeros(ball.n, dtype=np.int64)
     toppled = np.zeros(ball.n, dtype=bool)  # every wave's scratch mask
     fronts = []
     for _ in range(ball.radius + 2):
-        candidates = _wave_candidates(state, site)
+        candidates = _wave_candidates(ball, g, site)
         if not candidates:
             break
         fronts.append(_forced_wave(ball, g, counts, toppled, site, candidates[0]))
@@ -140,12 +173,14 @@ def wave_relax(ball: Ball, site: int) -> WaveResult:
     g[site] += 1
     if g[site] >= DEGREE:
         g[site] -= DEGREE
-        g[ball.neighbors(site)] += 1
+        np.add.at(g, ball.neighbors(site), g.dtype.type(1))
         counts[site] += 1
         fronts.append(np.array([site], dtype=np.int32))
-    if not is_stable(state):
+    if not (g < DEGREE).all():
         raise InvariantError("wave relaxation ended on an unstable state")
-    return WaveResult(state, Odometer(ball, counts), len(fronts), fronts)
+    _sandpile._widen(wide)
+    _check_mass(ball, wide, counts, _FULL * ball.n + 1)
+    return WaveResult(State(ball, wide), Odometer(ball, counts), len(fronts), fronts)
 
 
 def wave_relax_multi(ball: Ball, sites: Iterable[int]) -> WaveResult:

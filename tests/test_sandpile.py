@@ -166,7 +166,8 @@ def test_identity_check_sums_full_rows_by_columns(ball_cache, monkeypatch):
     # odometer off by one is caught in a block of full rows, in an outer-ring
     # block, on both sides of the outer ring's first id, where a block that
     # would straddle the last two rings is cut, next to a row of 8, and in a
-    # block whose rows of 8 and 6 sum to 7 per row
+    # block whose rows of 8 and 6 sum to 7 per row; with the blocks cut at
+    # the outer ring at every radius and at none
     rng = np.random.default_rng(5)
     b = ball_cache(6)
     outer = int(b.level_start[6])
@@ -187,7 +188,9 @@ def test_identity_check_sums_full_rows_by_columns(ball_cache, monkeypatch):
         (faked, faked_start, _laplacian_after(faked, faked_start, faked_counts), faked_counts,
          8, [1, 2]),
     ]
-    for ball, before, after, counts, rows, bumped in cases:
+    for split, (ball, before, after, counts, rows, bumped) in itertools.product(
+            (0, 1 << 40), cases):
+        monkeypatch.setattr(sandpile, "_SPLIT_ROWS", split)
         monkeypatch.setattr(sandpile, "_IDENTITY_ROWS", rows)
         assert np.array_equal(after, _laplacian_after(ball, before, counts))
         sandpile._check_identity(before, after, ball, counts)
@@ -422,6 +425,135 @@ def test_schedules_agree_with_the_in_queue_flag_oracle(ball_cache):
     check()
 
 
+def _topped_state(ball, top, rng):
+    """A 0..13 state holding ``top`` grains on four vertices, the root, two
+    on the next-to-outer ring and the last, each of whose neighbors holds 7
+    or more and so fires in the first generation or round."""
+    g = rng.integers(0, 14, size=ball.n, dtype=np.int64)
+    ring = ball.ring(ball.radius - 1)
+    peaks = [0, ring[0], ring[len(ring) // 2], ball.n - 1]
+    for v in peaks:
+        nbrs = ball.neighbors(v)
+        g[nbrs] = rng.integers(DEGREE, 14, size=nbrs.size)
+    g[peaks] = top
+    return State(ball, g)
+
+
+@pytest.mark.parametrize("size", [1, 1 << 40])
+def test_working_grains_are_int8_up_to_a_largest_count_of_120(ball_cache, monkeypatch, size):
+    # from a start whose largest count is at most 120 no count can pass 127,
+    # and the queue and round engines relax in int8; from 121 on they keep
+    # int64.  Slices of one vertex let each vertex take its lower-id
+    # neighbors' grains before it fires, the order that piles highest; with
+    # them, blocks of 3 widen the relaxed int8 grains in many pieces
+    monkeypatch.setattr(sandpile, "_QUEUE_SLICE", size)
+    monkeypatch.setattr(sandpile, "_BATCH_SLICE", size)
+    monkeypatch.setattr(sandpile, "_SUM_BLOCK", size + 2)
+    check, seen = sandpile._check_identity, []
+
+    def probe(before, after, ball, counts):
+        seen.append(after.dtype)
+        check(before, after, ball, counts)
+
+    monkeypatch.setattr(sandpile, "_check_identity", probe)
+    rng = np.random.default_rng(120)
+    for m, top in itertools.product(range(3, 6), (120, 121, 127)):
+        start = _topped_state(ball_cache(m), top, rng)
+        assert start.grains.max() == top
+        g, odo, topples, _ = _relax_with_in_queue_flags(start)
+        for engine in (relax, relax_batch):
+            seen.clear()
+            res = engine(start)
+            assert seen == [np.dtype(np.int8 if top <= 120 else np.int64)], (m, top)
+            assert res.state.grains.dtype == res.odometer.counts.dtype == np.int64
+            assert res.state.grains.tolist() == g
+            assert res.odometer.counts.tolist() == odo
+            assert res.topples == topples
+
+
+def test_int8_grains_widen_in_place(monkeypatch):
+    # the int8 counts in the first n bytes of an n-entry int64 array become
+    # its values, whatever the block size, the first block's included,
+    # whose int64 values overwrite int8 counts of its own
+    rng = np.random.default_rng(8)
+    for block, n in itertools.product((1, 3, 7, 64, 1 << 16), (1, 2, 7, 8, 9, 100, 301)):
+        monkeypatch.setattr(sandpile, "_SUM_BLOCK", block)
+        want = rng.integers(-128, 128, size=n, dtype=np.int8)
+        wide = np.empty(n, dtype=np.int64)
+        wide.view(np.int8)[:n] = want
+        sandpile._widen(wide)
+        assert wide.tolist() == want.tolist(), (block, n)
+
+
+def test_round_kernel_and_waves_agree_on_int8_and_int64_grains(ball_cache, wave_cases):
+    # the kernel and the wave sweep take the grains' dtype as they find it:
+    # one start on int8 and on int64 grains gives the same grains, odometer
+    # and fire sets, and the same fronts
+    for start in _slice_starts(ball_cache, 8):
+        runs = []
+        for dtype in (np.int8, np.int64):
+            g = start.grains.astype(dtype)
+            odo = np.zeros(start.ball.n, dtype=np.int64)
+            fire, fires = sandpile._ids(g >= DEGREE), []
+            while fire.size:
+                fire = sandpile._topple_round(g, odo, start.ball, fire)
+                fires.append(fire.tolist())
+            assert g.dtype == dtype
+            runs.append((g.tolist(), odo.tolist(), fires))
+        assert runs[0] == runs[1]
+    for b, site in wave_cases:
+        runs = []
+        for dtype in (np.int8, np.int64):
+            g = np.full(b.n, DEGREE - 1, dtype=dtype)
+            counts = np.zeros(b.n, dtype=np.int64)
+            toppled = np.zeros(b.n, dtype=bool)
+            fronts = []
+            while via := waves._wave_candidates(b, g, site):
+                fronts.append(waves._forced_wave(b, g, counts, toppled, site, via[0]).tolist())
+            assert g.dtype == dtype
+            runs.append((g.tolist(), counts.tolist(), fronts))
+        assert runs[0] == runs[1]
+        assert runs[0][2] == [f.tolist() for f in wave_relax(b, site).fronts[:len(runs[0][2])]]
+
+
+def _listed_many_times(ball_cache, rows):
+    """The radius-3 ball with each given row replaced: {vertex: new row}."""
+    b = ball_cache(3)
+    table = [rows.get(v, b.neighbors(v).tolist()) for v in range(b.n)]
+    indptr = np.cumsum([0] + [len(r) for r in table]).astype(np.int32)
+    return Ball(b.radius, b.level, b.vtype, indptr, np.concatenate(table).astype(np.int32))
+
+
+def test_a_count_that_wraps_is_never_returned(ball_cache):
+    # on a CSR that lists one vertex many times a count can pass 127 from a
+    # start at the int8 bound: the queue and round engines must then land
+    # on the FIFO oracle or refuse, and the wave route, which must topple
+    # that vertex twice in one wave, must refuse
+    u, outer = 20, range(29, 85, 9)  # a vertex on ring 2, seven on ring 3
+    dealt = _listed_many_times(ball_cache, {w: [u] * 6 for w in outer})
+    assert np.bincount(dealt.indices)[u] >= 8 * 6
+    rng = np.random.default_rng(127)
+    for top in (120, 121):
+        g = rng.integers(0, DEGREE, size=dealt.n, dtype=np.int64)
+        g[list(outer)], g[u] = DEGREE, top
+        start = State(dealt, g)
+        want, want_odo, want_topples, _ = _relax_with_in_queue_flags(start)
+        for engine in (relax, relax_batch):
+            try:
+                res = engine(start)
+            except InvariantError:
+                continue
+            assert res.state.grains.tolist() == want, (top, engine)
+            assert res.odometer.counts.tolist() == want_odo
+            assert res.topples == want_topples
+    for k in (130, 250, 256):
+        piled = _listed_many_times(ball_cache, {1: ball_cache(3).neighbors(1).tolist() + [u] * k})
+        with pytest.raises(InvariantError):
+            wave_relax(piled, 0)
+        with pytest.raises(InvariantError):
+            waves.wave(max_stable(piled), 0)
+
+
 def _slice_starts(ball_cache, seed):
     """The abelian states, one grain on the root or the last vertex at m=0..8,
     and random 0..39 states at m=0..4, whose vertices holding 14 grains or
@@ -593,7 +725,8 @@ def test_scalar_engines_run_without_the_batch_and_wave_code(ball_cache, monkeypa
     scalar = {**queue, "random": lambda ball, sites: relax_random(
         perturb(max_stable(ball), sites), rng)}
     rounds = {"batch": ROUTES["batch"], "wave": ROUTES["wave"]}
-    kernel = ((sandpile, "_topple_round"), (sandpile, "_ids"), (waves, "_forced_wave"))
+    kernel = ((sandpile, "_topple_round"), (sandpile, "_ids"), (sandpile, "_widen"),
+              (waves, "_forced_wave"))
     for names, dead, alive in ((kernel, rounds, scalar),
                                (((sandpile, "_round_gather"),), rounds, scalar),
                                (((sandpile, "_queue_gather"),), queue, rounds)):
@@ -735,7 +868,8 @@ def test_relaxation_peak_stays_within_the_ball_model(ball_cache, route):
     # a route may add 64 bytes per vertex, the memory model less 32; the ball
     # takes 25, and the other 7 stay headroom, not room for a route to grow
     # into, so no route needs a guard of its own.  The queue engine holds
-    # int64 grains and odometer, 16 bytes per vertex, and two generations
+    # int8 working grains and an int64 odometer, 9 bytes per vertex, and
+    # the int64 state it returns beside them at the end, and two generations
     # of int64 ids that never hold more than n vertices together at radii
     # 6..13; the next is scanned from a bool mask over the ids the current
     # one fired or fed, at most a byte per vertex, and a slice of more than
