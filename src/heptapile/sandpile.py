@@ -18,30 +18,30 @@ result.  Odometers, states and the budget stay int64.  By the abelian
 property three schedules must agree
 exactly: a FIFO queue (``relax``), rounds that fire every unstable vertex
 once (``relax_batch``) and random legal order (``relax_random``).  The queue
-and random-order engines share no code with ``relax_batch`` or the wave route:
-``relax`` walks its queue one generation at a time, each an ascending int
-array of distinct vertices that it topples a slice at a time in numpy,
-reading a one-run slice's neighbor ids in place and any other slice's per
-run, or row by row when it holds fewer than ``_LONG_RUN`` ids, in code of
-its own, adds one grain per neighbor id with ``np.add.at``, takes the next
-generation from one scan of the ids the generation fired or fed, and checks
-the toppling budget once per generation;
-``relax_random`` is the scalar reference, one topple and one grain at a
-time, and draws its choices in blocks of uniform integers and checks the
-budget once per block.  ``relax_batch`` and the wave route topple through
-one round kernel, ``_topple_round``, which fires each vertex of a fire set
-once: the abelian property lets it scatter a round's grains, one per row
-entry, in slices of fired vertices.  A slice that is one run of consecutive
-ids, as most are from the all-sixes state, fires through slices of the
-grains and the odometer and reads its neighbor ids in place as one block of
-the CSR; any other has its rows read per run, or row by row when it holds
-fewer than ``_LONG_RUN`` ids, in code of its own.  So its temporaries beyond
-the grains, the odometer and the fire sets stay a few MiB at any radius, and
-it collects the next fire set from the span of ids the round fired or fed,
-not from the whole grain array, with one ``flatnonzero`` when the span fits
-one block.  The identity check ends its blocks at the outer ring's first
-id, so every block of interior rows sums its full rows as seven columns.
-Sums of grains are taken a block at a time in exact integers.  States and
+and random-order engines share no code with ``relax_batch`` or the wave route.
+``relax`` walks its queue one generation at a time and ``relax_batch``
+fires in rounds through one kernel, ``_topple_round``, that the wave route
+shares.  Each, in code of its own, reads the next generation or fire set
+only from the span between the smallest and the largest id that the last
+one fired or fed: as ids when the span holds at most ``_FIRE_BLOCK`` ids,
+as on every ball of radius 8 or less, where a set holds a few dozen ids
+and numpy calls cost more than the ids they read, or when the last set's
+runs average fewer than ``_LONG_RUN`` ids; else as run bounds,
+ascending, disjoint (start, stop) pairs of consecutive ids, read from the
+edges of the ``>= 7`` mask a block at a time, so no scan writes an id per
+unstable vertex.  From the all-sixes
+state a wide set is a few rings or arcs, a few hundred runs at most.  A
+slice of ids that is one run, and a run of at least ``_LONG_RUN`` ids in
+run bounds, fires through slices of the grains and the odometer and reads
+its neighbor ids in place as one block of the CSR; other ids fire through
+their ids.  Each piece adds one grain per neighbor id with ``np.add.at``:
+by the abelian property the pieces change no count, and a piece's
+temporaries stay a few MiB at any radius.  ``relax_random`` is the scalar
+reference, one topple and one grain at a time, and draws its choices in
+blocks of uniform integers and checks the budget once per block.  The
+identity check ends its blocks at the outer ring's first id, so every
+block of interior rows sums its full rows as seven columns.  Sums of
+grains are taken a block at a time in exact integers.  States and
 odometers are saved as sparse text files, and a file loads only when it is
 byte for byte what the writer writes for the values it holds.
 """
@@ -194,10 +194,11 @@ _BATCH_SLICE = 1 << 14
 # over two runs: 1 << 12 0.9-1.0 ms / 0.031-0.034 s / 0.09-0.11 s; 1 << 13
 # 1.0-1.7 ms / 0.033-0.049 s / 0.10 s; 1 << 14 0.9-1.7 ms / 0.030-0.049 s /
 # 0.09-0.13 s; 1 << 15 1.0-1.7 ms / 0.041-0.051 s / 0.10-0.11 s.  The
-# traced peak at radius 12 is 25.0 B per vertex at every size: the grains,
-# the odometer, two generations of ids and the scan's mask set it, not a
-# slice.  The times drift by half between runs on a 2-core host, so no
-# size wins clearly
+# traced peak at radius 12 was 25.0 B per vertex at every size, set by the
+# grains, the odometer, two generations of ids and the scan's mask, not by
+# a slice; with wide generations held as run bounds it is 21.5 B.  The
+# times drift by half between runs on a 2-core host, so no size wins
+# clearly
 _QUEUE_SLICE = 1 << 14
 
 # mean CSR row entries per run of consecutive ids from which _queue_gather
@@ -214,7 +215,17 @@ _QUEUE_SLICE = 1 << 14
 # _LONG_RUN ids holds fewer than 7 * _LONG_RUN entries, and its rows are
 # read one by one with no run detection, whose fixed numpy calls cost more
 # there than the gather: a 60-id slice at radius 6 took 37 us cut into runs
-# and 16-19 us row by row
+# and 16-19 us row by row.  In run bounds a run of _LONG_RUN ids or more
+# fires in place as a piece of its own, and shorter runs fire together
+# through their ids: from the all-sixes state nearly every id of a wide
+# fire set is in a run of thousands, and naive / batch / wave at radius 12
+# on the three single_source_m12 site sets of seed 1 took 97 / 95 / 74,
+# 94 / 96 / 72, 94 / 95 / 74 and 93 / 94 / 71 ms with this at 32, 64, 256
+# and 1024 (medians of 8 alternating in-process runs).  After a set whose
+# runs average fewer than _LONG_RUN ids even a wide span is read as ids:
+# held as run bounds, the random 0..40 state at radius 12 took 398 / 426 ms
+# (relax / relax_batch) against 319 / 326 ms as ids (medians of 10
+# alternating in-process runs)
 _LONG_RUN = 64
 
 # rows per block of _check_identity, which bounds its entry-sized gather
@@ -228,8 +239,18 @@ _IDENTITY_ROWS = 1 << 14
 # 188-201 us, 9 (11,173) 579-804 / 541-570 us
 _SPLIT_ROWS = 1 << 12
 
-# vertices per block when _ids collects ids from a mask; a block's int64
-# positions stay in cache until they are written as int32
+# the widest span of ids from which a generation or fire set is read as
+# ids, by one flatnonzero; a wider span gives run bounds, read from the
+# edges of its mask this many ids at a time, and _ids collects a longer
+# mask's ids a block at a time.  Every span on a ball of radius 8 or less
+# (11,173 vertices) is narrower, so a round there costs the numpy calls it
+# cost when every fire set was ids: holding those sets as run bounds too
+# made verify --m 1..8 --trials 10 25% slower in-process (medians 0.317 /
+# 0.397 s over 20 alternating runs).  From the all-sixes state at radius
+# 12 most topples are in wider rounds.  Medians of 8 alternating in-process
+# runs of the three single_source_m12 site sets of seed 1, naive / batch /
+# wave at radius 12: 1 << 12 131 / 137 / 126 ms; 1 << 14 104 / 104 / 79 ms;
+# 1 << 16 94 / 96 / 75 ms; 1 << 18 101 / 105 / 77 ms
 _FIRE_BLOCK = 1 << 16
 
 
@@ -272,33 +293,129 @@ def _budget(grains: np.ndarray) -> int:
     return 1024 + 128 * (_exact_sum(grains) + grains.size)
 
 
+def _queue_rows(idx: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The blocks ``idx[start[i]:stop[i]]`` concatenated in order, as a new array.
+
+    When the blocks average ``_LONG_RUN`` row entries or more, each is
+    copied as a slice; otherwise one ``np.repeat`` over the blocks expands
+    their positions and one ``take`` reads them.  The result never shares
+    memory with ``idx``.
+    """
+    length = stop - start
+    total = int(length.sum())
+    if total >= _LONG_RUN * length.size:
+        return np.concatenate([idx[a:b] for a, b in zip(start.tolist(), stop.tolist())])
+    return idx.take(np.repeat(start - np.cumsum(length) + length, length) + np.arange(total))
+
+
 def _queue_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The neighbor ids of the ids ``f``, their CSR rows concatenated in order, as a new array.
 
     A slice of fewer than ``_LONG_RUN`` ids takes each id's row as its own
     block, with no run detection.  A larger one is cut into maximal runs in
     which each id is one more than the last; a run's rows are one block of
-    ``idx``.  When the blocks average ``_LONG_RUN`` row entries or more,
-    each is copied as a slice; otherwise one ``np.repeat`` over the blocks
-    expands their positions and one ``take`` reads them.  The result never
-    shares memory with ``idx``.  ``relax`` alone calls this, for slices of
-    more than one run.
+    ``idx``.  ``_queue_rows`` reads the blocks.
     """
     if f.size < _LONG_RUN:
-        start, stop = ptr.take(f), ptr[1:].take(f)
-    else:
-        head = np.empty(f.size, dtype=bool)  # where a run starts
-        head[:1] = True
-        np.not_equal(f[1:], f[:-1] + 1, out=head[1:])
-        tail = np.empty(f.size, dtype=bool)  # where a run ends
-        tail[:-1] = head[1:]
-        tail[-1:] = True
-        start, stop = ptr.take(f.compress(head)), ptr[1:].take(f.compress(tail))
+        return _queue_rows(idx, ptr.take(f), ptr[1:].take(f))
+    head = np.empty(f.size, dtype=bool)  # where a run starts
+    head[:1] = True
+    np.not_equal(f[1:], f[:-1] + 1, out=head[1:])
+    tail = np.empty(f.size, dtype=bool)  # where a run ends
+    tail[:-1] = head[1:]
+    tail[-1:] = True
+    return _queue_rows(idx, ptr.take(f.compress(head)), ptr[1:].take(f.compress(tail)))
+
+
+def _queue_pieces(ptr: np.ndarray, idx: np.ndarray, queue: np.ndarray):
+    """The generation ``queue`` in pieces ``(a, b, f, fed)`` of ids from ``a`` to ``b - 1``.
+
+    ``f`` is None when the piece is every id from ``a`` to ``b - 1``, else
+    its ascending ids; ``fed`` is their neighbor ids, rows concatenated.
+    Ids are cut into slices of ``_QUEUE_SLICE``; a slice whose last id is
+    its first plus its length less one is one run, since the ids ascend
+    and are distinct, and its rows are read in place.  Of run bounds, each
+    ``_QUEUE_SLICE`` ids of a run of at least ``_LONG_RUN`` is a piece read
+    in place.  Shorter runs are grouped by the slice their last id falls
+    in, counted over the short runs alone, so a group holds fewer than
+    ``_QUEUE_SLICE + _LONG_RUN`` ids; its ids are a running sum of steps,
+    one within a run and the gap to the next run's start between runs, and
+    ``_queue_rows`` reads its rows per run.
+    """
+    if queue.ndim == 1:
+        for lo in range(0, queue.size, _QUEUE_SLICE):
+            f = queue[lo:lo + _QUEUE_SLICE]
+            a, b = int(f[0]), int(f[-1]) + 1
+            if b - a == f.size:
+                yield a, b, None, idx[ptr[a]:ptr[b]]
+            else:
+                yield a, b, f, _queue_gather(ptr, idx, f)
+        return
+    start, stop = queue
     length = stop - start
-    total = int(length.sum())
-    if total >= _LONG_RUN * length.size:
-        return np.concatenate([idx[a:b] for a, b in zip(start.tolist(), stop.tolist())])
-    return idx.take(np.repeat(start - np.cumsum(length) + length, length) + np.arange(total))
+    long = length >= _LONG_RUN
+    for first, end in zip(start[long].tolist(), stop[long].tolist()):
+        for a in range(first, end, _QUEUE_SLICE):
+            b = min(a + _QUEUE_SLICE, end)
+            yield a, b, None, idx[ptr[a]:ptr[b]]
+    start, stop, length = start[~long], stop[~long], length[~long]
+    if not start.size:
+        return
+    at = np.cumsum(length)  # ids in the short runs up to each one's end
+    slot = (at - 1) // _QUEUE_SLICE
+    cut = [0, *(np.flatnonzero(slot[1:] != slot[:-1]) + 1).tolist(), start.size]
+    for i, j in zip(cut[:-1], cut[1:]):
+        base = int(at[i] - length[i])
+        step = np.ones(int(at[j - 1]) - base, dtype=np.intp)
+        step[0] = start[i]
+        step[at[i:j - 1] - base] = start[i + 1:j] - stop[i:j - 1] + 1
+        yield (int(start[i]), int(stop[j - 1]), np.cumsum(step, out=step),
+               _queue_rows(idx, ptr.take(start[i:j]), ptr.take(stop[i:j])))
+
+
+def _queue_next(g: np.ndarray, lo: int, hi: int, queue: np.ndarray | None) -> np.ndarray:
+    """The next generation: the ids from ``lo`` to ``hi - 1`` that hold 7 or more.
+
+    Every id outside them must hold fewer than 7.  A span of at most
+    ``_FIRE_BLOCK`` ids gives int64 ids, ascending, from one
+    ``flatnonzero``.  A wider one is read a block of ``_FIRE_BLOCK`` ids at
+    a time, as int64 ids after a generation ``queue`` whose runs average
+    fewer than ``_LONG_RUN`` ids, as in a random state, where run bounds
+    would cost more than the ids they replace, and otherwise as run bounds,
+    a (2, r) int64 array of run starts over run stops, ascending and
+    disjoint: a run starts or stops at every id whose mask differs from the
+    one before, and the id before ``lo`` holds fewer than 7.
+    """
+    if hi - lo <= _FIRE_BLOCK:
+        ids = np.flatnonzero(g[lo:hi] >= DEGREE)
+        ids += lo
+        return ids
+    if queue is None:
+        bounds = True
+    elif queue.ndim == 1:
+        bounds = queue.size >= _LONG_RUN * (1 + np.count_nonzero(queue[1:] != queue[:-1] + 1))
+    else:
+        bounds = int((queue[1] - queue[0]).sum()) >= _LONG_RUN * queue.shape[1]
+    flips = []
+    before = False  # whether the id before the block holds 7 or more
+    for a in range(lo, hi, _FIRE_BLOCK):
+        m = g[a:min(a + _FIRE_BLOCK, hi)] >= DEGREE
+        if not bounds:  # ids, a block at a time
+            flip = np.flatnonzero(m)
+            flip += a
+            flips.append(flip)
+            continue
+        if m[0] != before:
+            flips.append([a])
+        flip = np.flatnonzero(m[1:] != m[:-1])
+        flip += a + 1
+        flips.append(flip)
+        before = bool(m[-1])
+    if not bounds:
+        return np.concatenate(flips)
+    if before:
+        flips.append([hi])
+    return np.concatenate(flips).reshape(-1, 2).T
 
 
 def relax(state: State) -> RelaxResult:
@@ -309,20 +426,25 @@ def relax(state: State) -> RelaxResult:
     the FIFO generations as sets.  It needs no in-queue flag: a vertex is
     queued exactly when it holds 7 or more grains, and each vertex that does
     when a generation ends was fired or fed in it.  So the next generation
-    is one scan, ascending, of the ids between the smallest and the largest
-    fired or fed id.  A generation's length is its topple count, and the
-    budget is checked once per generation, before it topples.
+    is read, ascending, from the span between the smallest and the largest
+    id the generation fired or fed (``_queue_next``): as int64 ids when the
+    span holds at most ``_FIRE_BLOCK`` ids or the generation's runs average
+    fewer than ``_LONG_RUN`` ids, else as run bounds, run starts over run
+    stops, read from the edges of the ``>= 7`` mask a block at a time.
+    A generation's length is its topple count, and the budget is checked
+    once per generation, before it topples.
 
-    A generation is toppled ``_QUEUE_SLICE`` vertices at a time by numpy
-    calls alone.  A slice whose last id is its first plus its length less
-    one is one run of consecutive ids, since the ids ascend and are
-    distinct: it fires through slices of the grains and the odometer, and
-    its neighbor ids are one block of ``indices``, read in place;
-    ``_queue_gather`` reads any other slice's.  Each slice adds one grain
-    per neighbor id with ``np.add.at``: additions commute, so neither the
-    split nor the order within a generation changes a value.  A budget of
-    2**62 or more is refused: below it no grain count or odometer entry can
-    leave int64, since none exceeds the starting total or the budget.
+    A generation is toppled in pieces (``_queue_pieces``) by numpy calls
+    alone: slices of ``_QUEUE_SLICE`` ids, or of one run of at least
+    ``_LONG_RUN`` ids, fire through slices of the grains and the odometer
+    and read their neighbor ids in place as one block of ``indices``; other
+    slices, and groups of shorter runs, fire through their ids, and
+    ``_queue_gather`` or ``_queue_rows`` reads their rows.  Each piece adds
+    one grain per neighbor id with ``np.add.at``: additions commute, so
+    neither the pieces nor the order within a generation changes a value.
+    A budget of 2**62 or more is refused: below it no grain count or
+    odometer entry can leave int64, since none exceeds the starting total
+    or the budget.
 
     The working grains are int8 when the start's largest count is at most
     120 and int64 otherwise, and the result is int64 either way.  On a ball
@@ -349,29 +471,25 @@ def relax(state: State) -> RelaxResult:
     g[:] = state.grains
     one = g.dtype.type(1)  # np.add.at leaves its fast path for a Python 1
     counts = np.zeros(ball.n, dtype=np.int64)
-    queue = np.flatnonzero(g >= DEGREE)
+    queue = _queue_next(g, 0, ball.n, None)
     topples = 0
     while queue.size:
-        topples += queue.size
+        topples += queue.size if queue.ndim == 1 else int((queue[1] - queue[0]).sum())
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
-        first, last = int(queue[0]), int(queue[-1])
-        for lo in range(0, queue.size, _QUEUE_SLICE):
-            f = queue[lo:lo + _QUEUE_SLICE]
-            a, b = int(f[0]), int(f[-1]) + 1
-            if b - a == f.size:
+        first, end = ball.n, 0
+        for a, b, f, fed in _queue_pieces(ptr, idx, queue):
+            if f is None:
                 counts[a:b] += 1
                 g[a:b] -= DEGREE
-                fed = idx[ptr[a]:ptr[b]]
             else:
                 counts[f] += 1
                 g[f] -= DEGREE
-                fed = _queue_gather(ptr, idx, f)
             if fed.size:
-                first, last = min(first, int(fed.min())), max(last, int(fed.max()))
+                a, b = min(a, int(fed.min())), max(b, int(fed.max()) + 1)
+            first, end = min(first, a), max(end, b)
             np.add.at(g, fed, one)
-        queue = np.flatnonzero(g[first:last + 1] >= DEGREE)
-        queue += first
+        queue = _queue_next(g, first, end, queue)
     _check_identity(state.grains, g, ball, counts)
     if narrow:
         # last block first: a block's int64 values overwrite only its own
@@ -403,24 +521,15 @@ def _ids(mask: np.ndarray, lo: int = 0) -> np.ndarray:
     return ids
 
 
-def _round_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The neighbor ids of the ids ``f`` (at least one), their CSR rows concatenated in order.
+def _round_rows(ptr: np.ndarray, idx: np.ndarray, first: np.ndarray,
+                last: np.ndarray) -> np.ndarray:
+    """The CSR rows of the runs ``first[i]`` to ``last[i]`` of consecutive ids, concatenated in order.
 
-    Consecutive ids have adjacent rows, so each run of them is one block of
-    ``idx``; a slice of fewer than ``_LONG_RUN`` ids skips finding its runs
-    and takes each id's row as a block.  Blocks that average ``_LONG_RUN``
-    row entries or more are copied one at a time; shorter ones are read by
-    ``take`` through positions that one ``np.repeat`` over the blocks
-    expands.  The round kernel reads a slice of one run in place and calls
-    this for the others.  The round kernel's own code: the queue engine
-    gathers its rows in ``_queue_gather``.
+    Consecutive ids have adjacent rows, so each run's rows are one block of
+    ``idx``.  Blocks that average ``_LONG_RUN`` row entries or more are
+    copied one at a time; shorter ones are read by ``take`` through
+    positions that one ``np.repeat`` over the blocks expands.
     """
-    if f.size < _LONG_RUN:
-        first = last = f
-    else:
-        step = np.flatnonzero(np.diff(f) != 1)  # the last index of every run but the final one
-        first = f.take(np.concatenate(([0], step + 1)))
-        last = f.take(np.append(step, f.size - 1))
     lo, hi = ptr.take(first), ptr[1:].take(last)
     width = hi - lo
     end = np.cumsum(width)  # where each block's entries end in the output
@@ -429,45 +538,150 @@ def _round_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray
     return idx.take(np.arange(end[-1]) + np.repeat(lo + width - end, width))
 
 
-def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball,
-                  fire: np.ndarray) -> np.ndarray:
+def _round_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The neighbor ids of the ascending ids ``f`` (at least one), their CSR rows concatenated in order.
+
+    A slice of fewer than ``_LONG_RUN`` ids skips finding its runs and
+    takes each id's row as a block; a larger one is cut where an id is not
+    one more than the last.  The round kernel's own code: the queue engine
+    gathers its rows in ``_queue_gather``.
+    """
+    if f.size < _LONG_RUN:
+        return _round_rows(ptr, idx, f, f)
+    step = np.flatnonzero(np.diff(f) != 1)  # the last index of every run but the final one
+    return _round_rows(ptr, idx, f.take(np.concatenate(([0], step + 1))),
+                       f.take(np.append(step, f.size - 1)))
+
+
+def _round_pieces(ptr: np.ndarray, idx: np.ndarray, fire: np.ndarray):
+    """The pieces in which ``_topple_round`` fires ``fire``: ``(a, b, f, fed)`` each.
+
+    A piece holds ids from ``a`` to ``b - 1``: all of them, fired through
+    slices, when ``f`` is None, else the ascending intp ids ``f``.  ``fed``
+    holds their neighbor ids, their CSR rows concatenated.  Ids are cut
+    into slices of ``_BATCH_SLICE``, and a slice that is one run is a
+    piece of consecutive ids.  Of run bounds, each slice of a run of at
+    least ``_LONG_RUN`` ids is one, read in place; the shorter runs are
+    grouped into pieces of about ``_BATCH_SLICE`` ids, or one run when it
+    is longer, whose ids one ``np.repeat`` expands and whose rows are read
+    per run, with no search for the runs' ends.
+    """
+    if fire.ndim == 1:
+        for lo in range(0, fire.size, _BATCH_SLICE):
+            f = fire[lo:lo + _BATCH_SLICE]
+            a, b = int(f[0]), int(f[-1]) + 1
+            if b - a == f.size:  # ascending distinct ids: one run
+                yield a, b, None, idx[ptr[a]:ptr[b]]
+            else:
+                # numpy casts an index array of any other dtype again on
+                # each of the slice's gathers and scatters
+                f = f.astype(np.intp)
+                yield a, b, f, _round_gather(ptr, idx, f)
+        return
+    length = fire[:, 1] - fire[:, 0]
+    long = length >= _LONG_RUN
+    for start, stop in fire[long].tolist():
+        for a in range(start, stop, _BATCH_SLICE):
+            b = min(a + _BATCH_SLICE, stop)
+            yield a, b, None, idx[ptr[a]:ptr[b]]
+    short = fire[~long]
+    if not short.size:
+        return
+    first, last = short[:, 0], short[:, 1] - 1
+    length = length[~long]
+    end = np.cumsum(length)  # ids in the short runs up to each one's end
+    shift = first - end + length  # a run's ids less their places among them
+    # a group ends at the first run whose end reaches each multiple of the slice
+    cut = np.searchsorted(end, np.arange(_BATCH_SLICE, end[-1], _BATCH_SLICE)) + 1
+    for i, j in zip([0, *cut.tolist()], [*cut.tolist(), end.size]):
+        if i < j:
+            f = np.arange(end[i] - length[i], end[j - 1]) + np.repeat(shift[i:j], length[i:j])
+            yield (int(first[i]), int(last[j - 1]) + 1, f,
+                   _round_rows(ptr, idx, first[i:j], last[i:j]))
+
+
+def _short_runs(fire: np.ndarray | None) -> bool:
+    """Whether the runs of a fire set, ids or run bounds, average fewer than ``_LONG_RUN`` ids."""
+    if fire is None:
+        return False
+    if fire.ndim == 2:
+        return int((fire[:, 1] - fire[:, 0]).sum()) < _LONG_RUN * len(fire)
+    runs = 1 + np.count_nonzero(np.diff(fire) != 1)
+    return fire.size < _LONG_RUN * runs
+
+
+def _round_fire_set(g: np.ndarray, lo: int, hi: int, fired: np.ndarray | None) -> np.ndarray:
+    """The ids from ``lo`` to ``hi - 1`` that hold 7 or more; every other id must hold fewer.
+
+    A span of at most ``_FIRE_BLOCK`` ids gives those ids, ascending, as
+    int32, from one ``flatnonzero``.  A wider one is read a block of
+    ``_FIRE_BLOCK`` ids at a time.  After a fire set ``fired`` whose runs
+    average fewer than ``_LONG_RUN`` ids, as in a random state, where run
+    bounds would cost more than the ids they replace, it gives ids too.
+    Otherwise it gives run bounds: an (r, 2) int32 array of ascending,
+    disjoint ``(start, stop)`` pairs, each a maximal run of consecutive
+    ids, from the edges of the ``>= 7`` mask, so no id is written for a
+    vertex inside a run.  The id before ``lo`` holds fewer than 7, and a
+    run that reaches ``hi - 1`` stops at ``hi``.
+    """
+    if hi - lo <= _FIRE_BLOCK:
+        return _ids(g[lo:hi] >= DEGREE, lo)
+    ids = _short_runs(fired)
+    mask = np.empty(_FIRE_BLOCK + 1, dtype=bool)  # the id before a block, then the block
+    edge = np.empty(_FIRE_BLOCK, dtype=bool)
+    found = []
+    mask[0] = False
+    for a in range(lo, hi, _FIRE_BLOCK):
+        b = min(a + _FIRE_BLOCK, hi)
+        m, e = mask[:b - a + 1], edge[:b - a]
+        np.greater_equal(g[a:b], DEGREE, out=m[1:])
+        if not ids:
+            # a run starts or stops at a + i where the mask changes from id a + i - 1
+            np.not_equal(m[1:], m[:-1], out=e)
+        found.append(np.add(np.flatnonzero(m[1:] if ids else e), a, dtype=np.int32,
+                            casting="unsafe"))
+        mask[0] = m[-1]
+    if ids:
+        return np.concatenate(found)
+    if mask[0]:
+        found.append(np.array([hi], dtype=np.int32))
+    return np.concatenate(found).reshape(-1, 2)
+
+
+def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball, fire: np.ndarray,
+                  toppled: np.ndarray | None = None) -> np.ndarray:
     """Topple each vertex of ``fire`` once; returns the next fire set.
 
-    ``fire`` is ascending and holds every vertex with 7 or more grains, so
-    after the round only a fired vertex or one that gained grains can hold
-    7 or more.  The next fire set, the ids holding 7 or more, ascending, as
-    int32, is therefore collected from the ids between the smallest and the
-    largest fired or fed id alone, whatever the CSR.  The grains are
-    scattered ``_BATCH_SLICE`` fired vertices at a time, one per neighbor
-    id.  A slice whose last id is its first plus its length less one is one
-    run of consecutive ids, since the ids ascend and are distinct: it fires
-    through slices of the grains and the odometer, and its neighbor ids are
-    one block of ``indices``, read in place.  Any other slice's ids are
-    widened to intp once, because numpy casts an index array of any other
-    dtype again on each of the slice's gathers and scatters, and
-    ``_round_gather`` reads its rows per run of consecutive ids.  ``g`` may
-    be int8 or int64: the kernel scatters a scalar of its dtype and leaves
-    the choice, and the proof that no count leaves it, to its callers.
+    A fire set is ascending int32 ids or run bounds, an (r, 2) int32 array
+    of ascending, disjoint ``(start, stop)`` pairs of consecutive ids, as
+    ``_round_fire_set`` reads it.  ``fire`` holds every vertex with 7 or
+    more grains, so after the round only a fired vertex or one that gained
+    grains can hold 7 or more, and the next fire set is read from the span
+    between the smallest and the largest id the round fired or fed,
+    whatever the CSR.
+    The grains are scattered a piece at a time (``_round_pieces``), one
+    per neighbor id; additions commute, so the pieces change no value.
+    When ``toppled`` is given, each fired vertex is marked in it, and a
+    vertex marked already raises ``InvariantError``.  ``g`` may be int8 or
+    int64: the kernel scatters a scalar of its dtype and leaves the
+    choice, and the proof that no count leaves it, to its callers.
     """
     ptr, idx = ball.indptr, ball.indices
     one = g.dtype.type(1)  # np.add.at leaves its fast path for a Python 1
-    first, last = int(fire[0]), int(fire[-1])
-    for lo in range(0, fire.size, _BATCH_SLICE):
-        f = fire[lo:lo + _BATCH_SLICE]
-        a, b = int(f[0]), int(f[-1]) + 1
-        if b - a == f.size:
-            g[a:b] -= DEGREE
-            odo[a:b] += 1
-            fed = idx[ptr[a]:ptr[b]]
-        else:
-            f = f.astype(np.intp)
-            g[f] -= DEGREE
-            odo[f] += 1
-            fed = _round_gather(ptr, idx, f)
+    first, end = g.size, 0
+    for a, b, f, fed in _round_pieces(ptr, idx, fire):
+        hit = slice(a, b) if f is None else f
+        if toppled is not None:
+            if toppled[hit].any():
+                raise InvariantError("a vertex toppled twice within one wave")
+            toppled[hit] = True
+        g[hit] -= DEGREE
+        odo[hit] += 1
         if fed.size:
-            first, last = min(first, int(fed.min())), max(last, int(fed.max()))
+            a, b = min(a, int(fed.min())), max(b, int(fed.max()) + 1)
+        first, end = min(first, a), max(end, b)
         np.add.at(g, fed, one)
-    return _ids(g[first:last + 1] >= DEGREE, first)
+    return _round_fire_set(g, first, end, fire)
 
 
 def _widen(wide: np.ndarray) -> None:
@@ -492,19 +706,21 @@ def relax_batch(state: State) -> RelaxResult:
     start ends on the queue engine's state, odometer and topples, though a
     heavy start may take more rounds.  The first fire set is a scan of the
     whole grain array; then ``_topple_round``, the kernel the wave route
-    shares, topples and scatters the grains ``_BATCH_SLICE`` fired vertices
-    at a time and collects the next fire set from the ids the round
-    touched.  Additions commute, so the slices change no result, and the
-    round's temporaries stay a few MiB at any radius.  A round holds its
-    fire set as int32 ids, 4 bytes per fired vertex, besides the next fire
-    set.  Each topple is one (vertex, round) pick, so ``dequeues`` equals
-    ``topples``, as in the queue engine.  The budget bounds every grain and
-    odometer entry, so below 2**62 the int64 counts cannot wrap.  The
-    working grains are int8 when the start's largest count is at most 120
-    and int64 otherwise: a round fires each vertex once, so on a ball from
-    ``build_ball`` or ``load_ball`` no count passes max(start max, 13) + 7,
-    and on any other CSR a count that wraps past 127 ends a multiple of 256
-    below its value, which the int64 identity check refuses.
+    shares, topples and scatters the grains a piece at a time and reads the
+    next fire set from the span of ids the round fired or fed.  A fire set
+    is int32 ids, 4 bytes per fired vertex, when it was read from a span of
+    at most ``_FIRE_BLOCK`` ids or after a set whose runs average fewer
+    than ``_LONG_RUN`` ids, and run bounds, 8 bytes per run, otherwise.
+    Additions commute, so the pieces change no result, and the round's
+    temporaries stay a few MiB at any radius.  Each topple is one
+    (vertex, round) pick, so ``dequeues`` equals ``topples``, as in the
+    queue engine.  The budget bounds every grain and odometer entry, so
+    below 2**62 the int64 counts cannot wrap.  The working grains are int8
+    when the start's largest count is at most 120 and int64 otherwise: a
+    round fires each vertex once, so on a ball from ``build_ball`` or
+    ``load_ball`` no count passes max(start max, 13) + 7, and on any other
+    CSR a count that wraps past 127 ends a multiple of 256 below its value,
+    which the int64 identity check refuses.
     """
     ball = state.ball
     if state.grains.min() < 0:
@@ -520,9 +736,9 @@ def relax_batch(state: State) -> RelaxResult:
     g[:] = state.grains
     odo = np.zeros(ball.n, dtype=np.int64)
     topples = 0
-    fire = _ids(g >= DEGREE)
+    fire = _round_fire_set(g, 0, ball.n, None)
     while fire.size:
-        topples += fire.size
+        topples += fire.size if fire.ndim == 1 else int((fire[:, 1] - fire[:, 0]).sum())
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
         fire = _topple_round(g, odo, ball, fire)

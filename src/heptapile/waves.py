@@ -6,15 +6,19 @@ topple at p and at v, and let the avalanche run.  Within one wave every vertex
 topples at most once, so a wave is a front sweeping the ball; successive fronts
 shrink.  Fronts are swept in rounds, not by calling ``sandpile.relax``:
 each round fires every unstable vertex once, which the abelian property
-allows, through ``relax_batch``'s round kernel ``sandpile._topple_round``,
-which fires a slice of one run of consecutive ids in place and reads the
-other slices' neighbor ids per run, a long run as one block of the CSR
-``indices``, and adds one grain per row entry, so a round's temporaries
-stay a few MiB at any radius and its next front is collected from the ids
-it fired or fed.  One scratch mask of toppled vertices serves every wave of
-a relaxation: a fire set of one run is tested and marked through a slice of
-it, and each wave's front is collected from, and cleared over, only the
-span of ids the wave fired.
+allows, through ``relax_batch``'s round kernel ``sandpile._topple_round``.
+A fire set read from a span of at most ``sandpile._FIRE_BLOCK`` ids, or
+after one whose runs average fewer than ``sandpile._LONG_RUN`` ids, is
+held as int32 ids, any other as run bounds, ascending (start, stop) pairs
+of consecutive ids: a front from the all-sixes state is a few rings or
+arcs.  The kernel fires each run of at least ``sandpile._LONG_RUN`` ids,
+and each slice of ids that is one run, in place, adds one grain per row
+entry, and reads the next fire set from the span of ids the round fired or
+fed, so a round's temporaries stay a few MiB at any radius.  One scratch
+mask of toppled vertices serves every wave of a relaxation: the kernel
+tests and marks each piece it fires in it, a run through a slice of it,
+and each wave's front is collected from, and cleared over, only the span
+of ids the wave fired.
 The working grains are int8: a wave starts on a stable state and fires
 each vertex once, so on a ball from ``build_ball`` or ``load_ball``, where
 a vertex is listed in at most 7 rows, no count passes 13.  On any other
@@ -80,29 +84,22 @@ def _forced_wave(ball: Ball, g: np.ndarray, counts: np.ndarray, toppled: np.ndar
 
     Returns the front, the ids of the vertices that toppled, ascending, as
     int32; ``counts`` gains one topple at each.  ``toppled`` is the
-    caller's scratch mask, all false on entry and again on return: each
-    fire set is tested and marked in it, a fire set of one run of
-    consecutive ids through a slice and any other through its ids, and the
-    front is collected from the span of ids the wave fired, which is then
-    cleared.  Each round fires its fire set once through
-    ``sandpile._topple_round``, which returns every vertex then holding 7
-    or more grains, so a vertex that toppled and reaches 7 again fires
-    again and trips the toppled-twice check.
+    caller's scratch mask, all false on entry and again on return.  Each
+    round fires its fire set once through ``sandpile._topple_round``, which
+    tests and marks each vertex it fires in ``toppled`` and returns every
+    vertex then holding 7 or more grains, as ids or as run bounds, so a
+    vertex that toppled and reaches 7 again trips the toppled-twice check
+    when it is fired again.  The front is collected from the span of ids
+    the wave fired, which is then cleared.
     """
     fire = np.array(sorted((site, via)), dtype=np.int32)
-    first, last = int(fire[0]), int(fire[-1])
+    first = last = site
     while fire.size:
-        a, b = int(fire[0]), int(fire[-1]) + 1
-        if b - a == fire.size:  # ascending distinct ids: one run
-            twice = toppled[a:b].any()
-            toppled[a:b] = True
-        else:
-            twice = toppled[fire].any()
-            toppled[fire] = True
-        if twice:
-            raise InvariantError("a vertex toppled twice within one wave")
-        first, last = min(first, a), max(last, b - 1)
-        fire = _sandpile._topple_round(g, counts, ball, fire)
+        if fire.ndim == 1:
+            first, last = min(first, int(fire[0])), max(last, int(fire[-1]))
+        else:  # run bounds
+            first, last = min(first, int(fire[0, 0])), max(last, int(fire[-1, 1]) - 1)
+        fire = _sandpile._topple_round(g, counts, ball, fire, toppled)
     span = toppled[first:last + 1]
     front = _sandpile._ids(span, first)
     span[:] = False

@@ -223,11 +223,13 @@ def test_bench_methods_agree(capsys):
 
 
 def test_bench_holds_at_most_two_results(capsys, monkeypatch):
-    # when a run starts, only the first run's result may still be alive
+    # when a run starts, no earlier run's result may still be alive: each is
+    # judged by the closed forms and dropped, so at most two results, a
+    # run's own and a closed form it is judged by, are alive at once
     results = []
 
     def tracked(ball, method):
-        assert sum(ref() is not None for ref in results) <= 1
+        assert all(ref() is None for ref in results)
         out = bench_once(ball, method)
         results.append(weakref.ref(out[0].state.grains))
         return out
@@ -258,6 +260,29 @@ def test_bench_judges_its_first_result_by_the_closed_forms(capsys, monkeypatch, 
     code, text, _ = run(capsys, "bench", "--m", "3", "--methods", "batch,wave")
     assert code == 1
     assert f"MISMATCH at m=3: batch {field} != closed form" in text
+
+
+@pytest.mark.parametrize("field", ["state", "odometer"])
+def test_bench_judges_every_later_result_by_the_closed_forms(capsys, monkeypatch, field):
+    # the first result is dropped once it equals the closed forms, so a
+    # later method that alone moves one grain or topple from the root to
+    # the last vertex must still fail, by the closed forms
+    def shifted(ball, method):
+        res, dt = bench_once(ball, method)
+        if method != "wave":
+            return res, dt
+        values = (res.state.grains if field == "state" else res.odometer.counts).copy()
+        values[0] -= 1
+        values[-1] += 1
+        if field == "state":
+            return res._replace(state=State(ball, values)), dt
+        return res._replace(odometer=Odometer(ball, values)), dt
+
+    bench_once = cli._bench_once
+    monkeypatch.setattr(cli, "_bench_once", shifted)
+    code, text, _ = run(capsys, "bench", "--m", "3", "--methods", "naive,batch,wave,closed")
+    assert code == 1
+    assert f"MISMATCH at m=3: wave {field} != closed form" in text
 
 
 def test_bench_refuses_a_range_that_cannot_fit_before_building(capsys, monkeypatch):

@@ -400,20 +400,24 @@ def test_queue_engine_matches_the_in_queue_flag_oracle(ball_cache):
         assert (res.topples, res.dequeues) == (topples, dequeues)
 
 
-def test_schedules_agree_with_the_in_queue_flag_oracle(ball_cache):
+def test_schedules_agree_with_the_in_queue_flag_oracle(ball_cache, monkeypatch):
     # the abelian property: the queue engine, whose generations hold any
     # order, the parallel rounds and the one-vertex-at-a-time FIFO queue
     # must end on the same state, odometer and topples from any
     # nonnegative start, on the balls of radius 0..4 and on a CSR whose
-    # root's row reaches the outer ring
+    # root's row reaches the outer ring; with _FIRE_BLOCK at 4 and
+    # _LONG_RUN at 2 many generations and fire sets are run bounds
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     balls = [ball_cache(m) for m in range(0, 5)] + [_root_linked_to_the_outer_ring(ball_cache)]
 
     @hypothesis.settings(max_examples=40, deadline=None, database=None)
     @hypothesis.given(st.sampled_from(balls).flatmap(lambda b: st.tuples(
-        st.just(b), st.lists(st.integers(0, 20), min_size=b.n, max_size=b.n))))
-    def check(case):
+        st.just(b), st.lists(st.integers(0, 20), min_size=b.n, max_size=b.n))),
+        st.sampled_from([4, 1 << 16]))
+    def check(case, block):
+        monkeypatch.setattr(sandpile, "_FIRE_BLOCK", block)
+        monkeypatch.setattr(sandpile, "_LONG_RUN", 2 if block == 4 else 64)
         b, grains = case
         start = State(b, np.array(grains, dtype=np.int64))
         g, odo, topples, _ = _relax_with_in_queue_flags(start)
@@ -485,22 +489,27 @@ def test_int8_grains_widen_in_place(monkeypatch):
         assert wide.tolist() == want.tolist(), (block, n)
 
 
-def test_round_kernel_and_waves_agree_on_int8_and_int64_grains(ball_cache, wave_cases):
+def test_round_kernel_and_waves_agree_on_int8_and_int64_grains(ball_cache, wave_cases,
+                                                                 monkeypatch):
     # the kernel and the wave sweep take the grains' dtype as they find it:
     # one start on int8 and on int64 grains gives the same grains, odometer
-    # and fire sets, and the same fronts
-    for start in _slice_starts(ball_cache, 8):
+    # and fire sets, and the same fronts, with fire sets held as ids and,
+    # when _FIRE_BLOCK is 16 and _LONG_RUN 4, mostly as run bounds
+    for start, block in itertools.product(_slice_starts(ball_cache, 8), (16, 1 << 16)):
+        monkeypatch.setattr(sandpile, "_FIRE_BLOCK", block)
+        monkeypatch.setattr(sandpile, "_LONG_RUN", 4 if block == 16 else 64)
         runs = []
         for dtype in (np.int8, np.int64):
             g = start.grains.astype(dtype)
             odo = np.zeros(start.ball.n, dtype=np.int64)
-            fire, fires = sandpile._ids(g >= DEGREE), []
+            fire, fires = sandpile._round_fire_set(g, 0, start.ball.n, None), []
             while fire.size:
                 fire = sandpile._topple_round(g, odo, start.ball, fire)
                 fires.append(fire.tolist())
             assert g.dtype == dtype
             runs.append((g.tolist(), odo.tolist(), fires))
         assert runs[0] == runs[1]
+    monkeypatch.undo()
     for b, site in wave_cases:
         runs = []
         for dtype in (np.int8, np.int64):
@@ -572,11 +581,17 @@ def _slice_starts(ball_cache, seed):
 @pytest.mark.parametrize("size", [1, 3, 7])
 def test_queue_generations_are_the_same_in_small_slices(ball_cache, monkeypatch, size):
     # a generation is toppled a slice of vertices at a time: the slice size
-    # may change the push order within a generation, but no value
+    # may change the push order within a generation, but no value.  With
+    # whole slices and _FIRE_BLOCK unbounded every generation is ids; with
+    # small ones and _LONG_RUN at 4 many are run bounds, read 16 ids per
+    # slice id at a time
     starts = _slice_starts(ball_cache, size)
     monkeypatch.setattr(sandpile, "_QUEUE_SLICE", 1 << 40)
+    monkeypatch.setattr(sandpile, "_FIRE_BLOCK", 1 << 40)
     whole = [relax(start) for start in starts]
     monkeypatch.setattr(sandpile, "_QUEUE_SLICE", size)
+    monkeypatch.setattr(sandpile, "_FIRE_BLOCK", 16 * size)
+    monkeypatch.setattr(sandpile, "_LONG_RUN", 4)
     for start, want in zip(starts, whole):
         got = relax(start)
         assert got.state == want.state
@@ -586,21 +601,30 @@ def test_queue_generations_are_the_same_in_small_slices(ball_cache, monkeypatch,
 
 @pytest.mark.parametrize("size", [1, 3, 7])
 def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size):
-    # a round's fire set is collected, and toppled, a block of vertices at a
-    # time: neither block size may change a value
+    # a round's fire set is toppled a slice of vertices at a time and read
+    # a block of ids at a time: neither size may change a value.  With
+    # whole slices and _FIRE_BLOCK unbounded every fire set is ids; with
+    # small ones and _LONG_RUN at 4 many are run bounds, each long run cut
+    # at every slice and read from the mask 16 ids per slice id at a time
     starts = _slice_starts(ball_cache, size)
     monkeypatch.setattr(sandpile, "_BATCH_SLICE", 1 << 40)
     monkeypatch.setattr(sandpile, "_FIRE_BLOCK", 1 << 40)
     whole = [relax_batch(start) for start in starts]
     monkeypatch.setattr(sandpile, "_BATCH_SLICE", size)
-    monkeypatch.setattr(sandpile, "_FIRE_BLOCK", size)
+    monkeypatch.setattr(sandpile, "_FIRE_BLOCK", 16 * size)
+    monkeypatch.setattr(sandpile, "_LONG_RUN", 4)
     for start, want in zip(starts, whole):
         got = relax_batch(start)
         assert got.state == want.state
         assert got.odometer == want.odometer
         assert (got.topples, got.dequeues) == (want.topples, want.dequeues)
-    fire = sandpile._ids(np.arange(20) >= 7)  # the round's ids, as int32
-    assert fire.dtype == np.int32 and fire.tolist() == list(range(7, 20))
+    fire = sandpile._round_fire_set(np.arange(300) % 150, 0, 300, None)
+    assert fire.dtype == np.int32 and fire.tolist() == [[7, 150], [157, 300]]
+    # after a fire set whose runs average fewer than _LONG_RUN ids the next
+    # is ids, however wide its span
+    for fired in (np.arange(0, 300, 2, dtype=np.int32), _run_bounds(range(0, 300, 2))):
+        fire = sandpile._round_fire_set(np.arange(300) % 150, 0, 300, fired)
+        assert fire.dtype == np.int32 and fire.tolist() == [*range(7, 150), *range(157, 300)]
     assert all(r.dequeues == r.topples for r in whole)  # no round fires a vertex twice
 
 
@@ -615,9 +639,31 @@ def _root_linked_to_the_outer_ring(ball_cache):
     return Ball(b.radius, b.level, b.vtype, indptr, np.concatenate(rows).astype(np.int32))
 
 
+def _fire_ids(fire):
+    """The ids of a round kernel fire set, given as ids or as run bounds,
+    after checking that run bounds are int32, ascending and maximal."""
+    if fire.ndim == 1:
+        return fire.tolist()
+    assert fire.dtype == np.int32 and fire.shape[1:] == (2,)
+    flat = fire.ravel().tolist()
+    assert all(a < b for a, b in zip(flat, flat[1:])), flat  # a stop never meets the next start
+    return [v for a, b in fire.tolist() for v in range(a, b)]
+
+
+def _run_bounds(ids):
+    """The run bounds of ascending distinct ``ids``, (r, 2) int32, maximal runs."""
+    bounds = []
+    for v in ids:
+        if bounds and bounds[-1][1] == v:
+            bounds[-1][1] = v + 1
+        else:
+            bounds.append([v, v + 1])
+    return np.array(bounds, dtype=np.int32).reshape(-1, 2)
+
+
 def _round_oracle(g, odo, ball, fire):
     """``_topple_round`` one vertex and one grain at a time."""
-    for v in fire.tolist():
+    for v in _fire_ids(fire):
         g[v] -= DEGREE
         odo[v] += 1
         for u in ball.neighbors(v).tolist():
@@ -658,50 +704,110 @@ def test_round_kernel_matches_a_scalar_oracle(ball_cache, monkeypatch, size):
         assert odo.tolist() == want_odo.tolist(), fire
 
 
+@pytest.mark.parametrize("size", [1, 3, 1 << 40])
+def test_run_bounds_fire_as_the_one_vertex_oracle(ball_cache, monkeypatch, size):
+    # the round kernel fires a fire set of run bounds, and the queue engine a
+    # generation of them, as one vertex at a time does: runs of one id, a
+    # run cut by the slice size, runs at id 0 and at n - 1, two runs one id
+    # apart, the many short runs of a random 0..40 state, and runs whose
+    # rows reach the outer ring.  With _FIRE_BLOCK at 8 the first scan of
+    # a relaxation gives run bounds, read 8 ids at a time; _LONG_RUN at 4
+    # fires each run of 4 ids or more in place, at 64 nearly none
+    monkeypatch.setattr(sandpile, "_BATCH_SLICE", size)
+    monkeypatch.setattr(sandpile, "_QUEUE_SLICE", size)
+    monkeypatch.setattr(sandpile, "_FIRE_BLOCK", 8)
+    rng = np.random.default_rng(34)
+    b = ball_cache(4)
+    linked = _root_linked_to_the_outer_ring(ball_cache)
+    cases = [
+        (b, [5, 9, 20, 77]),                                 # runs of one id
+        (b, list(range(30, 38))),                            # one run, cut when size is 3
+        (b, [0, 1, 2, 3] + list(range(b.n - 5, b.n))),       # runs at id 0 and at n - 1
+        (b, list(range(40, 45)) + list(range(46, 50))),      # two runs one id apart
+        (b, None),                                           # a random 0..40 state
+        (linked, [0, 1, 2]),                                 # rows reaching the outer ring
+        (linked, [0, 29, 30]),
+    ]
+    for (ball, fire), long_run in itertools.product(cases, (4, 64)):
+        monkeypatch.setattr(sandpile, "_LONG_RUN", long_run)
+        if fire is None:
+            start = rng.integers(0, 41, size=ball.n, dtype=np.int64)
+            fire = np.flatnonzero(start >= DEGREE).tolist()
+        else:
+            start = rng.integers(0, DEGREE, size=ball.n, dtype=np.int64)
+            start[fire] = rng.integers(DEGREE, 3 * DEGREE, size=len(fire))
+        g, odo = start.copy(), rng.integers(0, 3, size=ball.n, dtype=np.int64)
+        want_g, want_odo = g.copy(), odo.copy()
+        want = _round_oracle(want_g, want_odo, ball, np.array(fire))
+        got = sandpile._topple_round(g, odo, ball, _run_bounds(fire))
+        assert _fire_ids(got) == want.tolist(), fire
+        assert g.tolist() == want_g.tolist(), fire
+        assert odo.tolist() == want_odo.tolist(), fire
+        # the first generation and round of a relaxation are the same runs
+        want_g, want_odo, topples, _ = _relax_with_in_queue_flags(State(ball, start))
+        for engine in (relax, relax_batch):
+            res = engine(State(ball, start))
+            assert res.state.grains.tolist() == want_g, (engine, fire)
+            assert res.odometer.counts.tolist() == want_odo
+            assert res.topples == topples
+
+
 def test_root_rounds_fire_the_rings_of_their_parity(ball_cache, monkeypatch):
     # from max-stable + root, round r = 0..2m fires exactly the rings
-    # l = r (mod 2) with l <= min(r, 2m - r)
+    # l = r (mod 2) with l <= min(r, 2m - r), as ids or, with _FIRE_BLOCK
+    # at 64, as run bounds: one run per ring, since no two fired rings touch
     kernel = sandpile._topple_round
     rounds = []
 
-    def recorded(g, odo, ball, fire):
+    def recorded(g, odo, ball, fire, toppled=None):
         rounds.append(fire.copy())
-        return kernel(g, odo, ball, fire)
+        return kernel(g, odo, ball, fire, toppled)
 
     monkeypatch.setattr(sandpile, "_topple_round", recorded)
-    for m in range(0, 11):
+    for m, block in itertools.product(range(0, 11), (64, 1 << 16)):
+        monkeypatch.setattr(sandpile, "_FIRE_BLOCK", block)
         b = ball_cache(m)
         rounds.clear()
         relax_batch(perturb(max_stable(b), [0]))
         assert len(rounds) == 2 * m + 1
         for r, fire in enumerate(rounds):
             rings = (b.level % 2 == r % 2) & (b.level <= min(r, 2 * m - r))
-            assert np.array_equal(fire, np.flatnonzero(rings)), (m, r)
+            assert _fire_ids(fire) == np.flatnonzero(rings).tolist(), (m, r)
+            if fire.ndim == 2:
+                assert len(fire) == min(r, 2 * m - r) // 2 + 1, (m, r)
 
 
 def test_each_round_returns_the_fire_set_of_a_full_scan(ball_cache, monkeypatch, wave_cases):
     # a round fires each vertex of its fire set once and no other, and scans
     # only the ids between the smallest and the largest it fired or fed,
     # which must still find every vertex holding 7 or more
+    # (as ids, or mostly as maximal run bounds when _FIRE_BLOCK is 16 and
+    # _LONG_RUN is 4, below which a set's runs average after which the
+    # next set is ids again)
     kernel = sandpile._topple_round
     rounds = []
 
-    def checked(g, odo, ball, fire):
+    def checked(g, odo, ball, fire, toppled=None):
         before = odo.copy()
-        nxt = kernel(g, odo, ball, fire)
+        nxt = kernel(g, odo, ball, fire, toppled)
         added = odo - before
-        assert (added[fire] == 1).all() and added.sum() == fire.size
+        ids = _fire_ids(fire)
+        assert (added[ids] == 1).all() and added.sum() == len(ids)
         assert nxt.dtype == np.int32
-        assert np.array_equal(nxt, np.flatnonzero(g >= DEGREE))
-        rounds.append(nxt.size)
+        assert _fire_ids(nxt) == np.flatnonzero(g >= DEGREE).tolist()
+        rounds.append((nxt.ndim, len(_fire_ids(nxt))))
         return nxt
 
     monkeypatch.setattr(sandpile, "_topple_round", checked)
-    for start in _slice_starts(ball_cache, 0):
-        relax_batch(start)
-    for b, site in wave_cases:
-        wave_relax(b, site)
-    assert len(rounds) > 500 and 0 in rounds
+    for block, long_run in ((16, 4), (1 << 16, 64)):
+        monkeypatch.setattr(sandpile, "_FIRE_BLOCK", block)
+        monkeypatch.setattr(sandpile, "_LONG_RUN", long_run)
+        for start in _slice_starts(ball_cache, 0):
+            relax_batch(start)
+        for b, site in wave_cases:
+            wave_relax(b, site)
+    assert len(rounds) > 1000 and (1, 0) in rounds and (2, 0) in rounds
+    assert sum(ndim == 2 for ndim, _ in rounds) > 300
     linked = _root_linked_to_the_outer_ring(ball_cache)
     rng = np.random.default_rng(3)
     starts = [perturb(max_stable(linked), sites) for sites in ([0], [29], [84], [5, 40])]
@@ -713,10 +819,12 @@ def test_each_round_returns_the_fire_set_of_a_full_scan(ball_cache, monkeypatch,
 
 def test_scalar_engines_run_without_the_batch_and_wave_code(ball_cache, monkeypatch):
     # the scalar engines must not share code with relax_batch or the wave
-    # route, so that one bug cannot fool two checks: with the kernel, or its
-    # row gather alone, broken, both still land on the closed forms, and
-    # with the queue engine's row gather broken, batch and wave still do;
-    # the queue, batch and wave routes are the verify route table's own
+    # route, so that one bug cannot fool two checks: with the kernel's
+    # helpers, or its row gather alone, broken, both still land on the
+    # closed forms, and with the queue engine's helpers broken, batch and
+    # wave still do; each with fire sets and generations held as ids and,
+    # with _FIRE_BLOCK at 16 and _LONG_RUN at 4, as run bounds.  The queue,
+    # batch and wave routes are the verify route table's own
     def broken(*args, **kwargs):
         raise AssertionError("broken code was called")
 
@@ -725,19 +833,34 @@ def test_scalar_engines_run_without_the_batch_and_wave_code(ball_cache, monkeypa
     scalar = {**queue, "random": lambda ball, sites: relax_random(
         perturb(max_stable(ball), sites), rng)}
     rounds = {"batch": ROUTES["batch"], "wave": ROUTES["wave"]}
-    kernel = ((sandpile, "_topple_round"), (sandpile, "_ids"), (sandpile, "_widen"),
+    kernel = ((sandpile, "_topple_round"), (sandpile, "_round_pieces"),
+              (sandpile, "_round_rows"), (sandpile, "_round_fire_set"),
+              (sandpile, "_ids"), (sandpile, "_widen"),
               (waves, "_forced_wave"))
+    queue_code = ((sandpile, "_queue_pieces"), (sandpile, "_queue_gather"),
+                  (sandpile, "_queue_rows"), (sandpile, "_queue_next"))
     for names, dead, alive in ((kernel, rounds, scalar),
                                (((sandpile, "_round_gather"),), rounds, scalar),
-                               (((sandpile, "_queue_gather"),), queue, rounds)):
+                               (queue_code, queue, rounds)):
+        for name in names:  # each is code that one of the routes runs
+            with monkeypatch.context() as patch:
+                patch.setattr(*name, broken)
+                died = 0
+                for route in dead.values():
+                    try:
+                        route(ball_cache(3), [0])
+                    except AssertionError as error:
+                        died += "broken code" in str(error)
+                assert died, name
         with monkeypatch.context() as patch:
             for module, name in names:
                 patch.setattr(module, name, broken)
-            b = ball_cache(3)
             for route in dead.values():
                 with pytest.raises(AssertionError, match="broken code"):
-                    route(b, [0])
-            for m in range(1, 7):
+                    route(ball_cache(3), [0])
+            for m, block in itertools.product(range(1, 7), (16, 1 << 16)):
+                patch.setattr(sandpile, "_FIRE_BLOCK", block)
+                patch.setattr(sandpile, "_LONG_RUN", 4 if block == 16 else 64)
                 b = ball_cache(m)
                 for sites in ([0], [b.n - 1], [int(b.level_start[m - 1]), b.n - 1]):
                     want = (predicted_beta(b, sites), predicted_odometer(b, sites))
@@ -869,12 +992,12 @@ def test_relaxation_peak_stays_within_the_ball_model(ball_cache, route):
     # takes 25, and the other 7 stay headroom, not room for a route to grow
     # into, so no route needs a guard of its own.  The queue engine holds
     # int8 working grains and an int64 odometer, 9 bytes per vertex, and
-    # the int64 state it returns beside them at the end, and two generations
-    # of int64 ids that never hold more than n vertices together at radii
-    # 6..13; the next is scanned from a bool mask over the ids the current
-    # one fired or fed, at most a byte per vertex, and a slice of more than
-    # one run gathers about 7 * _QUEUE_SLICE int32 neighbor ids, and an
-    # int64 position per id when its runs are short, the same at every
+    # the int64 state it returns beside them at the end; a generation read
+    # from a span wider than _FIRE_BLOCK ids is run bounds, one pair per
+    # ring from this start, and a narrower one at most _FIRE_BLOCK int64 ids,
+    # read from a mask of at most _FIRE_BLOCK bytes, and a piece of more
+    # than one run gathers about 7 * _QUEUE_SLICE int32 neighbor ids, and
+    # an int64 position per id when its runs are short, the same at every
     # radius, so its peak at radius 12 stands for every radius
     b = ball_cache(12)
     start = perturb(max_stable(b), [0])

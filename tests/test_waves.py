@@ -194,6 +194,9 @@ def test_root_relaxation_is_invariant_under_a_seventh_rotation(m, ball_cache):
 
 @pytest.mark.parametrize("size", [1, 3, 7])
 def test_waves_are_the_same_in_small_slices(ball_cache, monkeypatch, wave_cases, size):
+    # with whole slices and _FIRE_BLOCK unbounded every fire set is ids;
+    # with small ones and _LONG_RUN at 4 many are run bounds, each long run
+    # cut at every slice and read from the mask 16 ids per slice id at a time
     rng = np.random.default_rng(size)
     b = ball_cache(4)
     stable = [State(b, rng.integers(0, 7, size=b.n, dtype=np.int64)) for _ in range(3)]
@@ -202,7 +205,8 @@ def test_waves_are_the_same_in_small_slices(ball_cache, monkeypatch, wave_cases,
     whole = [wave_relax(ball, site) for ball, site in wave_cases]
     whole_waves = [wave(state, site) for state in stable for site in range(b.n)]
     monkeypatch.setattr(sandpile, "_BATCH_SLICE", size)
-    monkeypatch.setattr(sandpile, "_FIRE_BLOCK", size)
+    monkeypatch.setattr(sandpile, "_FIRE_BLOCK", 16 * size)
+    monkeypatch.setattr(sandpile, "_LONG_RUN", 4)
     for (ball, site), want in zip(wave_cases, whole):
         got = wave_relax(ball, site)
         assert got.state == want.state
