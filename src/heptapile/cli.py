@@ -193,10 +193,13 @@ def cmd_bench(args) -> int:
     print(f"{'m':>3} {'vertices':>9} {'method':>12} {'seconds':>10} "
           f"{'topples':>10} {'dequeues':>10}")
     for m in radii:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         if not _bench_radius(build_ball(m), methods, args.repeat):
             return 1
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        peak = usage.ru_maxrss / 1024  # KiB on Linux
         print(f"# m={m} process peak RSS {peak:.1f} MiB")
+        print(f"# m={m} minor page faults {usage.ru_minflt - faults}")
     return 0
 
 

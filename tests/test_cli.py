@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import pytest
@@ -218,8 +219,12 @@ def test_bench_methods_agree(capsys):
     assert "MISMATCH" not in text
     for method in ("naive", "batch", "wave", "closed"):
         assert method in text
+    lines = text.splitlines()
     for m in (1, 2):
-        assert f"# m={m} process peak RSS " in text
+        peak = next(i for i, line in enumerate(lines)
+                    if line.startswith(f"# m={m} process peak RSS "))
+        assert re.fullmatch(rf"# m={m} process peak RSS \d+\.\d MiB", lines[peak])
+        assert re.fullmatch(rf"# m={m} minor page faults \d+", lines[peak + 1])
 
 
 def test_bench_holds_at_most_two_results(capsys, monkeypatch):
