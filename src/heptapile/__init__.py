@@ -8,7 +8,7 @@ states on an isometric embedding in the hyperbolic plane.
 Importing the package sets one heap policy for the whole process, in
 ``_keep_freed_pages``: glibc's mmap threshold is fixed at 32 MiB, the largest
 value it accepts on 64-bit, and its trim threshold at 1 GiB.  Every
-relaxation returns fresh n-sized int64 arrays, and ``validate_ball`` works in
+relaxation returns fresh n-sized arrays, and ``validate_ball`` works in
 per-block temporaries.  Under glibc's default policy these come back as
 freshly faulted pages on every call: about 2,150 minor faults per
 relaxation from the root at radius 12, up to 7,053 in a second
@@ -16,7 +16,8 @@ relaxation from the root at radius 12, up to 7,053 in a second
 and 17,029 (70 MB) per ``single_source_m12`` benchmark task.
 With both thresholds fixed, blocks up to 32 MiB come from the heap, their
 freed pages stay mapped for the next call, and each of those counts is 0.
-Arrays above 32 MiB (int64 fields from radius 15 on) are still mmapped.
+Arrays above 32 MiB (one-byte fields from radius 17 on, and wave fronts of
+int32 ids from radius 15 on) are still mmapped.
 One threshold alone does not do it: a trim threshold alone leaves glibc
 mmapping every block above 128 KiB, and an mmap threshold alone lets freed
 pages be trimmed.  The cost: freed memory stays with the process until it

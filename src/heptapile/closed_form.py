@@ -72,11 +72,11 @@ def alpha(s: int, ball: Ball) -> State:
     For s >= 1: 6 below level s, then 2/3 by type on level s itself, and 3/5
     by type beyond it.  For s = 0 the root carries -1 (a bookkeeping value,
     not a real grain count) and every other vertex carries 3 or 5 by type.
-    Two of these states agree everywhere outside the ball of radius s.
+    Two of these int8 states agree everywhere outside the ball of radius s.
     """
     if s < 0:
         raise ValueError("index must be nonnegative")
-    vals = ball.vtype.astype(np.int64)
+    vals = ball.vtype.astype(np.int8)
     vals *= 2
     vals += 1  # 3 or 5 by type (the root, type 0, gets 1)
     if s == 0:
@@ -102,8 +102,8 @@ def _site_levels(ball: Ball, sites: Iterable[int]) -> tuple:
 def predicted_beta(ball: Ball, sites: Iterable[int]) -> State:
     """Predicted relaxation of (max stable + one grain on each site).
 
-    Equals alpha(min level of sites) plus the added grains; stable by
-    construction, which is asserted rather than assumed.
+    Equals alpha(min level of sites) plus the added grains, in int8;
+    stable by construction, which is asserted rather than assumed.
     """
     sites, s = _site_levels(ball, sites)
     vals = alpha(s, ball).grains
@@ -115,10 +115,10 @@ def predicted_beta(ball: Ball, sites: Iterable[int]) -> State:
 
 
 def predicted_odometer(ball: Ball, sites: Iterable[int]) -> Odometer:
-    """Predicted topple counts: min(m+1-level(v), m+1-min level of sites)."""
+    """Predicted topple counts min(m+1-level(v), m+1-min level of sites), in int8 (m < 127)."""
     _, s = _site_levels(ball, sites)
     m = ball.radius
-    counts = np.subtract(m + 1, ball.level, dtype=np.int64)
+    counts = np.subtract(m + 1, ball.level, dtype=np.int8)
     np.minimum(counts, m + 1 - s, out=counts)
     return Odometer(ball, counts)
 

@@ -1,23 +1,27 @@
 """Sandpile states and relaxation on tiling balls.
 
-A state assigns a signed 64-bit grain count to every vertex.  A vertex with at
+A state assigns a grain count to every vertex, and an odometer a topple
+count: an int8 array as given, any other values as int64.  ``perturb`` and
+``topple`` return int64 where int8 would leave -128..127.  A vertex with at
 least 7 grains may topple: it loses 7 and each stored neighbor gains 1, so
 boundary vertices leak grains out of the ball.  Relaxation topples until every
 vertex is below 7; the toppling odometer counts topples per vertex, and the
 identity ``relaxed = start + laplacian(odometer)`` is re-checked after every
-run instead of trusted.  ``relax`` and ``relax_batch`` keep their working
-grains as int8 when the start's largest count is at most 120 (127 - 7),
-and as int64 through the same code otherwise.  On a ball from
+run instead of trusted.  ``relax`` and ``relax_batch`` keep, and return,
+their working grains as int8 when the start's largest count is at most
+120 (127 - 7), and as int64 through the same code otherwise.  On a ball from
 ``build_ball`` or ``load_ball`` a vertex is listed in at most 7 rows, once
 in each, so in one generation or round a vertex gains at most 7 grains and
 one holding 7 or more fires once: no count passes max(start max, 13) + 7.
 On any other CSR a count may pass 127 and wrap; int8 sums are exact modulo
 256 and a topple takes 7 from 7 or more, so only upward wraps occur, each
-leaving a count 256 short, and the int64 identity check refuses the
-result.  Odometers, states and the budget stay int64.  By the abelian
-property three schedules must agree
-exactly: a FIFO queue (``relax``), rounds that fire every unstable vertex
-once (``relax_batch``) and random legal order (``relax_random``).  The queue
+leaving a count 256 short, and the identity check refuses the result.  No
+odometer entry exceeds the rounds fired so far, so each engine widens its
+int8 odometer to int64 before its 128th round.  Every sum of grains or
+counts is exact in int64 whatever the dtypes.  By the abelian property
+three schedules must agree exactly: a FIFO queue (``relax``), rounds that
+fire every unstable vertex once (``relax_batch``) and random legal order
+(``relax_random``, in int64).  The queue
 and random-order engines share no code with ``relax_batch`` or the wave route.
 ``relax`` walks its queue one generation at a time and ``relax_batch``
 fires in rounds through one kernel, ``_topple_round``, that the wave route
@@ -40,8 +44,7 @@ temporaries stay a few MiB at any radius.  ``relax_random`` is the scalar
 reference, one topple and one grain at a time, and draws its choices in
 blocks of uniform integers and checks the budget once per block.  The
 identity check ends its blocks at the outer ring's first id, so every
-block of interior rows sums its full rows as seven columns.  Sums of
-grains are taken a block at a time in exact integers.  States and
+block of interior rows sums its full rows as seven columns.  States and
 odometers are saved as sparse text files, and a file loads only when it is
 byte for byte what the writer writes for the values it holds.
 """
@@ -64,13 +67,20 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
+def _field(values) -> np.ndarray:
+    """``values`` as a field's array: an int8 array as given, any other values as int64."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int8:
+        return values
+    return np.asarray(values, dtype=np.int64)
+
+
 class State:
-    """Grain counts over a ball. Value-like: ops return new states."""
+    """Grain counts over a ball, int8 or int64. Value-like: ops return new states."""
 
     __slots__ = ("ball", "grains")
 
     def __init__(self, ball: Ball, grains):
-        arr = np.asarray(grains, dtype=np.int64)
+        arr = _field(grains)
         if arr.shape != (ball.n,):
             raise ValueError(f"expected {ball.n} grain counts, got shape {arr.shape}")
         self.ball = ball
@@ -86,12 +96,12 @@ class State:
 
 
 class Odometer:
-    """Per-vertex topple counts from one relaxation."""
+    """Per-vertex topple counts from one relaxation, int8 or int64."""
 
     __slots__ = ("ball", "counts")
 
     def __init__(self, ball: Ball, counts):
-        arr = np.asarray(counts, dtype=np.int64)
+        arr = _field(counts)
         if arr.shape != (ball.n,):
             raise ValueError(f"expected {ball.n} counts, got shape {arr.shape}")
         if arr.size and arr.min() < 0:
@@ -116,18 +126,26 @@ class RelaxResult(NamedTuple):
 
 
 def max_stable(ball: Ball) -> State:
-    """The all-sixes state, the largest state stable everywhere."""
-    return State(ball, np.full(ball.n, DEGREE - 1, dtype=np.int64))
+    """The all-sixes state, the largest state stable everywhere, in int8."""
+    return State(ball, np.full(ball.n, DEGREE - 1, dtype=np.int8))
+
+
+def _added(grains: np.ndarray, ids: list, add) -> np.ndarray:
+    """A copy of ``grains`` plus ``add`` at the distinct ``ids``, int64 where int8 would wrap."""
+    new = grains[ids] + np.asarray(add, dtype=np.int64)
+    wraps = grains.dtype == np.int8 and ((new < -128) | (new > 127)).any()
+    out = grains.astype(np.int64 if wraps else grains.dtype)
+    out[ids] = new
+    return out
 
 
 def perturb(state: State, sites: Iterable[int]) -> State:
-    """Add one grain at each site (duplicates collapse: sites form a set)."""
-    out = state.grains.copy()
-    for v in sorted(set(int(s) for s in sites)):
+    """Add one grain at each site (duplicates collapse: sites form a set); int8 widens at a 127."""
+    sites = sorted(set(int(s) for s in sites))
+    for v in sites:
         if not 0 <= v < state.ball.n:
             raise ValueError(f"site {v} outside ball")
-        out[v] += 1
-    return State(state.ball, out)
+    return State(state.ball, _added(state.grains, sites, 1))
 
 
 def laplacian_delta(ball: Ball, v: int) -> dict:
@@ -150,28 +168,30 @@ def is_stable(state: State) -> bool:
 
 
 def topple(state: State, v: int) -> State:
-    """Apply one topple at v unconditionally (legality is the caller's business)."""
-    out = state.grains.copy()
-    for u, d in laplacian_delta(state.ball, v).items():
-        out[u] += d
-    return State(state.ball, out)
+    """Apply one topple at v unconditionally (legality is the caller's); int8 never wraps."""
+    delta = laplacian_delta(state.ball, v)
+    return State(state.ball, _added(state.grains, list(delta), list(delta.values())))
 
 
-# values per block of _exact_sum and of the in-place widening of int8
-# grains, which bounds their temporaries
+# values per block of _exact_sum and of _check_mass, which bounds their
+# temporaries
 _SUM_BLOCK = 1 << 16
 
 
 def _exact_sum(values: np.ndarray) -> int:
-    """The exact sum of int64 values, by blocks.
+    """The exact sum of int8 or int64 values, by blocks.
 
-    Each value is split into its high and low 32 bits, whose sums over a
-    block cannot leave int64; their exact recombination is a Python int.
+    A block of int8 values is summed in int64.  An int64 value is split
+    into its high and low 32 bits, whose sums over a block cannot leave
+    int64; their exact recombination is a Python int.
     """
     total = 0
     for lo in range(0, values.size, _SUM_BLOCK):
         block = values[lo:lo + _SUM_BLOCK]
-        total += (int((block >> 32).sum()) << 32) + int((block & 0xFFFFFFFF).sum())
+        if block.dtype == np.int8:
+            total += int(block.sum(dtype=np.int64))
+        else:
+            total += (int((block >> 32).sum()) << 32) + int((block & 0xFFFFFFFF).sum())
     return total
 
 
@@ -190,42 +210,23 @@ _BATCH_SLICE = 1 << 14
 # queued vertices per slice of a relax generation, which bounds the
 # temporaries of a slice of more than one run: about 7 int32 neighbor ids
 # per vertex, and an int64 position beside each when its runs are short.
-# Best-of-k seconds per relax of max_stable + root at radius 8 / 12 / 13
-# over two runs: 1 << 12 0.9-1.0 ms / 0.031-0.034 s / 0.09-0.11 s; 1 << 13
-# 1.0-1.7 ms / 0.033-0.049 s / 0.10 s; 1 << 14 0.9-1.7 ms / 0.030-0.049 s /
-# 0.09-0.13 s; 1 << 15 1.0-1.7 ms / 0.041-0.051 s / 0.10-0.11 s.  The
-# traced peak at radius 12 was 25.0 B per vertex at every size, set by the
-# grains, the odometer, two generations of ids and the scan's mask, not by
-# a slice; with wide generations held as run bounds it is 21.5 B.  The
-# times drift by half between runs on a 2-core host, so no size wins
-# clearly
+# No size from 1 << 12 to 1 << 15 won clearly, and none moved the traced
+# peak (BENCH_scan_queue.json, "queue_slice_sweep")
 _QUEUE_SLICE = 1 << 14
 
 # mean CSR row entries per run of consecutive ids from which _queue_gather
 # and _round_gather copy a slice's neighbor ids a run at a time as blocks
 # of indices, not through an int64 position per entry: a block costs a
-# Python-level slice per run, a position a few ns per entry.  Slices of
-# 16,384 ids at radius 12 in runs of 1 / 6 / 8 / 16 vertices and in one run
-# (7 / 42 / 56 / 112 / 114,688 entries per run) took 1.2-1.3 / 1.1-1.5 /
-# 1.0-1.5 / 1.0-1.4 / 1.0-1.1 ms gathered and 6.1-7.2 / 0.9-1.8 / 0.8-1.4 /
-# 0.5-0.7 / 0.04-0.05 ms copied (best of 5 x 50 calls, two runs), so the
-# two meet between 42 and 56 entries, about 7 vertices.  From the all-sixes
-# state nearly every slice is a few whole rings or arcs; a random state's
-# slices are mostly runs of one or two vertices.  A slice of fewer than
-# _LONG_RUN ids holds fewer than 7 * _LONG_RUN entries, and its rows are
-# read one by one with no run detection, whose fixed numpy calls cost more
-# there than the gather: a 60-id slice at radius 6 took 37 us cut into runs
-# and 16-19 us row by row.  In run bounds a run of _LONG_RUN ids or more
-# fires in place as a piece of its own, and shorter runs fire together
-# through their ids: from the all-sixes state nearly every id of a wide
-# fire set is in a run of thousands, and naive / batch / wave at radius 12
-# on the three single_source_m12 site sets of seed 1 took 97 / 95 / 74,
-# 94 / 96 / 72, 94 / 95 / 74 and 93 / 94 / 71 ms with this at 32, 64, 256
-# and 1024 (medians of 8 alternating in-process runs).  After a set whose
-# runs average fewer than _LONG_RUN ids even a wide span is read as ids:
-# held as run bounds, the random 0..40 state at radius 12 took 398 / 426 ms
-# (relax / relax_batch) against 319 / 326 ms as ids (medians of 10
-# alternating in-process runs)
+# Python-level slice per run, a position a few ns per entry, and the two
+# meet between 42 and 56 entries, about 7 vertices (BENCH_row_views.json,
+# "long_run_constant").  A slice of fewer than _LONG_RUN ids is read row
+# by row with no run detection, whose fixed numpy calls cost more there
+# than the gather (BENCH_validate_gathers.json, "micro").  In run bounds a
+# run of _LONG_RUN ids or more fires in place as a piece of its own, and
+# shorter runs fire together through their ids; after a set whose runs
+# average fewer than _LONG_RUN ids even a wide span is read as ids, since
+# run bounds made a random state slower (BENCH_run_bounds.json,
+# "long_run_m12_ms" and "run_bounds_for_short_runs_random_state_m12")
 _LONG_RUN = 64
 
 # rows per block of _check_identity, which bounds its entry-sized gather
@@ -233,24 +234,17 @@ _IDENTITY_ROWS = 1 << 14
 
 # interior rows from which _check_identity cuts its blocks at the outer
 # ring: below it the cut block's fixed numpy calls cost more than its
-# seven-column sums save.  Best of 5 per call from max-stable + root, one
-# block / cut, three runs: radius 4 (85 interior rows) 16 / 29-32 us, 6
-# (617) 39-45 / 51-63 us, 7 (1,625) 81-87 / 86-93 us, 8 (4,264) 199-206 /
-# 188-201 us, 9 (11,173) 579-804 / 541-570 us
+# seven-column sums save (BENCH_int8_grains.json, "identity_check_us")
 _SPLIT_ROWS = 1 << 12
 
 # the widest span of ids from which a generation or fire set is read as
 # ids, by one flatnonzero; a wider span gives run bounds, read from the
 # edges of its mask this many ids at a time, and _ids collects a longer
 # mask's ids a block at a time.  Every span on a ball of radius 8 or less
-# (11,173 vertices) is narrower, so a round there costs the numpy calls it
-# cost when every fire set was ids: holding those sets as run bounds too
-# made verify --m 1..8 --trials 10 25% slower in-process (medians 0.317 /
-# 0.397 s over 20 alternating runs).  From the all-sixes state at radius
-# 12 most topples are in wider rounds.  Medians of 8 alternating in-process
-# runs of the three single_source_m12 site sets of seed 1, naive / batch /
-# wave at radius 12: 1 << 12 131 / 137 / 126 ms; 1 << 14 104 / 104 / 79 ms;
-# 1 << 16 94 / 96 / 75 ms; 1 << 18 101 / 105 / 77 ms
+# (11,173 vertices) is narrower, since run bounds there made verify slower,
+# and from the all-sixes state at radius 12 most topples are in wider
+# rounds (BENCH_run_bounds.json, "run_bounds_everywhere_verify_battery"
+# and "fire_block_m12_ms")
 _FIRE_BLOCK = 1 << 16
 
 
@@ -264,8 +258,9 @@ def _check_identity(before: np.ndarray, after: np.ndarray,
     ids.  When every row of the block holds ``DEGREE`` entries, as in all
     but the outer rings, the gathered counts are summed as ``DEGREE``
     columns; other blocks sum each row's counts with ``np.add.reduceat``.
-    The sums are int64 whatever the dtype of ``after``, so relaxed int8
-    grains that wrapped past 127 differ from them by a multiple of 256.
+    The sums, and the ``DEGREE * counts`` term, are int64 whatever the
+    dtypes, so no int8 count wraps in them, and relaxed int8 grains that
+    wrapped past 127 differ from them by a multiple of 256.
     """
     ptr, idx = ball.indptr, ball.indices
     outer = int(ball.level_start[ball.radius])
@@ -279,12 +274,13 @@ def _check_identity(before: np.ndarray, after: np.ndarray,
             got = counts.take(idx[a:b])
             if (ptr[lo + 1:hi + 1] - ptr[lo:hi] == DEGREE).all():
                 rows = got.reshape(-1, DEGREE)
-                gain = rows[:, 0] + rows[:, 1]
-                for j in range(2, DEGREE):
+                gain = rows[:, 0].astype(np.int64)
+                for j in range(1, DEGREE):
                     gain += rows[:, j]
             else:
-                gain = np.add.reduceat(got, ptr[lo:hi] - a) if b > a else 0
-            if (before[lo:hi] + gain - DEGREE * counts[lo:hi] != after[lo:hi]).any():
+                gain = np.add.reduceat(got, ptr[lo:hi] - a, dtype=np.int64) if b > a else 0
+            gain -= np.multiply(counts[lo:hi], DEGREE, dtype=np.int64)
+            if (before[lo:hi] + gain != after[lo:hi]).any():
                 raise InvariantError("relaxed state differs from start + laplacian(odometer)")
 
 
@@ -446,14 +442,15 @@ def relax(state: State) -> RelaxResult:
     odometer entry can leave int64, since none exceeds the starting total
     or the budget.
 
-    The working grains are int8 when the start's largest count is at most
-    120 and int64 otherwise, and the result is int64 either way.  On a ball
+    The working grains, returned as the relaxed state, are int8 when the
+    start's largest count is at most 120 and int64 otherwise.  On a ball
     from ``build_ball`` or ``load_ball`` each vertex is listed in at most 7
     rows, once in each, and a generation fires each of its vertices once,
     so a vertex gains at most 7 grains in one and no count passes
     max(start max, 13) + 7.  On any other CSR a count that passes 127 wraps
     to 256 below its value, and the identity check, summed in int64,
-    refuses the result.
+    refuses the result.  No odometer entry exceeds the generations fired so
+    far, so the int8 odometer is widened to int64 before the 128th.
     """
     ball = state.ball
     if state.grains.min() < 0:
@@ -462,21 +459,18 @@ def relax(state: State) -> RelaxResult:
     if budget >= 2**62:
         raise OverflowError("too many grains to relax in 64-bit counts")
     ptr, idx = ball.indptr, ball.indices
-    # int8 grains, when no count can pass 127, are the first n bytes of the
-    # int64 array that the relaxed state will hold, whose other pages stay
-    # untouched until the grains are widened in place
-    narrow = state.grains.max() <= 127 - DEGREE
-    wide = np.empty(ball.n, dtype=np.int64)
-    g = wide.view(np.int8)[:ball.n] if narrow else wide
-    g[:] = state.grains
+    g = state.grains.astype(np.int8 if state.grains.max() <= 127 - DEGREE else np.int64)
     one = g.dtype.type(1)  # np.add.at leaves its fast path for a Python 1
-    counts = np.zeros(ball.n, dtype=np.int64)
+    counts = np.zeros(ball.n, dtype=np.int8)
     queue = _queue_next(g, 0, ball.n, None)
-    topples = 0
+    topples = generations = 0
     while queue.size:
         topples += queue.size if queue.ndim == 1 else int((queue[1] - queue[0]).sum())
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
+        if generations == 127:  # the next generation could take an entry to 128
+            counts = counts.astype(np.int64)
+        generations += 1
         first, end = ball.n, 0
         for a, b, f, fed in _queue_pieces(ptr, idx, queue):
             if f is None:
@@ -491,14 +485,7 @@ def relax(state: State) -> RelaxResult:
             np.add.at(g, fed, one)
         queue = _queue_next(g, first, end, queue)
     _check_identity(state.grains, g, ball, counts)
-    if narrow:
-        # last block first: a block's int64 values overwrite only its own
-        # int8 counts, copied out first, and those of later ids, widened
-        # already
-        for hi in range(ball.n, 0, -_SUM_BLOCK):
-            lo = max(hi - _SUM_BLOCK, 0)
-            wide[lo:hi] = g[lo:hi].copy()
-    return RelaxResult(State(ball, wide), Odometer(ball, counts), topples, topples)
+    return RelaxResult(State(ball, g), Odometer(ball, counts), topples, topples)
 
 
 def _ids(mask: np.ndarray, lo: int = 0) -> np.ndarray:
@@ -662,9 +649,10 @@ def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball, fire: np.ndarray,
     The grains are scattered a piece at a time (``_round_pieces``), one
     per neighbor id; additions commute, so the pieces change no value.
     When ``toppled`` is given, each fired vertex is marked in it, and a
-    vertex marked already raises ``InvariantError``.  ``g`` may be int8 or
-    int64: the kernel scatters a scalar of its dtype and leaves the
-    choice, and the proof that no count leaves it, to its callers.
+    vertex marked already raises ``InvariantError``.  ``g`` and ``odo`` may
+    each be int8 or int64: the kernel scatters a scalar of the grains'
+    dtype and leaves the choices, and the proofs that no value leaves
+    them, to its callers.
     """
     ptr, idx = ball.indptr, ball.indices
     one = g.dtype.type(1)  # np.add.at leaves its fast path for a Python 1
@@ -684,20 +672,6 @@ def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball, fire: np.ndarray,
     return _round_fire_set(g, first, end, fire)
 
 
-def _widen(wide: np.ndarray) -> None:
-    """Widen in place the int8 counts held in the first ``wide.size`` bytes of ``wide``.
-
-    The blocks go last first: a block's int64 values overwrite only its own
-    int8 counts, copied out first, and those of later ids, widened already.
-    ``relax_batch`` and the wave route call this; the queue engine widens
-    in code of its own.
-    """
-    g = wide.view(np.int8)[:wide.size]
-    for hi in range(wide.size, 0, -_SUM_BLOCK):
-        lo = max(hi - _SUM_BLOCK, 0)
-        wide[lo:hi] = g[lo:hi].copy()
-
-
 def relax_batch(state: State) -> RelaxResult:
     """Topple in rounds, each firing every vertex holding 7 or more grains once.
 
@@ -715,12 +689,14 @@ def relax_batch(state: State) -> RelaxResult:
     temporaries stay a few MiB at any radius.  Each topple is one
     (vertex, round) pick, so ``dequeues`` equals ``topples``, as in the
     queue engine.  The budget bounds every grain and odometer entry, so
-    below 2**62 the int64 counts cannot wrap.  The working grains are int8
-    when the start's largest count is at most 120 and int64 otherwise: a
-    round fires each vertex once, so on a ball from ``build_ball`` or
-    ``load_ball`` no count passes max(start max, 13) + 7, and on any other
-    CSR a count that wraps past 127 ends a multiple of 256 below its value,
-    which the int64 identity check refuses.
+    below 2**62 the int64 counts cannot wrap.  The working grains, returned
+    as the relaxed state, are int8 when the start's largest count is at most
+    120 and int64 otherwise: a round fires each vertex once, so on a ball
+    from ``build_ball`` or ``load_ball`` no count passes max(start max, 13)
+    + 7, and on any other CSR a count that wraps past 127 ends a multiple of
+    256 below its value, which the int64 identity check refuses.  Nor does
+    an odometer entry exceed the rounds fired so far: the int8 odometer is
+    widened to int64 before the 128th round.
     """
     ball = state.ball
     if state.grains.min() < 0:
@@ -728,24 +704,20 @@ def relax_batch(state: State) -> RelaxResult:
     budget = _budget(state.grains)
     if budget >= 2**62:
         raise OverflowError("too many grains to relax in 64-bit counts")
-    # int8 grains, when no count can pass 127, are the first n bytes of the
-    # int64 array that the relaxed state will hold, as in the queue engine
-    narrow = state.grains.max() <= 127 - DEGREE
-    wide = np.empty(ball.n, dtype=np.int64)
-    g = wide.view(np.int8)[:ball.n] if narrow else wide
-    g[:] = state.grains
-    odo = np.zeros(ball.n, dtype=np.int64)
-    topples = 0
+    g = state.grains.astype(np.int8 if state.grains.max() <= 127 - DEGREE else np.int64)
+    odo = np.zeros(ball.n, dtype=np.int8)
+    topples = rounds = 0
     fire = _round_fire_set(g, 0, ball.n, None)
     while fire.size:
         topples += fire.size if fire.ndim == 1 else int((fire[:, 1] - fire[:, 0]).sum())
         if topples > budget:
             raise InvariantError("toppling budget exhausted; relaxation diverged")
+        if rounds == 127:  # the next round could take an entry to 128
+            odo = odo.astype(np.int64)
+        rounds += 1
         fire = _topple_round(g, odo, ball, fire)
     _check_identity(state.grains, g, ball, odo)
-    if narrow:
-        _widen(wide)
-    return RelaxResult(State(ball, wide), Odometer(ball, odo), topples, topples)
+    return RelaxResult(State(ball, g), Odometer(ball, odo), topples, topples)
 
 
 # uniform 53-bit integers drawn per block of relax_random's step choices; a
@@ -823,7 +795,7 @@ def _default(values: np.ndarray) -> int:
     counts = np.zeros(hi - lo + 1, dtype=np.int64)
     step = max(_COUNT_BLOCK, counts.size)
     for a in range(0, values.size, step):
-        part = np.bincount(values[a:a + step] - lo)
+        part = np.bincount(np.subtract(values[a:a + step], lo, dtype=np.int64))
         counts[:part.size] += part
     return lo + int(np.argmax(counts))
 

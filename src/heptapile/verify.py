@@ -8,12 +8,14 @@ All randomness flows from one seed so reports are reproducible.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import closed_form as cf
 from .ball import Ball, VertexType, build_ball, distance_profile
+from .errors import InvariantError
 from .geometry import (EDGE_LENGTH, build_embedding, edge_lengths,
                        interior_angles, klein, nearest_neighbor_mismatches)
 from .sandpile import (RelaxResult, State, mass, max_stable, perturb, relax,
@@ -49,6 +51,16 @@ class CheckReport:
 
     def summary(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"
+
+
+@contextmanager
+def _raised(what: str, *reports: CheckReport):
+    """Turn an ``InvariantError`` that a route raises inside into a FAIL line in ``reports``."""
+    try:
+        yield
+    except InvariantError as exc:
+        for rep in reports:
+            rep.fail(f"{what}: {exc}")
 
 
 def site_families(ball: Ball, trials: int, rng: np.random.Generator) -> list:
@@ -132,14 +144,19 @@ def check_combinatorics() -> CheckReport:
 
 
 def _sweep_trial(ball: Ball, sites: list, reports: dict) -> None:
-    """Run one perturbation through the queue and wave routes; fail what it breaks."""
-    res = ROUTES["naive"](ball, sites)
+    """Run one perturbation through the queue and wave routes; fail what it breaks.
+
+    A route that raises fails each report that compares its result.
+    """
     tag = f"m={ball.radius} sites={sites}"
-    for fault in _closed_form_faults(mass(perturb(max_stable(ball), sites)), res, sites):
-        reports[fault].fail(f"{fault}: {tag}")
-    wres = ROUTES["wave"](ball, sites)
-    if wres.state != res.state or wres.odometer != res.odometer:
-        reports["waves"].fail(f"waves: {tag}")
+    with _raised(f"naive raised at {tag}", *reports.values()):
+        res = ROUTES["naive"](ball, sites)
+        for fault in _closed_form_faults(mass(perturb(max_stable(ball), sites)), res, sites):
+            reports[fault].fail(f"{fault}: {tag}")
+        with _raised(f"wave raised at {tag}", reports["waves"]):
+            wres = ROUTES["wave"](ball, sites)
+            if wres.state != res.state or wres.odometer != res.odometer:
+                reports["waves"].fail(f"waves: {tag}")
 
 
 def relaxation_sweep(balls: dict, trials: int, seed: int) -> list:
@@ -200,28 +217,29 @@ def check_wave_profiles(balls: dict) -> CheckReport:
     rep = CheckReport("wave fronts and profiles")
     prev_first_wave = {}
     for m, ball in balls.items():
-        w1 = wave(max_stable(ball), 0)
-        if not np.array_equal(w1.grains, _expected_first_wave(ball)):
-            rep.fail(f"m={m}: first wave profile at the root is wrong")
-        prev_first_wave[m] = w1.grains
-        if m - 1 in prev_first_wave:
-            w2 = wave(w1, 0)
-            inner = prev_first_wave[m - 1]
-            if not np.array_equal(w2.grains[:inner.size], inner):
-                rep.fail(f"m={m}: second wave does not restrict to the "
-                         f"radius-{m - 1} first wave")
-        wres = wave_relax(ball, 0)
-        if wres.wave_count != m + 1:
-            rep.fail(f"m={m}: {wres.wave_count} waves at the root, expected {m + 1}")
-        for a, b in zip(wres.fronts, wres.fronts[1:]):
-            if not set(b.tolist()) <= set(a.tolist()):
-                rep.fail(f"m={m}: wave fronts are not nested")
-                break
-        sizes = [len(front) for front in wres.fronts]
-        want = [cf.ball_size(m + 1 - k) for k in range(1, m + 2)]
-        rep.note(f"m={m}: front sizes {sizes}")
-        if sizes != want:
-            rep.fail(f"m={m}: front sizes {sizes}, expected ball sizes {want}")
+        with _raised(f"m={m}: a wave route raised", rep):
+            w1 = wave(max_stable(ball), 0)
+            if not np.array_equal(w1.grains, _expected_first_wave(ball)):
+                rep.fail(f"m={m}: first wave profile at the root is wrong")
+            prev_first_wave[m] = w1.grains
+            if m - 1 in prev_first_wave:
+                w2 = wave(w1, 0)
+                inner = prev_first_wave[m - 1]
+                if not np.array_equal(w2.grains[:inner.size], inner):
+                    rep.fail(f"m={m}: second wave does not restrict to the "
+                             f"radius-{m - 1} first wave")
+            wres = wave_relax(ball, 0)
+            if wres.wave_count != m + 1:
+                rep.fail(f"m={m}: {wres.wave_count} waves at the root, expected {m + 1}")
+            for a, b in zip(wres.fronts, wres.fronts[1:]):
+                if not set(b.tolist()) <= set(a.tolist()):
+                    rep.fail(f"m={m}: wave fronts are not nested")
+                    break
+            sizes = [len(front) for front in wres.fronts]
+            want = [cf.ball_size(m + 1 - k) for k in range(1, m + 2)]
+            rep.note(f"m={m}: front sizes {sizes}")
+            if sizes != want:
+                rep.fail(f"m={m}: front sizes {sizes}, expected ball sizes {want}")
     rep.note(f"radii {list(balls)}")
     return rep
 
@@ -235,16 +253,17 @@ def check_abelian(seed: int = DEFAULT_SEED) -> CheckReport:
     for i in range(_ABELIAN_STATES):
         grains = rng.integers(0, 14, size=ball.n, dtype=np.int64)
         state = State(ball, grains)
-        base = relax(state)
-        alt = relax_batch(state)
-        if alt.state != base.state or alt.odometer != base.odometer:
-            rep.fail(f"state {i}: batch schedule diverged")
-        for j in range(_ABELIAN_ORDERS):
-            order_rng = np.random.default_rng([seed, i, j])
-            res = relax_random(state, order_rng)
-            if res.state != base.state or res.odometer != base.odometer:
-                rep.fail(f"state {i} order {j}: random order diverged")
-                break
+        with _raised(f"state {i}: a route raised", rep):
+            base = relax(state)
+            alt = relax_batch(state)
+            if alt.state != base.state or alt.odometer != base.odometer:
+                rep.fail(f"state {i}: batch schedule diverged")
+            for j in range(_ABELIAN_ORDERS):
+                order_rng = np.random.default_rng([seed, i, j])
+                res = relax_random(state, order_rng)
+                if res.state != base.state or res.odometer != base.odometer:
+                    rep.fail(f"state {i} order {j}: random order diverged")
+                    break
     return rep
 
 

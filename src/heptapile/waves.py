@@ -19,13 +19,15 @@ mask of toppled vertices serves every wave of a relaxation: the kernel
 tests and marks each piece it fires in it, a run through a slice of it,
 and each wave's front is collected from, and cleared over, only the span
 of ids the wave fired.
-The working grains are int8: a wave starts on a stable state and fires
-each vertex once, so on a ball from ``build_ball`` or ``load_ball``, where
-a vertex is listed in at most 7 rows, no count passes 13.  On any other
-CSR a count may pass 127 and wrap; since a topple takes 7 from 6 or more,
-only upward wraps occur, each leaving the grains' sum 256 short, so the
-route checks that sum against the start plus its topples' grains and
-refuses a mismatch.
+The grains are int8 throughout, and the relaxed state is returned in
+them: a wave starts on a stable state and fires each vertex once, so on a
+ball from ``build_ball`` or ``load_ball``, where a vertex is listed in at
+most 7 rows, no count passes 13.  On any other CSR a count may pass 127
+and wrap; since a topple takes 7 from 6 or more, only upward wraps occur,
+each leaving the grains' sum 256 short, so the route checks that sum, in
+int64, against the start plus its topples' grains and refuses a mismatch.
+The odometer is int8 too: a vertex topples at most once per wave, and a
+relaxation runs at most m + 3 waves, fewer than 128 at every radius.
 Iterating waves at p until p is no longer at 6 next to a 6 (plus one last
 forced topple when p alone is left at 6) reproduces the direct relaxation of
 ``max_stable + one grain at p`` exactly, state and odometer both.
@@ -67,13 +69,14 @@ def _check_mass(ball: Ball, g: np.ndarray, counts: np.ndarray, start: int) -> No
     Each topple at v takes 7 grains and gives one per entry of v's row.
     int8 grains are exact modulo 256, and only a count passing 127 can
     wrap, since a topple takes 7 from 6 or more, so each wrap leaves their
-    sum 256 short.
+    sum 256 short.  Both sums are int64 whatever the dtypes.
     """
     ptr, block = ball.indptr, _sandpile._SUM_BLOCK
     want = start
     for lo in range(0, ball.n, block):
         hi = min(lo + block, ball.n)
-        want += int(np.dot(counts[lo:hi], np.diff(ptr[lo:hi + 1]) - DEGREE))
+        gives = np.subtract(np.diff(ptr[lo:hi + 1]), DEGREE, dtype=np.int64)
+        want += int(np.dot(counts[lo:hi], gives))
     if int(g.sum(dtype=np.int64)) != want:
         raise InvariantError("wave grains differ from the start plus their topples")
 
@@ -124,7 +127,7 @@ def wave(state: State, site: int) -> State:
         return State(ball, state.grains.copy())
     # int8 working grains, as in wave_relax
     out = state.grains.astype(np.int8)
-    counts = np.zeros(ball.n, dtype=np.int64)  # scratch: a wave keeps no odometer
+    counts = np.zeros(ball.n, dtype=np.int8)  # scratch: a wave keeps no odometer
     toppled = np.zeros(ball.n, dtype=bool)
     front = _forced_wave(ball, out, counts, toppled, site, candidates[0])
     _check_mass(ball, out, counts, int(state.grains.sum()))
@@ -143,20 +146,17 @@ def wave_relax(ball: Ball, site: int) -> WaveResult:
     members), the number of waves, and the fronts themselves.  The trailing
     forced topple, needed when the site still holds 6 with no 6-neighbor,
     counts as a final one-vertex wave.  The waves sweep one grain array in
-    place and share one scratch mask of toppled vertices.  The grains are
-    int8, widened in place to the int64 state at the end: no count passes
-    13 on a ball from ``build_ball`` or ``load_ball``, and on any other CSR
-    a count that wraps past 127 leaves the grains' sum 256 short, which the
-    mass check refuses.
+    place and share one scratch mask of toppled vertices.  The grains and
+    the odometer are int8 and are returned as they are: no count passes 13
+    on a ball from ``build_ball`` or ``load_ball``, and on any other CSR a
+    count that wraps past 127 leaves the grains' sum 256 short, which the
+    mass check refuses; a vertex topples at most once in each of at most
+    m + 3 waves.
     """
     if not 0 <= site < ball.n:
         raise ValueError(f"site {site} out of range")
-    # the int8 grains are the first n bytes of the int64 state, whose other
-    # pages stay untouched until the grains are widened in place
-    wide = np.empty(ball.n, dtype=np.int64)
-    g = wide.view(np.int8)[:ball.n]
-    g[:] = _FULL
-    counts = np.zeros(ball.n, dtype=np.int64)
+    g = np.full(ball.n, _FULL, dtype=np.int8)
+    counts = np.zeros(ball.n, dtype=np.int8)
     toppled = np.zeros(ball.n, dtype=bool)  # every wave's scratch mask
     fronts = []
     for _ in range(ball.radius + 2):
@@ -175,9 +175,8 @@ def wave_relax(ball: Ball, site: int) -> WaveResult:
         fronts.append(np.array([site], dtype=np.int32))
     if not (g < DEGREE).all():
         raise InvariantError("wave relaxation ended on an unstable state")
-    _sandpile._widen(wide)
-    _check_mass(ball, wide, counts, _FULL * ball.n + 1)
-    return WaveResult(State(ball, wide), Odometer(ball, counts), len(fronts), fronts)
+    _check_mass(ball, g, counts, _FULL * ball.n + 1)
+    return WaveResult(State(ball, g), Odometer(ball, counts), len(fronts), fronts)
 
 
 def wave_relax_multi(ball: Ball, sites: Iterable[int]) -> WaveResult:

@@ -112,7 +112,8 @@ def test_capacity_error_before_allocation(m):
 
 
 def test_memory_guard_refuses_before_allocating(monkeypatch):
-    monkeypatch.setattr(ball_module, "_physical_memory", lambda: 2**20)
+    # 256 KiB: the radius-8 ball's 11,173 vertices need about 480 KiB
+    monkeypatch.setattr(ball_module, "_physical_memory", lambda: 2**18)
     with pytest.raises(CapacityError, match="needs about"):
         build_ball(8)
     assert build_ball(1).n == 8  # a ball that fits is still built

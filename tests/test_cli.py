@@ -3,9 +3,9 @@ import weakref
 
 import pytest
 
-from heptapile import (Odometer, State, ball as ball_module, ball_size, build_ball, cli,
-                       closed_form, level_counts, load_ball, load_state, max_stable,
-                       perturb, relax, save_ball)
+from heptapile import (InvariantError, Odometer, State, ball as ball_module, ball_size,
+                       build_ball, cli, closed_form, level_counts, load_ball, load_state,
+                       max_stable, perturb, relax, save_ball, verify)
 from heptapile.cli import main
 from heptapile.render import DEFAULT_PALETTE, cell_fills, color_histogram
 from heptapile.verify import ROUTES
@@ -125,6 +125,26 @@ def test_verify_small_battery(capsys):
     assert text.count("[PASS]") == 9
     assert "[FAIL]" not in text
     assert "seed=7" in text
+
+
+@pytest.mark.parametrize("route", ["naive", "wave"])
+def test_verify_reports_a_route_that_raises(capsys, monkeypatch, route):
+    # a route's InvariantError is a FAIL line in the reports that compare
+    # its result, and every other check still runs and prints its verdict
+    def broken(ball, sites):
+        raise InvariantError(f"{route} broke at m={ball.radius}")
+
+    monkeypatch.setitem(verify.ROUTES, route, broken)
+    code, text, err = run(capsys, "verify", "--m", "1..2", "--trials", "4")
+    assert code == 1 and err == ""
+    verdicts = re.findall(r"^\[(PASS|FAIL)\] (.*)$", text, re.MULTILINE)
+    assert len(verdicts) == 9
+    failed = {name for status, name in verdicts if status == "FAIL"}
+    sweep = {name for _, name in verdicts[1:5]}
+    assert failed == (sweep if route == "naive" else {verdicts[4][1]})
+    assert "wave route equals direct relaxation" in verdicts[4][1]
+    assert f"FAIL {route} raised at m=2 sites=[0]: {route} broke at m=2" in text
+    assert f"# {9 - len(failed)}/9 checks passed" in text
 
 
 @pytest.mark.parametrize("radii", ["0", "0..2"])

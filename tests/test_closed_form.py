@@ -164,7 +164,7 @@ def test_predicted_odometer_mixed_levels_vs_engine(ball_cache):
 
 @pytest.mark.parametrize("level", [0, 6, 12])
 def test_predictions_hold_no_ball_sized_temporary(ball_cache, level):
-    # the two int64 results alone take 16 bytes per vertex
+    # the two int8 results alone take 2 bytes per vertex
     b = ball_cache(12)
     sites = [int(b.ring(level).start)]
     tracemalloc.start()
@@ -174,8 +174,8 @@ def test_predictions_hold_no_ball_sized_temporary(ball_cache, level):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * b.n
-    assert beta.grains.dtype == odometer.counts.dtype == np.int64
+    assert peak < 3 * b.n
+    assert beta.grains.dtype == odometer.counts.dtype == np.int8
 
 
 def test_mass_loss_values(ball_cache):

@@ -18,7 +18,7 @@ from heptapile import sandpile, waves
 from heptapile.ball import _sign, deserialize_ball, serialize_ball
 from heptapile.sandpile import (deserialize_odometer, deserialize_state,
                                 serialize_odometer, serialize_state)
-from heptapile.verify import DEFAULT_SEED, ROUTES
+from heptapile.verify import DEFAULT_SEED, ROUTES, site_families
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -446,13 +446,13 @@ def _topped_state(ball, top, rng):
 @pytest.mark.parametrize("size", [1, 1 << 40])
 def test_working_grains_are_int8_up_to_a_largest_count_of_120(ball_cache, monkeypatch, size):
     # from a start whose largest count is at most 120 no count can pass 127,
-    # and the queue and round engines relax in int8; from 121 on they keep
-    # int64.  Slices of one vertex let each vertex take its lower-id
-    # neighbors' grains before it fires, the order that piles highest; with
-    # them, blocks of 3 widen the relaxed int8 grains in many pieces
+    # and the queue and round engines relax in int8 and return those
+    # grains; from 121 on they keep and return int64.  The odometers of
+    # these short relaxations stay int8.  Slices of one vertex let each
+    # vertex take its lower-id neighbors' grains before it fires, the order
+    # that piles highest
     monkeypatch.setattr(sandpile, "_QUEUE_SLICE", size)
     monkeypatch.setattr(sandpile, "_BATCH_SLICE", size)
-    monkeypatch.setattr(sandpile, "_SUM_BLOCK", size + 2)
     check, seen = sandpile._check_identity, []
 
     def probe(before, after, ball, counts):
@@ -469,24 +469,108 @@ def test_working_grains_are_int8_up_to_a_largest_count_of_120(ball_cache, monkey
             seen.clear()
             res = engine(start)
             assert seen == [np.dtype(np.int8 if top <= 120 else np.int64)], (m, top)
-            assert res.state.grains.dtype == res.odometer.counts.dtype == np.int64
+            assert res.state.grains.dtype == seen[0]
+            assert res.odometer.counts.dtype == np.int8
             assert res.state.grains.tolist() == g
             assert res.odometer.counts.tolist() == odo
             assert res.topples == topples
 
 
-def test_int8_grains_widen_in_place(monkeypatch):
-    # the int8 counts in the first n bytes of an n-entry int64 array become
-    # its values, whatever the block size, the first block's included,
-    # whose int64 values overwrite int8 counts of its own
-    rng = np.random.default_rng(8)
-    for block, n in itertools.product((1, 3, 7, 64, 1 << 16), (1, 2, 7, 8, 9, 100, 301)):
-        monkeypatch.setattr(sandpile, "_SUM_BLOCK", block)
-        want = rng.integers(-128, 128, size=n, dtype=np.int8)
-        wide = np.empty(n, dtype=np.int64)
-        wide.view(np.int8)[:n] = want
-        sandpile._widen(wide)
-        assert wide.tolist() == want.tolist(), (block, n)
+def test_int8_grains_widen_in_place(ball_cache):
+    # int8 grains widen to int64 where a value would leave -128..127, and
+    # never wrap: perturb on a 127, a topple that takes a -125 below -128 or
+    # gives a neighbor holding 127 a grain.  Otherwise the dtype stays, and
+    # the input is never changed in place
+    b = ball_cache(2)
+    for v, top in itertools.product((0, 5, b.n - 1), (126, 127)):
+        g = np.full(b.n, 3, dtype=np.int8)
+        g[v] = top
+        start = State(b, g)
+        assert start.grains is g
+        out = perturb(start, [v, 1])
+        assert out.grains.dtype == np.dtype(np.int8 if top < 127 else np.int64)
+        assert out.grains[v] == top + 1 and out.grains[1] == 4 - (v == 1)
+        assert g[v] == top
+    for low, top in ((-121, 126), (-122, 126), (-121, 127)):
+        g = np.full(b.n, 6, dtype=np.int8)
+        g[0] = low
+        g[b.neighbors(0)] = top
+        out = topple(State(b, g), 0)
+        wide = low - DEGREE < -128 or top == 127
+        assert out.grains.dtype == np.dtype(np.int64 if wide else np.int8), (low, top)
+        assert out.grains[0] == low - DEGREE
+        assert (out.grains[b.neighbors(0)] == top + 1).all()
+    assert State(b, np.int8([1] * b.n)) == State(b, [1] * b.n)
+    assert State(b, [1] * b.n).grains.dtype == np.int64
+    assert Odometer(b, np.int8([2] * b.n)) == Odometer(b, np.int64([2] * b.n))
+
+
+def test_every_route_matches_the_random_order_reference_in_its_dtypes(ball_cache):
+    # on the sweep's site families at radii 1..8, and on random 0..9 and
+    # 0..40 states at radii up to 6, given as int8 and as int64, every
+    # route lands on relax_random's int64 state and odometer.  A route's
+    # state is int8 when the start's largest count is at most 120, and its
+    # odometer int8 when it fired fewer than 128 rounds, as each does here
+    rng = np.random.default_rng(36)
+    cases = []
+    for m in range(1, 9):
+        b = ball_cache(m)
+        for sites in site_families(b, 6, np.random.default_rng([36, m])):
+            start = perturb(max_stable(b), sites)
+            assert start.grains.dtype == np.int8
+            cases.append((start, {name: route(b, sites) for name, route in ROUTES.items()}))
+    for m, top, dtype in itertools.product(range(1, 7), (9, 40), (np.int8, np.int64)):
+        start = State(ball_cache(m), rng.integers(0, top + 1, size=ball_cache(m).n, dtype=dtype))
+        assert start.grains.dtype == dtype
+        cases.append((start, {"naive": relax(start), "batch": relax_batch(start)}))
+    for start, results in cases:
+        want = relax_random(start, rng)
+        assert want.state.grains.dtype == want.odometer.counts.dtype == np.int64
+        for name, res in results.items():
+            assert res.state == want.state and res.odometer == want.odometer, name
+            assert res.state.grains.dtype == res.odometer.counts.dtype == np.int8, name
+
+
+def test_odometers_widen_before_their_128th_round(ball_cache):
+    # 2,000 grains on the root at radius 4 take more than 127 rounds and
+    # generations, and the root topples more than 127 times: both engines
+    # widen their odometers to int64 in time, and the start's count above
+    # 120 keeps the state int64; an odometer widened a round late would
+    # wrap, and the identity check would refuse it
+    b = ball_cache(4)
+    g = np.zeros(b.n, dtype=np.int64)
+    g[0] = 2000
+    start = State(b, g)
+    want = relax_random(start, np.random.default_rng(2000))
+    assert want.odometer.counts.max() > 127
+    for engine in (relax, relax_batch):
+        res = engine(start)
+        assert res.state.grains.dtype == res.odometer.counts.dtype == np.int64
+        assert res.state == want.state and res.odometer == want.odometer
+        assert res.topples == want.topples
+
+
+@pytest.mark.parametrize("split", [0, 1 << 40])
+def test_identity_check_sums_int8_odometers_in_int64(ball_cache, monkeypatch, split):
+    # the root's seven neighbors with odometer 20 give it 140 grains, and an
+    # outer-ring vertex with odometer 40 loses 280: both pass 127, so the
+    # check must sum the int8 counts, in full rows and in clipped ones, and
+    # its 7 * counts term in int64.  It passes the exact state and refuses
+    # one a multiple of 256 off
+    monkeypatch.setattr(sandpile, "_SPLIT_ROWS", split)
+    b = ball_cache(3)
+    counts = np.zeros(b.n, dtype=np.int8)
+    counts[b.ring(1).start:b.ring(1).stop] = 20
+    counts[b.ring(3).start:] = 40
+    before = np.zeros(b.n, dtype=np.int64)
+    after = _laplacian_after(b, before, counts)
+    assert after[0] == 140 and after[-1] < -127
+    sandpile._check_identity(before, after, b, counts)
+    for v, off in itertools.product((0, 1, b.n - 1), (256, -256)):
+        bad = after.copy()
+        bad[v] += off
+        with pytest.raises(InvariantError, match="start \\+ laplacian"):
+            sandpile._check_identity(before, bad, b, counts)
 
 
 def test_round_kernel_and_waves_agree_on_int8_and_int64_grains(ball_cache, wave_cases,
@@ -835,8 +919,7 @@ def test_scalar_engines_run_without_the_batch_and_wave_code(ball_cache, monkeypa
     rounds = {"batch": ROUTES["batch"], "wave": ROUTES["wave"]}
     kernel = ((sandpile, "_topple_round"), (sandpile, "_round_pieces"),
               (sandpile, "_round_rows"), (sandpile, "_round_fire_set"),
-              (sandpile, "_ids"), (sandpile, "_widen"),
-              (waves, "_forced_wave"))
+              (sandpile, "_ids"), (waves, "_forced_wave"))
     queue_code = ((sandpile, "_queue_pieces"), (sandpile, "_queue_gather"),
                   (sandpile, "_queue_rows"), (sandpile, "_queue_next"))
     for names, dead, alive in ((kernel, rounds, scalar),
@@ -988,13 +1071,14 @@ def test_relaxation_leaves_the_ball_intact(ball_cache, monkeypatch, long_run):
 
 @pytest.mark.parametrize("route", ["naive", "batch", "wave"])
 def test_relaxation_peak_stays_within_the_ball_model(ball_cache, route):
-    # a route may add 64 bytes per vertex, the memory model less 32; the ball
+    # a route may add 12 bytes per vertex, the memory model less 32; the ball
     # takes 25, and the other 7 stay headroom, not room for a route to grow
-    # into, so no route needs a guard of its own.  The queue engine holds
-    # int8 working grains and an int64 odometer, 9 bytes per vertex, and
-    # the int64 state it returns beside them at the end; a generation read
-    # from a span wider than _FIRE_BLOCK ids is run bounds, one pair per
-    # ring from this start, and a narrower one at most _FIRE_BLOCK int64 ids,
+    # into, so no route needs a guard of its own.  The wave route holds its
+    # fronts, about 6.5 B per vertex of int32 ids.  The queue engine holds
+    # int8 working grains and an int8 odometer, 2 bytes per vertex, and
+    # returns them as they are; a generation read from a span wider than
+    # _FIRE_BLOCK ids is run bounds, one pair per ring from this start,
+    # and a narrower one at most _FIRE_BLOCK int64 ids,
     # read from a mask of at most _FIRE_BLOCK bytes, and a piece of more
     # than one run gathers about 7 * _QUEUE_SLICE int32 neighbor ids, and
     # an int64 position per id when its runs are short, the same at every
