@@ -59,7 +59,7 @@ from .geometry import (EDGE_LENGTH, Embedding, build_embedding, edge_lengths,
 from .render import DEFAULT_PALETTE, cell_fills, color_histogram, render_state
 from .sandpile import (Odometer, RelaxResult, State, is_legal, is_stable,
                        laplacian_delta, load_odometer, load_state, mass,
-                       max_stable, perturb, relax, relax_batch, relax_random,
+                       max_stable, perturb, relax, relax_least, relax_random,
                        save_odometer, save_state, topple)
 from .waves import WaveResult, wave, wave_relax, wave_relax_multi
 
@@ -77,7 +77,7 @@ __all__ = [
     "DEFAULT_PALETTE", "cell_fills", "color_histogram", "render_state",
     "Odometer", "RelaxResult", "State", "is_legal", "is_stable",
     "laplacian_delta", "load_odometer", "load_state", "mass", "max_stable",
-    "perturb", "relax", "relax_batch", "relax_random", "save_odometer",
+    "perturb", "relax", "relax_least", "relax_random", "save_odometer",
     "save_state",
     "topple",
     "WaveResult", "wave", "wave_relax", "wave_relax_multi",

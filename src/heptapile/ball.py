@@ -70,14 +70,13 @@ _UINT32_MAX = 2**32 - 1
 # route receives: 44 bytes per vertex cover the ball (25), a caller's
 # one-byte start, a route's one-byte state and odometer, the one-byte
 # closed forms it is judged by, a wave route's fronts (int32 ids, about
-# 6.5 B) and a route's temporaries.  bench --methods naive,batch,wave,closed
-# peaked at 38.1, 35.9 (wave,closed at 16) and 35.1 B per vertex at radii
-# 15, 16 and 17 on a 2-core host; 38.1 B holds 1.9 B of the 17 MiB the
-# import takes, and the model leaves 5.9 B over it.  44 B admit radius 18
-# (169,104,713 vertices, 7.4 GB) on an 8 GB host.  Saving or loading a
-# ball holds its id text table beside it, 8 B per vertex through radius 15
-# and 16 B from radius 16 on, where ids need 8 digits: gen -m 16 peaks at
-# 43.1 B
+# 6.5 B) and a route's temporaries.  bench --methods batch,least,wave,closed
+# peaked at 38.0, 35.9 and 35.1 B per vertex at radii 15, 16 and 17 on a
+# 2-core host; 38.0 B holds 1.9 B of the 17 MiB the import takes, and the
+# model leaves 6.0 B over it.  44 B admit radius 18 (169,104,713 vertices,
+# 7.4 GB) on an 8 GB host.  Saving or loading a ball holds its id text
+# table beside it, 8 B per vertex through radius 15 and 16 B from radius 16
+# on, where ids need 8 digits: gen -m 16 peaks at 43.1 B
 _BYTES_PER_VERTEX = 44
 
 # vertices per block of build_ball and validate_ball, and values per block

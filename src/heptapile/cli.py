@@ -185,6 +185,8 @@ def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     radii = _parse_range(args.m)
+    if radii.start < 1:  # the closed forms that judge every run start at radius 1
+        raise ValueError(f"bench takes radii from 1 up (e.g. 1..6), got {args.m!r}")
     # the largest radius needs the most, so a range that cannot finish
     # is refused before its first ball is built
     _require_memory(radii[-1])

@@ -5,46 +5,25 @@ count: an int8 array as given, any other values as int64.  ``perturb`` and
 ``topple`` return int64 where int8 would leave -128..127.  A vertex with at
 least 7 grains may topple: it loses 7 and each stored neighbor gains 1, so
 boundary vertices leak grains out of the ball.  Relaxation topples until every
-vertex is below 7; the toppling odometer counts topples per vertex, and the
-identity ``relaxed = start + laplacian(odometer)`` is re-checked after every
-run instead of trusted.  ``relax`` and ``relax_batch`` keep, and return,
-their working grains as int8 when the start's largest count is at most
-120 (127 - 7), and as int64 through the same code otherwise.  On a ball from
-``build_ball`` or ``load_ball`` a vertex is listed in at most 7 rows, once
-in each, so in one generation or round a vertex gains at most 7 grains and
-one holding 7 or more fires once: no count passes max(start max, 13) + 7.
-On any other CSR a count may pass 127 and wrap; int8 sums are exact modulo
-256 and a topple takes 7 from 7 or more, so only upward wraps occur, each
-leaving a count 256 short, and the identity check refuses the result.  No
-odometer entry exceeds the rounds fired so far, so each engine widens its
-int8 odometer to int64 before its 128th round.  Every sum of grains or
-counts is exact in int64 whatever the dtypes.  By the abelian property
-three schedules must agree exactly: a FIFO queue (``relax``), rounds that
-fire every unstable vertex once (``relax_batch``) and random legal order
-(``relax_random``, in int64).  The queue
-and random-order engines share no code with ``relax_batch`` or the wave route.
-``relax`` walks its queue one generation at a time and ``relax_batch``
-fires in rounds through one kernel, ``_topple_round``, that the wave route
-shares.  Each, in code of its own, reads the next generation or fire set
-only from the span between the smallest and the largest id that the last
-one fired or fed: as ids when the span holds at most ``_FIRE_BLOCK`` ids,
-as on every ball of radius 8 or less, where a set holds a few dozen ids
-and numpy calls cost more than the ids they read, or when the last set's
-runs average fewer than ``_LONG_RUN`` ids; else as run bounds,
-ascending, disjoint (start, stop) pairs of consecutive ids, read from the
-edges of the ``>= 7`` mask a block at a time, so no scan writes an id per
-unstable vertex.  From the all-sixes
-state a wide set is a few rings or arcs, a few hundred runs at most.  A
-slice of ids that is one run, and a run of at least ``_LONG_RUN`` ids in
-run bounds, fires through slices of the grains and the odometer and reads
-its neighbor ids in place as one block of the CSR; other ids fire through
-their ids.  Each piece adds one grain per neighbor id with ``np.add.at``:
-by the abelian property the pieces change no count, and a piece's
-temporaries stay a few MiB at any radius.  ``relax_random`` is the scalar
-reference, one topple and one grain at a time, and draws its choices in
-blocks of uniform integers and checks the budget once per block.  The
-identity check ends its blocks at the outer ring's first id, so every
-block of interior rows sums its full rows as seven columns.  States and
+vertex is below 7; the toppling odometer counts topples per vertex.  Every
+sum of grains or counts is exact in int64 whatever the dtypes.  Three
+routes, none of which runs another's relaxation code, must agree exactly,
+by the abelian property and by least action:
+
+- ``relax`` fires in rounds, every vertex holding 7 or more grains once per
+  round, through ``_topple_round``, the kernel the wave route shares, and
+  scatters one grain per neighbor id; ``relax`` sets out how it holds its
+  fire sets, and when its counts are int8.
+- ``relax_least`` topples nothing: it raises the odometer to the least
+  fixed point of the least-action operator by sweeps that pull neighbor
+  sums of it, and returns the state that odometer gives.
+- ``relax_random`` is the scalar reference, one topple and one grain at a
+  time in random legal order, in int64; it draws its choices in blocks of
+  uniform integers and checks the budget once per block.
+
+``relax`` and ``relax_random`` re-check the identity ``relaxed = start +
+laplacian(odometer)``, summed in int64, after every run instead of
+trusting it, so it refuses an int8 count that wrapped.  States and
 odometers are saved as sparse text files, and a file loads only when it is
 byte for byte what the writer writes for the values it holds.
 """
@@ -204,21 +183,14 @@ def mass(state: State) -> int:
 
 
 # fired vertices per slice of a _topple_round round, which bounds the round's
-# entry-sized temporaries; relax_batch and the wave route share it
+# entry-sized temporaries; relax and the wave route share it
 _BATCH_SLICE = 1 << 14
 
-# queued vertices per slice of a relax generation, which bounds the
-# temporaries of a slice of more than one run: about 7 int32 neighbor ids
-# per vertex, and an int64 position beside each when its runs are short.
-# No size from 1 << 12 to 1 << 15 won clearly, and none moved the traced
-# peak (BENCH_scan_queue.json, "queue_slice_sweep")
-_QUEUE_SLICE = 1 << 14
-
-# mean CSR row entries per run of consecutive ids from which _queue_gather
-# and _round_gather copy a slice's neighbor ids a run at a time as blocks
-# of indices, not through an int64 position per entry: a block costs a
-# Python-level slice per run, a position a few ns per entry, and the two
-# meet between 42 and 56 entries, about 7 vertices (BENCH_row_views.json,
+# mean CSR row entries per run of consecutive ids from which _round_gather
+# copies a slice's neighbor ids a run at a time as blocks of indices, not
+# through an int64 position per entry: a block costs a Python-level slice
+# per run, a position a few ns per entry, and the two meet between 42 and
+# 56 entries, about 7 vertices (BENCH_row_views.json,
 # "long_run_constant").  A slice of fewer than _LONG_RUN ids is read row
 # by row with no run detection, whose fixed numpy calls cost more there
 # than the gather (BENCH_validate_gathers.json, "micro").  In run bounds a
@@ -229,17 +201,19 @@ _QUEUE_SLICE = 1 << 14
 # "long_run_m12_ms" and "run_bounds_for_short_runs_random_state_m12")
 _LONG_RUN = 64
 
-# rows per block of _check_identity, which bounds its entry-sized gather
+# rows per block of _check_identity and of relax_least's sums, which
+# bounds their entry-sized gathers
 _IDENTITY_ROWS = 1 << 14
 
-# interior rows from which _check_identity cuts its blocks at the outer
-# ring: below it the cut block's fixed numpy calls cost more than its
-# seven-column sums save (BENCH_int8_grains.json, "identity_check_us")
+# interior rows from which _check_identity and relax_least cut their blocks
+# at the outer ring: below it the cut block's fixed numpy calls cost more
+# than its seven-column sums save (BENCH_int8_grains.json,
+# "identity_check_us")
 _SPLIT_ROWS = 1 << 12
 
-# the widest span of ids from which a generation or fire set is read as
-# ids, by one flatnonzero; a wider span gives run bounds, read from the
-# edges of its mask this many ids at a time, and _ids collects a longer
+# the widest span of ids from which a fire set is read as ids, by one
+# flatnonzero; a wider span gives run bounds, read from the edges of its
+# mask this many ids at a time, and _ids collects a longer
 # mask's ids a block at a time.  Every span on a ball of radius 8 or less
 # (11,173 vertices) is narrower, since run bounds there made verify slower,
 # and from the all-sixes state at radius 12 most topples are in wider
@@ -289,205 +263,6 @@ def _budget(grains: np.ndarray) -> int:
     return 1024 + 128 * (_exact_sum(grains) + grains.size)
 
 
-def _queue_rows(idx: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """The blocks ``idx[start[i]:stop[i]]`` concatenated in order, as a new array.
-
-    When the blocks average ``_LONG_RUN`` row entries or more, each is
-    copied as a slice; otherwise one ``np.repeat`` over the blocks expands
-    their positions and one ``take`` reads them.  The result never shares
-    memory with ``idx``.
-    """
-    length = stop - start
-    total = int(length.sum())
-    if total >= _LONG_RUN * length.size:
-        return np.concatenate([idx[a:b] for a, b in zip(start.tolist(), stop.tolist())])
-    return idx.take(np.repeat(start - np.cumsum(length) + length, length) + np.arange(total))
-
-
-def _queue_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The neighbor ids of the ids ``f``, their CSR rows concatenated in order, as a new array.
-
-    A slice of fewer than ``_LONG_RUN`` ids takes each id's row as its own
-    block, with no run detection.  A larger one is cut into maximal runs in
-    which each id is one more than the last; a run's rows are one block of
-    ``idx``.  ``_queue_rows`` reads the blocks.
-    """
-    if f.size < _LONG_RUN:
-        return _queue_rows(idx, ptr.take(f), ptr[1:].take(f))
-    head = np.empty(f.size, dtype=bool)  # where a run starts
-    head[:1] = True
-    np.not_equal(f[1:], f[:-1] + 1, out=head[1:])
-    tail = np.empty(f.size, dtype=bool)  # where a run ends
-    tail[:-1] = head[1:]
-    tail[-1:] = True
-    return _queue_rows(idx, ptr.take(f.compress(head)), ptr[1:].take(f.compress(tail)))
-
-
-def _queue_pieces(ptr: np.ndarray, idx: np.ndarray, queue: np.ndarray):
-    """The generation ``queue`` in pieces ``(a, b, f, fed)`` of ids from ``a`` to ``b - 1``.
-
-    ``f`` is None when the piece is every id from ``a`` to ``b - 1``, else
-    its ascending ids; ``fed`` is their neighbor ids, rows concatenated.
-    Ids are cut into slices of ``_QUEUE_SLICE``; a slice whose last id is
-    its first plus its length less one is one run, since the ids ascend
-    and are distinct, and its rows are read in place.  Of run bounds, each
-    ``_QUEUE_SLICE`` ids of a run of at least ``_LONG_RUN`` is a piece read
-    in place.  Shorter runs are grouped by the slice their last id falls
-    in, counted over the short runs alone, so a group holds fewer than
-    ``_QUEUE_SLICE + _LONG_RUN`` ids; its ids are a running sum of steps,
-    one within a run and the gap to the next run's start between runs, and
-    ``_queue_rows`` reads its rows per run.
-    """
-    if queue.ndim == 1:
-        for lo in range(0, queue.size, _QUEUE_SLICE):
-            f = queue[lo:lo + _QUEUE_SLICE]
-            a, b = int(f[0]), int(f[-1]) + 1
-            if b - a == f.size:
-                yield a, b, None, idx[ptr[a]:ptr[b]]
-            else:
-                yield a, b, f, _queue_gather(ptr, idx, f)
-        return
-    start, stop = queue
-    length = stop - start
-    long = length >= _LONG_RUN
-    for first, end in zip(start[long].tolist(), stop[long].tolist()):
-        for a in range(first, end, _QUEUE_SLICE):
-            b = min(a + _QUEUE_SLICE, end)
-            yield a, b, None, idx[ptr[a]:ptr[b]]
-    start, stop, length = start[~long], stop[~long], length[~long]
-    if not start.size:
-        return
-    at = np.cumsum(length)  # ids in the short runs up to each one's end
-    slot = (at - 1) // _QUEUE_SLICE
-    cut = [0, *(np.flatnonzero(slot[1:] != slot[:-1]) + 1).tolist(), start.size]
-    for i, j in zip(cut[:-1], cut[1:]):
-        base = int(at[i] - length[i])
-        step = np.ones(int(at[j - 1]) - base, dtype=np.intp)
-        step[0] = start[i]
-        step[at[i:j - 1] - base] = start[i + 1:j] - stop[i:j - 1] + 1
-        yield (int(start[i]), int(stop[j - 1]), np.cumsum(step, out=step),
-               _queue_rows(idx, ptr.take(start[i:j]), ptr.take(stop[i:j])))
-
-
-def _queue_next(g: np.ndarray, lo: int, hi: int, queue: np.ndarray | None) -> np.ndarray:
-    """The next generation: the ids from ``lo`` to ``hi - 1`` that hold 7 or more.
-
-    Every id outside them must hold fewer than 7.  A span of at most
-    ``_FIRE_BLOCK`` ids gives int64 ids, ascending, from one
-    ``flatnonzero``.  A wider one is read a block of ``_FIRE_BLOCK`` ids at
-    a time, as int64 ids after a generation ``queue`` whose runs average
-    fewer than ``_LONG_RUN`` ids, as in a random state, where run bounds
-    would cost more than the ids they replace, and otherwise as run bounds,
-    a (2, r) int64 array of run starts over run stops, ascending and
-    disjoint: a run starts or stops at every id whose mask differs from the
-    one before, and the id before ``lo`` holds fewer than 7.
-    """
-    if hi - lo <= _FIRE_BLOCK:
-        ids = np.flatnonzero(g[lo:hi] >= DEGREE)
-        ids += lo
-        return ids
-    if queue is None:
-        bounds = True
-    elif queue.ndim == 1:
-        bounds = queue.size >= _LONG_RUN * (1 + np.count_nonzero(queue[1:] != queue[:-1] + 1))
-    else:
-        bounds = int((queue[1] - queue[0]).sum()) >= _LONG_RUN * queue.shape[1]
-    flips = []
-    before = False  # whether the id before the block holds 7 or more
-    for a in range(lo, hi, _FIRE_BLOCK):
-        m = g[a:min(a + _FIRE_BLOCK, hi)] >= DEGREE
-        if not bounds:  # ids, a block at a time
-            flip = np.flatnonzero(m)
-            flip += a
-            flips.append(flip)
-            continue
-        if m[0] != before:
-            flips.append([a])
-        flip = np.flatnonzero(m[1:] != m[:-1])
-        flip += a + 1
-        flips.append(flip)
-        before = bool(m[-1])
-    if not bounds:
-        return np.concatenate(flips)
-    if before:
-        flips.append([hi])
-    return np.concatenate(flips).reshape(-1, 2).T
-
-
-def relax(state: State) -> RelaxResult:
-    """Topple until stable; returns the stable state and the odometer.
-
-    The engine walks a FIFO queue of unstable vertices one generation at a
-    time, toppling each vertex of a generation once, so the generations are
-    the FIFO generations as sets.  It needs no in-queue flag: a vertex is
-    queued exactly when it holds 7 or more grains, and each vertex that does
-    when a generation ends was fired or fed in it.  So the next generation
-    is read, ascending, from the span between the smallest and the largest
-    id the generation fired or fed (``_queue_next``): as int64 ids when the
-    span holds at most ``_FIRE_BLOCK`` ids or the generation's runs average
-    fewer than ``_LONG_RUN`` ids, else as run bounds, run starts over run
-    stops, read from the edges of the ``>= 7`` mask a block at a time.
-    A generation's length is its topple count, and the budget is checked
-    once per generation, before it topples.
-
-    A generation is toppled in pieces (``_queue_pieces``) by numpy calls
-    alone: slices of ``_QUEUE_SLICE`` ids, or of one run of at least
-    ``_LONG_RUN`` ids, fire through slices of the grains and the odometer
-    and read their neighbor ids in place as one block of ``indices``; other
-    slices, and groups of shorter runs, fire through their ids, and
-    ``_queue_gather`` or ``_queue_rows`` reads their rows.  Each piece adds
-    one grain per neighbor id with ``np.add.at``: additions commute, so
-    neither the pieces nor the order within a generation changes a value.
-    A budget of 2**62 or more is refused: below it no grain count or
-    odometer entry can leave int64, since none exceeds the starting total
-    or the budget.
-
-    The working grains, returned as the relaxed state, are int8 when the
-    start's largest count is at most 120 and int64 otherwise.  On a ball
-    from ``build_ball`` or ``load_ball`` each vertex is listed in at most 7
-    rows, once in each, and a generation fires each of its vertices once,
-    so a vertex gains at most 7 grains in one and no count passes
-    max(start max, 13) + 7.  On any other CSR a count that passes 127 wraps
-    to 256 below its value, and the identity check, summed in int64,
-    refuses the result.  No odometer entry exceeds the generations fired so
-    far, so the int8 odometer is widened to int64 before the 128th.
-    """
-    ball = state.ball
-    if state.grains.min() < 0:
-        raise ValueError("relaxation requires nonnegative grain counts")
-    budget = _budget(state.grains)
-    if budget >= 2**62:
-        raise OverflowError("too many grains to relax in 64-bit counts")
-    ptr, idx = ball.indptr, ball.indices
-    g = state.grains.astype(np.int8 if state.grains.max() <= 127 - DEGREE else np.int64)
-    one = g.dtype.type(1)  # np.add.at leaves its fast path for a Python 1
-    counts = np.zeros(ball.n, dtype=np.int8)
-    queue = _queue_next(g, 0, ball.n, None)
-    topples = generations = 0
-    while queue.size:
-        topples += queue.size if queue.ndim == 1 else int((queue[1] - queue[0]).sum())
-        if topples > budget:
-            raise InvariantError("toppling budget exhausted; relaxation diverged")
-        if generations == 127:  # the next generation could take an entry to 128
-            counts = counts.astype(np.int64)
-        generations += 1
-        first, end = ball.n, 0
-        for a, b, f, fed in _queue_pieces(ptr, idx, queue):
-            if f is None:
-                counts[a:b] += 1
-                g[a:b] -= DEGREE
-            else:
-                counts[f] += 1
-                g[f] -= DEGREE
-            if fed.size:
-                a, b = min(a, int(fed.min())), max(b, int(fed.max()) + 1)
-            first, end = min(first, a), max(end, b)
-            np.add.at(g, fed, one)
-        queue = _queue_next(g, first, end, queue)
-    _check_identity(state.grains, g, ball, counts)
-    return RelaxResult(State(ball, g), Odometer(ball, counts), topples, topples)
-
-
 def _ids(mask: np.ndarray, lo: int = 0) -> np.ndarray:
     """``lo`` plus the positions of the true entries of ``mask``, ascending, as int32.
 
@@ -530,8 +305,7 @@ def _round_gather(ptr: np.ndarray, idx: np.ndarray, f: np.ndarray) -> np.ndarray
 
     A slice of fewer than ``_LONG_RUN`` ids skips finding its runs and
     takes each id's row as a block; a larger one is cut where an id is not
-    one more than the last.  The round kernel's own code: the queue engine
-    gathers its rows in ``_queue_gather``.
+    one more than the last.
     """
     if f.size < _LONG_RUN:
         return _round_rows(ptr, idx, f, f)
@@ -672,14 +446,12 @@ def _topple_round(g: np.ndarray, odo: np.ndarray, ball: Ball, fire: np.ndarray,
     return _round_fire_set(g, first, end, fire)
 
 
-def relax_batch(state: State) -> RelaxResult:
-    """Topple in rounds, each firing every vertex holding 7 or more grains once.
+def relax(state: State) -> RelaxResult:
+    """Topple until stable, in rounds that fire every vertex holding 7 or more grains once.
 
     This is the parallel chip-firing schedule: a vertex holding 14 or more
-    grains fires again in the next round, so by the abelian property every
-    start ends on the queue engine's state, odometer and topples, though a
-    heavy start may take more rounds.  The first fire set is a scan of the
-    whole grain array; then ``_topple_round``, the kernel the wave route
+    grains fires again in the next round.  The first fire set is a scan of
+    the whole grain array; then ``_topple_round``, the kernel the wave route
     shares, topples and scatters the grains a piece at a time and reads the
     next fire set from the span of ids the round fired or fed.  A fire set
     is int32 ids, 4 bytes per fired vertex, when it was read from a span of
@@ -687,15 +459,15 @@ def relax_batch(state: State) -> RelaxResult:
     than ``_LONG_RUN`` ids, and run bounds, 8 bytes per run, otherwise.
     Additions commute, so the pieces change no result, and the round's
     temporaries stay a few MiB at any radius.  Each topple is one
-    (vertex, round) pick, so ``dequeues`` equals ``topples``, as in the
-    queue engine.  The budget bounds every grain and odometer entry, so
-    below 2**62 the int64 counts cannot wrap.  The working grains, returned
-    as the relaxed state, are int8 when the start's largest count is at most
-    120 and int64 otherwise: a round fires each vertex once, so on a ball
-    from ``build_ball`` or ``load_ball`` no count passes max(start max, 13)
-    + 7, and on any other CSR a count that wraps past 127 ends a multiple of
-    256 below its value, which the int64 identity check refuses.  Nor does
-    an odometer entry exceed the rounds fired so far: the int8 odometer is
+    (vertex, round) pick, so ``dequeues`` equals ``topples``.  The budget
+    bounds every grain and odometer entry, so below 2**62 the int64 counts
+    cannot wrap.  The working grains, returned as the relaxed state, are
+    int8 when the start's largest count is at most 120 and int64
+    otherwise: a round fires each vertex once, so on a ball from
+    ``build_ball`` or ``load_ball`` no count passes max(start max, 13) + 7,
+    and on any other CSR a count that wraps past 127 ends a multiple of 256
+    below its value, which the int64 identity check refuses.  Nor does an
+    odometer entry exceed the rounds fired so far: the int8 odometer is
     widened to int64 before the 128th round.
     """
     ball = state.ball
@@ -720,6 +492,95 @@ def relax_batch(state: State) -> RelaxResult:
     return RelaxResult(State(ball, g), Odometer(ball, odo), topples, topples)
 
 
+def _least_blocks(lo: int, hi: int, cut: int):
+    """``relax_least``'s blocks ``(a, b)`` of the rows ``lo`` to ``hi - 1``, none across ``cut``."""
+    for first, end in ((lo, min(hi, cut)), (max(lo, cut), hi)):
+        for a in range(first, end, _IDENTITY_ROWS):
+            yield a, min(a + _IDENTITY_ROWS, end)
+
+
+def _least_pull(u: np.ndarray, ptr: np.ndarray, idx: np.ndarray, a: int, b: int) -> np.ndarray:
+    """The int64 sums of ``u`` over the CSR rows of ``a`` to ``b - 1``.
+
+    They are summed as ``DEGREE`` columns when each row holds ``DEGREE``
+    entries, as below the outer ring, else row by row by ``np.add.reduceat``.
+    """
+    got = u.take(idx[ptr[a]:ptr[b]])
+    if got.size == DEGREE * (b - a) and (ptr[a + 1:b + 1] - ptr[a:b] == DEGREE).all():
+        rows = got.reshape(-1, DEGREE)
+        pull = rows[:, 0].astype(np.int64)
+        for j in range(1, DEGREE):
+            pull += rows[:, j]
+        return pull
+    if not got.size:  # the radius-0 ball's one empty row
+        return np.zeros(b - a, dtype=np.int64)
+    return np.add.reduceat(got, ptr[a:b] - ptr[a], dtype=np.int64)
+
+
+def relax_least(state: State) -> RelaxResult:
+    """Relax by least action: the odometer as a least fixed point, reached by pulling.
+
+    By the least action principle (Fey, Levine and Peres, J. Stat. Phys.
+    138, 2010) the odometer of ``s = state.grains`` is the least u >= 0
+    for which s + laplacian(u) is stable, that is with T(u) <= u, where
+    T(u)(v) = floor((s(v) + sum of u over v's row) / 7).  T is monotone,
+    so that u is T's least fixed point (Kleene): from u = 0, raising
+    entries to their values under T keeps u <= T(u) and u below the fixed
+    point, until no entry changes.  A sweep does so in place, a block of
+    rows at a time, from their neighbor sums of u: no grain array is kept
+    and no grain scattered.  The first sweep spans every row, each later
+    one the ids the last one's changes reach: from the smallest to the
+    largest entry of each block's rows from its first to last changed id.
+    The state is s + laplacian(u); one outside 0..6, more changing sweeps than
+    the toppling budget, or an entry above it raises ``InvariantError``.
+    Where the other routes check their results against the ball, it takes
+    the ball on trust: that v is in w's row exactly when w is in v's, and
+    that a row holds at most 7 entries, so that below a budget of 2**60 no
+    sum leaves int64.  u is int8 until an entry would pass 127; the state
+    is int8.  ``topples`` and ``dequeues`` are the odometer's sum.
+    """
+    ball, s = state.ball, state.grains
+    if s.min() < 0:
+        raise ValueError("relaxation requires nonnegative grain counts")
+    budget = _budget(s)
+    if budget >= 2**60:
+        raise OverflowError("too many grains to relax in 64-bit counts")
+    ptr, idx = ball.indptr, ball.indices
+    outer = int(ball.level_start[ball.radius])
+    cut = outer if outer >= _SPLIT_ROWS else 0  # as the identity check cuts its blocks
+    u = np.zeros(ball.n, dtype=np.int8)
+    lo, hi, sweeps = 0, ball.n, 0
+    while lo < hi:
+        first, end = ball.n, 0
+        for a, b in _least_blocks(lo, hi, cut):
+            t = _least_pull(u, ptr, idx, a, b)
+            t += s[a:b]
+            t //= DEGREE
+            moved = np.flatnonzero(t != u[a:b])
+            if not moved.size:
+                continue
+            top = t.max()
+            if top > budget:
+                raise InvariantError("odometer entry beyond the toppling budget")
+            if top > 127 and u.dtype == np.int8:
+                u = u.astype(np.int64)
+            u[a:b] = t
+            reach = idx[ptr[a + moved[0]]:ptr[a + moved[-1] + 1]]  # may be empty at radius 0
+            first, end = int(reach.min(initial=first)), int(reach.max(initial=end - 1)) + 1
+        lo, hi = first, end
+        sweeps += lo < hi
+        if sweeps > budget:
+            raise InvariantError("sweep budget exhausted; relaxation diverged")
+    final = np.empty(ball.n, dtype=np.int8)
+    for a, b in _least_blocks(0, ball.n, cut):
+        r = _least_pull(u, ptr, idx, a, b) + s[a:b] - DEGREE * u[a:b].astype(np.int64)
+        if r.min() < 0 or r.max() >= DEGREE:
+            raise InvariantError("least-action odometer leaves a state outside 0..6")
+        final[a:b] = r
+    topples = _exact_sum(u)
+    return RelaxResult(State(ball, final), Odometer(ball, u), topples, topples)
+
+
 # uniform 53-bit integers drawn per block of relax_random's step choices; a
 # small block wastes few draws at the end of a short relaxation, and blocks
 # of 4,096 raised the process peak of 200 radius-4 orders by about 0.4 MiB
@@ -730,7 +591,7 @@ def relax_random(state: State, rng: np.random.Generator) -> RelaxResult:
     """Relax by toppling a uniformly random legal vertex at each step.
 
     Slow; exists so tests can compare arbitrary legal toppling orders against
-    the queue engine.  The choices are drawn ``_DRAWS`` at a time as uniform
+    the round kernel.  The choices are drawn ``_DRAWS`` at a time as uniform
     integers x below 2**53; x picks ``unstable[x * len(unstable) >> 53]``.
     The list holds distinct vertices, fewer than 2**31, so each pick's
     probability is within a relative 2**-22 of uniform.  The budget is

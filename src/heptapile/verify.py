@@ -19,7 +19,7 @@ from .errors import InvariantError
 from .geometry import (EDGE_LENGTH, build_embedding, edge_lengths,
                        interior_angles, klein, nearest_neighbor_mismatches)
 from .sandpile import (RelaxResult, State, mass, max_stable, perturb, relax,
-                       relax_batch, relax_random)
+                       relax_least, relax_random)
 from .waves import wave, wave_relax, wave_relax_multi
 
 DEFAULT_SEED = 7
@@ -115,11 +115,11 @@ def _wave_route(ball: Ball, sites: list) -> RelaxResult:
 
 
 # each route relaxes max_stable(ball) plus one grain per site, (ball, sites) ->
-# RelaxResult; no relaxation code is shared through the table, and the closed
-# forms count no topples
+# RelaxResult; batch and wave share the round kernel, least shares no code
+# with them, and the closed forms count no topples
 ROUTES = {
-    "naive": lambda ball, sites: relax(perturb(max_stable(ball), sites)),
-    "batch": lambda ball, sites: relax_batch(perturb(max_stable(ball), sites)),
+    "batch": lambda ball, sites: relax(perturb(max_stable(ball), sites)),
+    "least": lambda ball, sites: relax_least(perturb(max_stable(ball), sites)),
     "wave": _wave_route,
     "closed": lambda ball, sites: RelaxResult(cf.predicted_beta(ball, sites),
                                               cf.predicted_odometer(ball, sites), 0, 0),
@@ -144,13 +144,13 @@ def check_combinatorics() -> CheckReport:
 
 
 def _sweep_trial(ball: Ball, sites: list, reports: dict) -> None:
-    """Run one perturbation through the queue and wave routes; fail what it breaks.
+    """Run one perturbation through the least-action and wave routes; fail what it breaks.
 
     A route that raises fails each report that compares its result.
     """
     tag = f"m={ball.radius} sites={sites}"
-    with _raised(f"naive raised at {tag}", *reports.values()):
-        res = ROUTES["naive"](ball, sites)
+    with _raised(f"least raised at {tag}", *reports.values()):
+        res = ROUTES["least"](ball, sites)
         for fault in _closed_form_faults(mass(perturb(max_stable(ball), sites)), res, sites):
             reports[fault].fail(f"{fault}: {tag}")
         with _raised(f"wave raised at {tag}", reports["waves"]):
@@ -163,9 +163,9 @@ def relaxation_sweep(balls: dict, trials: int, seed: int) -> list:
     """Oracle-equivalence sweep; one report per compared quantity.
 
     ``balls`` maps each radius to its ball.  For every ball and every sampled
-    perturbation set, the queue engine's odometer, final state, and mass loss
-    must match the closed forms, and the wave route must match the queue
-    engine exactly.
+    perturbation set, the least-action route's odometer, final state, and
+    mass loss must match the closed forms, and the wave route, which shares
+    no code with it, must match it exactly.
     """
     reports = {
         "odometer": CheckReport("odometer equals min-formula over sweep"),
@@ -245,7 +245,7 @@ def check_wave_profiles(balls: dict) -> CheckReport:
 
 
 def check_abelian(seed: int = DEFAULT_SEED) -> CheckReport:
-    """Random legal toppling orders all land on one stabilization and odometer."""
+    """Least action and random legal toppling orders all land on relax's state and odometer."""
     rep = CheckReport(f"order independence: {_ABELIAN_STATES} states x "
                       f"{_ABELIAN_ORDERS} orders, radius {_ABELIAN_RADIUS}")
     ball = build_ball(_ABELIAN_RADIUS)
@@ -255,9 +255,9 @@ def check_abelian(seed: int = DEFAULT_SEED) -> CheckReport:
         state = State(ball, grains)
         with _raised(f"state {i}: a route raised", rep):
             base = relax(state)
-            alt = relax_batch(state)
-            if alt.state != base.state or alt.odometer != base.odometer:
-                rep.fail(f"state {i}: batch schedule diverged")
+            least = relax_least(state)
+            if least.state != base.state or least.odometer != base.odometer:
+                rep.fail(f"state {i}: least action diverged")
             for j in range(_ABELIAN_ORDERS):
                 order_rng = np.random.default_rng([seed, i, j])
                 res = relax_random(state, order_rng)

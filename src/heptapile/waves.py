@@ -4,9 +4,9 @@ Adding one grain to the maximal stable state triggers an avalanche that splits
 into waves: if site p holds 6 grains and some neighbor v also holds 6, force a
 topple at p and at v, and let the avalanche run.  Within one wave every vertex
 topples at most once, so a wave is a front sweeping the ball; successive fronts
-shrink.  Fronts are swept in rounds, not by calling ``sandpile.relax``:
-each round fires every unstable vertex once, which the abelian property
-allows, through ``relax_batch``'s round kernel ``sandpile._topple_round``.
+shrink.  Fronts are swept in rounds through ``relax``'s round kernel
+``sandpile._topple_round``, not by calling ``relax`` itself: each round
+fires every unstable vertex once, which the abelian property allows.
 A fire set read from a span of at most ``sandpile._FIRE_BLOCK`` ids, or
 after one whose runs average fewer than ``sandpile._LONG_RUN`` ids, is
 held as int32 ids, any other as run bounds, ascending (start, stop) pairs

@@ -127,7 +127,7 @@ def test_verify_small_battery(capsys):
     assert "seed=7" in text
 
 
-@pytest.mark.parametrize("route", ["naive", "wave"])
+@pytest.mark.parametrize("route", ["least", "wave"])
 def test_verify_reports_a_route_that_raises(capsys, monkeypatch, route):
     # a route's InvariantError is a FAIL line in the reports that compare
     # its result, and every other check still runs and prints its verdict
@@ -141,7 +141,7 @@ def test_verify_reports_a_route_that_raises(capsys, monkeypatch, route):
     assert len(verdicts) == 9
     failed = {name for status, name in verdicts if status == "FAIL"}
     sweep = {name for _, name in verdicts[1:5]}
-    assert failed == (sweep if route == "naive" else {verdicts[4][1]})
+    assert failed == (sweep if route == "least" else {verdicts[4][1]})
     assert "wave route equals direct relaxation" in verdicts[4][1]
     assert f"FAIL {route} raised at m=2 sites=[0]: {route} broke at m=2" in text
     assert f"# {9 - len(failed)}/9 checks passed" in text
@@ -237,7 +237,7 @@ def test_bench_methods_agree(capsys):
     code, text, _ = run(capsys, "bench", "--m", "1..2")
     assert code == 0
     assert "MISMATCH" not in text
-    for method in ("naive", "batch", "wave", "closed"):
+    for method in ("batch", "least", "wave", "closed"):
         assert method in text
     lines = text.splitlines()
     for m in (1, 2):
@@ -305,9 +305,20 @@ def test_bench_judges_every_later_result_by_the_closed_forms(capsys, monkeypatch
 
     bench_once = cli._bench_once
     monkeypatch.setattr(cli, "_bench_once", shifted)
-    code, text, _ = run(capsys, "bench", "--m", "3", "--methods", "naive,batch,wave,closed")
+    code, text, _ = run(capsys, "bench", "--m", "3", "--methods", "batch,least,wave,closed")
     assert code == 1
     assert f"MISMATCH at m=3: wave {field} != closed form" in text
+
+
+@pytest.mark.parametrize("radii", ["0", "0..2"])
+def test_bench_rejects_radius_zero(capsys, monkeypatch, radii):
+    # the closed forms that judge every run start at radius 1: the range is
+    # refused before the header is printed or any ball is built
+    built = []
+    monkeypatch.setattr(cli, "build_ball", lambda m: built.append(m))
+    code, text, err = run(capsys, "bench", "--m", radii)
+    assert (code, text, built) == (2, "", [])
+    assert err.startswith("error: ") and "from 1 up" in err and repr(radii) in err
 
 
 def test_bench_refuses_a_range_that_cannot_fit_before_building(capsys, monkeypatch):
@@ -333,7 +344,7 @@ def test_bench_judges_mass_loss_by_the_closed_form(capsys, monkeypatch):
 
 
 def test_bench_rejects_unknown_method(capsys):
-    for methods in ("magic", "naive,magic", "", ","):
+    for methods in ("magic", "least,magic", "naive", "", ","):
         code, text, err = run(capsys, "bench", "--m", "1..1", "--methods", methods)
         assert (code, text) == (2, "")
         assert all(repr(name) in err for name in ROUTES)

@@ -38,7 +38,7 @@ def faults():
 b = build_ball(12)
 steps = [("validate_ball", lambda: validate_ball(b))]
 steps += [(name, lambda route=ROUTES[name]: route(b, [0]))
-          for name in ("naive", "batch", "wave")]
+          for name in ("batch", "least", "wave")]
 for _, step in steps:
     step()
 for name, step in steps:
@@ -55,7 +55,7 @@ def test_second_validation_and_relaxations_reuse_freed_pages():
     # (about 1,025 pages each at m=12) come back as new pages every call
     lines = _run(_STEADY_STATE).split()
     counts = dict(zip(lines[::2], map(int, lines[1::2])))
-    assert set(counts) == {"validate_ball", "naive", "batch", "wave"}
+    assert set(counts) == {"validate_ball", "batch", "least", "wave"}
     assert all(count < 64 for count in counts.values()), counts
 
 

@@ -12,7 +12,7 @@ from heptapile import (DEGREE, Ball, FormatError, InvariantError, Odometer, Stat
                        VertexType, ball as ball_module,
                        is_legal, is_stable, laplacian_delta, mass, max_stable,
                        perturb, predicted_beta, predicted_odometer, relax,
-                       relax_batch, relax_random, save_odometer, save_state,
+                       relax_least, relax_random, save_odometer, save_state,
                        load_odometer, load_state, topple, total_topplings, wave_relax)
 from heptapile import sandpile, waves
 from heptapile.ball import _sign, deserialize_ball, serialize_ball
@@ -135,7 +135,7 @@ def test_identity_check_catches_an_odometer_off_by_one(ball_cache, monkeypatch):
     monkeypatch.setattr(sandpile, "_IDENTITY_ROWS", 64)
     b = ball_cache(6)
     start = perturb(max_stable(b), [0])
-    res = relax_batch(start)
+    res = relax(start)
     sandpile._check_identity(start.grains, res.state.grains, b, res.odometer.counts)
     counts = res.odometer.counts.copy()
     counts[b.n - 100] += 1
@@ -172,7 +172,7 @@ def test_identity_check_sums_full_rows_by_columns(ball_cache, monkeypatch):
     b = ball_cache(6)
     outer = int(b.level_start[6])
     start = perturb(max_stable(b), [0])
-    res = relax_batch(start)
+    res = relax(start)
     linked = _root_linked_to_the_outer_ring(ball_cache)
     linked_start = perturb(max_stable(linked), [0])
     linked_res = relax(linked_start)
@@ -225,25 +225,47 @@ def test_mass_bookkeeping_via_deficits(ball_cache):
 
 
 def test_budget_guard_trips_on_tiny_budget(ball_cache, monkeypatch):
+    # relax counts topples against the budget, relax_least the sweeps that
+    # change a value: three from the root at radius 1
     b = ball_cache(1)
+    start = perturb(max_stable(b), [0])
     monkeypatch.setattr(sandpile, "_budget", lambda grains: 3)
-    for engine in (relax, relax_batch):
-        with pytest.raises(InvariantError):
-            engine(perturb(max_stable(b), [0]))
+    with pytest.raises(InvariantError, match="budget"):
+        relax(start)
+    assert relax_least(start).odometer == predicted_odometer(b, [0])
+    monkeypatch.setattr(sandpile, "_budget", lambda grains: 2)
+    with pytest.raises(InvariantError, match="sweep budget"):
+        relax_least(start)
+
+
+def test_least_action_refuses_an_entry_beyond_the_budget(ball_cache, monkeypatch):
+    # 2,000 grains on the root at radius 4 end with 394 topples there: a
+    # budget of 300 is passed by one entry long before it is by the sweeps
+    b = ball_cache(4)
+    g = np.zeros(b.n, dtype=np.int64)
+    g[0] = 2000
+    assert relax_least(State(b, g)).odometer.counts[0] == 394
+    monkeypatch.setattr(sandpile, "_budget", lambda grains: 300)
+    with pytest.raises(InvariantError, match="odometer entry beyond the toppling budget"):
+        relax_least(State(b, g))
 
 
 def test_relaxers_refuse_a_budget_their_int64_counts_cannot_hold(ball_cache, monkeypatch):
     # below a budget of 2**62 no grain count or odometer entry can wrap
+    # for relax, and below 2**60 no sum of seven entries for relax_least
     monkeypatch.setattr(sandpile, "_budget", lambda grains: 2**62)
-    for engine in (relax, relax_batch):
+    for engine in (relax, relax_least):
         with pytest.raises(OverflowError):
             engine(perturb(max_stable(ball_cache(1)), [0]))
+    monkeypatch.setattr(sandpile, "_budget", lambda grains: 2**60)
+    with pytest.raises(OverflowError):
+        relax_least(perturb(max_stable(ball_cache(1)), [0]))
 
 
 @pytest.mark.parametrize("draws", [1, 3, 1 << 12])
 def test_budget_holds_exactly_the_total_topples(ball_cache, monkeypatch, draws):
-    # the queue engine checks its budget per generation and the random-order
-    # engine per block of draws; each still raises iff the total exceeds it
+    # relax checks its budget per round and the random-order engine per
+    # block of draws; each still raises iff the total exceeds it
     monkeypatch.setattr(sandpile, "_DRAWS", draws)
     for k, start in enumerate(_abelian_states(ball_cache(4))):
         want = relax(start)
@@ -255,8 +277,7 @@ def test_budget_holds_exactly_the_total_topples(ball_cache, monkeypatch, draws):
                 want.state, want.odometer, want.topples)
             runs.append(rng.bit_generator.state)
         assert runs[0] == runs[1]  # a fixed seed draws the same picks again
-    engines = (relax, relax_batch,
-               lambda s: relax_random(s, np.random.default_rng(draws)))
+    engines = (relax, lambda s: relax_random(s, np.random.default_rng(draws)))
     b = ball_cache(3)
     for start in (perturb(max_stable(b), [0]), _abelian_states(ball_cache(2))[0]):
         want = relax(start)
@@ -275,8 +296,9 @@ def test_batch_refuses_counts_that_could_wrap(ball_cache):
     b = ball_cache(1)
     grains = np.zeros(b.n, dtype=np.int64)
     grains[0] = 2**60
-    with pytest.raises(OverflowError):
-        relax_batch(State(b, grains))
+    for engine in (relax, relax_least):
+        with pytest.raises(OverflowError):
+            engine(State(b, grains))
 
 
 def test_negative_grains_rejected_by_relax(ball_cache):
@@ -286,7 +308,7 @@ def test_negative_grains_rejected_by_relax(ball_cache):
     mixed = np.full(b.n, 7, dtype=np.int64)
     mixed[-1] = -1
     for grains in (np.full(b.n, -1, dtype=np.int64), mixed):
-        for engine in (relax, relax_batch,
+        for engine in (relax, relax_least,
                        lambda s: relax_random(s, np.random.default_rng(0))):
             with pytest.raises(ValueError, match="nonnegative"):
                 engine(State(b, grains))
@@ -342,7 +364,7 @@ def test_mass_and_budget_are_exact_at_the_int64_extremes(ball_cache, monkeypatch
 
 
 def _relax_with_in_queue_flags(state):
-    """The queue engine as it stood with an in-queue flag per vertex: the oracle."""
+    """A FIFO queue with an in-queue flag per vertex, one topple at a time: the oracle."""
     g = state.grains.tolist()
     ball = state.ball
     ptr, idx = ball.indptr.tolist(), ball.indices.tolist()
@@ -386,6 +408,8 @@ def _abelian_states(ball):
 
 
 def test_queue_engine_matches_the_in_queue_flag_oracle(ball_cache):
+    # the FIFO queue, whose generations are relax's rounds as sets, ends on
+    # relax's state, odometer, topples and dequeues
     rng = np.random.default_rng(17)
     starts = _abelian_states(ball_cache(4))
     for m in range(0, 7):
@@ -401,12 +425,12 @@ def test_queue_engine_matches_the_in_queue_flag_oracle(ball_cache):
 
 
 def test_schedules_agree_with_the_in_queue_flag_oracle(ball_cache, monkeypatch):
-    # the abelian property: the queue engine, whose generations hold any
-    # order, the parallel rounds and the one-vertex-at-a-time FIFO queue
-    # must end on the same state, odometer and topples from any
-    # nonnegative start, on the balls of radius 0..4 and on a CSR whose
-    # root's row reaches the outer ring; with _FIRE_BLOCK at 4 and
-    # _LONG_RUN at 2 many generations and fire sets are run bounds
+    # the abelian property and least action: the parallel rounds, the
+    # least fixed point and the one-vertex-at-a-time FIFO queue must end on
+    # the same state, odometer and topples from any nonnegative start, on
+    # the balls of radius 0..4 and on a CSR whose root's row reaches the
+    # outer ring; with _FIRE_BLOCK at 4 and _LONG_RUN at 2 many fire sets
+    # are run bounds
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     balls = [ball_cache(m) for m in range(0, 5)] + [_root_linked_to_the_outer_ring(ball_cache)]
@@ -421,7 +445,7 @@ def test_schedules_agree_with_the_in_queue_flag_oracle(ball_cache, monkeypatch):
         b, grains = case
         start = State(b, np.array(grains, dtype=np.int64))
         g, odo, topples, _ = _relax_with_in_queue_flags(start)
-        for res in (relax(start), relax_batch(start)):
+        for res in (relax(start), relax_least(start)):
             assert res.state.grains.tolist() == g
             assert res.odometer.counts.tolist() == odo
             assert res.topples == topples
@@ -446,12 +470,10 @@ def _topped_state(ball, top, rng):
 @pytest.mark.parametrize("size", [1, 1 << 40])
 def test_working_grains_are_int8_up_to_a_largest_count_of_120(ball_cache, monkeypatch, size):
     # from a start whose largest count is at most 120 no count can pass 127,
-    # and the queue and round engines relax in int8 and return those
-    # grains; from 121 on they keep and return int64.  The odometers of
-    # these short relaxations stay int8.  Slices of one vertex let each
-    # vertex take its lower-id neighbors' grains before it fires, the order
-    # that piles highest
-    monkeypatch.setattr(sandpile, "_QUEUE_SLICE", size)
+    # and relax relaxes in int8 and returns those grains; from 121 on it
+    # keeps and returns int64.  The odometers of these short relaxations
+    # stay int8.  Slices of one vertex let each vertex take its lower-id
+    # neighbors' grains before it fires, the order that piles highest
     monkeypatch.setattr(sandpile, "_BATCH_SLICE", size)
     check, seen = sandpile._check_identity, []
 
@@ -465,15 +487,14 @@ def test_working_grains_are_int8_up_to_a_largest_count_of_120(ball_cache, monkey
         start = _topped_state(ball_cache(m), top, rng)
         assert start.grains.max() == top
         g, odo, topples, _ = _relax_with_in_queue_flags(start)
-        for engine in (relax, relax_batch):
-            seen.clear()
-            res = engine(start)
-            assert seen == [np.dtype(np.int8 if top <= 120 else np.int64)], (m, top)
-            assert res.state.grains.dtype == seen[0]
-            assert res.odometer.counts.dtype == np.int8
-            assert res.state.grains.tolist() == g
-            assert res.odometer.counts.tolist() == odo
-            assert res.topples == topples
+        seen.clear()
+        res = relax(start)
+        assert seen == [np.dtype(np.int8 if top <= 120 else np.int64)], (m, top)
+        assert res.state.grains.dtype == seen[0]
+        assert res.odometer.counts.dtype == np.int8
+        assert res.state.grains.tolist() == g
+        assert res.odometer.counts.tolist() == odo
+        assert res.topples == topples
 
 
 def test_int8_grains_widen_in_place(ball_cache):
@@ -522,7 +543,7 @@ def test_every_route_matches_the_random_order_reference_in_its_dtypes(ball_cache
     for m, top, dtype in itertools.product(range(1, 7), (9, 40), (np.int8, np.int64)):
         start = State(ball_cache(m), rng.integers(0, top + 1, size=ball_cache(m).n, dtype=dtype))
         assert start.grains.dtype == dtype
-        cases.append((start, {"naive": relax(start), "batch": relax_batch(start)}))
+        cases.append((start, {"batch": relax(start), "least": relax_least(start)}))
     for start, results in cases:
         want = relax_random(start, rng)
         assert want.state.grains.dtype == want.odometer.counts.dtype == np.int64
@@ -532,22 +553,34 @@ def test_every_route_matches_the_random_order_reference_in_its_dtypes(ball_cache
 
 
 def test_odometers_widen_before_their_128th_round(ball_cache):
-    # 2,000 grains on the root at radius 4 take more than 127 rounds and
-    # generations, and the root topples more than 127 times: both engines
-    # widen their odometers to int64 in time, and the start's count above
-    # 120 keeps the state int64; an odometer widened a round late would
-    # wrap, and the identity check would refuse it
+    # 2,000 grains on the root at radius 4 take more than 127 rounds, and
+    # the root topples more than 127 times: relax widens its odometer to
+    # int64 in time, and the start's count above 120 keeps its state int64;
+    # an odometer widened a round late would wrap, and the identity check
+    # would refuse it.  relax_least widens its odometer before it writes
+    # the first entry above 127 and returns its 0..6 state in int8
     b = ball_cache(4)
     g = np.zeros(b.n, dtype=np.int64)
     g[0] = 2000
     start = State(b, g)
     want = relax_random(start, np.random.default_rng(2000))
     assert want.odometer.counts.max() > 127
-    for engine in (relax, relax_batch):
+    for engine, state_dtype in ((relax, np.int64), (relax_least, np.int8)):
         res = engine(start)
-        assert res.state.grains.dtype == res.odometer.counts.dtype == np.int64
+        assert res.state.grains.dtype == state_dtype
+        assert res.odometer.counts.dtype == np.int64
         assert res.state == want.state and res.odometer == want.odometer
         assert res.topples == want.topples
+    # on the radius-0 ball, whose root has no neighbor, 7 * 128 - 1 grains
+    # end with 127 topples and one grain more with exactly 128: the first
+    # entry that leaves int8, which relax_least writes in one sweep
+    for grains, topples, dtype in ((7 * 128 - 1, 127, np.int8), (7 * 128, 128, np.int64)):
+        start = State(ball_cache(0), [grains])
+        for engine in (relax, relax_least):
+            res = engine(start)
+            assert res.odometer.counts.tolist() == [topples], engine
+            assert res.odometer.counts.dtype == dtype
+            assert res.state.grains.tolist() == [grains - 7 * topples]
 
 
 @pytest.mark.parametrize("split", [0, 1 << 40])
@@ -619,9 +652,9 @@ def _listed_many_times(ball_cache, rows):
 
 def test_a_count_that_wraps_is_never_returned(ball_cache):
     # on a CSR that lists one vertex many times a count can pass 127 from a
-    # start at the int8 bound: the queue and round engines must then land
-    # on the FIFO oracle or refuse, and the wave route, which must topple
-    # that vertex twice in one wave, must refuse
+    # start at the int8 bound: relax must then land on the FIFO oracle or
+    # refuse, and the wave route, which must topple that vertex twice in
+    # one wave, must refuse
     u, outer = 20, range(29, 85, 9)  # a vertex on ring 2, seven on ring 3
     dealt = _listed_many_times(ball_cache, {w: [u] * 6 for w in outer})
     assert np.bincount(dealt.indices)[u] >= 8 * 6
@@ -631,20 +664,36 @@ def test_a_count_that_wraps_is_never_returned(ball_cache):
         g[list(outer)], g[u] = DEGREE, top
         start = State(dealt, g)
         want, want_odo, want_topples, _ = _relax_with_in_queue_flags(start)
-        for engine in (relax, relax_batch):
-            try:
-                res = engine(start)
-            except InvariantError:
-                continue
-            assert res.state.grains.tolist() == want, (top, engine)
-            assert res.odometer.counts.tolist() == want_odo
-            assert res.topples == want_topples
+        try:
+            res = relax(start)
+        except InvariantError:
+            continue
+        assert res.state.grains.tolist() == want, top
+        assert res.odometer.counts.tolist() == want_odo
+        assert res.topples == want_topples
     for k in (130, 250, 256):
         piled = _listed_many_times(ball_cache, {1: ball_cache(3).neighbors(1).tolist() + [u] * k})
         with pytest.raises(InvariantError):
             wave_relax(piled, 0)
         with pytest.raises(InvariantError):
             waves.wave(max_stable(piled), 0)
+
+
+def test_least_action_refuses_a_state_its_sweeps_left_unstable(ball_cache):
+    # relax_least trusts the ball's rows to be symmetric: on the radius-3
+    # ball whose last vertex pulls from the root six times, though no row
+    # lists it, no sweep after the first reaches that vertex, and the final
+    # state check must refuse the grains it never took.  relax refuses too:
+    # its identity check pulls what it pushed nowhere
+    b = ball_cache(3)
+    last = b.n - 1
+    rows = {v: [w for w in b.neighbors(v).tolist() if w != last] for v in b.neighbors(last)}
+    lopsided = _listed_many_times(ball_cache, {**rows, last: [0] * 6})
+    assert last not in lopsided.indices
+    start = perturb(max_stable(lopsided), [0])
+    for engine, refusal in ((relax, "start \\+ laplacian"), (relax_least, "outside 0..6")):
+        with pytest.raises(InvariantError, match=refusal):
+            engine(start)
 
 
 def _slice_starts(ball_cache, seed):
@@ -663,27 +712,6 @@ def _slice_starts(ball_cache, seed):
 
 
 @pytest.mark.parametrize("size", [1, 3, 7])
-def test_queue_generations_are_the_same_in_small_slices(ball_cache, monkeypatch, size):
-    # a generation is toppled a slice of vertices at a time: the slice size
-    # may change the push order within a generation, but no value.  With
-    # whole slices and _FIRE_BLOCK unbounded every generation is ids; with
-    # small ones and _LONG_RUN at 4 many are run bounds, read 16 ids per
-    # slice id at a time
-    starts = _slice_starts(ball_cache, size)
-    monkeypatch.setattr(sandpile, "_QUEUE_SLICE", 1 << 40)
-    monkeypatch.setattr(sandpile, "_FIRE_BLOCK", 1 << 40)
-    whole = [relax(start) for start in starts]
-    monkeypatch.setattr(sandpile, "_QUEUE_SLICE", size)
-    monkeypatch.setattr(sandpile, "_FIRE_BLOCK", 16 * size)
-    monkeypatch.setattr(sandpile, "_LONG_RUN", 4)
-    for start, want in zip(starts, whole):
-        got = relax(start)
-        assert got.state == want.state
-        assert got.odometer == want.odometer
-        assert (got.topples, got.dequeues) == (want.topples, want.dequeues)
-
-
-@pytest.mark.parametrize("size", [1, 3, 7])
 def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size):
     # a round's fire set is toppled a slice of vertices at a time and read
     # a block of ids at a time: neither size may change a value.  With
@@ -693,12 +721,12 @@ def test_batch_rounds_are_the_same_in_small_slices(ball_cache, monkeypatch, size
     starts = _slice_starts(ball_cache, size)
     monkeypatch.setattr(sandpile, "_BATCH_SLICE", 1 << 40)
     monkeypatch.setattr(sandpile, "_FIRE_BLOCK", 1 << 40)
-    whole = [relax_batch(start) for start in starts]
+    whole = [relax(start) for start in starts]
     monkeypatch.setattr(sandpile, "_BATCH_SLICE", size)
     monkeypatch.setattr(sandpile, "_FIRE_BLOCK", 16 * size)
     monkeypatch.setattr(sandpile, "_LONG_RUN", 4)
     for start, want in zip(starts, whole):
-        got = relax_batch(start)
+        got = relax(start)
         assert got.state == want.state
         assert got.odometer == want.odometer
         assert (got.topples, got.dequeues) == (want.topples, want.dequeues)
@@ -790,15 +818,14 @@ def test_round_kernel_matches_a_scalar_oracle(ball_cache, monkeypatch, size):
 
 @pytest.mark.parametrize("size", [1, 3, 1 << 40])
 def test_run_bounds_fire_as_the_one_vertex_oracle(ball_cache, monkeypatch, size):
-    # the round kernel fires a fire set of run bounds, and the queue engine a
-    # generation of them, as one vertex at a time does: runs of one id, a
-    # run cut by the slice size, runs at id 0 and at n - 1, two runs one id
-    # apart, the many short runs of a random 0..40 state, and runs whose
-    # rows reach the outer ring.  With _FIRE_BLOCK at 8 the first scan of
-    # a relaxation gives run bounds, read 8 ids at a time; _LONG_RUN at 4
-    # fires each run of 4 ids or more in place, at 64 nearly none
+    # the round kernel fires a fire set of run bounds as one vertex at a
+    # time does: runs of one id, a run cut by the slice size, runs at id 0
+    # and at n - 1, two runs one id apart, the many short runs of a random
+    # 0..40 state, and runs whose rows reach the outer ring.  With
+    # _FIRE_BLOCK at 8 the first scan of a relaxation gives run bounds,
+    # read 8 ids at a time; _LONG_RUN at 4 fires each run of 4 ids or more
+    # in place, at 64 nearly none
     monkeypatch.setattr(sandpile, "_BATCH_SLICE", size)
-    monkeypatch.setattr(sandpile, "_QUEUE_SLICE", size)
     monkeypatch.setattr(sandpile, "_FIRE_BLOCK", 8)
     rng = np.random.default_rng(34)
     b = ball_cache(4)
@@ -827,13 +854,12 @@ def test_run_bounds_fire_as_the_one_vertex_oracle(ball_cache, monkeypatch, size)
         assert _fire_ids(got) == want.tolist(), fire
         assert g.tolist() == want_g.tolist(), fire
         assert odo.tolist() == want_odo.tolist(), fire
-        # the first generation and round of a relaxation are the same runs
+        # the first round of a relaxation is the same runs
         want_g, want_odo, topples, _ = _relax_with_in_queue_flags(State(ball, start))
-        for engine in (relax, relax_batch):
-            res = engine(State(ball, start))
-            assert res.state.grains.tolist() == want_g, (engine, fire)
-            assert res.odometer.counts.tolist() == want_odo
-            assert res.topples == topples
+        res = relax(State(ball, start))
+        assert res.state.grains.tolist() == want_g, fire
+        assert res.odometer.counts.tolist() == want_odo
+        assert res.topples == topples
 
 
 def test_root_rounds_fire_the_rings_of_their_parity(ball_cache, monkeypatch):
@@ -852,7 +878,7 @@ def test_root_rounds_fire_the_rings_of_their_parity(ball_cache, monkeypatch):
         monkeypatch.setattr(sandpile, "_FIRE_BLOCK", block)
         b = ball_cache(m)
         rounds.clear()
-        relax_batch(perturb(max_stable(b), [0]))
+        relax(perturb(max_stable(b), [0]))
         assert len(rounds) == 2 * m + 1
         for r, fire in enumerate(rounds):
             rings = (b.level % 2 == r % 2) & (b.level <= min(r, 2 * m - r))
@@ -887,7 +913,7 @@ def test_each_round_returns_the_fire_set_of_a_full_scan(ball_cache, monkeypatch,
         monkeypatch.setattr(sandpile, "_FIRE_BLOCK", block)
         monkeypatch.setattr(sandpile, "_LONG_RUN", long_run)
         for start in _slice_starts(ball_cache, 0):
-            relax_batch(start)
+            relax(start)
         for b, site in wave_cases:
             wave_relax(b, site)
     assert len(rounds) > 1000 and (1, 0) in rounds and (2, 0) in rounds
@@ -897,34 +923,37 @@ def test_each_round_returns_the_fire_set_of_a_full_scan(ball_cache, monkeypatch,
     starts = [perturb(max_stable(linked), sites) for sites in ([0], [29], [84], [5, 40])]
     starts.append(State(linked, rng.integers(0, 40, size=linked.n, dtype=np.int64)))
     for start in starts:
-        got, want = relax_batch(start), relax(start)
+        got, want = relax(start), relax_least(start)
         assert (got.state, got.odometer, got.topples) == (want.state, want.odometer, want.topples)
 
 
 def test_scalar_engines_run_without_the_batch_and_wave_code(ball_cache, monkeypatch):
-    # the scalar engines must not share code with relax_batch or the wave
-    # route, so that one bug cannot fool two checks: with the kernel's
-    # helpers, or its row gather alone, broken, both still land on the
-    # closed forms, and with the queue engine's helpers broken, batch and
-    # wave still do; each with fire sets and generations held as ids and,
-    # with _FIRE_BLOCK at 16 and _LONG_RUN at 4, as run bounds.  The queue,
-    # batch and wave routes are the verify route table's own
+    # the least-action and random-order routes must not share code with the
+    # round kernel, and least action none with the identity check, so that
+    # one bug cannot fool two checks: with the kernel's helpers, or its row
+    # gather alone, broken, least and random still land on the closed
+    # forms; with least's own code broken, batch and wave still do; with
+    # the identity check broken, least and wave still do.  Each with fire
+    # sets held as ids and, with _FIRE_BLOCK at 16 and _LONG_RUN at 4, as
+    # run bounds.  The batch, least and wave routes are the verify route
+    # table's own
     def broken(*args, **kwargs):
         raise AssertionError("broken code was called")
 
     rng = np.random.default_rng(7)
-    queue = {"queue": ROUTES["naive"]}
-    scalar = {**queue, "random": lambda ball, sites: relax_random(
-        perturb(max_stable(ball), sites), rng)}
+    least = {"least": ROUTES["least"]}
+    random = {"random": lambda ball, sites: relax_random(perturb(max_stable(ball), sites), rng)}
     rounds = {"batch": ROUTES["batch"], "wave": ROUTES["wave"]}
     kernel = ((sandpile, "_topple_round"), (sandpile, "_round_pieces"),
               (sandpile, "_round_rows"), (sandpile, "_round_fire_set"),
               (sandpile, "_ids"), (waves, "_forced_wave"))
-    queue_code = ((sandpile, "_queue_pieces"), (sandpile, "_queue_gather"),
-                  (sandpile, "_queue_rows"), (sandpile, "_queue_next"))
-    for names, dead, alive in ((kernel, rounds, scalar),
-                               (((sandpile, "_round_gather"),), rounds, scalar),
-                               (queue_code, queue, rounds)):
+    least_code = ((sandpile, "_least_pull"),)
+    for names, dead, alive in ((kernel, rounds, {**least, **random}),
+                               (((sandpile, "_round_gather"),), rounds, {**least, **random}),
+                               (least_code, least, rounds),
+                               (((sandpile, "_check_identity"),),
+                                {"batch": ROUTES["batch"], **random},
+                                {**least, "wave": ROUTES["wave"]})):
         for name in names:  # each is code that one of the routes runs
             with monkeypatch.context() as patch:
                 patch.setattr(*name, broken)
@@ -973,28 +1002,6 @@ def _gather_cases(st, ball_cache):
     return st.sampled_from(balls).flatmap(lambda b: st.tuples(st.just(b), _id_lists(st, b.n)))
 
 
-def test_queue_gather_returns_the_rows_in_a_new_array(ball_cache, monkeypatch):
-    # a slice's neighbor ids, copied a run at a time or gathered through
-    # positions as _LONG_RUN decides, whatever cuts its runs; relax reads a
-    # one-run slice's rows in place itself and sends only the others here,
-    # whose rows come back as a new array, never a view of the ball's ids
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-
-    @hypothesis.settings(max_examples=150, deadline=None, database=None)
-    @hypothesis.given(_gather_cases(st, ball_cache), st.sampled_from([1, 3, 7, 1 << 40]))
-    def check(case, size):
-        b, ids = case
-        for long_run, lo in itertools.product((0, 1 << 40), range(0, len(ids), size)):
-            monkeypatch.setattr(sandpile, "_LONG_RUN", long_run)  # copied, then gathered
-            f = np.array(ids[lo:lo + size], dtype=np.intp)
-            got = sandpile._queue_gather(b.indptr, b.indices, f)
-            assert got.tolist() == np.concatenate([b.neighbors(v) for v in f]).tolist()
-            assert not np.shares_memory(got, b.indices)
-
-    check()
-
-
 def test_round_gather_returns_the_rows(ball_cache, monkeypatch):
     # a slice of fired ids, ascending or not, gives its neighbor ids in row
     # order, one grain per entry for the round kernel to scatter
@@ -1016,10 +1023,10 @@ def test_round_gather_returns_the_rows(ball_cache, monkeypatch):
 
 def test_gathers_read_small_and_large_slices_alike(ball_cache, monkeypatch):
     # a slice of fewer than _LONG_RUN ids is read row by row, a larger one
-    # per run of consecutive ids, each run copied or gathered: with
-    # _LONG_RUN at 0 every slice is cut into runs and copied, at 8 a short
-    # slice is read row by row and a long one mostly gathered, at 2**40
-    # every slice is read row by row
+    # per run of consecutive ids, each run copied or gathered, never as a
+    # view of the ball's ids: with _LONG_RUN at 0 every slice is cut into
+    # runs and copied, at 8 a short slice is read row by row and a long one
+    # mostly gathered, at 2**40 every slice is read row by row
     rng = np.random.default_rng(31)
     for m in range(2, 9):
         b = ball_cache(m)
@@ -1031,10 +1038,9 @@ def test_gathers_read_small_and_large_slices_alike(ball_cache, monkeypatch):
             want = np.concatenate([b.neighbors(v) for v in f]).tolist()
             for long_run in (0, 8, 1 << 40):
                 monkeypatch.setattr(sandpile, "_LONG_RUN", long_run)
-                got = sandpile._queue_gather(b.indptr, b.indices, f)
+                got = sandpile._round_gather(b.indptr, b.indices, f)
                 assert got.tolist() == want
                 assert not np.shares_memory(got, b.indices)
-                assert sandpile._round_gather(b.indptr, b.indices, f).tolist() == want
 
 
 def test_ids_read_one_block_or_many_alike(monkeypatch):
@@ -1054,8 +1060,8 @@ def test_ids_read_one_block_or_many_alike(monkeypatch):
 @pytest.mark.parametrize("long_run", [0, 1 << 40], ids=["copied", "gathered"])
 def test_relaxation_leaves_the_ball_intact(ball_cache, monkeypatch, long_run):
     # every route reads the ball's ids through slices of them, a one-run
-    # slice's in place, and scatters grains from them: none may write to
-    # the ball
+    # slice's in place, and relax scatters grains from them: none may
+    # write to the ball
     monkeypatch.setattr(sandpile, "_LONG_RUN", long_run)
     b = ball_cache(8)
     indices, indptr = b.indices.copy(), b.indptr.copy()
@@ -1063,29 +1069,30 @@ def test_relaxation_leaves_the_ball_intact(ball_cache, monkeypatch, long_run):
     multi_run = perturb(max_stable(b), [int(b.level_start[7]), int(b.level_start[8]) + 5, b.n - 1])
     for start in (one_run, multi_run):
         relax(start)
-        relax_batch(start)
+        relax_least(start)
         waves.wave_relax_multi(b, np.flatnonzero(start.grains == DEGREE))
     assert np.array_equal(b.indices, indices)
     assert np.array_equal(b.indptr, indptr)
 
 
-@pytest.mark.parametrize("route", ["naive", "batch", "wave"])
+@pytest.mark.parametrize("route", ["batch", "least", "wave"])
 def test_relaxation_peak_stays_within_the_ball_model(ball_cache, route):
     # a route may add 12 bytes per vertex, the memory model less 32; the ball
     # takes 25, and the other 7 stay headroom, not room for a route to grow
     # into, so no route needs a guard of its own.  The wave route holds its
-    # fronts, about 6.5 B per vertex of int32 ids.  The queue engine holds
-    # int8 working grains and an int8 odometer, 2 bytes per vertex, and
-    # returns them as they are; a generation read from a span wider than
-    # _FIRE_BLOCK ids is run bounds, one pair per ring from this start,
-    # and a narrower one at most _FIRE_BLOCK int64 ids,
-    # read from a mask of at most _FIRE_BLOCK bytes, and a piece of more
-    # than one run gathers about 7 * _QUEUE_SLICE int32 neighbor ids, and
-    # an int64 position per id when its runs are short, the same at every
-    # radius, so its peak at radius 12 stands for every radius
+    # fronts, about 6.5 B per vertex of int32 ids.  relax holds int8
+    # working grains and an int8 odometer, 2 bytes per vertex, and returns
+    # them as they are; a fire set read from a span wider than _FIRE_BLOCK
+    # ids is run bounds, one pair per ring from this start, and a narrower
+    # one at most _FIRE_BLOCK int32 ids, and a piece of more than one run
+    # gathers about 7 * _BATCH_SLICE int32 neighbor ids.  relax_least holds
+    # an int8 odometer and an int8 state, and its block of _IDENTITY_ROWS
+    # rows gathers 7 entries a row and sums them in int64.  Each route's
+    # temporaries are the same at every radius, so its peak at radius 12
+    # stands for every radius
     b = ball_cache(12)
     start = perturb(max_stable(b), [0])
-    run = {"naive": lambda: relax(start), "batch": lambda: relax_batch(start),
+    run = {"batch": lambda: relax(start), "least": lambda: relax_least(start),
            "wave": lambda: wave_relax(b, 0)}[route]
     tracemalloc.start()
     try:
@@ -1112,22 +1119,23 @@ def test_batch_agrees(ball_cache):
     b = ball_cache(3)
     rng = np.random.default_rng(2)
     start = State(b, rng.integers(0, 30, size=b.n).astype(np.int64))
-    plain = relax(start)
-    batched = relax_batch(start)
-    assert plain.state == batched.state
-    assert plain.odometer == batched.odometer
-    assert batched.dequeues <= plain.dequeues
+    batched = relax(start)
+    least = relax_least(start)
+    assert batched.state == least.state
+    assert batched.odometer == least.odometer
+    assert batched.topples == least.topples == int(least.odometer.counts.sum())
     assert batched.dequeues == batched.topples  # no round fires a vertex twice
+    assert least.dequeues == least.topples
 
 
 @pytest.mark.parametrize("site", ["root", "outer"])
 def test_batch_brute_force_at_radius_12(ball_cache, site):
     b = ball_cache(12)
     p = [0] if site == "root" else [b.n - 1]
-    res = relax_batch(perturb(max_stable(b), p))
-    assert res.state == predicted_beta(b, p)
-    assert res.odometer == predicted_odometer(b, p)
-    assert res.topples == total_topplings(12, int(b.level[p[0]]))
+    for res in (relax(perturb(max_stable(b), p)), relax_least(perturb(max_stable(b), p))):
+        assert res.state == predicted_beta(b, p)
+        assert res.odometer == predicted_odometer(b, p)
+        assert res.topples == total_topplings(12, int(b.level[p[0]]))
 
 
 def test_schedules_agree_on_random_states(ball_cache):
@@ -1143,12 +1151,106 @@ def test_schedules_agree_on_random_states(ball_cache):
         m, grains = case
         start = State(ball_cache(m), np.array(grains, dtype=np.int64))
         base = relax(start)
-        for res in (relax_batch(start),
+        for res in (relax_least(start),
                     relax_random(start, np.random.default_rng(seed))):
             assert res.state == base.state
             assert res.odometer == base.odometer
 
     check()
+
+
+def test_least_action_equals_relax_on_the_site_families(ball_cache):
+    # the sweep's perturbation sets at radii 1..12: relax_least's state,
+    # odometer and topples are relax's, in int8
+    for m in range(1, 13):
+        b = ball_cache(m)
+        for sites in site_families(b, 6, np.random.default_rng([37, m])):
+            start = perturb(max_stable(b), sites)
+            want, got = relax(start), relax_least(start)
+            assert (got.state, got.odometer, got.topples) == (
+                want.state, want.odometer, want.topples), (m, sites)
+            assert got.state.grains.dtype == got.odometer.counts.dtype == np.int8
+
+
+def _light_state(ball, seed):
+    """A random 0..9 state: some vertices topple, and some never do."""
+    return State(ball, np.random.default_rng(seed).integers(0, 10, size=ball.n, dtype=np.int8))
+
+
+def test_least_action_and_the_toppling_schedules_agree(ball_cache):
+    # least action and the abelian property as a property: from random
+    # states at radii 0..6, light ones of 0..9 grains, in which some
+    # vertex never topples, and heavier ones, relax_least, relax and
+    # relax_random end on one state, odometer and toppling total
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    light = _light_state(ball_cache(6), 0)
+    assert not relax(light).odometer.counts.all()
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 6), st.sampled_from([9, 20]), st.integers(0, 2**32 - 1))
+    @hypothesis.example(6, 9, 0)
+    def check(m, top, seed):
+        rng = np.random.default_rng(seed)
+        start = State(ball_cache(m), rng.integers(0, top + 1, size=ball_cache(m).n))
+        base = relax(start)
+        for res in (relax_least(start), relax_random(start, rng)):
+            assert (res.state, res.odometer, res.topples) == (
+                base.state, base.odometer, base.topples)
+
+    check()
+
+
+def test_least_action_mutants_are_caught(ball_cache, monkeypatch):
+    # three faults in relax_least, each put into its pull by a wrapper:
+    # a start from u = 1, which only a state in which some vertex never
+    # topples tells from the least fixed point; a ceiling in place of the
+    # floor, a pull 6 grains high; and a pull that drops the last entry of
+    # each outer-ring row.  Each must be caught by a comparison with relax.
+    # A budget of 64 sweeps ends a mutant's ascent that never stops soon
+    b = ball_cache(5)
+    outer = int(b.level_start[5])
+    starts = {"light": _light_state(b, 0), "root": perturb(max_stable(b), [0]),
+              "last": perturb(max_stable(b), [b.n - 1])}
+    wants = {name: relax(start) for name, start in starts.items()}
+    assert not wants["light"].odometer.counts.all()
+    assert wants["root"].odometer.counts.all()
+
+    def caught():
+        """The starts on which relax_least misses relax's state or odometer, or raises."""
+        missed = set()
+        for name, start in starts.items():
+            try:
+                res = sandpile.relax_least(start)
+            except InvariantError:
+                missed.add(name)
+                continue
+            if (res.state, res.odometer) != (wants[name].state, wants[name].odometer):
+                missed.add(name)
+        return missed
+
+    pull = sandpile._least_pull
+
+    def from_one(u, ptr, idx, a, b):
+        if not u.any():  # the first sweep's first block
+            u[:] = 1
+        return pull(u, ptr, idx, a, b)
+
+    def ceiling(u, ptr, idx, a, b):
+        return pull(u, ptr, idx, a, b) + (DEGREE - 1)
+
+    def drop_last(u, ptr, idx, a, b):
+        got = pull(u, ptr, idx, a, b)
+        rows = np.arange(max(a, outer), b)
+        got[rows - a] -= u[idx[ptr[rows + 1] - 1]]
+        return got
+
+    monkeypatch.setattr(sandpile, "_budget", lambda grains: 64)
+    assert caught() == set()
+    for mutant, by in ((from_one, {"light"}), (ceiling, set(starts)), (drop_last, set(starts))):
+        with monkeypatch.context() as patch:
+            patch.setattr(sandpile, "_least_pull", mutant)
+            assert caught() == by, mutant.__name__
 
 
 def test_random_orders_agree(ball_cache):
